@@ -30,6 +30,7 @@ from .linalg import (
     DEFAULT_CLUSTER_TOL,
     HermitianOperator,
     MatrixFunctionDomainError,
+    _scalar_values,
     as_matrix,
     clustered_eigensystem,
     hermitize,
@@ -230,33 +231,32 @@ def dualize(sample: LinearFunctionalSample) -> HermitianOperator:
     return hermitize(out)
 
 
-def _loewner_matrix(reps: np.ndarray, ids: np.ndarray, pair: ScalarFunctionPair) -> np.ndarray:
-    """Divided-difference kernel over cluster representatives.
-
-    Same cluster -> f'(rep); distinct clusters -> first divided difference.
-    """
-    n = reps.size
-    fvals = np.empty(n)
-    fpvals = np.empty(n)
+def _pair_values(reps: np.ndarray, pair: ScalarFunctionPair):
+    """``f`` and ``f'`` at the cluster representatives, domain-checked first."""
     lo, hi = pair.domain
+    for rep in reps.tolist():
+        if not lo < rep < hi:
+            raise MatrixFunctionDomainError(rep, f"{pair.name} is undefined at eigenvalue {rep!r}")
     with np.errstate(all="ignore"):
-        for cid in range(int(ids.max()) + 1):
-            rep = float(reps[ids == cid][0])
-            if not (lo < rep < hi):
-                raise MatrixFunctionDomainError(
-                    rep, f"{pair.name} is undefined at eigenvalue {rep!r}"
-                )
-            fv, fpv = float(pair.f(rep)), float(pair.f_prime(rep))
-            if not (np.isfinite(fv) and np.isfinite(fpv)):
-                raise MatrixFunctionDomainError(
-                    rep, f"{pair.name} or its derivative is undefined at eigenvalue {rep!r}"
-                )
-            fvals[ids == cid] = fv
-            fpvals[ids == cid] = fpv
+        fvals, fpvals = _scalar_values(pair.f, reps), _scalar_values(pair.f_prime, reps)
+    bad = ~(np.isfinite(fvals) & np.isfinite(fpvals))
+    if bad.any():
+        rep = float(reps[bad][0])
+        raise MatrixFunctionDomainError(
+            rep, f"{pair.name} or its derivative is undefined at eigenvalue {rep!r}"
+        )
+    return fvals, fpvals
+
+
+def _loewner_matrix(reps, ids, fvals, fpvals) -> np.ndarray:
+    """Divided-difference kernel ``[..., n, n]`` from ``f``/``f'`` at the cluster
+    representatives ``reps``, batched over any leading axes of ``fvals``/``fpvals``
+    (the f-divergence gradients use one). Same cluster -> f'; distinct clusters
+    -> first divided difference."""
     same = ids[:, None] == ids[None, :]
     denom = np.where(same, 1.0, reps[:, None] - reps[None, :])
-    kernel = (fvals[:, None] - fvals[None, :]) / denom
-    return np.where(same, fpvals[:, None] * np.ones((n, n)), kernel)
+    kernel = (fvals[..., :, None] - fvals[..., None, :]) / denom
+    return np.where(same, fpvals[..., :, None], kernel)
 
 
 def frechet_derivative(A, M, fp: ScalarFunctionPair,
@@ -269,7 +269,7 @@ def frechet_derivative(A, M, fp: ScalarFunctionPair,
     if a.shape != m.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {m.shape}")
     reps, ids, v = clustered_eigensystem(A, cluster_tol)
-    kernel = _loewner_matrix(reps, ids, fp)
+    kernel = _loewner_matrix(reps, ids, *_pair_values(reps, fp))
     mt = v.conj().T @ m @ v
     return hermitize(v @ (kernel * mt) @ v.conj().T)
 

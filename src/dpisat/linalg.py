@@ -341,6 +341,12 @@ def spectral_decompose(A, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralD
     return SpectralDecomposition(tuple(eigenvalues), tuple(projectors), cluster_tol)
 
 
+def _scalar_values(func, x) -> np.ndarray:
+    """``func`` at every entry of ``x``, one call per entry on a Python float,
+    so that callables built on :mod:`math` work as well as numpy ones."""
+    return np.array([float(func(v)) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
 def matrix_function(A, f, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> HermitianOperator:
     """Apply a scalar function spectrally: ``f(A) = sum_j f(lambda_j) P_j``.
 
@@ -351,17 +357,12 @@ def matrix_function(A, f, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Hermitian
     """
     func = getattr(f, "f", f)
     fname = getattr(f, "name", getattr(func, "__name__", "f"))
-    reps, ids, v = clustered_eigensystem(A, cluster_tol)
-    vals = np.empty_like(reps)
+    reps, _, v = clustered_eigensystem(A, cluster_tol)
     with np.errstate(all="ignore"):
-        for cid in range(int(ids.max()) + 1):
-            rep = float(reps[ids == cid][0])
-            y = float(func(rep))
-            if not np.isfinite(y):
-                raise MatrixFunctionDomainError(
-                    rep, f"{fname} is undefined at eigenvalue {rep!r}"
-                )
-            vals[ids == cid] = y
+        vals = _scalar_values(func, reps)
+    if not np.isfinite(vals).all():
+        rep = float(reps[~np.isfinite(vals)][0])
+        raise MatrixFunctionDomainError(rep, f"{fname} is undefined at eigenvalue {rep!r}")
     return hermitize((v * vals) @ v.conj().T)
 
 

@@ -86,10 +86,6 @@ def measure_suite() -> list:
     ]
 
 
-def closed_form_grad2_suite() -> list:
-    return [m for m in measure_suite() if m.family != "f_divergence"]
-
-
 def saturating_fixtures(seed: int = 7) -> list:
     """Structurally recoverable channel/state triples, full rank throughout.
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from dpisat.calculus import (
     NumericGradientError,
     LinearFunctionalSample,
     ScalarFunctionPair,
+    _loewner_matrix,
     dualize,
     finite_difference_frechet,
     frechet_derivative,
@@ -133,6 +136,39 @@ class TestFrechetDerivative:
         m = HermitianOperator(SIGMA_X)
         with pytest.raises(MatrixFunctionDomainError):
             frechet_derivative(a, m, LOG)
+
+    def test_scalar_only_pair(self):
+        # A pair built on math.log accepts Python floats, not arrays.
+        math_log = ScalarFunctionPair(
+            "math_log", math.log, lambda x: 1.0 / x, domain=(0.0, math.inf)
+        )
+        g = gen(216)
+        a, m = random_positive(g, 4), random_hermitian(g, 4)
+        out = frechet_derivative(a.op, m, math_log).matrix
+        assert np.linalg.norm(out - frechet_derivative(a.op, m, LOG).matrix) <= 1e-13
+
+
+class TestLoewnerMatrix:
+    REPS = np.array([0.5, 0.5, 1.5, 2.0])
+    IDS = np.array([0, 0, 1, 2])
+
+    def test_entries(self):
+        fv, fpv = np.log(self.REPS), 1.0 / self.REPS
+        k = _loewner_matrix(self.REPS, self.IDS, fv, fpv)
+        assert k[0, 1] == k[1, 0] == k[0, 0] == 2.0
+        assert k[2, 3] == (np.log(1.5) - np.log(2.0)) / (1.5 - 2.0)
+        assert k[3, 1] == (np.log(2.0) - np.log(0.5)) / (2.0 - 0.5)
+
+    def test_leading_batch_axes(self):
+        pairs = (LOG, EXP, power(1.7), IDENTITY)
+        fv = np.array([[p.f(x) for x in self.REPS] for p in pairs]).reshape(2, 2, 4)
+        fpv = np.array([[p.f_prime(x) for x in self.REPS] for p in pairs]).reshape(2, 2, 4)
+        batched = _loewner_matrix(self.REPS, self.IDS, fv, fpv)
+        assert batched.shape == (2, 2, 4, 4)
+        for i in range(2):
+            for j in range(2):
+                single = _loewner_matrix(self.REPS, self.IDS, fv[i, j], fpv[i, j])
+                assert np.array_equal(batched[i, j], single)
 
 
 class TestFiniteDifferenceFrechet:

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from dpisat import calculus
+from dpisat import calculus, divergences
 from dpisat.divergences import (
     MeasureSpec,
     evaluate,
@@ -16,9 +18,11 @@ from dpisat.divergences import (
 from dpisat.linalg import (
     HermitianOperator,
     PositiveOperator,
+    PositivityError,
     PsdOperator,
     SchemaError,
     hs_inner,
+    spectral_decompose,
 )
 
 from _fixtures import (
@@ -31,6 +35,7 @@ from _fixtures import (
     measure_suite,
     random_cptp,
     random_positive,
+    random_psd_rank,
 )
 from dpisat.channels import apply, dephasing_pinching, depolarizing, unitary
 
@@ -78,7 +83,7 @@ class TestMeasureSpecValidation:
         MeasureSpec("f_divergence", f_pair=pair, f_name="custom", f_asserted=True)
 
     def test_grad2_method_flag(self):
-        assert grad2_method(MeasureSpec.f_divergence("x_log_x")) == "numeric"
+        assert grad2_method(MeasureSpec.f_divergence("x_log_x")) == "closed_form"
         assert grad2_method(MeasureSpec.relative_entropy()) == "closed_form"
 
 
@@ -218,9 +223,7 @@ class TestGradients:
             )
             assert rel <= 1e-5
 
-    @pytest.mark.parametrize(
-        "m", [m for m in measure_suite() if m.family != "f_divergence"], ids=str
-    )
+    @pytest.mark.parametrize("m", measure_suite(), ids=str)
     def test_grad2_against_numeric_oracle(self, m):
         g = gen(hash(str(m) + "2") % 2 ** 32)
         for _ in range(3):
@@ -281,6 +284,131 @@ class TestGradients:
         minus = PositiveOperator(HermitianOperator(rho.matrix - h * direction.matrix))
         fd = (evaluate(m, plus, sigma) - evaluate(m, minus, sigma)) / (2 * h)
         assert hs_inner(grad, direction) == pytest.approx(fd, abs=1e-5)
+
+
+def projector_sums(pair, rho, sigma):
+    """Value and both gradients of the f-divergence as explicit double sums
+    over the clustered eigenprojectors ``P_j`` of rho and ``Q_k`` of sigma.
+
+    The gradients are returned as None when rho has a zero eigenvalue.
+    """
+    sd_r, sd_s = spectral_decompose(rho), spectral_decompose(sigma)
+    n = sd_r.dim
+    value = 0.0
+    for mu, q in sd_s.items():
+        for p, pj in sd_r.items():
+            fx = pair.value_at_zero if p == 0.0 else pair.f(p / mu)
+            value += mu * fx * np.trace(pj.matrix @ q.matrix).real
+    if min(sd_r.eigenvalues) <= 0.0:
+        return value, None, None
+
+    def divided(fun, dfun, nodes, i, j):
+        a, b = nodes[i], nodes[j]
+        return dfun(a) if i == j else (fun(a) - fun(b)) / (a - b)
+
+    g1 = np.zeros((n, n), dtype=complex)
+    for mu, q in sd_s.items():
+        h = lambda p, mu=mu: mu * pair.f(p / mu)
+        dh = lambda p, mu=mu: pair.f_prime(p / mu)
+        for i, (_, pi) in enumerate(sd_r.items()):
+            for j, (_, pj) in enumerate(sd_r.items()):
+                g1 += divided(h, dh, sd_r.eigenvalues, i, j) * (pi.matrix @ q.matrix @ pj.matrix)
+    g2 = np.zeros((n, n), dtype=complex)
+    for p, pa in sd_r.items():
+        g = lambda mu, p=p: mu * pair.f(p / mu)
+        dg = lambda mu, p=p: pair.f(p / mu) - p / mu * pair.f_prime(p / mu)
+        for k, (_, qk) in enumerate(sd_s.items()):
+            for l, (_, ql) in enumerate(sd_s.items()):
+                g2 += divided(g, dg, sd_s.eigenvalues, k, l) * (qk.matrix @ pa.matrix @ ql.matrix)
+    return value, g1, g2
+
+
+def rotated(g, values) -> PositiveOperator:
+    u = random_unitary(g, len(values))
+    return PositiveOperator(HermitianOperator((u * np.asarray(values)) @ u.conj().T, herm_tol=1e-12))
+
+
+F_DIVERGENCES = [m for m in measure_suite() if m.family == "f_divergence"]
+
+
+class TestFdivClosedForm:
+    """Value and gradients of the f-divergence on clustered and boundary
+    spectra, against the projector double sums and finite differences."""
+
+    @pytest.mark.parametrize("m", F_DIVERGENCES, ids=str)
+    @pytest.mark.parametrize(
+        "rho_values, sigma_values",
+        [
+            (None, [0.4, 0.4, 0.9, 1.3]),  # sigma: a pair cluster next to distinct ones
+            ([0.5, 0.5, 0.5, 1.2], None),  # rho: a triple cluster
+            ([0.3, 0.3, 0.8, 0.8], [0.6, 0.6, 0.6, 0.2]),
+        ],
+        ids=["sigma_cluster", "rho_cluster", "both_clustered"],
+    )
+    def test_clustered_spectra(self, m, rho_values, sigma_values):
+        g = gen(450)
+        rho = random_positive(g, 4) if rho_values is None else rotated(g, rho_values)
+        sigma = random_positive(g, 4) if sigma_values is None else rotated(g, sigma_values)
+        value, g1, g2 = projector_sums(m.f_pair, rho.op, sigma.op)
+        assert evaluate(m, rho, sigma) == pytest.approx(value, abs=1e-12)
+        for got, loops, oracle in (
+            (
+                grad1(m, rho, sigma),
+                g1,
+                calculus.numeric_gradient(lambda r: evaluate(m, PositiveOperator(r), sigma), rho.op),
+            ),
+            (
+                grad2(m, rho, sigma),
+                g2,
+                calculus.numeric_gradient(lambda s: evaluate(m, rho, PositiveOperator(s)), sigma.op),
+            ),
+        ):
+            scale = max(1.0, np.linalg.norm(loops))
+            assert np.linalg.norm(got.matrix - loops) <= 1e-11 * scale
+            assert np.linalg.norm(got.matrix - oracle.matrix) <= 1e-5 * scale
+
+    @pytest.mark.parametrize("m", [m for m in F_DIVERGENCES if m.f_name != "neg_log"], ids=str)
+    def test_rank_deficient_rho(self, m):
+        g = gen(451)
+        rho, sigma = random_psd_rank(g, 4, 2), random_positive(g, 4)
+        value = projector_sums(m.f_pair, rho, sigma.op)[0]
+        assert evaluate_psd(m, rho, sigma) == pytest.approx(value, abs=1e-12)
+
+    def test_zero_eigenvalue_errors(self):
+        rho = PsdOperator(HermitianOperator(np.diag([1.0, 0.0]).astype(complex)))
+        sigma = diag_positive([0.5, 0.5])
+        with pytest.raises(PositivityError, match="^f-divergence value requires positive states$"):
+            divergences._fdiv_value(calculus.X_LOG_X, rho, sigma.op)
+        with pytest.raises(ValueError) as info:
+            evaluate_psd(MeasureSpec.f_divergence("neg_log"), rho, sigma)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "f-divergence 'neg_log' has no continuous extension at 0"
+
+    def test_scalar_only_custom_f(self):
+        # Built on math.log, so f and f' accept Python floats only.
+        pair = calculus.ScalarFunctionPair(
+            "x_log_x_scalar",
+            lambda x: x * math.log(x),
+            lambda x: math.log(x) + 1.0,
+            domain=(0.0, math.inf),
+            value_at_zero=0.0,
+        )
+        with pytest.raises(TypeError):
+            pair.f(np.array([0.5, 2.0]))
+        custom = MeasureSpec.f_divergence(pair, caller_asserted=True)
+        registered = MeasureSpec.f_divergence("x_log_x")
+        g = gen(452)
+        rho, sigma = random_positive(g, 3), random_positive(g, 3)
+        assert evaluate(custom, rho, sigma) == pytest.approx(
+            evaluate(registered, rho, sigma), abs=1e-12
+        )
+        for grad in (grad1, grad2):
+            diff = grad(custom, rho, sigma).matrix - grad(registered, rho, sigma).matrix
+            assert np.linalg.norm(diff) <= 1e-12
+        psd = random_psd_rank(g, 3, 2)
+        assert evaluate_psd(custom, psd, sigma) == pytest.approx(
+            evaluate_psd(registered, psd, sigma), abs=1e-12
+        )
 
 
 class TestDpiMonotonicity:

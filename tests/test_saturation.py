@@ -86,12 +86,10 @@ class TestResiduals:
     def test_saturating_fixtures_residuals_vanish(self):
         from _fixtures import saturating_fixtures
 
-        closed_form = [m for m in measure_suite() if m.family != "f_divergence"]
         for label, c, rho, sigma in saturating_fixtures():
             for m in measure_suite():
                 n1 = frobenius(residual1(m, c, rho, sigma))
                 assert n1 <= 1e-8, (label, m, n1)
-            for m in closed_form:
                 n2 = frobenius(residual2(m, c, rho, sigma))
                 assert n2 <= 1e-8, (label, m, n2)
 
