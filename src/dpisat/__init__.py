@@ -20,7 +20,6 @@ from .calculus import (
 from .channels import KrausChannel, verify_cptp
 from .divergences import MeasureSpec, evaluate, grad1, grad2, scaling_check
 from .linalg import (
-    ComplexMatrix,
     HermitianOperator,
     PositiveOperator,
     PsdOperator,

@@ -79,11 +79,7 @@ class KrausChannel:
         m, n = ops[0].shape
         if any(k.shape != (m, n) for k in ops):
             raise ValueError("all Kraus operators must share one shape")
-        tp = tp_error(ops)
-        if tp > self.tp_tol:
-            raise ValueError(
-                f"channel is not trace preserving: ||sum K^H K - I||_F = {tp:.3e}"
-            )
+        _require_trace_preserving(tp_error(ops), self.tp_tol)
         object.__setattr__(self, "kraus", tuple(ops))
         object.__setattr__(self, "dim_in", n)
         object.__setattr__(self, "dim_out", m)
@@ -105,6 +101,15 @@ def tp_error(kraus) -> float:
         arr = as_matrix(k)
         acc += arr.conj().T @ arr
     return float(np.linalg.norm(acc - np.eye(n)))
+
+
+def _require_trace_preserving(tp: float, tol: float) -> None:
+    """Raise unless a trace-preservation error ``||sum K^H K - I||_F`` is
+    within ``tol``."""
+    if tp > tol:
+        raise ValueError(
+            f"channel is not trace preserving: ||sum K^H K - I||_F = {tp:.3e}"
+        )
 
 
 def apply_raw(kraus, matrix: np.ndarray) -> np.ndarray:

@@ -101,6 +101,8 @@ KNOWN_CHECKS = (
 
 _CONVERSE_FAMILIES = ("relative_entropy", "fidelity", "sandwiched_renyi", "alpha_z")
 _CROSSCHECK_FAMILIES = ("alpha_z", "sandwiched_renyi")
+# Checks judged against the gap: they fail alone when it cannot be evaluated.
+_GAP_CHECKS = ("gap", "boundary")
 
 
 @dataclass
@@ -328,10 +330,10 @@ def _execute_scenario(sc: Scenario, dump_matrices: bool) -> dict:
     }
 
     full = sc.rho_positive is not None
-    gap = None
+    gap = gap_error = None
     if full:
-        # Petz errors need an invertible channel image of sigma; only build
-        # the recovery map when the scenario asks for it.
+        # Petz errors need an invertible channel image of sigma; only
+        # evaluate them when the scenario asks for them.
         core = build_report(
             sc.measure, sc.channel, sc.rho_positive, sc.sigma,
             gap_tol=sc.gap_tol, residual_tol=sc.residual_tol,
@@ -340,7 +342,10 @@ def _execute_scenario(sc: Scenario, dump_matrices: bool) -> dict:
         gap = core.gap
         report.update(report_to_json(core, include_matrices=dump_matrices))
     else:
-        gap = boundary_gap(sc.measure, sc.channel, sc.rho, sc.sigma)
+        try:
+            gap = boundary_gap(sc.measure, sc.channel, sc.rho, sc.sigma)
+        except (ValueError, RuntimeError) as exc:
+            gap_error = f"gap could not be evaluated: {exc}"
         report.update(
             {
                 "gap": gap,
@@ -350,12 +355,15 @@ def _execute_scenario(sc: Scenario, dump_matrices: bool) -> dict:
             }
         )
 
-    saturated_here = abs(gap) <= sc.gap_tol
+    saturated_here = gap is not None and abs(gap) <= sc.gap_tol
 
     for check in sc.checks:
         detail: dict = {}
         passed = True
-        if check == "gap":
+        if gap_error is not None and check in _GAP_CHECKS:
+            detail["reason"] = gap_error
+            passed = False
+        elif check == "gap":
             detail["value"] = gap
             passed = gap >= -sc.gap_tol
         elif check == "residual1":

@@ -27,7 +27,6 @@ __all__ = [
     "PositivityError",
     "MatrixFunctionDomainError",
     "EigensolverError",
-    "ComplexMatrix",
     "HermitianOperator",
     "PositiveOperator",
     "PsdOperator",
@@ -111,22 +110,6 @@ def _validated_square(arr: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise ValueError(f"{what} has non-finite entries")
     return arr
-
-
-@dataclass(frozen=True, eq=False)
-class ComplexMatrix:
-    """A validated square complex matrix (finite entries, n >= 1)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = _validated_square(self.entries, "ComplexMatrix").copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,30 +257,42 @@ class SpectralDecomposition:
         return out
 
 
+def _too_close(lo, hi, tol: float):
+    """Whether ascending values ``lo <= hi`` fall within one cluster."""
+    return hi - lo <= tol * np.maximum(1.0, np.maximum(np.abs(hi), np.abs(lo)))
+
+
+def _run_mean(w: np.ndarray, start: int, stop: int) -> float:
+    """Mean of ``w[start:stop]``, summed exactly as ``np.mean`` sums it."""
+    return float(np.add.reduce(w[start:stop]) / (stop - start))
+
+
 def _cluster_groups(w: np.ndarray, tol: float):
-    """Group sorted eigenvalues into clusters separated by a relative gap."""
-    groups = [[0]]
-    for i in range(1, w.size):
-        if w[i] - w[i - 1] <= tol * max(1.0, abs(w[i]), abs(w[i - 1])):
-            groups[-1].append(i)
-        else:
-            groups.append([i])
+    """Group sorted eigenvalues into clusters separated by a relative gap.
+
+    Clusters are contiguous runs of ``w``. Returns ``(starts, reps)``: the
+    index where each cluster starts and its representative, the mean of its
+    members.
+    """
+    starts = np.flatnonzero(np.concatenate(([True], ~_too_close(w[:-1], w[1:], tol))))
+    stops = np.append(starts[1:], w.size)
+    reps = w[starts]
+    for j in np.flatnonzero(stops - starts > 1):
+        reps[j] = _run_mean(w, starts[j], stops[j])
     # Chained merges can leave adjacent representatives closer than the
-    # separation guarantee; merge again until stable.
-    while True:
-        merged = False
-        out = [groups[0]]
-        for grp in groups[1:]:
-            rep_prev = float(np.mean(w[out[-1]]))
-            rep_cur = float(np.mean(w[grp]))
-            if rep_cur - rep_prev <= tol * max(1.0, abs(rep_cur), abs(rep_prev)):
-                out[-1] = out[-1] + grp
-                merged = True
+    # separation guarantee; merge again until stable. Within a sweep a merge
+    # moves the representative that the next comparison uses.
+    while _too_close(reps[:-1], reps[1:], tol).any():
+        keep, kept_reps = [0], [reps[0]]
+        for j in range(1, starts.size):
+            if _too_close(kept_reps[-1], reps[j], tol):
+                kept_reps[-1] = _run_mean(w, starts[keep[-1]], stops[j])
             else:
-                out.append(grp)
-        groups = out
-        if not merged:
-            return groups
+                keep.append(j)
+                kept_reps.append(reps[j])
+        starts, reps = starts[keep], np.array(kept_reps)
+        stops = np.append(starts[1:], w.size)
+    return starts, reps
 
 
 def clustered_eigensystem(A, cluster_tol: float = DEFAULT_CLUSTER_TOL):
@@ -314,13 +309,9 @@ def clustered_eigensystem(A, cluster_tol: float = DEFAULT_CLUSTER_TOL):
         w, v = A.eigenvalues, A.eigenvectors
     else:
         w, v = _eigh(_validated_square(as_matrix(A), "operator"))
-    groups = _cluster_groups(np.asarray(w, dtype=float), cluster_tol)
-    reps = np.empty(w.size, dtype=float)
-    ids = np.empty(w.size, dtype=int)
-    for cid, grp in enumerate(groups):
-        reps[grp] = float(np.mean(np.asarray(w)[grp]))
-        ids[grp] = cid
-    return reps, ids, v
+    starts, reps = _cluster_groups(np.asarray(w, dtype=float), cluster_tol)
+    sizes = np.diff(np.append(starts, w.size))
+    return np.repeat(reps, sizes), np.repeat(np.arange(starts.size), sizes), v
 
 
 def spectral_decompose(A, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralDecomposition:

@@ -26,7 +26,7 @@ from .calculus import (
     dualize,
     hermitian_basis,
 )
-from .channels import KrausChannel, adjoint_apply, apply
+from .channels import KrausChannel, _require_trace_preserving, adjoint_apply, apply
 from .divergences import (
     MeasureSpec,
     evaluate,
@@ -77,6 +77,7 @@ __all__ = [
 
 DEFAULT_GAP_TOL = 1e-8
 DEFAULT_RESIDUAL_TOL = 1e-8
+_PETZ_TP_TOL = 1e-9
 
 
 class BoundaryCaseError(ValueError):
@@ -105,13 +106,28 @@ def _channel_images(ch: KrausChannel, rho: PositiveOperator, sigma: PositiveOper
     return rho_out, sigma_out
 
 
+def _states_and_images(ch: KrausChannel, rho, sigma):
+    """``(rho, sigma, L(rho), L(sigma))``, all strictly positive; the two
+    channel images are computed once, for every quantity derived from them."""
+    rho = _positive_or_boundary(rho, "rho")
+    sigma = _positive_or_boundary(sigma, "sigma")
+    return (rho, sigma) + _channel_images(ch, rho, sigma)
+
+
+def _gap(m: MeasureSpec, rho, sigma, rho_out, sigma_out) -> float:
+    return m.sign * (evaluate(m, rho, sigma) - evaluate(m, rho_out, sigma_out))
+
+
+def _residual(grad, m: MeasureSpec, ch: KrausChannel, rho, sigma, rho_out, sigma_out) -> HermitianOperator:
+    """``grad(r, s) - L*(grad(L r, L s))`` for ``grad`` = grad1 or grad2."""
+    inner = grad(m, rho_out, sigma_out)
+    return hermitize(grad(m, rho, sigma).matrix - adjoint_apply(ch, inner).matrix)
+
+
 def dpi_gap(m: MeasureSpec, ch: KrausChannel, rho, sigma) -> float:
     """Sign-adjusted gap ``sign * (B(r,s) - B(L r, L s))``; nonnegative under
     the data processing inequality."""
-    rho = _positive_or_boundary(rho, "rho")
-    sigma = _positive_or_boundary(sigma, "sigma")
-    rho_out, sigma_out = _channel_images(ch, rho, sigma)
-    return m.sign * (evaluate(m, rho, sigma) - evaluate(m, rho_out, sigma_out))
+    return _gap(m, *_states_and_images(ch, rho, sigma))
 
 
 def boundary_gap(m: MeasureSpec, ch: KrausChannel, rho: PsdOperator, sigma) -> float:
@@ -125,20 +141,12 @@ def boundary_gap(m: MeasureSpec, ch: KrausChannel, rho: PsdOperator, sigma) -> f
 
 def residual1(m: MeasureSpec, ch: KrausChannel, rho, sigma) -> HermitianOperator:
     """First-argument gradient residual; zero whenever the gap vanishes."""
-    rho = _positive_or_boundary(rho, "rho")
-    sigma = _positive_or_boundary(sigma, "sigma")
-    rho_out, sigma_out = _channel_images(ch, rho, sigma)
-    inner = grad1(m, rho_out, sigma_out)
-    return hermitize(grad1(m, rho, sigma).matrix - adjoint_apply(ch, inner).matrix)
+    return _residual(grad1, m, ch, *_states_and_images(ch, rho, sigma))
 
 
 def residual2(m: MeasureSpec, ch: KrausChannel, rho, sigma) -> HermitianOperator:
     """Second-argument gradient residual."""
-    rho = _positive_or_boundary(rho, "rho")
-    sigma = _positive_or_boundary(sigma, "sigma")
-    rho_out, sigma_out = _channel_images(ch, rho, sigma)
-    inner = grad2(m, rho_out, sigma_out)
-    return hermitize(grad2(m, rho, sigma).matrix - adjoint_apply(ch, inner).matrix)
+    return _residual(grad2, m, ch, *_states_and_images(ch, rho, sigma))
 
 
 def _sandwiched_core_operator(alpha: float, rho: PositiveOperator, sigma: PositiveOperator) -> np.ndarray:
@@ -161,14 +169,12 @@ def normalized_sandwiched_residual(
     is only defined once the gap is below ``gap_tol``.
     """
     m = MeasureSpec.sandwiched_renyi(alpha)
-    rho = _positive_or_boundary(rho, "rho")
-    sigma = _positive_or_boundary(sigma, "sigma")
-    gap = dpi_gap(m, ch, rho, sigma)
+    rho, sigma, rho_out, sigma_out = _states_and_images(ch, rho, sigma)
+    gap = _gap(m, rho, sigma, rho_out, sigma_out)
     if abs(gap) > gap_tol:
         raise ValueError(
             f"normalized residual is meaningful only at saturation; |gap|={abs(gap):.3e}"
         )
-    rho_out, sigma_out = _channel_images(ch, rho, sigma)
     outer = _sandwiched_core_operator(alpha, rho, sigma)
     inner = _sandwiched_core_operator(alpha, rho_out, sigma_out)
     return hermitize(outer - adjoint_apply(ch, hermitize(inner)).matrix)
@@ -241,8 +247,9 @@ def converse_certificate(
         raise ConverseViolationError(
             f"scaling law failed to verify numerically for family {m.family!r}"
         )
-    r1 = frobenius(residual1(m, ch, rho, sigma))
-    gap = dpi_gap(m, ch, rho, sigma)
+    rho_out, sigma_out = _channel_images(ch, rho, sigma)
+    r1 = frobenius(_residual(grad1, m, ch, rho, sigma, rho_out, sigma_out))
+    gap = _gap(m, rho, sigma, rho_out, sigma_out)
     implied = r1 <= residual_tol
     if implied and abs(gap) > gap_tol:
         raise ConverseViolationError(
@@ -453,6 +460,13 @@ def hiai_residual(ch: KrausChannel, rho, sigma) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _petz_factors(sigma: PositiveOperator, sigma_out: PositiveOperator):
+    """``(s^{1/2}, (Ls)^{-1/2})``, the two factors of the Petz recovery map."""
+    ws, vs = _eigh(sigma.matrix)
+    wo, vo = _eigh(sigma_out.matrix)
+    return (vs * np.sqrt(ws)) @ vs.conj().T, (vo * wo ** -0.5) @ vo.conj().T
+
+
 def petz_map(sigma, ch: KrausChannel) -> KrausChannel:
     """The Petz recovery channel
     ``R(X) = s^{1/2} L*( (Ls)^{-1/2} X (Ls)^{-1/2} ) s^{1/2}``.
@@ -461,25 +475,38 @@ def petz_map(sigma, ch: KrausChannel) -> KrausChannel:
     channel saturates the data processing inequality.
     """
     sigma = _positive_or_boundary(sigma, "sigma")
-    sigma_out = apply(ch, sigma.op)
     try:
-        sigma_out_pos = PositiveOperator(sigma_out)
+        sigma_out = PositiveOperator(apply(ch, sigma.op))
     except PositivityError as exc:
         raise PositivityError(f"channel image of sigma is rank deficient: {exc}") from exc
-    ws, vs = _eigh(sigma.matrix)
-    s_half = (vs * np.sqrt(ws)) @ vs.conj().T
-    wo, vo = _eigh(sigma_out_pos.matrix)
-    out_inv_half = (vo * wo ** -0.5) @ vo.conj().T
+    s_half, out_inv_half = _petz_factors(sigma, sigma_out)
     kraus = tuple(s_half @ k.conj().T @ out_inv_half for k in ch.kraus)
-    return KrausChannel(kraus, tp_tol=1e-9)
+    return KrausChannel(kraus, tp_tol=_PETZ_TP_TOL)
+
+
+def _petz_recovery_errors(ch: KrausChannel, rho, sigma, rho_out, sigma_out):
+    """``||R(L r) - r||_F`` and ``||R(L s) - s||_F`` for the Petz map R,
+    evaluated through the adjoint without building R's Kraus operators.
+
+    R is trace preserving exactly when its Kraus sum
+    ``(Ls)^{-1/2} L(s) (Ls)^{-1/2}`` is the identity; that is checked
+    against the same tolerance as :func:`petz_map`.
+    """
+    s_half, out_inv_half = _petz_factors(sigma, sigma_out)
+    tp = float(np.linalg.norm(out_inv_half @ sigma_out.matrix @ out_inv_half - np.eye(ch.dim_out)))
+    _require_trace_preserving(tp, _PETZ_TP_TOL)
+
+    def error(x, x_out) -> float:
+        back = adjoint_apply(ch, out_inv_half @ x_out.matrix @ out_inv_half).matrix
+        return float(np.linalg.norm(s_half @ back @ s_half - x.matrix))
+
+    return error(rho, rho_out), error(sigma, sigma_out)
 
 
 def alpha2_petz_residual(ch: KrausChannel, rho, sigma) -> HermitianOperator:
     """Residual of ``s^{-1/2} r s^{-1/2} = L*( (Ls)^{-1/2} (Lr) (Ls)^{-1/2} )``,
     the alpha = 2 sandwiched condition and the original Petz criterion."""
-    rho = _positive_or_boundary(rho, "rho")
-    sigma = _positive_or_boundary(sigma, "sigma")
-    rho_out, sigma_out = _channel_images(ch, rho, sigma)
+    rho, sigma, rho_out, sigma_out = _states_and_images(ch, rho, sigma)
     ws, vs = _eigh(sigma.matrix)
     s_inv_half = (vs * ws ** -0.5) @ vs.conj().T
     wo, vo = _eigh(sigma_out.matrix)
@@ -526,10 +553,8 @@ def alpha_z_crosscheck(ch: KrausChannel, rho, sigma, alpha: float, z: float) -> 
     All three are necessary at saturation; norms are reported side by side.
     """
     m = MeasureSpec.alpha_z(alpha, z)
-    rho = _positive_or_boundary(rho, "rho")
-    sigma = _positive_or_boundary(sigma, "sigma")
-    rho_out, sigma_out = _channel_images(ch, rho, sigma)
-    grad_norm = frobenius(residual1(m, ch, rho, sigma))
+    rho, sigma, rho_out, sigma_out = _states_and_images(ch, rho, sigma)
+    grad_norm = frobenius(_residual(grad1, m, ch, rho, sigma, rho_out, sigma_out))
 
     results = []
     for outer_exp, core_exp in (
@@ -580,22 +605,20 @@ def build_report(
 ) -> SaturationReport:
     """Evaluate gap, both residuals, and Petz recovery errors in one pass.
 
-    ``with_petz=False`` skips the recovery map (its construction needs the
-    channel image of sigma to be invertible) and leaves the error fields
-    unset.
+    The channel images of rho and sigma are computed once; each residual
+    takes one adjoint, and each Petz recovery error one more (two channel
+    applies and four adjoints per report). ``with_petz=False`` skips the
+    recovery errors (they need the channel image of sigma to be invertible)
+    and leaves those fields unset.
     """
-    rho = _positive_or_boundary(rho, "rho")
-    sigma = _positive_or_boundary(sigma, "sigma")
-    gap = dpi_gap(m, ch, rho, sigma)
-    r1 = residual1(m, ch, rho, sigma)
-    r2 = residual2(m, ch, rho, sigma)
+    rho, sigma, rho_out, sigma_out = _states_and_images(ch, rho, sigma)
+    gap = _gap(m, rho, sigma, rho_out, sigma_out)
+    r1 = _residual(grad1, m, ch, rho, sigma, rho_out, sigma_out)
+    r2 = _residual(grad2, m, ch, rho, sigma, rho_out, sigma_out)
     n1, n2 = frobenius(r1), frobenius(r2)
     err_rho = err_sigma = None
     if with_petz:
-        recovery = petz_map(sigma, ch)
-        rho_out, sigma_out = _channel_images(ch, rho, sigma)
-        err_rho = float(np.linalg.norm(apply(recovery, rho_out.op).matrix - rho.matrix))
-        err_sigma = float(np.linalg.norm(apply(recovery, sigma_out.op).matrix - sigma.matrix))
+        err_rho, err_sigma = _petz_recovery_errors(ch, rho, sigma, rho_out, sigma_out)
     saturated = abs(gap) <= gap_tol and n1 <= residual_tol and n2 <= residual_tol
     return SaturationReport(
         measure=m,

@@ -85,6 +85,52 @@ class TestRun:
         assert rep["checks"]["boundary"]["zeros_log_norm"] <= 1e-8
         assert rep["checks"]["tangent"]["measured"] == 8
 
+    def test_unevaluable_gap_fails_only_the_checks_that_need_it(self, tmp_path):
+        # neg_log has no continuous extension at 0, so the gap of a
+        # rank-deficient rho cannot be evaluated; tangent does not need it.
+        tangent_only = {
+            "name": "neg-log-tangent",
+            "measure": {"family": "f_divergence", "f": "neg_log"},
+            "channel": {"builder": "dephasing_pinching", "dim": 3},
+            "rho": {"builder": "diag", "values": [0.5, 0.5, 0.0]},
+            "sigma": {"builder": "diag", "values": [0.5, 0.3, 0.2]},
+            "checks": ["tangent"],
+        }
+        # Measure-and-prepare into a larger space leaves L(sigma) singular.
+        singular_image = {
+            "name": "singular-image",
+            "measure": {"family": "relative_entropy"},
+            "channel": {
+                "builder": "measure_prepare",
+                "povm": [{"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}],
+                "states": [
+                    {"dim": 3, "entries": [[[1, 0], [0, 0], [0, 0]], [[0, 0]] * 3, [[0, 0]] * 3]}
+                ],
+            },
+            "rho": {"builder": "diag", "values": [1.0, 0.0]},
+            "sigma": {"builder": "diag", "values": [0.5, 0.5]},
+            "checks": ["gap", "boundary", "tangent"],
+        }
+        scen = tmp_path / "scen.json"
+        write_scenarios(scen, [tangent_only, singular_image])
+        out = tmp_path / "out"
+        assert main(["run", str(scen), "--out", str(out)]) == 1
+
+        rep = load_report(out, "neg-log-tangent")
+        assert "error" not in rep
+        assert rep["passed"] is True
+        assert rep["gap"] is None
+        assert rep["checks"] == {"tangent": {"passed": True, "measured": 8, "expected": 8}}
+
+        rep = load_report(out, "singular-image")
+        assert "error" not in rep
+        assert rep["passed"] is False
+        assert rep["gap"] is None
+        for check in ("gap", "boundary"):
+            assert rep["checks"][check]["passed"] is False
+            assert "channel image of sigma is not strictly positive" in rep["checks"][check]["reason"]
+        assert rep["checks"]["tangent"] == {"passed": True, "measured": 3, "expected": 3}
+
     def test_determinism_with_fixed_seeds(self, tmp_path):
         scen = tmp_path / "scen.json"
         write_scenarios(scen, [RANDOM_SCENARIO, PINCHING_SCENARIO])

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpisat.linalg import (
-    ComplexMatrix,
     HermitianOperator,
     HermiticityError,
     MatrixFunctionDomainError,
@@ -29,13 +28,13 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 class TestTypes:
-    def test_complex_matrix_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            ComplexMatrix(np.zeros((2, 3), dtype=complex))
+    def test_hermitian_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            HermitianOperator(np.zeros((2, 3), dtype=complex))
 
-    def test_complex_matrix_rejects_nan(self):
-        with pytest.raises(ValueError):
-            ComplexMatrix(np.array([[np.nan, 0], [0, 1]], dtype=complex))
+    def test_hermitian_rejects_nan(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            HermitianOperator(np.array([[np.nan, 0], [0, 1]], dtype=complex))
 
     def test_hermitian_symmetrizes_storage(self):
         a = np.array([[1.0, 0.5 + 1e-12j], [0.5, 2.0]], dtype=complex)
@@ -137,6 +136,85 @@ class TestSpectralDecompose:
         with pytest.raises(la.EigensolverError) as err:
             spectral_decompose(a)
         np.testing.assert_array_equal(err.value.matrix, a.matrix)
+
+
+def _reference_cluster_groups(w, tol):
+    """Index lists of the clusters, one np.mean per cluster per sweep: the
+    loop that the run-based clustering replaced, kept as its reference."""
+    groups = [[0]]
+    for i in range(1, w.size):
+        if w[i] - w[i - 1] <= tol * max(1.0, abs(w[i]), abs(w[i - 1])):
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    while True:
+        merged = False
+        out = [groups[0]]
+        for grp in groups[1:]:
+            rep_prev = float(np.mean(w[out[-1]]))
+            rep_cur = float(np.mean(w[grp]))
+            if rep_cur - rep_prev <= tol * max(1.0, abs(rep_cur), abs(rep_prev)):
+                out[-1] = out[-1] + grp
+                merged = True
+            else:
+                out.append(grp)
+        groups = out
+        if not merged:
+            return groups
+
+
+class TestClusterGroups:
+    TOL = 1e-8
+
+    def _spectra(self):
+        g = gen(105)
+        tol = self.TOL
+        for _ in range(200):
+            n = int(g.integers(1, 40))
+            yield np.sort(g.normal(size=n) * 10.0 ** g.uniform(-3, 3))
+        for _ in range(200):
+            # Near-degenerate clusters of random sizes around a few centres.
+            centres = g.normal(size=int(g.integers(1, 6))) * 10.0 ** g.uniform(-2, 2)
+            sizes = g.integers(1, 12, size=centres.size)
+            jitter = [c + tol * g.uniform(-2, 2, size=k) * max(1.0, abs(c)) for c, k in zip(centres, sizes)]
+            yield np.sort(np.concatenate(jitter))
+        for _ in range(200):
+            # Chains: adjacent steps near the tolerance, so representatives of
+            # neighbouring runs can fall within it and merge again.
+            start = g.normal() * 10.0 ** g.uniform(-1, 2)
+            steps = tol * max(1.0, abs(start)) * g.choice([0.4, 0.9, 1.05, 1.3, 1.6, 2.5], size=int(g.integers(1, 30)))
+            yield np.concatenate(([start], start + np.cumsum(steps)))
+
+    def test_matches_reference_exactly(self):
+        from dpisat.linalg import _cluster_groups, clustered_eigensystem
+
+        for w in self._spectra():
+            expected = _reference_cluster_groups(w, self.TOL)
+            starts, reps = _cluster_groups(w, self.TOL)
+            assert [grp[0] for grp in expected] == starts.tolist()
+            assert [float(np.mean(w[grp])) for grp in expected] == reps.tolist()
+            psd = PsdOperator(HermitianOperator(np.diag(np.abs(w)).astype(complex)))
+            col_reps, ids, _ = clustered_eigensystem(psd, self.TOL)
+            for cid, grp in enumerate(_reference_cluster_groups(psd.eigenvalues, self.TOL)):
+                assert (ids[grp] == cid).all()
+                assert (col_reps[grp] == float(np.mean(psd.eigenvalues[grp]))).all()
+
+    def test_merge_sweep_matches_reference(self):
+        # On a sorted spectrum a run's mean lies inside the run, so the
+        # sweep that re-merges close representatives has nothing to merge.
+        # Unsorted values reach it; its merges must match the reference.
+        from dpisat.linalg import _cluster_groups
+
+        g = gen(106)
+        swept = 0
+        for _ in range(300):
+            w = g.permutation(np.round(g.normal(size=int(g.integers(2, 12))), 1))
+            expected = _reference_cluster_groups(w, self.TOL)
+            starts, reps = _cluster_groups(w, self.TOL)
+            assert [grp[0] for grp in expected] == starts.tolist()
+            assert [float(np.mean(w[grp])) for grp in expected] == reps.tolist()
+            swept += len(expected) < 1 + int(np.count_nonzero(np.diff(w) > self.TOL))
+        assert swept > 30
 
 
 class TestMatrixFunction:

@@ -479,3 +479,70 @@ class TestReport:
         assert rep.gap == pytest.approx(0.2857813286634453, abs=1e-12)
         assert rep.petz_recovery_error_sigma <= 1e-9
         assert rep.petz_recovery_error_rho > 1e-3
+
+
+class TestSinglePassReport:
+    """build_report takes each channel image once and evaluates the Petz
+    recovery through the adjoint, with no recovery KrausChannel."""
+
+    @staticmethod
+    def _cases():
+        g = gen(570)
+        wide = random_cptp(g, 4, 4, n_kraus=7)  # Kraus rank above the dimension
+        yield "random_cptp", wide, random_positive(g, 4), random_positive(g, 4)
+        yield "depolarizing", depolarizing(6, 0.4), random_positive(g, 6), random_positive(g, 6)
+
+    def test_two_applies_four_adjoints_no_recovery_channel(self, monkeypatch):
+        import dpisat.saturation as sat
+        from dpisat.channels import KrausChannel
+
+        _, c, rho, sigma = next(self._cases())
+        calls = {"apply": 0, "adjoint_apply": 0, "KrausChannel": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(sat, "apply", counted("apply", sat.apply))
+        monkeypatch.setattr(sat, "adjoint_apply", counted("adjoint_apply", sat.adjoint_apply))
+        monkeypatch.setattr(
+            KrausChannel, "__post_init__", counted("KrausChannel", KrausChannel.__post_init__)
+        )
+        build_report(MeasureSpec.relative_entropy(), c, rho, sigma, with_petz=True)
+        assert calls == {"apply": 2, "adjoint_apply": 4, "KrausChannel": 0}
+
+    def test_agrees_with_standalone_functions(self):
+        for label, c, rho, sigma in self._cases():
+            recovery = petz_map(sigma, c)
+            err_rho = np.linalg.norm(apply(recovery, apply(c, rho.op)).matrix - rho.matrix)
+            err_sigma = np.linalg.norm(apply(recovery, apply(c, sigma.op)).matrix - sigma.matrix)
+            for m in measure_suite():
+                rep = build_report(m, c, rho, sigma)
+                assert rep.gap == pytest.approx(dpi_gap(m, c, rho, sigma), abs=1e-12), label
+                for res, func in ((rep.residual1, residual1), (rep.residual2, residual2)):
+                    diff = res.matrix - func(m, c, rho, sigma).matrix
+                    assert np.linalg.norm(diff) <= 1e-12, (label, m)
+                assert rep.petz_recovery_error_rho == pytest.approx(err_rho, abs=1e-12), label
+                assert rep.petz_recovery_error_sigma == pytest.approx(err_sigma, abs=1e-12), label
+                assert rep.petz_recovery_error_sigma <= 1e-9, label
+
+    def test_ill_conditioned_image_raises_recovery_tp_error(self):
+        from _fixtures import random_unitary
+        from dpisat.channels import unitary
+
+        g = gen(571)
+        v = random_unitary(g, 3)
+        sigma = PositiveOperator(
+            HermitianOperator(v @ np.diag([0.6, 0.4, 1e-12]) @ v.conj().T, herm_tol=1e-8)
+        )
+        c = unitary(random_unitary(g, 3))
+        rho = random_positive(g, 3)
+        message = r"channel is not trace preserving: \|\|sum K\^H K - I\|\|_F = "
+        with pytest.raises(ValueError, match=message):
+            petz_map(sigma, c)
+        with pytest.raises(ValueError, match=message):
+            build_report(MeasureSpec.relative_entropy(), c, rho, sigma)
+        rep = build_report(MeasureSpec.relative_entropy(), c, rho, sigma, with_petz=False)
+        assert rep.petz_recovery_error_rho is None
