@@ -76,15 +76,15 @@ from .saturation import (
     DEFAULT_GAP_TOL,
     DEFAULT_RESIDUAL_TOL,
     ConverseViolationError,
-    alpha_z_crosscheck,
+    _alpha_z_crosscheck,
+    _converse_verdict,
+    _require_scaling_law,
     boundary_gap,
     boundary_residual_general,
     boundary_residual_relent,
     build_report,
-    converse_certificate,
     hiai_residual,
     report_to_json,
-    residual1,
     tangent_space_rank,
 )
 
@@ -330,7 +330,7 @@ def _execute_scenario(sc: Scenario, dump_matrices: bool) -> dict:
     }
 
     full = sc.rho_positive is not None
-    gap = gap_error = None
+    gap = gap_error = core = None
     if full:
         # Petz errors need an invertible channel image of sigma; only
         # evaluate them when the scenario asks for them.
@@ -376,9 +376,9 @@ def _execute_scenario(sc: Scenario, dump_matrices: bool) -> dict:
             passed = (not saturated_here) or norm <= sc.residual_tol
         elif check == "converse":
             try:
-                cert = converse_certificate(
-                    sc.measure, sc.channel, sc.rho_positive, sc.sigma,
-                    residual_tol=sc.residual_tol, gap_tol=sc.gap_tol,
+                _require_scaling_law(sc.measure, sc.rho_positive, sc.sigma)
+                cert = _converse_verdict(
+                    core.residual1_frobenius, core.gap, sc.residual_tol, sc.gap_tol
                 )
                 detail.update(
                     {
@@ -396,11 +396,16 @@ def _execute_scenario(sc: Scenario, dump_matrices: bool) -> dict:
             detail.update({"recovery_error_rho": err_rho, "recovery_error_sigma": err_sigma})
             passed = err_sigma <= 1e-9 and ((not saturated_here) or err_rho <= 1e-7)
         elif check == "boundary":
-            passed, detail = _boundary_check(sc, saturated_here)
+            passed, detail = _boundary_check(sc, saturated_here, core)
         elif check == "alpha_z_crosscheck":
-            alpha = sc.measure.alpha
-            z = sc.measure.z if sc.measure.family == "alpha_z" else sc.measure.alpha
-            res = alpha_z_crosscheck(sc.channel, sc.rho_positive, sc.sigma, alpha, z)
+            alpha_z = sc.measure.family == "alpha_z"
+            res = _alpha_z_crosscheck(
+                sc.channel, sc.rho_positive, sc.sigma, core.rho_out, core.sigma_out,
+                sc.measure.alpha, sc.measure.z if alpha_z else sc.measure.alpha,
+                # An alpha_z scenario's residual1 is the crosscheck's gradient
+                # residual; a sandwiched one takes it from the alpha_z form.
+                gradient_residual=core.residual1_frobenius if alpha_z else None,
+            )
             detail.update(
                 {
                     "gradient_residual": res.gradient_residual,
@@ -422,7 +427,7 @@ def _execute_scenario(sc: Scenario, dump_matrices: bool) -> dict:
     return report
 
 
-def _boundary_check(sc: Scenario, saturated_here: bool):
+def _boundary_check(sc: Scenario, saturated_here: bool, core):
     detail: dict = {}
     res_relent = boundary_residual_relent(sc.channel, sc.rho, sc.sigma)
     res_general = boundary_residual_general(sc.measure, sc.channel, sc.rho, sc.sigma)
@@ -431,9 +436,8 @@ def _boundary_check(sc: Scenario, saturated_here: bool):
     detail["general_norm"] = frobenius(res_general)
     detail["hiai_norm"] = float(np.linalg.norm(res_hiai))
     passed = True
-    if sc.rho_positive is not None:
-        r1 = residual1(sc.measure, sc.channel, sc.rho_positive, sc.sigma)
-        reduction = float(np.linalg.norm(res_general.matrix - r1.matrix))
+    if core is not None:
+        reduction = float(np.linalg.norm(res_general.matrix - core.residual1.matrix))
         detail["full_rank_reduction_error"] = reduction
         passed = reduction <= 1e-9
     if saturated_here:
@@ -600,8 +604,6 @@ def _cmd_sweep(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(axis_names + ["gap", "residual1_norm", "residual2_norm"])
-    from .saturation import dpi_gap as _gap, residual2 as _res2  # local alias
-
     for point in points(0, ()):
         alpha = point[0]
         z = point[1] if len(point) > 1 else None
@@ -616,10 +618,9 @@ def _cmd_sweep(args) -> int:
         except ValueError as exc:
             print(f"warning: skipping {point}: {exc}", file=sys.stderr)
             continue
-        gap = _gap(m, channel, rho, sigma)
-        n1 = frobenius(residual1(m, channel, rho, sigma))
-        n2 = frobenius(_res2(m, channel, rho, sigma))
-        writer.writerow([repr(v) for v in point] + [repr(gap), repr(n1), repr(n2)])
+        rep = build_report(m, channel, rho, sigma, with_petz=False)
+        values = (rep.gap, rep.residual1_frobenius, rep.residual2_frobenius)
+        writer.writerow([repr(v) for v in point] + [repr(x) for x in values])
     _write_atomic(args.out, buf.getvalue())
     print(f"wrote {args.out}")
     return 0

@@ -17,7 +17,7 @@ conditions for the alpha-z family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,14 @@ from .calculus import (
     dualize,
     hermitian_basis,
 )
-from .channels import KrausChannel, _require_trace_preserving, adjoint_apply, apply
+from .channels import (
+    KrausChannel,
+    _adjoint_raw,
+    _from_stack,
+    _require_trace_preserving,
+    adjoint_apply,
+    apply,
+)
 from .divergences import (
     MeasureSpec,
     evaluate,
@@ -220,6 +227,32 @@ def _scale(op: PositiveOperator, k: float) -> PositiveOperator:
     return PositiveOperator(HermitianOperator(k * op.matrix))
 
 
+def _require_scaling_law(m: MeasureSpec, rho: PositiveOperator, sigma: PositiveOperator) -> None:
+    """Raise unless the family has a scaling law and it verifies on (rho, sigma)."""
+    if m.family not in ("sandwiched_renyi", "alpha_z", "relative_entropy", "fidelity"):
+        raise ValueError(
+            f"family {m.family!r} has no verified scaling law; "
+            "check the gap directly instead"
+        )
+    if not _verify_scaling_law(m, rho, sigma):
+        raise ConverseViolationError(
+            f"scaling law failed to verify numerically for family {m.family!r}"
+        )
+
+
+def _converse_verdict(r1: float, gap: float, residual_tol: float, gap_tol: float) -> ConverseCertificate:
+    """The certificate from a first-residual norm and a gap, once the scaling
+    law has verified."""
+    implied = r1 <= residual_tol
+    if implied and abs(gap) > gap_tol:
+        raise ConverseViolationError(
+            f"residual norm {r1:.3e} <= {residual_tol:.1e} but |gap| = {abs(gap):.3e}"
+        )
+    return ConverseCertificate(
+        residual1_norm=r1, gap=gap, implied_gap_zero=implied, scaling_verified=True
+    )
+
+
 def converse_certificate(
     m: MeasureSpec,
     ch: KrausChannel,
@@ -232,32 +265,16 @@ def converse_certificate(
 
     Only valid for families whose value transforms invertibly under scalar
     multiplication (the Renyi families, relative entropy, fidelity); the law
-    is re-verified numerically on the given states. A small residual with a
-    large gap raises :class:`ConverseViolationError`.
+    is re-verified numerically on the given states before the channel
+    images are taken. A small residual with a large gap raises
+    :class:`ConverseViolationError`.
     """
-    if m.family not in ("sandwiched_renyi", "alpha_z", "relative_entropy", "fidelity"):
-        raise ValueError(
-            f"family {m.family!r} has no verified scaling law; "
-            "check the gap directly instead"
-        )
     rho = _positive_or_boundary(rho, "rho")
     sigma = _positive_or_boundary(sigma, "sigma")
-    verified = _verify_scaling_law(m, rho, sigma)
-    if not verified:
-        raise ConverseViolationError(
-            f"scaling law failed to verify numerically for family {m.family!r}"
-        )
+    _require_scaling_law(m, rho, sigma)
     rho_out, sigma_out = _channel_images(ch, rho, sigma)
     r1 = frobenius(_residual(grad1, m, ch, rho, sigma, rho_out, sigma_out))
-    gap = _gap(m, rho, sigma, rho_out, sigma_out)
-    implied = r1 <= residual_tol
-    if implied and abs(gap) > gap_tol:
-        raise ConverseViolationError(
-            f"residual norm {r1:.3e} <= {residual_tol:.1e} but |gap| = {abs(gap):.3e}"
-        )
-    return ConverseCertificate(
-        residual1_norm=r1, gap=gap, implied_gap_zero=implied, scaling_verified=verified
-    )
+    return _converse_verdict(r1, _gap(m, rho, sigma, rho_out, sigma_out), residual_tol, gap_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +466,7 @@ def hiai_residual(ch: KrausChannel, rho, sigma) -> np.ndarray:
         log_cross(rho_out).matrix
         - _log_of_positive(sigma_out) @ zeroth_power(rho_out).matrix
     )
-    rhs = np.zeros_like(lhs)
-    for k in ch.kraus:
-        rhs += k.conj().T @ inner @ k
-    return lhs - rhs
+    return lhs - _adjoint_raw(ch.kraus, inner)
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +494,8 @@ def petz_map(sigma, ch: KrausChannel) -> KrausChannel:
     except PositivityError as exc:
         raise PositivityError(f"channel image of sigma is rank deficient: {exc}") from exc
     s_half, out_inv_half = _petz_factors(sigma, sigma_out)
-    kraus = tuple(s_half @ k.conj().T @ out_inv_half for k in ch.kraus)
-    return KrausChannel(kraus, tp_tol=_PETZ_TP_TOL)
+    kraus = s_half @ ch.kraus.conj().transpose(0, 2, 1) @ out_inv_half
+    return _from_stack(kraus, tp_tol=_PETZ_TP_TOL)
 
 
 def _petz_recovery_errors(ch: KrausChannel, rho, sigma, rho_out, sigma_out):
@@ -543,19 +557,15 @@ def _alpha_z_condition_operator(rho, sigma, alpha: float, z: float, outer_exp: f
     return s_outer @ ((vc * wc ** core_exp) @ vc.conj().T) @ s_outer
 
 
-def alpha_z_crosscheck(ch: KrausChannel, rho, sigma, alpha: float, z: float) -> AlphaZCrosscheck:
-    """Compare the gradient residual against two alternative alpha-z
-    saturation conditions:
-
-    * outer exponent (1-z)/2z with core power z-1,
-    * outer exponent (1-a)/2z with core power a-1.
-
-    All three are necessary at saturation; norms are reported side by side.
-    """
+def _alpha_z_crosscheck(
+    ch: KrausChannel, rho, sigma, rho_out, sigma_out, alpha: float, z: float,
+    gradient_residual: float | None = None,
+) -> AlphaZCrosscheck:
+    """:func:`alpha_z_crosscheck` on states whose channel images are known;
+    ``gradient_residual`` is the alpha-z first-residual norm, when known."""
     m = MeasureSpec.alpha_z(alpha, z)
-    rho, sigma, rho_out, sigma_out = _states_and_images(ch, rho, sigma)
-    grad_norm = frobenius(_residual(grad1, m, ch, rho, sigma, rho_out, sigma_out))
-
+    if gradient_residual is None:
+        gradient_residual = frobenius(_residual(grad1, m, ch, rho, sigma, rho_out, sigma_out))
     results = []
     for outer_exp, core_exp in (
         ((1.0 - z) / (2.0 * z), z - 1.0),
@@ -566,8 +576,20 @@ def alpha_z_crosscheck(ch: KrausChannel, rho, sigma, alpha: float, z: float) -> 
         res = f_in - adjoint_apply(ch, hermitize(f_out)).matrix
         results.append(float(np.linalg.norm(res)))
     return AlphaZCrosscheck(
-        gradient_residual=grad_norm, chehade_residual=results[0], zhang_residual=results[1]
+        gradient_residual=gradient_residual, chehade_residual=results[0], zhang_residual=results[1]
     )
+
+
+def alpha_z_crosscheck(ch: KrausChannel, rho, sigma, alpha: float, z: float) -> AlphaZCrosscheck:
+    """Compare the gradient residual against two alternative alpha-z
+    saturation conditions:
+
+    * outer exponent (1-z)/2z with core power z-1,
+    * outer exponent (1-a)/2z with core power a-1.
+
+    All three are necessary at saturation; norms are reported side by side.
+    """
+    return _alpha_z_crosscheck(ch, *_states_and_images(ch, rho, sigma), alpha, z)
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +614,9 @@ class SaturationReport:
     petz_recovery_error_sigma: float | None
     gap_tol: float = DEFAULT_GAP_TOL
     residual_tol: float = DEFAULT_RESIDUAL_TOL
+    # L(rho) and L(sigma), from which every number above was derived.
+    rho_out: PositiveOperator | None = field(default=None, repr=False)
+    sigma_out: PositiveOperator | None = field(default=None, repr=False)
 
 
 def build_report(
@@ -609,7 +634,8 @@ def build_report(
     takes one adjoint, and each Petz recovery error one more (two channel
     applies and four adjoints per report). ``with_petz=False`` skips the
     recovery errors (they need the channel image of sigma to be invertible)
-    and leaves those fields unset.
+    and leaves those fields unset. The report keeps the two channel images,
+    so further checks on the same states need not take them again.
     """
     rho, sigma, rho_out, sigma_out = _states_and_images(ch, rho, sigma)
     gap = _gap(m, rho, sigma, rho_out, sigma_out)
@@ -634,6 +660,8 @@ def build_report(
         petz_recovery_error_sigma=err_sigma,
         gap_tol=gap_tol,
         residual_tol=residual_tol,
+        rho_out=rho_out,
+        sigma_out=sigma_out,
     )
 
 

@@ -4,9 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpisat.channels import (
+    _BLOCK,
     KrausChannel,
+    _adjoint_raw,
     adjoint_apply,
     apply,
+    apply_raw,
     channel_from_json,
     channel_to_json,
     compose,
@@ -266,3 +269,142 @@ class TestChannelJson:
             {"builder": "partial_trace", "dim_a": 2, "dim_b": 2, "keep": "a"}
         )
         assert c.dim_in == 4 and c.dim_out == 2
+
+
+def _loop_apply(kraus, a):
+    """Reference ``sum K A K^H``, one operator at a time."""
+    return sum(k @ a @ k.conj().T for k in kraus)
+
+
+def _loop_adjoint(kraus, a):
+    """Reference ``sum K^H A K``, one operator at a time."""
+    return sum(k.conj().T @ a @ k for k in kraus)
+
+
+def _random_matrix(g, rows, cols, real=False):
+    m = g.normal(size=(rows, cols))
+    return m if real else m + 1j * g.normal(size=(rows, cols))
+
+
+class TestKrausStack:
+    """The blocked kernel against an explicit per-Kraus loop, the real-dtype
+    rule and the stack's construction and validation."""
+
+    @pytest.mark.parametrize("count", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 1025])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_raw_kernel_matches_loop_on_non_hermitian_input(self, count, real):
+        g = gen(360 + count)
+        stack = g.normal(size=(count, 3, 4))
+        if not real:
+            stack = stack + 1j * g.normal(size=(count, 3, 4))
+        a_in, a_out = _random_matrix(g, 4, 4), _random_matrix(g, 3, 3)
+        fwd, ref_fwd = apply_raw(stack, a_in), _loop_apply(stack, a_in)
+        adj, ref_adj = _adjoint_raw(stack, a_out), _loop_adjoint(stack, a_out)
+        assert fwd.shape == (3, 3) and adj.shape == (4, 4)
+        assert np.linalg.norm(fwd - ref_fwd) <= 1e-13 * np.linalg.norm(ref_fwd)
+        assert np.linalg.norm(adj - ref_adj) <= 1e-13 * np.linalg.norm(ref_adj)
+
+    def test_raw_kernel_takes_a_sequence_and_real_input(self):
+        g = gen(370)
+        kraus = [_random_matrix(g, 2, 3) for _ in range(5)]
+        a = _random_matrix(g, 3, 3, real=True)
+        assert np.linalg.norm(apply_raw(kraus, a) - _loop_apply(kraus, a)) <= 1e-13
+
+    @pytest.mark.parametrize("count", [1, _BLOCK + 1, 1025])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_channel_actions_match_loop(self, count, real):
+        g = gen(371 + count)
+        raw = g.normal(size=(count, 4, 3))
+        if not real:
+            raw = raw + 1j * g.normal(size=(count, 4, 3))
+        w, v = np.linalg.eigh(np.einsum("kij,kil->jl", raw.conj(), raw))
+        c = KrausChannel(raw @ ((v * w ** -0.5) @ v.conj().T))
+        assert c.kraus.dtype == (np.float64 if real else np.complex128)
+        a, b = random_hermitian(g, 3), random_hermitian(g, 4)
+        ref_fwd = _loop_apply(c.kraus, a.matrix)
+        ref_adj = _loop_adjoint(c.kraus, b.matrix)
+        assert np.linalg.norm(apply(c, a).matrix - ref_fwd) <= 1e-13 * np.linalg.norm(ref_fwd)
+        assert np.linalg.norm(adjoint_apply(c, b).matrix - ref_adj) <= 1e-13 * np.linalg.norm(ref_adj)
+
+    @pytest.mark.parametrize(
+        "c",
+        [partial_trace(2, 3, "a"), partial_trace(3, 2, "b"), depolarizing(5, 0.3),
+         dephasing_pinching(4, 0.6)],
+        ids=["ptrace_a", "ptrace_b", "depolarizing", "pinching"],
+    )
+    def test_real_builders_match_loop_and_adjoint_identity(self, c):
+        g = gen(380)
+        assert c.kraus.dtype == np.float64
+        a = _random_matrix(g, c.dim_in, c.dim_in)
+        b = _random_matrix(g, c.dim_out, c.dim_out)
+        fwd, adj = apply_raw(c.kraus, a), _adjoint_raw(c.kraus, b)
+        assert np.linalg.norm(fwd - _loop_apply(c.kraus, a)) <= 1e-13
+        assert np.linalg.norm(adj - _loop_adjoint(c.kraus, b)) <= 1e-13
+        # tr[L*(B) A] = tr[B L(A)] for non-Hermitian A and B.
+        assert np.trace(adj @ a) == pytest.approx(np.trace(b @ fwd), abs=1e-12)
+
+    def test_builders_write_the_documented_operators(self):
+        n, p = 3, 0.4
+        dep = [np.sqrt(1 - p) * np.eye(n)]
+        for i in range(n):
+            for j in range(n):
+                e = np.zeros((n, n))
+                e[i, j] = np.sqrt(p / n)
+                dep.append(e)
+        np.testing.assert_array_equal(depolarizing(n, p).kraus, np.array(dep))
+        assert depolarizing(n, 1.0).kraus.shape == (n * n, n, n)
+        assert depolarizing(n, 0.0).kraus.shape == (1, n, n)
+        pinch = [np.sqrt(1 - p) * np.eye(n)] + [np.sqrt(p) * np.diag(np.eye(n)[i]) for i in range(n)]
+        np.testing.assert_array_equal(dephasing_pinching(n, p).kraus, np.array(pinch))
+        rows = np.eye(3)
+        keep_a = [np.kron(np.eye(2), rows[b:b + 1]) for b in range(3)]
+        keep_b = [np.kron(rows[a:a + 1], np.eye(2)) for a in range(3)]
+        np.testing.assert_array_equal(partial_trace(2, 3, "a").kraus, np.array(keep_a))
+        np.testing.assert_array_equal(partial_trace(3, 2, "b").kraus, np.array(keep_b))
+
+    def test_dtype_rule(self):
+        g = gen(390)
+        assert unitary(random_unitary(g, 3)).kraus.dtype == np.complex128
+        assert depolarizing(3, 0.4).kraus.dtype == np.float64
+        assert identity(2).kraus.dtype == np.float64
+        # Exactly zero imaginary parts make a real stack, whatever the input dtype.
+        assert KrausChannel((np.eye(2, dtype=complex),)).kraus.dtype == np.float64
+        assert dephasing_pinching(random_unitary(g, 3)).kraus.dtype == np.complex128
+
+    def test_kraus_is_a_read_only_stack(self):
+        c = depolarizing(2, 0.5)
+        assert isinstance(c.kraus, np.ndarray) and c.kraus.shape == (5, 2, 2)
+        assert not c.kraus.flags.writeable
+        with pytest.raises(ValueError):
+            c.kraus[0, 0, 0] = 2.0
+
+    def test_construction_from_tuple_and_ndarray(self):
+        g = gen(391)
+        c = random_cptp(g, 3, 2, n_kraus=4)
+        from_tuple = KrausChannel(tuple(np.array(k) for k in c.kraus))
+        source = np.array(c.kraus)
+        from_array = KrausChannel(source)
+        np.testing.assert_array_equal(from_tuple.kraus, c.kraus)
+        np.testing.assert_array_equal(from_array.kraus, c.kraus)
+        assert from_array.dim_in == 3 and from_array.dim_out == 2
+        # A writable array is copied, so later writes do not reach the channel.
+        source[0] = 0.0
+        np.testing.assert_array_equal(from_array.kraus, c.kraus)
+        # A read-only stack is kept as it is.
+        assert KrausChannel(c.kraus).kraus is c.kraus
+
+    def test_validation_messages(self):
+        nan_op = np.eye(2, dtype=complex)
+        nan_op[1, 0] = np.nan
+        with pytest.raises(ValueError, match="Kraus operator 1 has non-finite entries"):
+            KrausChannel((np.eye(2), nan_op), tp_tol=10.0)
+        with pytest.raises(ValueError, match="Kraus operator 1 has non-finite entries"):
+            KrausChannel(np.array([np.eye(2), nan_op]), tp_tol=10.0)
+        with pytest.raises(ValueError, match="all Kraus operators must share one shape"):
+            KrausChannel((np.eye(2), np.eye(3)))
+        with pytest.raises(ValueError, match="at least one Kraus operator"):
+            KrausChannel(())
+        with pytest.raises(ValueError, match="at least one Kraus operator"):
+            KrausChannel(np.zeros((0, 2, 2)))
+        with pytest.raises(ValueError, match="Kraus operator 0 is not a matrix"):
+            KrausChannel((np.ones(2),))

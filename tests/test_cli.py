@@ -5,7 +5,11 @@ import os
 import numpy as np
 import pytest
 
+import dpisat.saturation as sat
+from dpisat.channels import depolarizing
 from dpisat.cli import main, random_positive_state
+from dpisat.divergences import MeasureSpec
+from dpisat.linalg import HermitianOperator, PositiveOperator, frobenius
 
 from _fixtures import classical_kl
 
@@ -186,6 +190,64 @@ class TestRun:
         assert rep["residual2"]["dim"] == 2
 
 
+def count_channel_calls(monkeypatch) -> dict:
+    """Count the channel applies and adjoints made through saturation."""
+    calls = {"apply": 0, "adjoint_apply": 0}
+    for name in calls:
+        func = getattr(sat, name)
+
+        def wrapper(*args, _name=name, _func=func, **kwargs):
+            calls[_name] += 1
+            return _func(*args, **kwargs)
+
+        monkeypatch.setattr(sat, name, wrapper)
+    return calls
+
+
+def positive_state(dim, seed):
+    return PositiveOperator(HermitianOperator(random_positive_state(dim, seed)))
+
+
+class TestReportReuse:
+    """converse and alpha_z_crosscheck take the channel images, gap and
+    residual1 of the scenario's report, with details bit-identical to the
+    public functions that compute them afresh."""
+
+    @pytest.mark.parametrize(
+        "measure,adjoints",
+        [
+            ({"family": "alpha_z", "alpha": 1.5, "z": 1.2}, 6),
+            # The sandwiched crosscheck takes its gradient residual from the
+            # alpha_z form, one more adjoint.
+            ({"family": "sandwiched_renyi", "alpha": 1.5}, 7),
+        ],
+    )
+    def test_details_match_public_functions(self, tmp_path, monkeypatch, measure, adjoints):
+        scenario = dict(RANDOM_SCENARIO, name="reuse", measure=measure,
+                        checks=["gap", "residual1", "residual2", "converse", "petz",
+                                "alpha_z_crosscheck"])
+        scen = tmp_path / "scen.json"
+        write_scenarios(scen, [scenario])
+        calls = count_channel_calls(monkeypatch)
+        assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 0
+        assert calls == {"apply": 2, "adjoint_apply": adjoints}
+        checks = load_report(tmp_path / "out", "reuse")["checks"]
+
+        m = MeasureSpec.alpha_z(1.5, 1.2) if measure["family"] == "alpha_z" else (
+            MeasureSpec.sandwiched_renyi(1.5))
+        c, rho, sigma = depolarizing(3, 0.3), positive_state(3, 42), positive_state(3, 43)
+        cert = sat.converse_certificate(m, c, rho, sigma)
+        assert checks["converse"] == {
+            "passed": True, "residual1_norm": cert.residual1_norm, "gap": cert.gap,
+            "implied_gap_zero": cert.implied_gap_zero,
+        }
+        res = sat.alpha_z_crosscheck(c, rho, sigma, 1.5, 1.2 if m.family == "alpha_z" else 1.5)
+        assert checks["alpha_z_crosscheck"] == {
+            "passed": True, "gradient_residual": res.gradient_residual,
+            "chehade_residual": res.chehade_residual, "zhang_residual": res.zhang_residual,
+        }
+
+
 class TestSchemaErrors:
     def test_non_hermitian_matrix(self, tmp_path, capsys):
         scen = tmp_path / "scen.json"
@@ -344,6 +406,20 @@ class TestSweep:
             extra=["--allow-non-dpi"],
         )
         assert len(rows) == 8  # all z points, alpha=1.5
+
+    def test_rows_match_standalone_functions_with_two_applies_per_point(
+        self, tmp_path, monkeypatch
+    ):
+        calls = count_channel_calls(monkeypatch)
+        dep = {"builder": "depolarizing", "dim": 2, "p": 0.4}
+        rows = self._sweep(tmp_path, "alpha_z", "alpha=0.5:2.5:0.5;z=0.5:2.5:0.5", dep)
+        assert calls == {"apply": 2 * len(rows), "adjoint_apply": 2 * len(rows)}
+        c, rho, sigma = depolarizing(2, 0.4), positive_state(2, 5), positive_state(2, 6)
+        for row in rows:
+            m = MeasureSpec.alpha_z(float(row["alpha"]), float(row["z"]))
+            assert row["gap"] == repr(sat.dpi_gap(m, c, rho, sigma))
+            assert row["residual1_norm"] == repr(frobenius(sat.residual1(m, c, rho, sigma)))
+            assert row["residual2_norm"] == repr(frobenius(sat.residual2(m, c, rho, sigma)))
 
 
 class TestRandomStateBuilder:
