@@ -26,6 +26,7 @@ from .linalg import (
     HermitianOperator,
     SchemaError,
     _eigh,
+    _number,
     as_matrix,
     hermitize,
     matrix_from_json,
@@ -388,12 +389,6 @@ def _positive_int(val, path: str) -> int:
     if not isinstance(val, int) or isinstance(val, bool) or val < 1:
         raise SchemaError(path, f"expected a positive integer, got {val!r}")
     return val
-
-
-def _number(val, path: str) -> float:
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise SchemaError(path, f"expected a number, got {val!r}")
-    return float(val)
 
 
 def channel_from_json(obj, path: str = "channel") -> KrausChannel:

@@ -47,6 +47,7 @@ import argparse
 import csv
 import datetime
 import io
+import itertools
 import json
 import os
 import re
@@ -77,13 +78,14 @@ from .saturation import (
     DEFAULT_RESIDUAL_TOL,
     ConverseViolationError,
     _alpha_z_crosscheck,
+    _boundary_gap,
+    _boundary_images,
+    _boundary_residual_general,
+    _boundary_residual_relent,
     _converse_verdict,
+    _hiai_residual,
     _require_scaling_law,
-    boundary_gap,
-    boundary_residual_general,
-    boundary_residual_relent,
     build_report,
-    hiai_residual,
     report_to_json,
     tangent_space_rank,
 )
@@ -101,6 +103,7 @@ KNOWN_CHECKS = (
 
 _CONVERSE_FAMILIES = ("relative_entropy", "fidelity", "sandwiched_renyi", "alpha_z")
 _CROSSCHECK_FAMILIES = ("alpha_z", "sandwiched_renyi")
+_FULL_RANK_CHECKS = ("residual1", "residual2", "petz", "converse", "alpha_z_crosscheck")
 # Checks judged against the gap: they fail alone when it cannot be evaluated.
 _GAP_CHECKS = ("gap", "boundary")
 
@@ -124,14 +127,10 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _seeded_generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
-
-
 def random_positive_state(dim: int, seed: int) -> np.ndarray:
     """Reproducible strictly positive state: G G^H / n + 0.1 I, complex
     Gaussian G from PCG64(seed)."""
-    gen = _seeded_generator(seed)
+    gen = np.random.Generator(np.random.PCG64(seed))
     g = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
     return g @ g.conj().T / dim + 0.1 * np.eye(dim)
 
@@ -192,26 +191,18 @@ def _validate_checks(sc: Scenario, path: str):
         cpath = f"{path}.checks[{i}]"
         if check not in KNOWN_CHECKS:
             raise SchemaError(cpath, f"unknown check {check!r}")
-        if check in ("residual1", "residual2", "petz") and not full_rank:
+        if check in _FULL_RANK_CHECKS and not full_rank:
             raise SchemaError(cpath, f"{check!r} needs a strictly positive rho")
         if check == "gap" and not full_rank and family != "relative_entropy":
             raise SchemaError(
                 cpath, "gap with rank-deficient rho is only defined for relative_entropy"
             )
-        if check == "converse":
-            if not full_rank:
-                raise SchemaError(cpath, "'converse' needs a strictly positive rho")
-            if family not in _CONVERSE_FAMILIES:
-                raise SchemaError(
-                    cpath, f"'converse' needs a scaling-law family, not {family!r}"
-                )
-        if check == "alpha_z_crosscheck":
-            if not full_rank:
-                raise SchemaError(cpath, "'alpha_z_crosscheck' needs a strictly positive rho")
-            if family not in _CROSSCHECK_FAMILIES:
-                raise SchemaError(
-                    cpath, f"'alpha_z_crosscheck' needs a Renyi family, not {family!r}"
-                )
+        if check == "converse" and family not in _CONVERSE_FAMILIES:
+            raise SchemaError(cpath, f"'converse' needs a scaling-law family, not {family!r}")
+        if check == "alpha_z_crosscheck" and family not in _CROSSCHECK_FAMILIES:
+            raise SchemaError(
+                cpath, f"'alpha_z_crosscheck' needs a Renyi family, not {family!r}"
+            )
         if check == "boundary" and family != "relative_entropy":
             raise SchemaError(
                 cpath, "'boundary' residuals are closed-form for relative_entropy only"
@@ -330,7 +321,7 @@ def _execute_scenario(sc: Scenario, dump_matrices: bool) -> dict:
     }
 
     full = sc.rho_positive is not None
-    gap = gap_error = core = None
+    gap = gap_error = core = images = None
     if full:
         # Petz errors need an invertible channel image of sigma; only
         # evaluate them when the scenario asks for them.
@@ -341,9 +332,11 @@ def _execute_scenario(sc: Scenario, dump_matrices: bool) -> dict:
         )
         gap = core.gap
         report.update(report_to_json(core, include_matrices=dump_matrices))
+        images = (sc.rho, sc.sigma, PsdOperator(core.rho_out.op), core.sigma_out)
     else:
         try:
-            gap = boundary_gap(sc.measure, sc.channel, sc.rho, sc.sigma)
+            images = _boundary_images(sc.channel, sc.rho, sc.sigma)
+            gap = _boundary_gap(sc.measure, *images)
         except (ValueError, RuntimeError) as exc:
             gap_error = f"gap could not be evaluated: {exc}"
         report.update(
@@ -396,11 +389,11 @@ def _execute_scenario(sc: Scenario, dump_matrices: bool) -> dict:
             detail.update({"recovery_error_rho": err_rho, "recovery_error_sigma": err_sigma})
             passed = err_sigma <= 1e-9 and ((not saturated_here) or err_rho <= 1e-7)
         elif check == "boundary":
-            passed, detail = _boundary_check(sc, saturated_here, core)
+            passed, detail = _boundary_check(sc, saturated_here, core, images)
         elif check == "alpha_z_crosscheck":
             alpha_z = sc.measure.family == "alpha_z"
             res = _alpha_z_crosscheck(
-                sc.channel, sc.rho_positive, sc.sigma, core.rho_out, core.sigma_out,
+                sc.channel, *core.pairs,
                 sc.measure.alpha, sc.measure.z if alpha_z else sc.measure.alpha,
                 # An alpha_z scenario's residual1 is the crosscheck's gradient
                 # residual; a sandwiched one takes it from the alpha_z form.
@@ -427,11 +420,12 @@ def _execute_scenario(sc: Scenario, dump_matrices: bool) -> dict:
     return report
 
 
-def _boundary_check(sc: Scenario, saturated_here: bool, core):
+def _boundary_check(sc: Scenario, saturated_here: bool, core, images):
+    """Boundary residuals on the (rho, sigma, L rho, L sigma) already taken."""
     detail: dict = {}
-    res_relent = boundary_residual_relent(sc.channel, sc.rho, sc.sigma)
-    res_general = boundary_residual_general(sc.measure, sc.channel, sc.rho, sc.sigma)
-    res_hiai = hiai_residual(sc.channel, sc.rho, sc.sigma)
+    res_relent = _boundary_residual_relent(sc.channel, *images)
+    res_general = _boundary_residual_general(sc.measure, sc.channel, *images)
+    res_hiai = _hiai_residual(sc.channel, *images)
     detail["zeros_log_norm"] = frobenius(res_relent)
     detail["general_norm"] = frobenius(res_general)
     detail["hiai_norm"] = float(np.linalg.norm(res_hiai))
@@ -594,17 +588,10 @@ def _cmd_sweep(args) -> int:
     except (ValueError, PositivityError) as exc:
         raise SchemaError("states", str(exc)) from exc
 
-    def points(level: int, prefix: tuple):
-        if level == len(axes):
-            yield prefix
-            return
-        for v in axes[level][1]:
-            yield from points(level + 1, prefix + (v,))
-
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(axis_names + ["gap", "residual1_norm", "residual2_norm"])
-    for point in points(0, ()):
+    for point in itertools.product(*(values for _, values in axes)):
         alpha = point[0]
         z = point[1] if len(point) > 1 else None
         if abs(alpha - 1.0) < 1e-12:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,8 +40,11 @@ from .linalg import (
     PositivityError,
     PsdOperator,
     SchemaError,
-    _eigh,
+    _logm,
+    _number,
+    _powm,
     _scalar_values,
+    _spectral,
     as_matrix,
     clustered_eigensystem,
     hermitize,
@@ -234,17 +238,54 @@ def _coerce_positive(x, what: str) -> PositiveOperator:
         raise PositivityError(f"{what}: {exc}") from exc
 
 
-def _check_dims(rho: PositiveOperator, sigma: PositiveOperator):
+def _checked_pair(rho, sigma) -> "_Pair":
+    sigma = _coerce_positive(sigma, "sigma")
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: rho is {rho.dim}, sigma is {sigma.dim}")
-
-
-def _powm(w: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
-    return (v * w ** p) @ v.conj().T
+    return _Pair(rho, sigma)
 
 
 def _sym(arr: np.ndarray) -> np.ndarray:
     return (arr + arr.conj().T) / 2.0
+
+
+class _Pair:
+    """A state pair (rho positive, or PSD on the boundary; sigma positive)
+    whose spectral cores are each formed and eigensolved once, then shared by
+    the value, both gradients and the alpha-z cross-check operators."""
+
+    def __init__(self, rho, sigma):
+        self.rho, self.sigma = rho, sigma
+        self._cores = {}
+
+    def core(self, gamma: float, p: float | None = None):
+        """``(s^gamma, X)``, ``X = s^gamma r^p s^gamma``: the Renyi core at
+        ``p = a/z``; ``p=None`` takes r itself (the fidelity core). Zero
+        eigenvalues of a PSD rho stay exactly zero (``0**c = 0``, c > 0)."""
+        key = (gamma, p)
+        if key not in self._cores:
+            s_g = _powm(self.sigma, gamma)
+            if p is None:
+                r = self.rho.matrix
+            else:
+                wr, vr = self.rho.eigensystem
+                r = _spectral(vr, np.maximum(wr, 0.0) ** p)
+            self._cores[key] = s_g, HermitianOperator._exact(_sym(s_g @ r @ s_g))
+        return self._cores[key]
+
+    def core_power(self, gamma: float, p: float | None, outer: float, exponent: float) -> np.ndarray:
+        """``s^outer X^exponent s^outer`` for the core ``X`` of ``(gamma, p)``."""
+        s_g, x = self.core(gamma, p)
+        s_outer = s_g if outer == gamma else _powm(self.sigma, outer)
+        return s_outer @ _powm(x, exponent) @ s_outer
+
+    @cached_property
+    def overlap(self):
+        """Clustered eigensystems ``(p, ids, V_r)``, ``(mu, ids, V_s)`` of rho
+        and sigma and their overlap ``W = V_s^H V_r``."""
+        p, rid, vr = clustered_eigensystem(self.rho)
+        mu, sid, vs = clustered_eigensystem(self.sigma)
+        return p, rid, vr, mu, sid, vs, vs.conj().T @ vr
 
 
 # ---------------------------------------------------------------------------
@@ -252,48 +293,10 @@ def _sym(arr: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _relent_value(rho: np.ndarray, sigma: np.ndarray) -> float:
-    wr = _eigh(rho)[0]
-    ws, vs = _eigh(sigma)
-    log_sigma = (vs * np.log(ws)) @ vs.conj().T
-    return float(np.sum(wr * np.log(wr)) - np.real(np.trace(rho @ log_sigma)))
-
-
-def _fidelity_value(rho: np.ndarray, sigma: np.ndarray) -> float:
-    ws, vs = _eigh(sigma)
-    s_half = _powm(ws, vs, 0.5)
-    wy = _eigh(_sym(s_half @ rho @ s_half))[0]
-    return float(np.sum(np.sqrt(np.maximum(wy, 0.0))))
-
-
-def _renyi_trace(alpha: float, z: float, rho: np.ndarray, sigma: np.ndarray):
-    """Shared core: X = s^g r^{a/z} s^g and its spectrum, with g=(1-a)/(2z).
-
-    Zero eigenvalues of a PSD first argument are kept at exactly zero by the
-    power map (``0**c = 0`` for c > 0).
-    """
-    gamma = (1.0 - alpha) / (2.0 * z)
-    ws, vs = _eigh(sigma)
-    s_g = _powm(ws, vs, gamma)
-    wr, vr = _eigh(rho)
-    wr = np.maximum(wr, 0.0)
-    r_az = (vr * wr ** (alpha / z)) @ vr.conj().T
-    x = _sym(s_g @ r_az @ s_g)
-    wx, vx = _eigh(x)
-    return gamma, ws, vs, s_g, wx, vx
-
-
-def _renyi_value(alpha: float, z: float, rho: np.ndarray, sigma: np.ndarray) -> float:
-    wx = _renyi_trace(alpha, z, rho, sigma)[4]
-    trace = float(np.sum(np.maximum(wx, 0.0) ** z))
-    return math.log(trace) / (alpha - 1.0)
-
-
-def _fdiv_value(pair: ScalarFunctionPair, rho, sigma, allow_zero: bool = False) -> float:
+def _fdiv_value(pair: ScalarFunctionPair, pt: _Pair, allow_zero: bool = False) -> float:
     """``sum_{k,a} mu_k f(p_a/mu_k) |W_ka|^2`` with ``W = V_s^H V_r``; ``f(0+)``
     stands in at vanishing ``p_a`` when ``allow_zero``."""
-    p, _, vr = clustered_eigensystem(rho)
-    mu, _, vs = clustered_eigensystem(sigma)
+    p, _, _, mu, _, _, w = pt.overlap
     pos = p > 0.0
     fx = np.empty((mu.size, p.size))
     fx[:, pos] = _scalar_values(pair.f, p[pos] / mu[:, None])
@@ -303,24 +306,31 @@ def _fdiv_value(pair: ScalarFunctionPair, rho, sigma, allow_zero: bool = False) 
         if pair.value_at_zero is None:
             raise ValueError(f"f-divergence {pair.name!r} has no continuous extension at 0")
         fx[:, ~pos] = pair.value_at_zero
-    return float(np.sum(mu[:, None] * fx * np.abs(vs.conj().T @ vr) ** 2))
+    return float(np.sum(mu[:, None] * fx * np.abs(w) ** 2))
+
+
+def _value(m: MeasureSpec, pt: _Pair) -> float:
+    """The measure at a pair; a :class:`PsdOperator` first state takes the
+    continuous extension onto the boundary."""
+    if m.family == "relative_entropy":
+        wr = pt.rho.eigenvalues if isinstance(pt.rho, PsdOperator) else pt.rho.eigensystem[0]
+        pos = wr > 0.0
+        entropy = np.sum(wr[pos] * np.log(wr[pos]))
+        return float(entropy - np.real(np.trace(pt.rho.matrix @ _logm(pt.sigma))))
+    if m.family == "fidelity":
+        wy = pt.core(0.5)[1].eigensystem[0]
+        return float(np.sum(np.sqrt(np.maximum(wy, 0.0))))
+    if m.family in ("sandwiched_renyi", "alpha_z"):
+        alpha, z = m.alpha, m.z or m.alpha  # sandwiched: z = alpha
+        wx = pt.core(m.gamma, alpha / z)[1].eigensystem[0]
+        trace = float(np.sum(np.maximum(wx, 0.0) ** z))
+        return math.log(trace) / (alpha - 1.0)
+    return _fdiv_value(m.f_pair, pt, allow_zero=isinstance(pt.rho, PsdOperator))
 
 
 def evaluate(m: MeasureSpec, rho, sigma) -> float:
     """Value of the measure on two strictly positive operators."""
-    rho = _coerce_positive(rho, "rho")
-    sigma = _coerce_positive(sigma, "sigma")
-    _check_dims(rho, sigma)
-    r, s = rho.matrix, sigma.matrix
-    if m.family == "relative_entropy":
-        return _relent_value(r, s)
-    if m.family == "fidelity":
-        return _fidelity_value(r, s)
-    if m.family == "sandwiched_renyi":
-        return _renyi_value(m.alpha, m.alpha, r, s)
-    if m.family == "alpha_z":
-        return _renyi_value(m.alpha, m.z, r, s)
-    return _fdiv_value(m.f_pair, rho.op, sigma.op)
+    return _value(m, _checked_pair(_coerce_positive(rho, "rho"), sigma))
 
 
 def evaluate_psd(m: MeasureSpec, rho: PsdOperator, sigma) -> float:
@@ -331,80 +341,22 @@ def evaluate_psd(m: MeasureSpec, rho: PsdOperator, sigma) -> float:
     through zero-preserving powers, f-divergences through ``f(0+)`` where it
     exists.
     """
-    rho = rho if isinstance(rho, PsdOperator) else PsdOperator(rho)
-    sigma = _coerce_positive(sigma, "sigma")
-    if rho.dim != sigma.dim:
-        raise ValueError(f"dimension mismatch: rho is {rho.dim}, sigma is {sigma.dim}")
-    if m.family == "relative_entropy":
-        wr = rho.eigenvalues
-        pos = wr > 0.0
-        ws, vs = _eigh(sigma.matrix)
-        log_sigma = (vs * np.log(ws)) @ vs.conj().T
-        return float(
-            np.sum(wr[pos] * np.log(wr[pos]))
-            - np.real(np.trace(rho.matrix @ log_sigma))
-        )
-    if m.family == "fidelity":
-        return _fidelity_value(rho.matrix, sigma.matrix)
-    if m.family == "sandwiched_renyi":
-        return _renyi_value(m.alpha, m.alpha, rho.matrix, sigma.matrix)
-    if m.family == "alpha_z":
-        return _renyi_value(m.alpha, m.z, rho.matrix, sigma.matrix)
-    return _fdiv_value(m.f_pair, rho, sigma.op, allow_zero=True)
+    return _value(m, _checked_pair(rho if isinstance(rho, PsdOperator) else PsdOperator(rho), sigma))
 
 
 # ---------------------------------------------------------------------------
-# First gradients
+# Gradients
 # ---------------------------------------------------------------------------
 
 
-def _relent_grad1(rho: np.ndarray, sigma: np.ndarray) -> HermitianOperator:
-    wr, vr = _eigh(rho)
-    ws, vs = _eigh(sigma)
-    out = (vr * np.log(wr)) @ vr.conj().T - (vs * np.log(ws)) @ vs.conj().T
-    return hermitize(out + np.eye(rho.shape[0]))
-
-
-def _fidelity_grad1(rho: np.ndarray, sigma: np.ndarray) -> HermitianOperator:
-    ws, vs = _eigh(sigma)
-    s_half = _powm(ws, vs, 0.5)
-    y = _sym(s_half @ rho @ s_half)
-    wy, vy = _eigh(y)
-    if wy[0] <= 0.0:
+def _fidelity_grad1(pt: _Pair) -> HermitianOperator:
+    s_half, y = pt.core(0.5)
+    if y.eigensystem[0][0] <= 0.0:
         raise PositivityError("fidelity gradient needs sqrt(s) r sqrt(s) > 0")
-    y_inv_half = _powm(wy, vy, -0.5)
-    return hermitize(0.5 * s_half @ y_inv_half @ s_half)
+    return hermitize(0.5 * s_half @ _powm(y, -0.5) @ s_half)
 
 
-def _sandwiched_grad1(alpha: float, rho: np.ndarray, sigma: np.ndarray) -> HermitianOperator:
-    gamma, _, _, s_g, wx, vx = _renyi_trace(alpha, alpha, rho, sigma)
-    trace = float(np.sum(wx ** alpha))
-    core = s_g @ _powm(wx, vx, alpha - 1.0) @ s_g
-    pref = alpha / ((alpha - 1.0) * trace)
-    return hermitize(pref * core)
-
-
-def _alpha_z_grad1(alpha: float, z: float, rho: np.ndarray, sigma: np.ndarray) -> HermitianOperator:
-    gamma, _, _, s_g, wx, vx = _renyi_trace(alpha, z, rho, sigma)
-    trace = float(np.sum(wx ** z))
-    w = _sym(s_g @ _powm(wx, vx, z - 1.0) @ s_g)
-    deriv = frechet_derivative(hermitize(rho), hermitize(w), power(alpha / z))
-    pref = z / ((alpha - 1.0) * trace)
-    return hermitize(pref * deriv.matrix)
-
-
-def _alpha_z_grad2(alpha: float, z: float, rho: np.ndarray, sigma: np.ndarray) -> HermitianOperator:
-    gamma, ws, vs, s_g, wx, vx = _renyi_trace(alpha, z, rho, sigma)
-    trace = float(np.sum(wx ** z))
-    x_z = _powm(wx, vx, z)
-    s_neg_g = _powm(ws, vs, -gamma)
-    anti = x_z @ s_neg_g + s_neg_g @ x_z
-    deriv = frechet_derivative(hermitize(sigma), hermitize(anti), power(gamma))
-    pref = z / ((alpha - 1.0) * trace)
-    return hermitize(pref * deriv.matrix)
-
-
-def _fdiv_grad(pair: ScalarFunctionPair, rho, sigma, slot: int) -> HermitianOperator:
+def _fdiv_grad(pair: ScalarFunctionPair, pt: _Pair, slot: int) -> HermitianOperator:
     """Closed-form f-divergence gradient in argument ``slot`` (1 or 2).
 
     The value is ``sum_k tr Q_k h_k(r) = sum_a tr P_a g_a(s)`` with
@@ -414,9 +366,7 @@ def _fdiv_grad(pair: ScalarFunctionPair, rho, sigma, slot: int) -> HermitianOper
     cluster: ``f'(x)``) and slot 2 is ``sum_a W_ka conj(W_la) g_a^[1](mu_k, mu_l)``
     (same cluster: ``f(x) - x f'(x)``).
     """
-    p, rid, vr = clustered_eigensystem(rho)
-    mu, sid, vs = clustered_eigensystem(sigma)
-    w = vs.conj().T @ vr
+    p, rid, vr, mu, sid, vs, w = pt.overlap
     x = p[None, :] / mu[:, None]
     fx, fpx = _scalar_values(pair.f, x), _scalar_values(pair.f_prime, x)
     vals = mu[:, None] * fx
@@ -430,40 +380,55 @@ def _fdiv_grad(pair: ScalarFunctionPair, rho, sigma, slot: int) -> HermitianOper
     return hermitize(v @ g @ v.conj().T)
 
 
+def _grad1(m: MeasureSpec, pt: _Pair) -> HermitianOperator:
+    rho, sigma = pt.rho, pt.sigma
+    if m.family == "relative_entropy":
+        return hermitize(_logm(rho) - _logm(sigma) + np.eye(rho.dim))
+    if m.family == "fidelity":
+        return _fidelity_grad1(pt)
+    if m.family in ("sandwiched_renyi", "alpha_z"):
+        alpha, z = m.alpha, m.z or m.alpha  # sandwiched: z = alpha
+        gamma = m.gamma
+        wx = pt.core(gamma, alpha / z)[1].eigensystem[0]
+        if m.family == "sandwiched_renyi":
+            trace = float(np.sum(wx ** alpha))
+            core = pt.core_power(gamma, 1.0, gamma, alpha - 1.0)
+            return hermitize(alpha / ((alpha - 1.0) * trace) * core)
+        trace = float(np.sum(wx ** z))
+        w = _sym(pt.core_power(gamma, alpha / z, gamma, z - 1.0))
+        deriv = frechet_derivative(rho, w, power(alpha / z))
+        return hermitize(z / ((alpha - 1.0) * trace) * deriv.matrix)
+    return _fdiv_grad(m.f_pair, pt, 1)
+
+
+def _grad2(m: MeasureSpec, pt: _Pair) -> HermitianOperator:
+    rho, sigma = pt.rho, pt.sigma
+    if m.family == "relative_entropy":
+        return hermitize(-frechet_derivative(sigma, rho, LOG).matrix)
+    if m.family == "fidelity":
+        return _fidelity_grad1(_Pair(sigma, rho))
+    if m.family in ("sandwiched_renyi", "alpha_z"):
+        alpha, z = m.alpha, m.z or m.alpha  # sandwiched: z = alpha
+        gamma = m.gamma
+        x = pt.core(gamma, alpha / z)[1]
+        trace = float(np.sum(x.eigensystem[0] ** z))
+        x_z = _powm(x, z)
+        s_neg_g = _powm(sigma, -gamma)
+        anti = x_z @ s_neg_g + s_neg_g @ x_z
+        deriv = frechet_derivative(sigma, hermitize(anti), power(gamma))
+        return hermitize(z / ((alpha - 1.0) * trace) * deriv.matrix)
+    return _fdiv_grad(m.f_pair, pt, 2)
+
+
 def grad1(m: MeasureSpec, rho, sigma) -> HermitianOperator:
     """Matrix gradient of the measure with respect to its first argument."""
-    rho = _coerce_positive(rho, "rho")
-    sigma = _coerce_positive(sigma, "sigma")
-    _check_dims(rho, sigma)
-    r, s = rho.matrix, sigma.matrix
-    if m.family == "relative_entropy":
-        return _relent_grad1(r, s)
-    if m.family == "fidelity":
-        return _fidelity_grad1(r, s)
-    if m.family == "sandwiched_renyi":
-        return _sandwiched_grad1(m.alpha, r, s)
-    if m.family == "alpha_z":
-        return _alpha_z_grad1(m.alpha, m.z, r, s)
-    return _fdiv_grad(m.f_pair, rho.op, sigma.op, 1)
+    return _grad1(m, _checked_pair(_coerce_positive(rho, "rho"), sigma))
 
 
 def grad2(m: MeasureSpec, rho, sigma) -> HermitianOperator:
     """Matrix gradient with respect to the second argument, in closed form
     for every family."""
-    rho = _coerce_positive(rho, "rho")
-    sigma = _coerce_positive(sigma, "sigma")
-    _check_dims(rho, sigma)
-    r, s = rho.matrix, sigma.matrix
-    if m.family == "relative_entropy":
-        deriv = frechet_derivative(sigma.op, rho.op, LOG)
-        return hermitize(-deriv.matrix)
-    if m.family == "fidelity":
-        return _fidelity_grad1(s, r)
-    if m.family == "sandwiched_renyi":
-        return _alpha_z_grad2(m.alpha, m.alpha, r, s)
-    if m.family == "alpha_z":
-        return _alpha_z_grad2(m.alpha, m.z, r, s)
-    return _fdiv_grad(m.f_pair, rho.op, sigma.op, 2)
+    return _grad2(m, _checked_pair(_coerce_positive(rho, "rho"), sigma))
 
 
 def grad2_method(m: MeasureSpec) -> str:
@@ -543,27 +508,22 @@ def measure_from_json(obj, path: str = "measure", allow_non_dpi: bool = False) -
             return MeasureSpec.fidelity()
         if family == "sandwiched_renyi":
             return MeasureSpec.sandwiched_renyi(
-                _number(obj, "alpha", path), allow_non_dpi=allow
+                _number(obj.get("alpha"), f"{path}.alpha"), allow_non_dpi=allow
             )
         if family == "alpha_z":
             return MeasureSpec.alpha_z(
-                _number(obj, "alpha", path), _number(obj, "z", path), allow_non_dpi=allow
+                _number(obj.get("alpha"), f"{path}.alpha"),
+                _number(obj.get("z"), f"{path}.z"),
+                allow_non_dpi=allow,
             )
         f_name = obj.get("f")
         if not isinstance(f_name, str):
             raise SchemaError(f"{path}.f", "f_divergence requires a registered 'f' name")
         alpha = None
         if f_name == "power":
-            alpha = _number(obj, "alpha", path)
+            alpha = _number(obj.get("alpha"), f"{path}.alpha")
         return MeasureSpec.f_divergence(f_name, alpha=alpha, allow_non_dpi=allow)
     except SchemaError:
         raise
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
-
-
-def _number(obj: dict, key: str, path: str) -> float:
-    val = obj.get(key)
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise SchemaError(f"{path}.{key}", f"expected a number, got {val!r}")
-    return float(val)

@@ -8,13 +8,18 @@ to a relative tolerance are merged into a single cluster before any
 divided-difference formula is evaluated, which prevents catastrophic
 cancellation for near-degenerate spectra.
 
-All container types are immutable after construction and every operation
-is a pure function, so values can be shared freely between threads.
+Each operator solves its eigensystem on first use, keeps it read-only and
+shares it with every spectral function of it, so it is eigensolved at most
+once. Containers are otherwise immutable and every operation is a pure
+function, so values can be shared freely between threads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -134,9 +139,26 @@ class HermitianOperator:
         sym.setflags(write=False)
         object.__setattr__(self, "matrix", sym)
 
+    @classmethod
+    def _exact(cls, sym: np.ndarray) -> "HermitianOperator":
+        """Wrap an exactly Hermitian ``(A + A^H)/2`` without checking it again."""
+        op = object.__new__(cls)
+        sym.setflags(write=False)
+        object.__setattr__(op, "matrix", sym)
+        object.__setattr__(op, "herm_tol", DEFAULT_HERM_TOL)
+        return op
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def eigensystem(self):
+        """Read-only ``(w, v)``: ascending eigenvalues, orthonormal eigenvectors."""
+        w, v = _eigh(self.matrix)
+        w.setflags(write=False)
+        v.setflags(write=False)
+        return w, v
 
     def frobenius(self) -> float:
         return float(np.linalg.norm(self.matrix))
@@ -161,11 +183,20 @@ def _eigh(matrix: np.ndarray):
         raise EigensolverError(matrix, str(exc)) from exc
 
 
+class _View:
+    """The ``matrix``, ``dim`` and ``eigensystem`` of the wrapped ``op``."""
+
+    matrix = property(lambda self: self.op.matrix)
+    dim = property(lambda self: self.op.dim)
+    eigensystem = property(lambda self: self.op.eigensystem)
+
+
 @dataclass(frozen=True, eq=False)
-class PositiveOperator:
+class PositiveOperator(_View):
     """A strictly positive definite Hermitian operator.
 
-    The minimum eigenvalue is computed once at construction and cached.
+    The minimum eigenvalue is read from the operator's eigensystem at
+    construction.
     """
 
     op: HermitianOperator
@@ -176,30 +207,23 @@ class PositiveOperator:
         if not isinstance(op, HermitianOperator):
             op = HermitianOperator(op)
             object.__setattr__(self, "op", op)
-        w = _eigh(op.matrix)[0]
+        w = op.eigensystem[0]
         if w[0] <= 0.0:
             raise PositivityError(
                 f"operator is not strictly positive (min eigenvalue {w[0]:.3e})"
             )
         object.__setattr__(self, "min_eigenvalue", float(w[0]))
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.op.matrix
-
-    @property
-    def dim(self) -> int:
-        return self.op.dim
-
 
 @dataclass(frozen=True, eq=False)
-class PsdOperator:
+class PsdOperator(_View):
     """A positive semidefinite operator with an explicit zero threshold.
 
     Eigenvalues in ``[-zero_tol, zero_tol]`` are snapped to exactly zero;
     eigenvalues below ``-zero_tol`` are a construction error rather than
     being clamped. ``rank`` counts eigenvalues above ``zero_tol``. The
-    snapped eigensystem is cached for the support/kernel operations.
+    snapped eigenvalues are this operator's own copy; the eigenvectors and
+    the unsnapped ``eigensystem`` are those of ``op``.
     """
 
     op: HermitianOperator
@@ -213,26 +237,33 @@ class PsdOperator:
         if not isinstance(op, HermitianOperator):
             op = HermitianOperator(op)
             object.__setattr__(self, "op", op)
-        w, v = _eigh(op.matrix)
+        w, v = op.eigensystem
         if w[0] < -self.zero_tol:
             raise PositivityError(
                 f"operator has eigenvalue {w[0]:.3e} below -zero_tol; not PSD"
             )
         w = np.where(np.abs(w) <= self.zero_tol, 0.0, w)
         w.setflags(write=False)
-        v = v.copy()
-        v.setflags(write=False)
         object.__setattr__(self, "eigenvalues", w)
         object.__setattr__(self, "eigenvectors", v)
         object.__setattr__(self, "rank", int(np.count_nonzero(w > 0.0)))
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.op.matrix
 
-    @property
-    def dim(self) -> int:
-        return self.op.dim
+def _spectral(v: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """``V diag(vals) V^H``, the matrix with eigenvectors ``v`` and eigenvalues ``vals``."""
+    return (v * vals) @ v.conj().T
+
+
+def _powm(op, p: float) -> np.ndarray:
+    """``A**p`` of an operator, from its (unsnapped) eigensystem."""
+    w, v = op.eigensystem
+    return _spectral(v, w ** p)
+
+
+def _logm(op) -> np.ndarray:
+    """``log A`` of a strictly positive operator, from its eigensystem."""
+    w, v = op.eigensystem
+    return _spectral(v, np.log(w))
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,10 +334,12 @@ def clustered_eigensystem(A, cluster_tol: float = DEFAULT_CLUSTER_TOL):
     ``cluster_ids[i]`` the cluster index (ascending order).
 
     For :class:`PsdOperator` inputs the snapped eigenvalues are used, so the
-    zero eigenspace is exact.
+    zero eigenspace is exact; other operators reuse their eigensystem.
     """
     if isinstance(A, PsdOperator):
         w, v = A.eigenvalues, A.eigenvectors
+    elif isinstance(A, (HermitianOperator, PositiveOperator)):
+        w, v = A.eigensystem
     else:
         w, v = _eigh(_validated_square(as_matrix(A), "operator"))
     starts, reps = _cluster_groups(np.asarray(w, dtype=float), cluster_tol)
@@ -354,7 +387,7 @@ def matrix_function(A, f, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Hermitian
     if not np.isfinite(vals).all():
         rep = float(reps[~np.isfinite(vals)][0])
         raise MatrixFunctionDomainError(rep, f"{fname} is undefined at eigenvalue {rep!r}")
-    return hermitize((v * vals) @ v.conj().T)
+    return hermitize(_spectral(v, vals))
 
 
 def _as_psd(A) -> PsdOperator:
@@ -368,14 +401,14 @@ def log_cross(A) -> HermitianOperator:
     vals = np.zeros_like(w)
     pos = w > 0.0
     vals[pos] = np.log(w[pos])
-    return hermitize((psd.eigenvectors * vals) @ psd.eigenvectors.conj().T)
+    return hermitize(_spectral(psd.eigenvectors, vals))
 
 
 def zeroth_power(A) -> HermitianOperator:
     """Orthogonal projector onto the nonzero eigenspaces of a PSD operator."""
     psd = _as_psd(A)
     vals = (psd.eigenvalues > 0.0).astype(float)
-    return hermitize((psd.eigenvectors * vals) @ psd.eigenvectors.conj().T)
+    return hermitize(_spectral(psd.eigenvectors, vals))
 
 
 def hs_inner(A, B) -> float:
@@ -403,6 +436,12 @@ def hs_inner(A, B) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _number(val, path: str) -> float:
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
+        raise SchemaError(path, f"expected a number, got {val!r}")
+    return float(val)
+
+
 def matrix_to_json(m) -> dict:
     arr = np.asarray(as_matrix(m), dtype=np.complex128)
     entries = [[[float(x.real), float(x.imag)] for x in row] for row in arr]
@@ -427,7 +466,33 @@ def matrix_from_json(obj, path: str = "matrix") -> np.ndarray:
     entries = obj.get("entries")
     if not isinstance(entries, list) or len(entries) != rows:
         raise SchemaError(f"{path}.entries", f"expected a list of {rows} rows")
-    out = np.zeros((rows, cols), dtype=np.complex128)
+    flat = _finite_pairs(entries, cols)
+    if flat is None:
+        _raise_at_first_bad_cell(entries, cols, path)
+    pairs = flat.reshape(rows, cols, 2)
+    return pairs[..., 0] + 1j * pairs[..., 1]
+
+
+def _finite_pairs(entries: list, cols: int):
+    """Every ``[re, im]`` cell as one float array, in a single conversion; None
+    unless each row is a list of ``cols`` cells of two finite numbers."""
+    if not all(isinstance(row, list) and len(row) == cols for row in entries):
+        return None
+    cells = list(chain.from_iterable(entries))
+    if not all(issubclass(t, list) for t in set(map(type, cells))) or set(map(len, cells)) != {2}:
+        return None
+    values = list(chain.from_iterable(cells))
+    if not all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, values))):
+        return None
+    try:
+        flat = np.array(list(map(float, values)), dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return flat if np.isfinite(flat).all() else None
+
+
+def _raise_at_first_bad_cell(entries: list, cols: int, path: str):
+    """Walk the cells in row-major order and name the first malformed one."""
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != cols:
             raise SchemaError(f"{path}.entries[{i}]", f"expected a list of {cols} cells")
@@ -440,8 +505,10 @@ def matrix_from_json(obj, path: str = "matrix") -> np.ndarray:
                 raise SchemaError(
                     f"{path}.entries[{i}][{j}]", "expected a [re, im] pair of numbers"
                 )
-            re, im = float(cell[0]), float(cell[1])
-            if not (np.isfinite(re) and np.isfinite(im)):
+            try:
+                finite = all(math.isfinite(x) for x in cell)
+            except OverflowError:  # an integer beyond the float range
+                finite = False
+            if not finite:
                 raise SchemaError(f"{path}.entries[{i}][{j}]", "entries must be finite")
-            out[i, j] = re + 1j * im
-    return out
+    raise SchemaError(f"{path}.entries", "entries could not be decoded")

@@ -36,10 +36,13 @@ from .channels import (
 )
 from .divergences import (
     MeasureSpec,
+    _grad1,
+    _grad2,
+    _Pair,
+    _value,
     evaluate,
     evaluate_psd,
     grad1,
-    grad2,
     scaling_check,
 )
 from .linalg import (
@@ -48,6 +51,9 @@ from .linalg import (
     PositivityError,
     PsdOperator,
     _eigh,
+    _logm,
+    _powm,
+    _spectral,
     as_matrix,
     frobenius,
     hermitize,
@@ -113,57 +119,57 @@ def _channel_images(ch: KrausChannel, rho: PositiveOperator, sigma: PositiveOper
     return rho_out, sigma_out
 
 
-def _states_and_images(ch: KrausChannel, rho, sigma):
-    """``(rho, sigma, L(rho), L(sigma))``, all strictly positive; the two
-    channel images are computed once, for every quantity derived from them."""
+def _pairs(ch: KrausChannel, rho, sigma):
+    """The pairs ``(rho, sigma)`` and ``(L(rho), L(sigma))``, all strictly
+    positive, for every quantity derived from them."""
     rho = _positive_or_boundary(rho, "rho")
     sigma = _positive_or_boundary(sigma, "sigma")
-    return (rho, sigma) + _channel_images(ch, rho, sigma)
+    return _Pair(rho, sigma), _Pair(*_channel_images(ch, rho, sigma))
 
 
-def _gap(m: MeasureSpec, rho, sigma, rho_out, sigma_out) -> float:
-    return m.sign * (evaluate(m, rho, sigma) - evaluate(m, rho_out, sigma_out))
+def _gap(m: MeasureSpec, pt: _Pair, pt_out: _Pair) -> float:
+    return m.sign * (_value(m, pt) - _value(m, pt_out))
 
 
-def _residual(grad, m: MeasureSpec, ch: KrausChannel, rho, sigma, rho_out, sigma_out) -> HermitianOperator:
-    """``grad(r, s) - L*(grad(L r, L s))`` for ``grad`` = grad1 or grad2."""
-    inner = grad(m, rho_out, sigma_out)
-    return hermitize(grad(m, rho, sigma).matrix - adjoint_apply(ch, inner).matrix)
+def _residual(grad, m: MeasureSpec, ch: KrausChannel, pt: _Pair, pt_out: _Pair) -> HermitianOperator:
+    """``grad(r, s) - L*(grad(L r, L s))`` for ``grad`` = _grad1 or _grad2."""
+    inner = grad(m, pt_out)
+    return hermitize(grad(m, pt).matrix - adjoint_apply(ch, inner).matrix)
 
 
 def dpi_gap(m: MeasureSpec, ch: KrausChannel, rho, sigma) -> float:
     """Sign-adjusted gap ``sign * (B(r,s) - B(L r, L s))``; nonnegative under
     the data processing inequality."""
-    return _gap(m, *_states_and_images(ch, rho, sigma))
+    return _gap(m, *_pairs(ch, rho, sigma))
 
 
-def boundary_gap(m: MeasureSpec, ch: KrausChannel, rho: PsdOperator, sigma) -> float:
-    """Sign-adjusted gap with a PSD first argument (continuous extension)."""
+def _boundary_images(ch: KrausChannel, rho, sigma):
+    """``(rho, sigma, L(rho), L(sigma))`` for a PSD rho: rho and its image as
+    :class:`PsdOperator`, sigma and its image strictly positive."""
     rho = rho if isinstance(rho, PsdOperator) else PsdOperator(rho)
     sigma = _positive_or_boundary(sigma, "sigma")
     rho_out = PsdOperator(apply(ch, rho.op))
     sigma_out = _positive_or_boundary(apply(ch, sigma.op), "channel image of sigma")
+    return rho, sigma, rho_out, sigma_out
+
+
+def _boundary_gap(m: MeasureSpec, rho, sigma, rho_out, sigma_out) -> float:
     return m.sign * (evaluate_psd(m, rho, sigma) - evaluate_psd(m, rho_out, sigma_out))
+
+
+def boundary_gap(m: MeasureSpec, ch: KrausChannel, rho: PsdOperator, sigma) -> float:
+    """Sign-adjusted gap with a PSD first argument (continuous extension)."""
+    return _boundary_gap(m, *_boundary_images(ch, rho, sigma))
 
 
 def residual1(m: MeasureSpec, ch: KrausChannel, rho, sigma) -> HermitianOperator:
     """First-argument gradient residual; zero whenever the gap vanishes."""
-    return _residual(grad1, m, ch, *_states_and_images(ch, rho, sigma))
+    return _residual(_grad1, m, ch, *_pairs(ch, rho, sigma))
 
 
 def residual2(m: MeasureSpec, ch: KrausChannel, rho, sigma) -> HermitianOperator:
     """Second-argument gradient residual."""
-    return _residual(grad2, m, ch, *_states_and_images(ch, rho, sigma))
-
-
-def _sandwiched_core_operator(alpha: float, rho: PositiveOperator, sigma: PositiveOperator) -> np.ndarray:
-    gamma = (1.0 - alpha) / (2.0 * alpha)
-    ws, vs = _eigh(sigma.matrix)
-    s_g = (vs * ws ** gamma) @ vs.conj().T
-    x = s_g @ rho.matrix @ s_g
-    x = (x + x.conj().T) / 2.0
-    wx, vx = _eigh(x)
-    return s_g @ ((vx * wx ** (alpha - 1.0)) @ vx.conj().T) @ s_g
+    return _residual(_grad2, m, ch, *_pairs(ch, rho, sigma))
 
 
 def normalized_sandwiched_residual(
@@ -176,14 +182,15 @@ def normalized_sandwiched_residual(
     is only defined once the gap is below ``gap_tol``.
     """
     m = MeasureSpec.sandwiched_renyi(alpha)
-    rho, sigma, rho_out, sigma_out = _states_and_images(ch, rho, sigma)
-    gap = _gap(m, rho, sigma, rho_out, sigma_out)
+    pt, pt_out = _pairs(ch, rho, sigma)
+    gap = _gap(m, pt, pt_out)
     if abs(gap) > gap_tol:
         raise ValueError(
             f"normalized residual is meaningful only at saturation; |gap|={abs(gap):.3e}"
         )
-    outer = _sandwiched_core_operator(alpha, rho, sigma)
-    inner = _sandwiched_core_operator(alpha, rho_out, sigma_out)
+    gamma = (1.0 - alpha) / (2.0 * alpha)
+    outer = pt.core_power(gamma, None, gamma, alpha - 1.0)
+    inner = pt_out.core_power(gamma, None, gamma, alpha - 1.0)
     return hermitize(outer - adjoint_apply(ch, hermitize(inner)).matrix)
 
 
@@ -272,9 +279,9 @@ def converse_certificate(
     rho = _positive_or_boundary(rho, "rho")
     sigma = _positive_or_boundary(sigma, "sigma")
     _require_scaling_law(m, rho, sigma)
-    rho_out, sigma_out = _channel_images(ch, rho, sigma)
-    r1 = frobenius(_residual(grad1, m, ch, rho, sigma, rho_out, sigma_out))
-    return _converse_verdict(r1, _gap(m, rho, sigma, rho_out, sigma_out), residual_tol, gap_tol)
+    pt, pt_out = _Pair(rho, sigma), _Pair(*_channel_images(ch, rho, sigma))
+    r1 = frobenius(_residual(_grad1, m, ch, pt, pt_out))
+    return _converse_verdict(r1, _gap(m, pt, pt_out), residual_tol, gap_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +336,12 @@ def tangent_space_rank(rho: PsdOperator, tol: float = 1e-8) -> int:
     """
     rho = rho if isinstance(rho, PsdOperator) else PsdOperator(rho)
     n = rho.dim
-    rows = []
-    for b in hermitian_basis(n):
-        proj = tangent_project(rho, b).matrix
-        rows.append(np.concatenate([proj.real.ravel(), proj.imag.ravel()]))
-    svals = np.linalg.svd(np.array(rows), compute_uv=False)
+    basis = np.array([b.matrix for b in hermitian_basis(n)])
+    q = np.eye(n) - zeroth_power(rho).matrix
+    proj = (basis - q @ basis @ q).reshape(n * n, n * n)
+    svals = np.linalg.svd(np.concatenate([proj.real, proj.imag], axis=1), compute_uv=False)
     return int(np.count_nonzero(svals > tol * svals[0]))
+
 
 
 # ---------------------------------------------------------------------------
@@ -356,25 +363,19 @@ def boundary_residual_relent(ch: KrausChannel, rho, sigma) -> HermitianOperator:
     where ``logx`` is the support logarithm and ``|_rest`` removes the block
     on the corresponding kernel. Requires s and L(s) strictly positive.
     """
-    rho = rho if isinstance(rho, PsdOperator) else PsdOperator(rho)
-    sigma = _positive_or_boundary(sigma, "sigma")
-    sigma_out = _positive_or_boundary(apply(ch, sigma.op), "channel image of sigma")
-    rho_out = PsdOperator(apply(ch, rho.op))
+    return _boundary_residual_relent(ch, *_boundary_images(ch, rho, sigma))
 
+
+def _boundary_residual_relent(ch: KrausChannel, rho, sigma, rho_out, sigma_out) -> HermitianOperator:
     p_in = zeroth_power(rho).matrix
     p_out = zeroth_power(rho_out).matrix
-    log_sigma = _log_of_positive(sigma)
-    log_sigma_out = _log_of_positive(sigma_out)
+    log_sigma = _logm(sigma)
+    log_sigma_out = _logm(sigma_out)
 
     lhs = log_cross(rho).matrix - _support_restrict(log_sigma, p_in)
     inner = log_cross(rho_out).matrix - _support_restrict(log_sigma_out, p_out)
     rhs = _support_restrict(adjoint_apply(ch, hermitize(inner)).matrix, p_in)
     return hermitize(lhs - rhs)
-
-
-def _log_of_positive(op: PositiveOperator) -> np.ndarray:
-    w, v = _eigh(op.matrix)
-    return (v * np.log(w)) @ v.conj().T
 
 
 def _extended_gradient(m: MeasureSpec, rho: PsdOperator, sigma: PositiveOperator) -> HermitianOperator:
@@ -389,7 +390,7 @@ def _extended_gradient(m: MeasureSpec, rho: PsdOperator, sigma: PositiveOperator
     if m.family == "relative_entropy":
         p = zeroth_power(rho).matrix
         q = np.eye(rho.dim) - p
-        log_sigma = _log_of_positive(sigma)
+        log_sigma = _logm(sigma)
         return hermitize(log_cross(rho).matrix - log_sigma + q @ log_sigma @ q + p)
     if rho.rank == rho.dim:
         return grad1(m, PositiveOperator(rho.op), sigma)
@@ -402,7 +403,7 @@ def _psd_clamp(arr: np.ndarray, floor: float) -> PsdOperator:
     if w[0] < -floor:
         raise PositivityError(f"probe left the PSD cone (eigenvalue {w[0]:.3e})")
     w = np.maximum(w, 0.0)
-    return PsdOperator(hermitize((v * w) @ v.conj().T), zero_tol=floor)
+    return PsdOperator(hermitize(_spectral(v, w)), zero_tol=floor)
 
 
 def _fd_tangent_gradient(m: MeasureSpec, rho: PsdOperator, sigma: PositiveOperator) -> HermitianOperator:
@@ -437,10 +438,10 @@ def boundary_residual_general(m: MeasureSpec, ch: KrausChannel, rho, sigma) -> H
 
     Reduces to :func:`residual1` when rho has full rank.
     """
-    rho = rho if isinstance(rho, PsdOperator) else PsdOperator(rho)
-    sigma = _positive_or_boundary(sigma, "sigma")
-    sigma_out = _positive_or_boundary(apply(ch, sigma.op), "channel image of sigma")
-    rho_out = PsdOperator(apply(ch, rho.op))
+    return _boundary_residual_general(m, ch, *_boundary_images(ch, rho, sigma))
+
+
+def _boundary_residual_general(m: MeasureSpec, ch: KrausChannel, rho, sigma, rho_out, sigma_out) -> HermitianOperator:
     g_in = _extended_gradient(m, rho, sigma)
     g_out = _extended_gradient(m, rho_out, sigma_out)
     back = adjoint_apply(ch, g_out).matrix
@@ -456,16 +457,12 @@ def hiai_residual(ch: KrausChannel, rho, sigma) -> np.ndarray:
     with P, P' the support projectors of r and L(r). The two sides are not
     Hermitian in general, so a plain complex matrix is returned.
     """
-    rho = rho if isinstance(rho, PsdOperator) else PsdOperator(rho)
-    sigma = _positive_or_boundary(sigma, "sigma")
-    sigma_out = _positive_or_boundary(apply(ch, sigma.op), "channel image of sigma")
-    rho_out = PsdOperator(apply(ch, rho.op))
+    return _hiai_residual(ch, *_boundary_images(ch, rho, sigma))
 
-    lhs = log_cross(rho).matrix - _log_of_positive(sigma) @ zeroth_power(rho).matrix
-    inner = (
-        log_cross(rho_out).matrix
-        - _log_of_positive(sigma_out) @ zeroth_power(rho_out).matrix
-    )
+
+def _hiai_residual(ch: KrausChannel, rho, sigma, rho_out, sigma_out) -> np.ndarray:
+    lhs = log_cross(rho).matrix - _logm(sigma) @ zeroth_power(rho).matrix
+    inner = log_cross(rho_out).matrix - _logm(sigma_out) @ zeroth_power(rho_out).matrix
     return lhs - _adjoint_raw(ch.kraus, inner)
 
 
@@ -476,9 +473,8 @@ def hiai_residual(ch: KrausChannel, rho, sigma) -> np.ndarray:
 
 def _petz_factors(sigma: PositiveOperator, sigma_out: PositiveOperator):
     """``(s^{1/2}, (Ls)^{-1/2})``, the two factors of the Petz recovery map."""
-    ws, vs = _eigh(sigma.matrix)
-    wo, vo = _eigh(sigma_out.matrix)
-    return (vs * np.sqrt(ws)) @ vs.conj().T, (vo * wo ** -0.5) @ vo.conj().T
+    ws, vs = sigma.eigensystem
+    return _spectral(vs, np.sqrt(ws)), _powm(sigma_out, -0.5)
 
 
 def petz_map(sigma, ch: KrausChannel) -> KrausChannel:
@@ -498,7 +494,7 @@ def petz_map(sigma, ch: KrausChannel) -> KrausChannel:
     return _from_stack(kraus, tp_tol=_PETZ_TP_TOL)
 
 
-def _petz_recovery_errors(ch: KrausChannel, rho, sigma, rho_out, sigma_out):
+def _petz_recovery_errors(ch: KrausChannel, pt: _Pair, pt_out: _Pair):
     """``||R(L r) - r||_F`` and ``||R(L s) - s||_F`` for the Petz map R,
     evaluated through the adjoint without building R's Kraus operators.
 
@@ -506,27 +502,25 @@ def _petz_recovery_errors(ch: KrausChannel, rho, sigma, rho_out, sigma_out):
     ``(Ls)^{-1/2} L(s) (Ls)^{-1/2}`` is the identity; that is checked
     against the same tolerance as :func:`petz_map`.
     """
-    s_half, out_inv_half = _petz_factors(sigma, sigma_out)
-    tp = float(np.linalg.norm(out_inv_half @ sigma_out.matrix @ out_inv_half - np.eye(ch.dim_out)))
+    s_half, out_inv_half = _petz_factors(pt.sigma, pt_out.sigma)
+    tp = float(np.linalg.norm(out_inv_half @ pt_out.sigma.matrix @ out_inv_half - np.eye(ch.dim_out)))
     _require_trace_preserving(tp, _PETZ_TP_TOL)
 
     def error(x, x_out) -> float:
         back = adjoint_apply(ch, out_inv_half @ x_out.matrix @ out_inv_half).matrix
         return float(np.linalg.norm(s_half @ back @ s_half - x.matrix))
 
-    return error(rho, rho_out), error(sigma, sigma_out)
+    return error(pt.rho, pt_out.rho), error(pt.sigma, pt_out.sigma)
 
 
 def alpha2_petz_residual(ch: KrausChannel, rho, sigma) -> HermitianOperator:
     """Residual of ``s^{-1/2} r s^{-1/2} = L*( (Ls)^{-1/2} (Lr) (Ls)^{-1/2} )``,
     the alpha = 2 sandwiched condition and the original Petz criterion."""
-    rho, sigma, rho_out, sigma_out = _states_and_images(ch, rho, sigma)
-    ws, vs = _eigh(sigma.matrix)
-    s_inv_half = (vs * ws ** -0.5) @ vs.conj().T
-    wo, vo = _eigh(sigma_out.matrix)
-    out_inv_half = (vo * wo ** -0.5) @ vo.conj().T
-    lhs = s_inv_half @ rho.matrix @ s_inv_half
-    inner = hermitize(out_inv_half @ rho_out.matrix @ out_inv_half)
+    pt, pt_out = _pairs(ch, rho, sigma)
+    s_inv_half = _powm(pt.sigma, -0.5)
+    out_inv_half = _powm(pt_out.sigma, -0.5)
+    lhs = s_inv_half @ pt.rho.matrix @ s_inv_half
+    inner = hermitize(out_inv_half @ pt_out.rho.matrix @ out_inv_half)
     return hermitize(lhs - adjoint_apply(ch, inner).matrix)
 
 
@@ -544,35 +538,22 @@ class AlphaZCrosscheck:
     zhang_residual: float
 
 
-def _alpha_z_condition_operator(rho, sigma, alpha: float, z: float, outer_exp: float, core_exp: float) -> np.ndarray:
-    ws, vs = _eigh(as_matrix(sigma))
-    wr, vr = _eigh(as_matrix(rho))
-    inner_exp = (1.0 - alpha) / (2.0 * z)
-    s_inner = (vs * ws ** inner_exp) @ vs.conj().T
-    s_outer = (vs * ws ** outer_exp) @ vs.conj().T
-    r_pow = (vr * wr ** (alpha / z)) @ vr.conj().T
-    core = s_inner @ r_pow @ s_inner
-    core = (core + core.conj().T) / 2.0
-    wc, vc = _eigh(core)
-    return s_outer @ ((vc * wc ** core_exp) @ vc.conj().T) @ s_outer
-
-
 def _alpha_z_crosscheck(
-    ch: KrausChannel, rho, sigma, rho_out, sigma_out, alpha: float, z: float,
+    ch: KrausChannel, pt: _Pair, pt_out: _Pair, alpha: float, z: float,
     gradient_residual: float | None = None,
 ) -> AlphaZCrosscheck:
-    """:func:`alpha_z_crosscheck` on states whose channel images are known;
-    ``gradient_residual`` is the alpha-z first-residual norm, when known."""
+    """:func:`alpha_z_crosscheck` on a state pair and its channel image;
+    ``gradient_residual`` is the alpha-z first-residual norm, when known.
+    Both condition operators are powers of the pairs' alpha-z cores
+    ``X = s^g r^{a/z} s^g``, which the gradients share."""
     m = MeasureSpec.alpha_z(alpha, z)
     if gradient_residual is None:
-        gradient_residual = frobenius(_residual(grad1, m, ch, rho, sigma, rho_out, sigma_out))
+        gradient_residual = frobenius(_residual(_grad1, m, ch, pt, pt_out))
+    gamma = m.gamma
     results = []
-    for outer_exp, core_exp in (
-        ((1.0 - z) / (2.0 * z), z - 1.0),
-        ((1.0 - alpha) / (2.0 * z), alpha - 1.0),
-    ):
-        f_in = _alpha_z_condition_operator(rho, sigma, alpha, z, outer_exp, core_exp)
-        f_out = _alpha_z_condition_operator(rho_out, sigma_out, alpha, z, outer_exp, core_exp)
+    for outer_exp, core_exp in (((1.0 - z) / (2.0 * z), z - 1.0), (gamma, alpha - 1.0)):
+        f_in = pt.core_power(gamma, alpha / z, outer_exp, core_exp)
+        f_out = pt_out.core_power(gamma, alpha / z, outer_exp, core_exp)
         res = f_in - adjoint_apply(ch, hermitize(f_out)).matrix
         results.append(float(np.linalg.norm(res)))
     return AlphaZCrosscheck(
@@ -589,7 +570,7 @@ def alpha_z_crosscheck(ch: KrausChannel, rho, sigma, alpha: float, z: float) -> 
 
     All three are necessary at saturation; norms are reported side by side.
     """
-    return _alpha_z_crosscheck(ch, *_states_and_images(ch, rho, sigma), alpha, z)
+    return _alpha_z_crosscheck(ch, *_pairs(ch, rho, sigma), alpha, z)
 
 
 # ---------------------------------------------------------------------------
@@ -614,9 +595,17 @@ class SaturationReport:
     petz_recovery_error_sigma: float | None
     gap_tol: float = DEFAULT_GAP_TOL
     residual_tol: float = DEFAULT_RESIDUAL_TOL
-    # L(rho) and L(sigma), from which every number above was derived.
-    rho_out: PositiveOperator | None = field(default=None, repr=False)
-    sigma_out: PositiveOperator | None = field(default=None, repr=False)
+    # (rho, sigma) and (L(rho), L(sigma)) with their spectral cores, from
+    # which every number above was derived.
+    pairs: tuple | None = field(default=None, repr=False)
+
+    @property
+    def rho_out(self) -> PositiveOperator | None:
+        return self.pairs[1].rho if self.pairs else None
+
+    @property
+    def sigma_out(self) -> PositiveOperator | None:
+        return self.pairs[1].sigma if self.pairs else None
 
 
 def build_report(
@@ -634,17 +623,18 @@ def build_report(
     takes one adjoint, and each Petz recovery error one more (two channel
     applies and four adjoints per report). ``with_petz=False`` skips the
     recovery errors (they need the channel image of sigma to be invertible)
-    and leaves those fields unset. The report keeps the two channel images,
-    so further checks on the same states need not take them again.
+    and leaves those fields unset. Each of the four operators and each
+    spectral core of the two pairs is eigensolved once (at most 8 per
+    report); the report keeps both pairs for further checks.
     """
-    rho, sigma, rho_out, sigma_out = _states_and_images(ch, rho, sigma)
-    gap = _gap(m, rho, sigma, rho_out, sigma_out)
-    r1 = _residual(grad1, m, ch, rho, sigma, rho_out, sigma_out)
-    r2 = _residual(grad2, m, ch, rho, sigma, rho_out, sigma_out)
+    pt, pt_out = _pairs(ch, rho, sigma)
+    gap = _gap(m, pt, pt_out)
+    r1 = _residual(_grad1, m, ch, pt, pt_out)
+    r2 = _residual(_grad2, m, ch, pt, pt_out)
     n1, n2 = frobenius(r1), frobenius(r2)
     err_rho = err_sigma = None
     if with_petz:
-        err_rho, err_sigma = _petz_recovery_errors(ch, rho, sigma, rho_out, sigma_out)
+        err_rho, err_sigma = _petz_recovery_errors(ch, pt, pt_out)
     saturated = abs(gap) <= gap_tol and n1 <= residual_tol and n2 <= residual_tol
     return SaturationReport(
         measure=m,
@@ -660,8 +650,7 @@ def build_report(
         petz_recovery_error_sigma=err_sigma,
         gap_tol=gap_tol,
         residual_tol=residual_tol,
-        rho_out=rho_out,
-        sigma_out=sigma_out,
+        pairs=(pt, pt_out),
     )
 
 

@@ -9,6 +9,19 @@ from dpisat.divergences import MeasureSpec
 from dpisat.linalg import HermitianOperator, PositiveOperator, PsdOperator
 
 
+def count_eigh(monkeypatch) -> list:
+    """Record the input of every ``np.linalg.eigh`` call."""
+    inputs = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        inputs.append(a)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return inputs
+
+
 def gen(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 

@@ -248,7 +248,48 @@ class TestReportReuse:
         }
 
 
+    @pytest.mark.parametrize("full_rank", [True, False], ids=["full_rank", "rank_deficient"])
+    def test_boundary_check_takes_no_further_images(self, tmp_path, monkeypatch, full_rank):
+        from dpisat.linalg import PsdOperator
+
+        values = [0.6, 0.3, 0.1] if full_rank else [0.7, 0.3, 0.0]
+        checks = ["gap", "residual1", "residual2", "converse", "petz", "boundary"]
+        scenario = dict(
+            BOUNDARY_SCENARIO, name="bnd",
+            channel={"builder": "depolarizing", "dim": 3, "p": 0.4},
+            rho={"builder": "diag", "values": values},
+            checks=checks if full_rank else ["gap", "boundary", "tangent"],
+        )
+        scen = tmp_path / "scen.json"
+        write_scenarios(scen, [scenario])
+        calls = count_channel_calls(monkeypatch)
+        main(["run", str(scen), "--out", str(tmp_path / "out")])
+        assert calls["apply"] == 2
+        detail = load_report(tmp_path / "out", "bnd")["checks"]["boundary"]
+
+        c = depolarizing(3, 0.4)
+        rho = PsdOperator(HermitianOperator(np.diag(values).astype(complex)))
+        sigma = PositiveOperator(HermitianOperator(np.diag([0.5, 0.3, 0.2]).astype(complex)))
+        m = MeasureSpec.relative_entropy()
+        general = sat.boundary_residual_general(m, c, rho, sigma)
+        assert detail["zeros_log_norm"] == frobenius(sat.boundary_residual_relent(c, rho, sigma))
+        assert detail["general_norm"] == frobenius(general)
+        assert detail["hiai_norm"] == float(np.linalg.norm(sat.hiai_residual(c, rho, sigma)))
+        if full_rank:
+            r1 = sat.residual1(m, c, PositiveOperator(rho.op), sigma)
+            assert detail["full_rank_reduction_error"] == float(np.linalg.norm(general.matrix - r1.matrix))
+
+
 class TestSchemaErrors:
+    def test_integer_entry_beyond_float_range(self, tmp_path, capsys):
+        scen = tmp_path / "scen.json"
+        bad = dict(PINCHING_SCENARIO)
+        bad["rho"] = {"dim": 2, "entries": [[[10 ** 400, 0], [0, 0]], [[0, 0], [1, 0]]]}
+        write_scenarios(scen, [bad])
+        assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "schema error at scenario[0].rho.entries[0][0]: entries must be finite\n"
+
     def test_non_hermitian_matrix(self, tmp_path, capsys):
         scen = tmp_path / "scen.json"
         bad = dict(PINCHING_SCENARIO)

@@ -378,7 +378,7 @@ class TestFdivClosedForm:
         rho = PsdOperator(HermitianOperator(np.diag([1.0, 0.0]).astype(complex)))
         sigma = diag_positive([0.5, 0.5])
         with pytest.raises(PositivityError, match="^f-divergence value requires positive states$"):
-            divergences._fdiv_value(calculus.X_LOG_X, rho, sigma.op)
+            divergences._fdiv_value(calculus.X_LOG_X, divergences._Pair(rho, sigma.op))
         with pytest.raises(ValueError) as info:
             evaluate_psd(MeasureSpec.f_divergence("neg_log"), rho, sigma)
         assert type(info.value) is ValueError

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpisat.linalg import (
+    EigensolverError,
     HermitianOperator,
     HermiticityError,
     MatrixFunctionDomainError,
@@ -11,6 +12,7 @@ from dpisat.linalg import (
     PositivityError,
     PsdOperator,
     SchemaError,
+    clustered_eigensystem,
     frobenius,
     hs_inner,
     log_cross,
@@ -21,7 +23,7 @@ from dpisat.linalg import (
     zeroth_power,
 )
 
-from _fixtures import gen, random_hermitian, random_positive, random_psd_rank
+from _fixtures import count_eigh, gen, random_hermitian, random_positive, random_psd_rank
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -67,6 +69,60 @@ class TestTypes:
         op = HermitianOperator(np.eye(2, dtype=complex))
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 5.0
+
+
+class TestCachedEigensystem:
+    """An operator solves its eigensystem once, on first use; the positive
+    and PSD views over it read that one eigensystem."""
+
+    def test_construction_solves_nothing(self, monkeypatch):
+        calls = count_eigh(monkeypatch)
+        HermitianOperator(random_hermitian(gen(150), 4).matrix)
+        assert calls == []
+
+    def test_views_share_one_eigensolve(self, monkeypatch):
+        op = HermitianOperator(random_positive(gen(151), 4).matrix)
+        calls = count_eigh(monkeypatch)
+        pos, psd = PositiveOperator(op), PsdOperator(op)
+        matrix_function(pos, np.log)
+        clustered_eigensystem(op)
+        log_cross(psd)
+        zeroth_power(psd)
+        assert len(calls) == 1 and calls[0] is op.matrix
+        assert pos.eigensystem is op.eigensystem and psd.eigensystem is op.eigensystem
+        assert psd.eigenvectors is op.eigensystem[1]
+        assert pos.min_eigenvalue == op.eigensystem[0][0]
+
+    def test_cached_arrays_are_read_only(self):
+        op = HermitianOperator(random_positive(gen(152), 3).matrix)
+        psd = PsdOperator(op)
+        for arr in op.eigensystem + (psd.eigenvalues, psd.eigenvectors):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_psd_snaps_its_own_copy(self):
+        op = HermitianOperator(np.diag([1e-12, 0.5, 1.0]).astype(complex))
+        psd = PsdOperator(op)
+        assert psd.eigenvalues is not op.eigensystem[0]
+        assert psd.eigenvalues[0] == 0.0 and op.eigensystem[0][0] == 1e-12
+        assert psd.rank == 2
+
+    def test_errors_and_messages_unchanged(self):
+        op = HermitianOperator(np.diag([-1e-3, 1.0]).astype(complex))
+        with pytest.raises(PositivityError, match=r"^operator is not strictly positive \(min eigenvalue -1\.000e-03\)$"):
+            PositiveOperator(op)
+        with pytest.raises(PositivityError, match=r"^operator has eigenvalue -1\.000e-03 below -zero_tol; not PSD$"):
+            PsdOperator(op)
+
+    def test_eigensolver_failure_is_raised_on_use(self, monkeypatch):
+        def fail(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        op = HermitianOperator(np.eye(2, dtype=complex))
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(EigensolverError, match="did not converge"):
+            PositiveOperator(op)
 
 
 class TestSpectralDecompose:
@@ -358,6 +414,58 @@ class TestMatrixJson:
             matrix_from_json({"entries": []})
         with pytest.raises(SchemaError):
             matrix_from_json({"dim": 1, "entries": [[[np.inf, 0]]]})
+
+    @staticmethod
+    def _error(entries, cols=2):
+        with pytest.raises(SchemaError) as err:
+            matrix_from_json({"rows": len(entries), "cols": cols, "entries": entries}, "rho")
+        return err.value.path, err.value.reason
+
+    @pytest.mark.parametrize(
+        "cell",
+        [[True, 0.0], [0.0, False], ["1.0", 0.0], [1.0, None], [[1.0], 0.0], [1.0], [1.0, 0.0, 0.0],
+         "10", {"re": 1.0, "im": 0.0}],
+        ids=["bool-re", "bool-im", "string", "null", "nested", "short-pair", "long-pair",
+             "string-cell", "object-cell"],
+    )
+    def test_malformed_cell_is_named(self, cell):
+        entries = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], cell]]
+        assert self._error(entries) == ("rho.entries[1][1]", "expected a [re, im] pair of numbers")
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), -float("inf"), 10 ** 400, -(10 ** 400)],
+        ids=["nan", "inf", "-inf", "huge-int", "huge-negative-int"],
+    )
+    def test_non_finite_or_unrepresentable_entry_is_named(self, value):
+        entries = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, value], [1.0, 0.0]]]
+        assert self._error(entries) == ("rho.entries[1][0]", "entries must be finite")
+
+    def test_short_row_is_named(self):
+        entries = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]
+        assert self._error(entries) == ("rho.entries[1]", "expected a list of 2 cells")
+
+    def test_first_bad_cell_in_row_major_order(self):
+        entries = [[[1.0, 0.0], [float("nan"), 0.0]], [[True, 0.0]]]
+        assert self._error(entries) == ("rho.entries[0][1]", "entries must be finite")
+
+    def test_decoding_matches_cell_by_cell_reference(self):
+        # Plain floats, signed zeros, integers (also beyond 2**53 and 2**63)
+        # and subclasses of float decode exactly as re + 1j * im per cell.
+        g = gen(153)
+        specials = [0.0, -0.0, 3, -(2 ** 53) - 1, 2 ** 70 + 1, -(2 ** 63) - 3, np.float64(0.25)]
+        for _ in range(50):
+            rows, cols = (int(x) for x in g.integers(1, 7, 2))
+            entries = (g.normal(size=(rows, cols, 2)) * 10.0 ** g.integers(-30, 30, (rows, cols, 2))).tolist()
+            for _ in range(3):
+                i, j, k = g.integers(0, rows), g.integers(0, cols), g.integers(0, 2)
+                entries[i][j][k] = specials[g.integers(0, len(specials))]
+            expected = np.zeros((rows, cols), dtype=np.complex128)
+            for i, row in enumerate(entries):
+                for j, (re, im) in enumerate(row):
+                    expected[i, j] = float(re) + 1j * float(im)
+            got = matrix_from_json({"rows": rows, "cols": cols, "entries": entries})
+            assert got.dtype == np.complex128 and got.shape == (rows, cols)
+            assert got.tobytes() == expected.tobytes()
 
     def test_frobenius_helper(self):
         assert frobenius(np.eye(2, dtype=complex)) == pytest.approx(np.sqrt(2.0))

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from dpisat.linalg import (
     PositiveOperator,
     PsdOperator,
     frobenius,
+    hermitize,
     hs_inner,
     log_cross,
     matrix_function,
@@ -546,3 +548,200 @@ class TestSinglePassReport:
             build_report(MeasureSpec.relative_entropy(), c, rho, sigma)
         rep = build_report(MeasureSpec.relative_entropy(), c, rho, sigma, with_petz=False)
         assert rep.petz_recovery_error_rho is None
+
+
+class TestTangentRankBatched:
+    """tangent_space_rank projects the whole Hermitian basis at once; the rank
+    equals the one measured from tangent_project, one basis element at a time."""
+
+    @staticmethod
+    def _reference_rank(rho, tol=1e-8):
+        from dpisat.calculus import hermitian_basis
+
+        rows = []
+        for b in hermitian_basis(rho.dim):
+            proj = tangent_project(rho, b).matrix
+            rows.append(np.concatenate([proj.real.ravel(), proj.imag.ravel()]))
+        svals = np.linalg.svd(np.array(rows), compute_uv=False)
+        return int(np.count_nonzero(svals > tol * svals[0]))
+
+    def test_matches_per_element_projection(self):
+        g = gen(580)
+        cases = [rho for _, _, rho, _ in boundary_saturating_fixtures()]
+        cases += [random_psd_rank(g, n, r) for n in range(1, 7) for r in range(1, n + 1)]
+        cases.append(diag_psd([1.0, 1e-11, 0.5]))  # snapped below zero_tol
+        for rho in cases:
+            k = rho.dim - rho.rank
+            assert tangent_space_rank(rho) == self._reference_rank(rho) == rho.dim ** 2 - k * k
+
+
+# Formulas of the measures before the shared spectral cores, each taking its
+# own eigensolves; the shared path must reproduce them to the last bit.
+
+
+def _ref_powm(w, v, p):
+    return (v * w ** p) @ v.conj().T
+
+
+def _ref_sym(a):
+    return (a + a.conj().T) / 2.0
+
+
+def _ref_renyi_trace(alpha, z, rho, sigma):
+    gamma = (1.0 - alpha) / (2.0 * z)
+    ws, vs = np.linalg.eigh(sigma)
+    s_g = _ref_powm(ws, vs, gamma)
+    wr, vr = np.linalg.eigh(rho)
+    wr = np.maximum(wr, 0.0)
+    r_az = (vr * wr ** (alpha / z)) @ vr.conj().T
+    wx, vx = np.linalg.eigh(_ref_sym(s_g @ r_az @ s_g))
+    return gamma, ws, vs, s_g, wx, vx
+
+
+def _ref_fidelity_grad1(rho, sigma):
+    ws, vs = np.linalg.eigh(sigma)
+    s_half = _ref_powm(ws, vs, 0.5)
+    wy, vy = np.linalg.eigh(_ref_sym(s_half @ rho @ s_half))
+    return hermitize(0.5 * s_half @ _ref_powm(wy, vy, -0.5) @ s_half)
+
+
+def _ref_value(m, r, s):
+    if m.family == "relative_entropy":
+        wr = np.linalg.eigh(r)[0]
+        ws, vs = np.linalg.eigh(s)
+        log_sigma = (vs * np.log(ws)) @ vs.conj().T
+        return float(np.sum(wr * np.log(wr)) - np.real(np.trace(r @ log_sigma)))
+    if m.family == "fidelity":
+        ws, vs = np.linalg.eigh(s)
+        s_half = _ref_powm(ws, vs, 0.5)
+        wy = np.linalg.eigh(_ref_sym(s_half @ r @ s_half))[0]
+        return float(np.sum(np.sqrt(np.maximum(wy, 0.0))))
+    alpha, z = m.alpha, (m.z if m.family == "alpha_z" else m.alpha)
+    wx = _ref_renyi_trace(alpha, z, r, s)[4]
+    return math.log(float(np.sum(np.maximum(wx, 0.0) ** z))) / (alpha - 1.0)
+
+
+def _ref_grad1(m, r, s):
+    from dpisat.calculus import frechet_derivative, power
+
+    if m.family == "relative_entropy":
+        wr, vr = np.linalg.eigh(r)
+        ws, vs = np.linalg.eigh(s)
+        out = (vr * np.log(wr)) @ vr.conj().T - (vs * np.log(ws)) @ vs.conj().T
+        return hermitize(out + np.eye(r.shape[0]))
+    if m.family == "fidelity":
+        return _ref_fidelity_grad1(r, s)
+    if m.family == "sandwiched_renyi":
+        alpha = m.alpha
+        _, _, _, s_g, wx, vx = _ref_renyi_trace(alpha, alpha, r, s)
+        trace = float(np.sum(wx ** alpha))
+        core = s_g @ _ref_powm(wx, vx, alpha - 1.0) @ s_g
+        return hermitize(alpha / ((alpha - 1.0) * trace) * core)
+    alpha, z = m.alpha, m.z
+    _, _, _, s_g, wx, vx = _ref_renyi_trace(alpha, z, r, s)
+    trace = float(np.sum(wx ** z))
+    w = _ref_sym(s_g @ _ref_powm(wx, vx, z - 1.0) @ s_g)
+    deriv = frechet_derivative(hermitize(r), hermitize(w), power(alpha / z))
+    return hermitize(z / ((alpha - 1.0) * trace) * deriv.matrix)
+
+
+def _ref_grad2(m, r, s):
+    from dpisat.calculus import LOG, frechet_derivative, power
+
+    if m.family == "relative_entropy":
+        return hermitize(-frechet_derivative(hermitize(s), hermitize(r), LOG).matrix)
+    if m.family == "fidelity":
+        return _ref_fidelity_grad1(s, r)
+    alpha, z = m.alpha, (m.z if m.family == "alpha_z" else m.alpha)
+    gamma, ws, vs, s_g, wx, vx = _ref_renyi_trace(alpha, z, r, s)
+    trace = float(np.sum(wx ** z))
+    x_z = _ref_powm(wx, vx, z)
+    s_neg_g = _ref_powm(ws, vs, -gamma)
+    anti = x_z @ s_neg_g + s_neg_g @ x_z
+    deriv = frechet_derivative(hermitize(s), hermitize(anti), power(gamma))
+    return hermitize(z / ((alpha - 1.0) * trace) * deriv.matrix)
+
+
+def _ref_condition_operator(rho, sigma, alpha, z, outer_exp, core_exp):
+    ws, vs = np.linalg.eigh(sigma)
+    wr, vr = np.linalg.eigh(rho)
+    s_inner = _ref_powm(ws, vs, (1.0 - alpha) / (2.0 * z))
+    s_outer = _ref_powm(ws, vs, outer_exp)
+    core = _ref_sym(s_inner @ _ref_powm(wr, vr, alpha / z) @ s_inner)
+    wc, vc = np.linalg.eigh(core)
+    return s_outer @ _ref_powm(wc, vc, core_exp) @ s_outer
+
+
+class TestSharedSpectralCores:
+    """Each operator and each spectral core of a report is eigensolved once,
+    and sharing them leaves every number bit-identical."""
+
+    SPECTRAL = ("relative_entropy", "fidelity", "sandwiched_renyi", "alpha_z")
+
+    @staticmethod
+    def _fixtures():
+        from _fixtures import saturating_fixtures
+
+        g = gen(590)
+        cases = [(label, c, rho, sigma) for label, c, rho, sigma in saturating_fixtures()]
+        cases.append(("depolarizing",) + depolarizing_fixture())
+        cases.append(("random_cptp", random_cptp(g, 4, 3), random_positive(g, 4), random_positive(g, 4)))
+        return cases
+
+    def test_value_and_gradients_equal_separate_eigensolves(self):
+        from dpisat.divergences import grad1, grad2
+
+        for label, c, rho, sigma in self._fixtures():
+            points = [(rho, sigma), (PositiveOperator(apply(c, rho.op)), PositiveOperator(apply(c, sigma.op)))]
+            for m in measure_suite():
+                if m.family not in self.SPECTRAL:
+                    continue
+                for r, s in points:
+                    a, b = r.matrix.copy(), s.matrix.copy()
+                    assert evaluate(m, r, s) == _ref_value(m, a, b), (label, m)
+                    assert np.array_equal(grad1(m, r, s).matrix, _ref_grad1(m, a, b).matrix), (label, m)
+                    assert np.array_equal(grad2(m, r, s).matrix, _ref_grad2(m, a, b).matrix), (label, m)
+
+    def test_report_equals_separate_eigensolves(self):
+        for label, c, rho, sigma in self._fixtures():
+            r_out, s_out = apply(c, rho.op).matrix, apply(c, sigma.op).matrix
+            for m in measure_suite():
+                if m.family not in self.SPECTRAL:
+                    continue
+                rep = build_report(m, c, rho, sigma, with_petz=False)
+                gap = m.sign * (_ref_value(m, rho.matrix, sigma.matrix) - _ref_value(m, r_out, s_out))
+                assert rep.gap == gap, (label, m)
+                for ref, res in ((_ref_grad1, rep.residual1), (_ref_grad2, rep.residual2)):
+                    inner = adjoint_apply(c, ref(m, r_out, s_out)).matrix
+                    expected = hermitize(ref(m, rho.matrix, sigma.matrix).matrix - inner)
+                    assert np.array_equal(res.matrix, expected.matrix), (label, m)
+
+    def test_crosscheck_conditions_equal_separate_eigensolves(self):
+        for label, c, rho, sigma in self._fixtures():
+            r_out, s_out = apply(c, rho.op).matrix, apply(c, sigma.op).matrix
+            for alpha, z in ((0.7, 0.9), (1.5, 1.2), (2.5, 2.0), (1.5, 1.5)):
+                res = alpha_z_crosscheck(c, rho, sigma, alpha, z)
+                norms = []
+                for outer_exp, core_exp in (
+                    ((1.0 - z) / (2.0 * z), z - 1.0), ((1.0 - alpha) / (2.0 * z), alpha - 1.0),
+                ):
+                    f_in = _ref_condition_operator(rho.matrix, sigma.matrix, alpha, z, outer_exp, core_exp)
+                    f_out = _ref_condition_operator(r_out, s_out, alpha, z, outer_exp, core_exp)
+                    norms.append(float(np.linalg.norm(f_in - adjoint_apply(c, hermitize(f_out)).matrix)))
+                assert (res.chehade_residual, res.zhang_residual) == tuple(norms), (label, alpha, z)
+
+    def test_eigensolve_budget_per_report(self, monkeypatch):
+        # rho and sigma arrive as plain arrays, so all four operators of the
+        # report (rho, sigma and both images) are eigensolved inside it.
+        from _fixtures import count_eigh
+
+        c = depolarizing(4, 0.3)
+        g = gen(591)
+        rho, sigma = random_positive(g, 4).matrix, random_positive(g, 4).matrix
+        expected = {"relative_entropy": 4, "fidelity": 8, "sandwiched_renyi": 6, "alpha_z": 6,
+                    "f_divergence": 4}
+        for m in measure_suite():
+            calls = count_eigh(monkeypatch)
+            build_report(m, c, rho, sigma)
+            assert len(calls) == expected[m.family] <= 8, m
+            monkeypatch.undo()
