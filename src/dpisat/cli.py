@@ -46,6 +46,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import io
 import itertools
 import json
@@ -308,17 +309,22 @@ def _load_scenarios(file_path: str, flags) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _execute_scenario(sc: Scenario, dump_matrices: bool) -> dict:
-    checks_out = {}
-    report = {
+def _report_header(sc: Scenario, **fields) -> dict:
+    """The fields every report of ``sc`` starts with, then ``fields``."""
+    return {
         "schema_version": "v1",
         "name": sc.name,
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "measure": measure_to_json(sc.measure),
-        "tolerances": {"gap_tol": sc.gap_tol, "residual_tol": sc.residual_tol},
-        "seeds": sc.seeds,
-        "grad2_method": grad2_method(sc.measure),
+        **fields,
     }
+
+
+def _execute_scenario(sc: Scenario, dump_matrices: bool) -> dict:
+    checks_out = {}
+    tolerances = {"gap_tol": sc.gap_tol, "residual_tol": sc.residual_tol}
+    report = _report_header(sc, tolerances=tolerances, seeds=sc.seeds,
+                            grad2_method=grad2_method(sc.measure))
 
     full = sc.rho_positive is not None
     gap = gap_error = core = images = None
@@ -359,13 +365,8 @@ def _execute_scenario(sc: Scenario, dump_matrices: bool) -> dict:
         elif check == "gap":
             detail["value"] = gap
             passed = gap >= -sc.gap_tol
-        elif check == "residual1":
-            norm = report["residual1_frobenius"]
-            detail["norm"] = norm
-            passed = (not saturated_here) or norm <= sc.residual_tol
-        elif check == "residual2":
-            norm = report["residual2_frobenius"]
-            detail["norm"] = norm
+        elif check in ("residual1", "residual2"):
+            detail["norm"] = norm = report[f"{check}_frobenius"]
             passed = (not saturated_here) or norm <= sc.residual_tol
         elif check == "converse":
             try:
@@ -502,15 +503,7 @@ def _cmd_run(args) -> int:
         try:
             report = _execute_scenario(sc, dump_matrices=args.dump_matrices)
         except (ValueError, RuntimeError) as exc:
-            report = {
-                "schema_version": "v1",
-                "name": sc.name,
-                "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-                "measure": measure_to_json(sc.measure),
-                "error": str(exc),
-                "passed": False,
-                "checks": {},
-            }
+            report = _report_header(sc, error=str(exc), passed=False, checks={})
         out_path = os.path.join(args.out, _report_filename(sc.name))
         _write_atomic(out_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
         status = "PASS" if report["passed"] else "FAIL"
@@ -576,15 +569,13 @@ def _cmd_sweep(args) -> int:
             "grid", f"{args.measure} sweep needs axes {required}, got {axis_names}"
         )
     channel = _operand_from_arg(args.channel, channel_from_json, "channel")
-    rho_arr, _ = _operand_from_arg(
-        args.rho, lambda o, p: _state_from_json(o, p, flags.seed_override), "rho"
-    )
-    sigma_arr, _ = _operand_from_arg(
-        args.sigma, lambda o, p: _state_from_json(o, p, flags.seed_override), "sigma"
-    )
+    def state(obj, path):
+        return _state_from_json(obj, path, flags.seed_override)[0]
+
+    rho_arr = _operand_from_arg(args.rho, state, "rho")
+    sigma_arr = _operand_from_arg(args.sigma, state, "sigma")
     try:
-        rho = PositiveOperator(HermitianOperator(rho_arr))
-        sigma = PositiveOperator(HermitianOperator(sigma_arr))
+        rho, sigma = PositiveOperator(rho_arr), PositiveOperator(sigma_arr)
     except (ValueError, PositivityError) as exc:
         raise SchemaError("states", str(exc)) from exc
 
@@ -620,7 +611,9 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on first use, once per process; each parse gets a new namespace."""
     parser = argparse.ArgumentParser(
         prog="dpisat",
         description="Distinguishability measures, matrix gradients, and "
@@ -654,8 +647,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SchemaError as exc:

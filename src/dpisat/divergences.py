@@ -40,12 +40,14 @@ from .linalg import (
     PositivityError,
     PsdOperator,
     SchemaError,
+    _as_positive,
+    _as_psd,
     _logm,
     _number,
     _powm,
     _scalar_values,
     _spectral,
-    as_matrix,
+    _symmetrized,
     clustered_eigensystem,
     hermitize,
 )
@@ -229,24 +231,11 @@ class MeasureSpec:
         )
 
 
-def _coerce_positive(x, what: str) -> PositiveOperator:
-    if isinstance(x, PositiveOperator):
-        return x
-    try:
-        return PositiveOperator(x if isinstance(x, HermitianOperator) else HermitianOperator(as_matrix(x)))
-    except PositivityError as exc:
-        raise PositivityError(f"{what}: {exc}") from exc
-
-
 def _checked_pair(rho, sigma) -> "_Pair":
-    sigma = _coerce_positive(sigma, "sigma")
+    sigma = _as_positive(sigma, "sigma")
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: rho is {rho.dim}, sigma is {sigma.dim}")
     return _Pair(rho, sigma)
-
-
-def _sym(arr: np.ndarray) -> np.ndarray:
-    return (arr + arr.conj().T) / 2.0
 
 
 class _Pair:
@@ -270,7 +259,7 @@ class _Pair:
             else:
                 wr, vr = self.rho.eigensystem
                 r = _spectral(vr, np.maximum(wr, 0.0) ** p)
-            self._cores[key] = s_g, HermitianOperator._exact(_sym(s_g @ r @ s_g))
+            self._cores[key] = s_g, HermitianOperator._exact(_symmetrized(s_g @ r @ s_g))
         return self._cores[key]
 
     def core_power(self, gamma: float, p: float | None, outer: float, exponent: float) -> np.ndarray:
@@ -330,7 +319,7 @@ def _value(m: MeasureSpec, pt: _Pair) -> float:
 
 def evaluate(m: MeasureSpec, rho, sigma) -> float:
     """Value of the measure on two strictly positive operators."""
-    return _value(m, _checked_pair(_coerce_positive(rho, "rho"), sigma))
+    return _value(m, _checked_pair(_as_positive(rho, "rho"), sigma))
 
 
 def evaluate_psd(m: MeasureSpec, rho: PsdOperator, sigma) -> float:
@@ -341,7 +330,7 @@ def evaluate_psd(m: MeasureSpec, rho: PsdOperator, sigma) -> float:
     through zero-preserving powers, f-divergences through ``f(0+)`` where it
     exists.
     """
-    return _value(m, _checked_pair(rho if isinstance(rho, PsdOperator) else PsdOperator(rho), sigma))
+    return _value(m, _checked_pair(_as_psd(rho), sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +384,7 @@ def _grad1(m: MeasureSpec, pt: _Pair) -> HermitianOperator:
             core = pt.core_power(gamma, 1.0, gamma, alpha - 1.0)
             return hermitize(alpha / ((alpha - 1.0) * trace) * core)
         trace = float(np.sum(wx ** z))
-        w = _sym(pt.core_power(gamma, alpha / z, gamma, z - 1.0))
+        w = _symmetrized(pt.core_power(gamma, alpha / z, gamma, z - 1.0))
         deriv = frechet_derivative(rho, w, power(alpha / z))
         return hermitize(z / ((alpha - 1.0) * trace) * deriv.matrix)
     return _fdiv_grad(m.f_pair, pt, 1)
@@ -422,13 +411,13 @@ def _grad2(m: MeasureSpec, pt: _Pair) -> HermitianOperator:
 
 def grad1(m: MeasureSpec, rho, sigma) -> HermitianOperator:
     """Matrix gradient of the measure with respect to its first argument."""
-    return _grad1(m, _checked_pair(_coerce_positive(rho, "rho"), sigma))
+    return _grad1(m, _checked_pair(_as_positive(rho, "rho"), sigma))
 
 
 def grad2(m: MeasureSpec, rho, sigma) -> HermitianOperator:
     """Matrix gradient with respect to the second argument, in closed form
     for every family."""
-    return _grad2(m, _checked_pair(_coerce_positive(rho, "rho"), sigma))
+    return _grad2(m, _checked_pair(_as_positive(rho, "rho"), sigma))
 
 
 def grad2_method(m: MeasureSpec) -> str:
@@ -458,12 +447,12 @@ def scaling_check(m: MeasureSpec, rho, sigma, k: float, k_prime: float) -> Scali
         raise ValueError("scaling_check applies to the Renyi families only")
     if not (k > 0.0 and k_prime > 0.0):
         raise ValueError("scale factors must be strictly positive")
-    rho = _coerce_positive(rho, "rho")
-    sigma = _coerce_positive(sigma, "sigma")
+    rho = _as_positive(rho, "rho")
+    sigma = _as_positive(sigma, "sigma")
     lhs = evaluate(
         m,
-        PositiveOperator(HermitianOperator(k * rho.matrix)),
-        PositiveOperator(HermitianOperator(k_prime * sigma.matrix)),
+        PositiveOperator(hermitize(k * rho.matrix)),
+        PositiveOperator(hermitize(k_prime * sigma.matrix)),
     )
     rhs = (
         evaluate(m, rho, sigma)

@@ -1,12 +1,13 @@
 """Validated complex Hermitian matrix types, clustered spectral
 decompositions, and matrix functions of Hermitian operators.
 
-Matrices are dense ``complex128`` arrays. Hermitian inputs are stored in
-symmetrized form ``(A + A^H) / 2`` after an entrywise tolerance check, so
-downstream code never re-validates Hermiticity. Eigenvalues that agree up
-to a relative tolerance are merged into a single cluster before any
-divided-difference formula is evaluated, which prevents catastrophic
-cancellation for near-degenerate spectra.
+Matrices are dense ``complex128`` arrays stored as ``(A + A^H) / 2``.
+Inputs are validated where they enter: JSON decoding and the public
+constructors. A matrix the library has computed passes :func:`hermitize`,
+one fused roundoff check that hands what it rejects to the validating
+constructor. Eigenvalues that agree up to a relative tolerance are merged
+into a single cluster before any divided-difference formula is evaluated,
+which prevents catastrophic cancellation for near-degenerate spectra.
 
 Each operator solves its eigensystem on first use, keeps it read-only and
 shares it with every spectral function of it, so it is eigensolved at most
@@ -112,7 +113,7 @@ def _validated_square(arr: np.ndarray, what: str) -> np.ndarray:
     arr = np.asarray(arr, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise ValueError(f"{what} must be a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} has non-finite entries")
     return arr
 
@@ -130,22 +131,23 @@ class HermitianOperator:
 
     def __post_init__(self):
         arr = _validated_square(as_matrix(self.matrix), "HermitianOperator")
-        dev = float(np.max(np.abs(arr - arr.conj().T)))
+        adj = arr.conj().T
+        dev = float(np.max(np.abs(arr - adj)))
         if dev > self.herm_tol:
             raise HermiticityError(
                 f"matrix deviates from Hermiticity by {dev:.3e} > tol {self.herm_tol:.3e}"
             )
-        sym = (arr + arr.conj().T) / 2.0
+        sym = _symmetrized(arr, adj)
         sym.setflags(write=False)
         object.__setattr__(self, "matrix", sym)
 
     @classmethod
-    def _exact(cls, sym: np.ndarray) -> "HermitianOperator":
+    def _exact(cls, sym: np.ndarray, herm_tol: float = DEFAULT_HERM_TOL) -> "HermitianOperator":
         """Wrap an exactly Hermitian ``(A + A^H)/2`` without checking it again."""
         op = object.__new__(cls)
         sym.setflags(write=False)
         object.__setattr__(op, "matrix", sym)
-        object.__setattr__(op, "herm_tol", DEFAULT_HERM_TOL)
+        object.__setattr__(op, "herm_tol", herm_tol)
         return op
 
     @property
@@ -164,16 +166,30 @@ class HermitianOperator:
         return float(np.linalg.norm(self.matrix))
 
 
+def _symmetrized(arr: np.ndarray, adj: np.ndarray | None = None) -> np.ndarray:
+    """``(arr + arr^H) / 2``, given ``adj = arr^H`` if formed; ``*= 0.5`` is ``/ 2`` bit for bit."""
+    sym = arr + (arr.conj().T if adj is None else adj)
+    sym *= 0.5
+    return sym
+
+
 def hermitize(matrix, rel_tol: float = 1e-8) -> HermitianOperator:
     """Wrap a computed matrix as Hermitian, tolerating roundoff-size skew.
 
     The allowed deviation scales with the largest entry, so results of long
     floating-point pipelines are accepted while genuinely non-Hermitian
-    values still raise.
+    values still raise, from the validating constructor that gets every
+    matrix this fused check rejects.
     """
     arr = np.asarray(as_matrix(matrix), dtype=np.complex128)
     scale = float(np.max(np.abs(arr))) if arr.size else 1.0
-    return HermitianOperator(arr, herm_tol=rel_tol * max(1.0, scale))
+    herm_tol = rel_tol * max(1.0, scale)
+    # A finite largest entry rules out NaN and infinities.
+    if arr.ndim == 2 and arr.shape[0] == arr.shape[1] and arr.size and scale < math.inf:
+        adj = arr.conj().T
+        if float(np.max(np.abs(arr - adj))) <= herm_tol:
+            return HermitianOperator._exact(_symmetrized(arr, adj), herm_tol)
+    return HermitianOperator(arr, herm_tol=herm_tol)
 
 
 def _eigh(matrix: np.ndarray):
@@ -190,6 +206,12 @@ class _View:
     dim = property(lambda self: self.op.dim)
     eigensystem = property(lambda self: self.op.eigensystem)
 
+    def _hermitian_op(self) -> HermitianOperator:
+        """``op``, first validated into a :class:`HermitianOperator` if it is not one."""
+        if not isinstance(self.op, HermitianOperator):
+            object.__setattr__(self, "op", HermitianOperator(self.op))
+        return self.op
+
 
 @dataclass(frozen=True, eq=False)
 class PositiveOperator(_View):
@@ -203,11 +225,7 @@ class PositiveOperator(_View):
     min_eigenvalue: float = field(init=False)
 
     def __post_init__(self):
-        op = self.op
-        if not isinstance(op, HermitianOperator):
-            op = HermitianOperator(op)
-            object.__setattr__(self, "op", op)
-        w = op.eigensystem[0]
+        w = self._hermitian_op().eigensystem[0]
         if w[0] <= 0.0:
             raise PositivityError(
                 f"operator is not strictly positive (min eigenvalue {w[0]:.3e})"
@@ -233,11 +251,7 @@ class PsdOperator(_View):
     eigenvectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        op = self.op
-        if not isinstance(op, HermitianOperator):
-            op = HermitianOperator(op)
-            object.__setattr__(self, "op", op)
-        w, v = op.eigensystem
+        w, v = self._hermitian_op().eigensystem
         if w[0] < -self.zero_tol:
             raise PositivityError(
                 f"operator has eigenvalue {w[0]:.3e} below -zero_tol; not PSD"
@@ -392,6 +406,18 @@ def matrix_function(A, f, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Hermitian
 
 def _as_psd(A) -> PsdOperator:
     return A if isinstance(A, PsdOperator) else PsdOperator(A)
+
+
+def _as_positive(x, what: str,
+                 error=lambda what, exc: PositivityError(f"{what}: {exc}")) -> PositiveOperator:
+    """``x`` as a :class:`PositiveOperator`; an array is validated here. A
+    :class:`PositivityError` is raised as ``error(what, exc)`` instead."""
+    if isinstance(x, PositiveOperator):
+        return x
+    try:
+        return PositiveOperator(x)
+    except PositivityError as exc:
+        raise error(what, exc) from exc
 
 
 def log_cross(A) -> HermitianOperator:

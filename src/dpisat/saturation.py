@@ -50,6 +50,8 @@ from .linalg import (
     PositiveOperator,
     PositivityError,
     PsdOperator,
+    _as_positive,
+    _as_psd,
     _eigh,
     _logm,
     _powm,
@@ -101,30 +103,21 @@ class ConverseViolationError(AssertionError):
     """The residual vanished but the gap did not, for a scaling-law family."""
 
 
-def _positive_or_boundary(x, what: str) -> PositiveOperator:
-    if isinstance(x, PositiveOperator):
-        return x
-    try:
-        return PositiveOperator(x if isinstance(x, HermitianOperator) else HermitianOperator(as_matrix(x)))
-    except PositivityError as exc:
-        raise BoundaryCaseError(
-            f"{what} is not strictly positive ({exc}); "
-            "use the boundary_residual operations for rank-deficient states"
-        ) from exc
-
-
-def _channel_images(ch: KrausChannel, rho: PositiveOperator, sigma: PositiveOperator):
-    rho_out = _positive_or_boundary(apply(ch, rho.op), "channel image of rho")
-    sigma_out = _positive_or_boundary(apply(ch, sigma.op), "channel image of sigma")
-    return rho_out, sigma_out
+def _boundary_case(what: str, exc: PositivityError) -> BoundaryCaseError:
+    return BoundaryCaseError(
+        f"{what} is not strictly positive ({exc}); "
+        "use the boundary_residual operations for rank-deficient states"
+    )
 
 
 def _pairs(ch: KrausChannel, rho, sigma):
     """The pairs ``(rho, sigma)`` and ``(L(rho), L(sigma))``, all strictly
     positive, for every quantity derived from them."""
-    rho = _positive_or_boundary(rho, "rho")
-    sigma = _positive_or_boundary(sigma, "sigma")
-    return _Pair(rho, sigma), _Pair(*_channel_images(ch, rho, sigma))
+    rho = _as_positive(rho, "rho", _boundary_case)
+    sigma = _as_positive(sigma, "sigma", _boundary_case)
+    rho_out = _as_positive(apply(ch, rho.op), "channel image of rho", _boundary_case)
+    sigma_out = _as_positive(apply(ch, sigma.op), "channel image of sigma", _boundary_case)
+    return _Pair(rho, sigma), _Pair(rho_out, sigma_out)
 
 
 def _gap(m: MeasureSpec, pt: _Pair, pt_out: _Pair) -> float:
@@ -146,10 +139,10 @@ def dpi_gap(m: MeasureSpec, ch: KrausChannel, rho, sigma) -> float:
 def _boundary_images(ch: KrausChannel, rho, sigma):
     """``(rho, sigma, L(rho), L(sigma))`` for a PSD rho: rho and its image as
     :class:`PsdOperator`, sigma and its image strictly positive."""
-    rho = rho if isinstance(rho, PsdOperator) else PsdOperator(rho)
-    sigma = _positive_or_boundary(sigma, "sigma")
+    rho = _as_psd(rho)
+    sigma = _as_positive(sigma, "sigma", _boundary_case)
     rho_out = PsdOperator(apply(ch, rho.op))
-    sigma_out = _positive_or_boundary(apply(ch, sigma.op), "channel image of sigma")
+    sigma_out = _as_positive(apply(ch, sigma.op), "channel image of sigma", _boundary_case)
     return rho, sigma, rho_out, sigma_out
 
 
@@ -231,7 +224,7 @@ def _verify_scaling_law(m: MeasureSpec, rho: PositiveOperator, sigma: PositiveOp
 
 
 def _scale(op: PositiveOperator, k: float) -> PositiveOperator:
-    return PositiveOperator(HermitianOperator(k * op.matrix))
+    return PositiveOperator(hermitize(k * op.matrix))
 
 
 def _require_scaling_law(m: MeasureSpec, rho: PositiveOperator, sigma: PositiveOperator) -> None:
@@ -276,10 +269,10 @@ def converse_certificate(
     images are taken. A small residual with a large gap raises
     :class:`ConverseViolationError`.
     """
-    rho = _positive_or_boundary(rho, "rho")
-    sigma = _positive_or_boundary(sigma, "sigma")
+    rho = _as_positive(rho, "rho", _boundary_case)
+    sigma = _as_positive(sigma, "sigma", _boundary_case)
     _require_scaling_law(m, rho, sigma)
-    pt, pt_out = _Pair(rho, sigma), _Pair(*_channel_images(ch, rho, sigma))
+    pt, pt_out = _pairs(ch, rho, sigma)
     r1 = frobenius(_residual(_grad1, m, ch, pt, pt_out))
     return _converse_verdict(r1, _gap(m, pt, pt_out), residual_tol, gap_tol)
 
@@ -292,7 +285,7 @@ def converse_certificate(
 def tangent_project(rho: PsdOperator, M) -> HermitianOperator:
     """Project onto the tangent space at a PSD operator:
     ``M - (1 - P) M (1 - P)`` with P the support projector."""
-    rho = rho if isinstance(rho, PsdOperator) else PsdOperator(rho)
+    rho = _as_psd(rho)
     m = as_matrix(M)
     if m.shape != rho.matrix.shape:
         raise ValueError(f"dimension mismatch: {m.shape} vs {rho.matrix.shape}")
@@ -320,7 +313,7 @@ def _kernel_operator_basis(rho: PsdOperator):
 def tangent_membership(rho: PsdOperator, M, tol: float = 1e-10) -> bool:
     """Whether M is orthogonal (Hilbert-Schmidt) to every operator acting on
     the kernel of rho, i.e. tangent to the PSD cone at rho."""
-    rho = rho if isinstance(rho, PsdOperator) else PsdOperator(rho)
+    rho = _as_psd(rho)
     m = as_matrix(M)
     for b in _kernel_operator_basis(rho):
         if abs(hs_inner(m, b)) > tol:
@@ -334,7 +327,7 @@ def tangent_space_rank(rho: PsdOperator, tol: float = 1e-8) -> int:
     Equals ``n**2 - k**2`` for an n-dimensional operator with a
     k-dimensional kernel.
     """
-    rho = rho if isinstance(rho, PsdOperator) else PsdOperator(rho)
+    rho = _as_psd(rho)
     n = rho.dim
     basis = np.array([b.matrix for b in hermitian_basis(n)])
     q = np.eye(n) - zeroth_power(rho).matrix
@@ -484,7 +477,7 @@ def petz_map(sigma, ch: KrausChannel) -> KrausChannel:
     Satisfies ``R(L(s)) = s`` identically, and recovers any rho on which the
     channel saturates the data processing inequality.
     """
-    sigma = _positive_or_boundary(sigma, "sigma")
+    sigma = _as_positive(sigma, "sigma", _boundary_case)
     try:
         sigma_out = PositiveOperator(apply(ch, sigma.op))
     except PositivityError as exc:

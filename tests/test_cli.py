@@ -473,3 +473,116 @@ class TestRandomStateBuilder:
         for seed in range(5):
             w = np.linalg.eigvalsh(random_positive_state(4, seed))
             assert w[0] >= 0.1 - 1e-12
+
+
+class TestParserOncePerProcess:
+    """``main`` builds its parser once per process; every call still parses
+    its own arguments and reads the environment afresh."""
+
+    def test_same_parser_on_every_call(self, tmp_path):
+        from dpisat.cli import _build_parser
+
+        scen = tmp_path / "scen.json"
+        write_scenarios(scen, [DEPOLARIZING_SCENARIO])
+        assert main(["validate", str(scen)]) == 0
+        parser = _build_parser()
+        assert main(["validate", str(scen)]) == 0
+        assert _build_parser() is parser
+
+    def test_tolerance_flags_do_not_leak_into_next_call(self, tmp_path):
+        scen = tmp_path / "scen.json"
+        write_scenarios(scen, [DEPOLARIZING_SCENARIO])
+        runs = (
+            ["--tol-gap", "0.5", "--tol-residual", "0.25"],
+            [],
+            ["--tol-residual", "0.125"],
+            [],
+        )
+        tolerances = []
+        for i, extra in enumerate(runs):
+            out = tmp_path / f"out{i}"
+            assert main(["run", str(scen), "--out", str(out)] + extra) == 0
+            tolerances.append(load_report(out, "depolarizing-gap")["tolerances"])
+        assert tolerances == [
+            {"gap_tol": 0.5, "residual_tol": 0.25},
+            {"gap_tol": 1e-8, "residual_tol": 1e-8},
+            {"gap_tol": 1e-8, "residual_tol": 0.125},
+            {"gap_tol": 1e-8, "residual_tol": 1e-8},
+        ]
+
+    def test_allow_non_dpi_does_not_leak_into_next_call(self, tmp_path, capsys):
+        scen = tmp_path / "scen.json"
+        loose = dict(RANDOM_SCENARIO)
+        loose["name"] = "loose"
+        loose["measure"] = {"family": "alpha_z", "alpha": 1.5, "z": 0.5}
+        loose["checks"] = ["residual1"]
+        write_scenarios(scen, [loose])
+        assert main(["run", str(scen), "--out", str(tmp_path / "a"), "--allow-non-dpi"]) == 0
+        assert load_report(tmp_path / "a", "loose")["measure"]["allow_non_dpi"] is True
+        capsys.readouterr()
+        assert main(["run", str(scen), "--out", str(tmp_path / "b")]) == 2
+        assert "measure" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    def test_seed_environment_read_on_every_call(self, tmp_path, monkeypatch):
+        scen = tmp_path / "scen.json"
+        write_scenarios(scen, [RANDOM_SCENARIO])
+        seeds = []
+        for i, env in enumerate(("777", None, "778")):
+            if env is None:
+                monkeypatch.delenv("DPISAT_SEED", raising=False)
+            else:
+                monkeypatch.setenv("DPISAT_SEED", env)
+            out = tmp_path / f"out{i}"
+            assert main(["run", str(scen), "--out", str(out)]) == 0
+            seeds.append(load_report(out, "random-alphaz")["seeds"])
+        assert seeds == [
+            {"rho": 777, "sigma": 777},
+            {"rho": 42, "sigma": 43},
+            {"rho": 778, "sigma": 778},
+        ]
+
+    def test_usage_error_exits_two_and_next_call_works(self, tmp_path, capsys):
+        scen = tmp_path / "scen.json"
+        write_scenarios(scen, [DEPOLARIZING_SCENARIO])
+        usage_errors = (
+            ["run", str(scen)],
+            ["frobnicate"],
+            ["run", str(scen), "--out", "o", "--tol-gap", "x"],
+        )
+        for argv in usage_errors:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "usage: dpisat" in capsys.readouterr().err
+            out = tmp_path / "out"
+            assert main(["run", str(scen), "--out", str(out)]) == 0
+            assert load_report(out, "depolarizing-gap")["tolerances"]["gap_tol"] == 1e-8
+
+    def test_import_builds_no_parser(self):
+        import subprocess
+        import sys
+
+        import dpisat
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dpisat.__file__)))
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import dpisat.cli as c\n"
+            "print(len(built), c._build_parser.cache_info().currsize)\n"
+            "c._build_parser(); c._build_parser()\n"
+            "print(len(built), c._build_parser.cache_info().currsize)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        # None at import; then one top-level parser and its three subcommand
+        # parsers, built once.
+        assert done.stdout.split() == ["0", "0", "4", "1"]

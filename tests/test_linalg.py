@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from dpisat.linalg import (
     SchemaError,
     clustered_eigensystem,
     frobenius,
+    hermitize,
     hs_inner,
     log_cross,
     matrix_from_json,
@@ -123,6 +126,80 @@ class TestCachedEigensystem:
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(EigensolverError, match="did not converge"):
             PositiveOperator(op)
+
+
+class TestHermitize:
+    """Computed matrices are wrapped after one fused roundoff check; every
+    input that check rejects reaches the validating constructor and raises
+    its error and message."""
+
+    @staticmethod
+    def _validated(arr, rel_tol=1e-8):
+        scale = float(np.max(np.abs(arr)))
+        return HermitianOperator(arr, herm_tol=rel_tol * max(1.0, scale))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_bytes_as_validated_constructor(self, seed):
+        g = gen(160 + seed)
+        n = 2 + 2 * seed
+        a = random_hermitian(g, n).matrix
+        b = random_positive(g, n).matrix
+        computed = a @ b @ a  # Hermitian up to roundoff-size skew
+        noise = g.normal(size=(n, n)) + 1j * g.normal(size=(n, n))
+        for arr in (a, b, computed, computed * 1e9, a + 1e-9 * noise, a.real.copy()):
+            ref = self._validated(arr)
+            op = hermitize(arr)
+            assert op.matrix.dtype == ref.matrix.dtype
+            assert op.matrix.tobytes() == ref.matrix.tobytes()
+            assert op.herm_tol == ref.herm_tol
+            assert not op.matrix.flags.writeable
+            assert not np.shares_memory(op.matrix, arr)
+
+    def test_roundoff_skew_is_symmetrized(self):
+        g = gen(165)
+        a, b = random_hermitian(g, 5).matrix, random_positive(g, 5).matrix
+        computed = a @ b @ a
+        assert not np.array_equal(computed, computed.conj().T)
+        op = hermitize(computed)
+        assert np.array_equal(op.matrix, op.matrix.conj().T)
+        assert np.all(op.matrix.diagonal().imag == 0.0)
+
+    def test_skew_beyond_tolerance_raises(self):
+        a = np.array([[1.0, 0.5], [0.0, 2.0]], dtype=complex)
+        with pytest.raises(
+            HermiticityError,
+            match=r"^matrix deviates from Hermiticity by 5\.000e-01 > tol 2\.000e-08$",
+        ):
+            hermitize(a)
+        big = 1e6 * a
+        with pytest.raises(
+            HermiticityError,
+            match=r"^matrix deviates from Hermiticity by 5\.000e\+05 > tol 2\.000e-02$",
+        ):
+            hermitize(big)
+
+    @pytest.mark.parametrize(
+        "arr",
+        [
+            np.array([[np.nan, 0], [0, 1]], dtype=complex),
+            np.array([[1, complex(0, np.nan)], [0, 1]], dtype=complex),
+            np.array([[np.inf, 0], [0, 1]], dtype=complex),
+            # A lone infinite entry off the diagonal: its deviation and the
+            # scale are both inf, so the tolerance test alone would pass it.
+            np.array([[1, np.inf], [0, 1]], dtype=complex),
+            np.array([[1, np.inf], [np.inf, 1]], dtype=complex),
+            np.array([[1, complex(np.inf, np.nan)], [0, 1]], dtype=complex),
+        ],
+    )
+    def test_non_finite_raises(self, arr):
+        with pytest.raises(ValueError, match=r"^HermitianOperator has non-finite entries$"):
+            hermitize(arr)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (0, 0), (2, 2, 2)])
+    def test_non_square_raises(self, shape):
+        pattern = rf"^HermitianOperator must be a square matrix, got shape {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=pattern):
+            hermitize(np.ones(shape, dtype=complex))
 
 
 class TestSpectralDecompose:

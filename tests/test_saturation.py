@@ -745,3 +745,43 @@ class TestSharedSpectralCores:
             build_report(m, c, rho, sigma)
             assert len(calls) == expected[m.family] <= 8, m
             monkeypatch.undo()
+
+
+class TestValidationAtBoundary:
+    """Inputs are validated where they enter the library; what a report
+    computes from validated operators is wrapped through the trusted path."""
+
+    @staticmethod
+    def _count_validations(monkeypatch) -> list:
+        """Record the ``what`` of every validating construction."""
+        import dpisat.linalg as la
+
+        whats = []
+        validated = la._validated_square
+
+        def counted(arr, what):
+            whats.append(what)
+            return validated(arr, what)
+
+        monkeypatch.setattr(la, "_validated_square", counted)
+        return whats
+
+    def test_report_on_operators_validates_nothing(self, monkeypatch):
+        c = depolarizing(4, 0.3)
+        g = gen(592)
+        rho, sigma = random_positive(g, 4), random_positive(g, 4)
+        whats = self._count_validations(monkeypatch)
+        for m in measure_suite():
+            build_report(m, c, rho, sigma)
+        assert whats == []
+        # The count sees a validated construction, so zero is not vacuous.
+        HermitianOperator(rho.matrix)
+        assert whats == ["HermitianOperator"]
+
+    def test_array_inputs_are_validated_once_each(self, monkeypatch):
+        c = depolarizing(3, 0.4)
+        g = gen(593)
+        rho, sigma = random_positive(g, 3).matrix, random_positive(g, 3).matrix
+        whats = self._count_validations(monkeypatch)
+        build_report(MeasureSpec.relative_entropy(), c, rho, sigma)
+        assert whats == ["HermitianOperator"] * 2
