@@ -77,14 +77,15 @@ from .linalg import (
 from .saturation import (
     DEFAULT_GAP_TOL,
     DEFAULT_RESIDUAL_TOL,
+    _SCALING_LAW_FAMILIES,
     ConverseViolationError,
     _alpha_z_crosscheck,
-    _boundary_gap,
-    _boundary_images,
     _boundary_residual_general,
     _boundary_residual_relent,
     _converse_verdict,
+    _gap,
     _hiai_residual,
+    _pairs,
     _require_scaling_law,
     build_report,
     report_to_json,
@@ -102,7 +103,6 @@ KNOWN_CHECKS = (
     "tangent",
 )
 
-_CONVERSE_FAMILIES = ("relative_entropy", "fidelity", "sandwiched_renyi", "alpha_z")
 _CROSSCHECK_FAMILIES = ("alpha_z", "sandwiched_renyi")
 _FULL_RANK_CHECKS = ("residual1", "residual2", "petz", "converse", "alpha_z_crosscheck")
 # Checks judged against the gap: they fail alone when it cannot be evaluated.
@@ -116,7 +116,6 @@ class Scenario:
     channel: KrausChannel
     rho: PsdOperator
     sigma: PositiveOperator
-    rho_positive: PositiveOperator | None
     checks: list
     gap_tol: float = DEFAULT_GAP_TOL
     residual_tol: float = DEFAULT_RESIDUAL_TOL
@@ -186,7 +185,7 @@ def _tolerances_from_json(obj, path: str):
 
 def _validate_checks(sc: Scenario, path: str):
     """Every requested check must apply to the (measure, state-rank) combo."""
-    full_rank = sc.rho_positive is not None
+    full_rank = sc.rho.rank == sc.rho.dim
     family = sc.measure.family
     for i, check in enumerate(sc.checks):
         cpath = f"{path}.checks[{i}]"
@@ -198,7 +197,7 @@ def _validate_checks(sc: Scenario, path: str):
             raise SchemaError(
                 cpath, "gap with rank-deficient rho is only defined for relative_entropy"
             )
-        if check == "converse" and family not in _CONVERSE_FAMILIES:
+        if check == "converse" and family not in _SCALING_LAW_FAMILIES:
             raise SchemaError(cpath, f"'converse' needs a scaling-law family, not {family!r}")
         if check == "alpha_z_crosscheck" and family not in _CROSSCHECK_FAMILIES:
             raise SchemaError(
@@ -239,10 +238,6 @@ def _build_scenario(obj, path: str, flags) -> Scenario:
     except (ValueError, PositivityError) as exc:
         raise SchemaError(f"{path}.sigma", str(exc)) from exc
 
-    rho_positive = None
-    if rho_psd.rank == rho_psd.dim:
-        rho_positive = PositiveOperator(rho_psd.op)
-
     if rho_psd.dim != sigma.dim:
         raise SchemaError(f"{path}.sigma", f"sigma dim {sigma.dim} != rho dim {rho_psd.dim}")
     if channel.dim_in != rho_psd.dim:
@@ -271,7 +266,6 @@ def _build_scenario(obj, path: str, flags) -> Scenario:
         channel=channel,
         rho=rho_psd,
         sigma=sigma,
-        rho_positive=rho_positive,
         checks=list(checks),
         gap_tol=gap_tol,
         residual_tol=residual_tol,
@@ -326,23 +320,21 @@ def _execute_scenario(sc: Scenario, dump_matrices: bool) -> dict:
     report = _report_header(sc, tolerances=tolerances, seeds=sc.seeds,
                             grad2_method=grad2_method(sc.measure))
 
-    full = sc.rho_positive is not None
-    gap = gap_error = core = images = None
-    if full:
+    gap = gap_error = core = pairs = None
+    if sc.rho.rank == sc.rho.dim:
         # Petz errors need an invertible channel image of sigma; only
         # evaluate them when the scenario asks for them.
         core = build_report(
-            sc.measure, sc.channel, sc.rho_positive, sc.sigma,
+            sc.measure, sc.channel, PositiveOperator(sc.rho), sc.sigma,
             gap_tol=sc.gap_tol, residual_tol=sc.residual_tol,
             with_petz="petz" in sc.checks,
         )
-        gap = core.gap
+        gap, pairs = core.gap, core.pairs
         report.update(report_to_json(core, include_matrices=dump_matrices))
-        images = (sc.rho, sc.sigma, PsdOperator(core.rho_out.op), core.sigma_out)
     else:
         try:
-            images = _boundary_images(sc.channel, sc.rho, sc.sigma)
-            gap = _boundary_gap(sc.measure, *images)
+            pairs = _pairs(sc.channel, sc.rho, sc.sigma, boundary=True)
+            gap = _gap(sc.measure, *pairs)
         except (ValueError, RuntimeError) as exc:
             gap_error = f"gap could not be evaluated: {exc}"
         report.update(
@@ -370,7 +362,7 @@ def _execute_scenario(sc: Scenario, dump_matrices: bool) -> dict:
             passed = (not saturated_here) or norm <= sc.residual_tol
         elif check == "converse":
             try:
-                _require_scaling_law(sc.measure, sc.rho_positive, sc.sigma)
+                _require_scaling_law(sc.measure, core.pairs[0])
                 cert = _converse_verdict(
                     core.residual1_frobenius, core.gap, sc.residual_tol, sc.gap_tol
                 )
@@ -390,7 +382,7 @@ def _execute_scenario(sc: Scenario, dump_matrices: bool) -> dict:
             detail.update({"recovery_error_rho": err_rho, "recovery_error_sigma": err_sigma})
             passed = err_sigma <= 1e-9 and ((not saturated_here) or err_rho <= 1e-7)
         elif check == "boundary":
-            passed, detail = _boundary_check(sc, saturated_here, core, images)
+            passed, detail = _boundary_check(sc, saturated_here, core, pairs)
         elif check == "alpha_z_crosscheck":
             alpha_z = sc.measure.family == "alpha_z"
             res = _alpha_z_crosscheck(
@@ -421,12 +413,13 @@ def _execute_scenario(sc: Scenario, dump_matrices: bool) -> dict:
     return report
 
 
-def _boundary_check(sc: Scenario, saturated_here: bool, core, images):
-    """Boundary residuals on the (rho, sigma, L rho, L sigma) already taken."""
+def _boundary_check(sc: Scenario, saturated_here: bool, core, pairs):
+    """Boundary residuals on the pairs ``(rho, sigma)``, ``(L rho, L sigma)``
+    already taken: the report's, or the boundary pairs of its gap."""
     detail: dict = {}
-    res_relent = _boundary_residual_relent(sc.channel, *images)
-    res_general = _boundary_residual_general(sc.measure, sc.channel, *images)
-    res_hiai = _hiai_residual(sc.channel, *images)
+    res_relent = _boundary_residual_relent(sc.channel, *pairs)
+    res_general = _boundary_residual_general(sc.measure, sc.channel, *pairs)
+    res_hiai = _hiai_residual(sc.channel, *pairs)
     detail["zeros_log_norm"] = frobenius(res_relent)
     detail["general_norm"] = frobenius(res_general)
     detail["hiai_norm"] = float(np.linalg.norm(res_hiai))

@@ -249,17 +249,28 @@ class _Pair:
 
     def core(self, gamma: float, p: float | None = None):
         """``(s^gamma, X)``, ``X = s^gamma r^p s^gamma``: the Renyi core at
-        ``p = a/z``; ``p=None`` takes r itself (the fidelity core). Zero
-        eigenvalues of a PSD rho stay exactly zero (``0**c = 0``, c > 0)."""
+        ``p = a/z``; ``p=None`` takes r itself (the fidelity core).
+
+        A PSD rho is read through its snapped spectrum, and the ``dim - rank``
+        eigenvalues of X on its kernel are exactly zero, so that no roundoff
+        there reaches a power below 1."""
         key = (gamma, p)
         if key not in self._cores:
+            rho, psd = self.rho, isinstance(self.rho, PsdOperator)
             s_g = _powm(self.sigma, gamma)
             if p is None:
-                r = self.rho.matrix
+                r = rho.matrix
             else:
-                wr, vr = self.rho.eigensystem
-                r = _spectral(vr, np.maximum(wr, 0.0) ** p)
-            self._cores[key] = s_g, HermitianOperator._exact(_symmetrized(s_g @ r @ s_g))
+                wr, vr = (rho.eigenvalues, rho.eigenvectors) if psd else rho.eigensystem
+                r = _spectral(vr, wr ** p)
+            x = HermitianOperator._exact(_symmetrized(s_g @ r @ s_g))
+            kernel = rho.dim - rho.rank if psd else 0
+            if kernel:
+                wx, vx = x.eigensystem
+                wx = np.concatenate((np.zeros(kernel), wx[kernel:]))
+                wx.setflags(write=False)
+                vars(x)["eigensystem"] = wx, vx  # seeds the cached eigensystem
+            self._cores[key] = s_g, x
         return self._cores[key]
 
     def core_power(self, gamma: float, p: float | None, outer: float, exponent: float) -> np.ndarray:
@@ -438,6 +449,29 @@ class ScalingCheck:
     rhs: float
 
 
+def _scaling_law(m: MeasureSpec, pt: _Pair, k: float, k_prime: float) -> ScalingCheck:
+    """``B(k r, k' s)`` against its value by the family's scalar-multiplication
+    law from ``B(r, s)``, which is read from the pair ``pt``:
+
+    * Renyi families: ``D(r, s) + a/(a-1) ln k - ln k'``;
+    * relative entropy: ``k D(r, s) + k tr(r) (ln k - ln k')``;
+    * fidelity: ``sqrt(k k') F(r, s)``.
+    """
+    scaled = _checked_pair(
+        PositiveOperator(hermitize(k * pt.rho.matrix)),
+        PositiveOperator(hermitize(k_prime * pt.sigma.matrix)),
+    )
+    lhs, base = _value(m, scaled), _value(m, pt)
+    if m.family == "relative_entropy":
+        tr_rho = float(np.real(np.trace(pt.rho.matrix)))
+        rhs = k * base + k * tr_rho * (math.log(k) - math.log(k_prime))
+    elif m.family == "fidelity":
+        rhs = math.sqrt(k * k_prime) * base
+    else:
+        rhs = base + m.alpha / (m.alpha - 1.0) * math.log(k) - math.log(k_prime)
+    return ScalingCheck(lhs=lhs, rhs=rhs)
+
+
 def scaling_check(m: MeasureSpec, rho, sigma, k: float, k_prime: float) -> ScalingCheck:
     """Evaluate ``D(k r, k' s)`` against ``D(r, s) + a/(a-1) ln k - ln k'``.
 
@@ -447,19 +481,7 @@ def scaling_check(m: MeasureSpec, rho, sigma, k: float, k_prime: float) -> Scali
         raise ValueError("scaling_check applies to the Renyi families only")
     if not (k > 0.0 and k_prime > 0.0):
         raise ValueError("scale factors must be strictly positive")
-    rho = _as_positive(rho, "rho")
-    sigma = _as_positive(sigma, "sigma")
-    lhs = evaluate(
-        m,
-        PositiveOperator(hermitize(k * rho.matrix)),
-        PositiveOperator(hermitize(k_prime * sigma.matrix)),
-    )
-    rhs = (
-        evaluate(m, rho, sigma)
-        + m.alpha / (m.alpha - 1.0) * math.log(k)
-        - math.log(k_prime)
-    )
-    return ScalingCheck(lhs=lhs, rhs=rhs)
+    return _scaling_law(m, _Pair(_as_positive(rho, "rho"), _as_positive(sigma, "sigma")), k, k_prime)
 
 
 # ---------------------------------------------------------------------------

@@ -98,9 +98,6 @@ def as_matrix(x) -> np.ndarray:
     m = getattr(x, "matrix", None)
     if m is not None:
         return m if isinstance(m, np.ndarray) else as_matrix(m)
-    e = getattr(x, "entries", None)
-    if e is not None:
-        return e
     return np.asarray(x, dtype=np.complex128)
 
 
@@ -207,8 +204,11 @@ class _View:
     eigensystem = property(lambda self: self.op.eigensystem)
 
     def _hermitian_op(self) -> HermitianOperator:
-        """``op``, first validated into a :class:`HermitianOperator` if it is not one."""
-        if not isinstance(self.op, HermitianOperator):
+        """``op`` as a :class:`HermitianOperator`: the one a view wraps, shared
+        with its eigensystem, else validated here."""
+        if isinstance(self.op, _View):
+            object.__setattr__(self, "op", self.op.op)
+        elif not isinstance(self.op, HermitianOperator):
             object.__setattr__(self, "op", HermitianOperator(self.op))
         return self.op
 
@@ -313,30 +313,19 @@ def _run_mean(w: np.ndarray, start: int, stop: int) -> float:
 
 
 def _cluster_groups(w: np.ndarray, tol: float):
-    """Group sorted eigenvalues into clusters separated by a relative gap.
+    """Group eigenvalues, sorted ascending, into clusters separated by a
+    relative gap.
 
     Clusters are contiguous runs of ``w``. Returns ``(starts, reps)``: the
     index where each cluster starts and its representative, the mean of its
-    members.
+    members. On sorted input a mean lies between its run's ends, so adjacent
+    representatives stay as far apart as the runs they stand for.
     """
     starts = np.flatnonzero(np.concatenate(([True], ~_too_close(w[:-1], w[1:], tol))))
     stops = np.append(starts[1:], w.size)
     reps = w[starts]
     for j in np.flatnonzero(stops - starts > 1):
         reps[j] = _run_mean(w, starts[j], stops[j])
-    # Chained merges can leave adjacent representatives closer than the
-    # separation guarantee; merge again until stable. Within a sweep a merge
-    # moves the representative that the next comparison uses.
-    while _too_close(reps[:-1], reps[1:], tol).any():
-        keep, kept_reps = [0], [reps[0]]
-        for j in range(1, starts.size):
-            if _too_close(kept_reps[-1], reps[j], tol):
-                kept_reps[-1] = _run_mean(w, starts[keep[-1]], stops[j])
-            else:
-                keep.append(j)
-                kept_reps.append(reps[j])
-        starts, reps = starts[keep], np.array(kept_reps)
-        stops = np.append(starts[1:], w.size)
     return starts, reps
 
 

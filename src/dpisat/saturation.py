@@ -12,6 +12,10 @@ for rank-deficient states (restricted to the tangent space of the PSD
 cone), the Petz recovery map together with its exact-recovery checks, and
 numerical cross-checks against two alternative published saturation
 conditions for the alpha-z family.
+
+Every quantity is derived from two state pairs, ``(r, s)`` and
+``(L r, L s)``, each taken once. A rank-deficient r, on the boundary of the
+PSD cone, takes the same pairs with r and L(r) as PSD operators.
 """
 
 from __future__ import annotations
@@ -39,11 +43,8 @@ from .divergences import (
     _grad1,
     _grad2,
     _Pair,
+    _scaling_law,
     _value,
-    evaluate,
-    evaluate_psd,
-    grad1,
-    scaling_check,
 )
 from .linalg import (
     HermitianOperator,
@@ -110,12 +111,17 @@ def _boundary_case(what: str, exc: PositivityError) -> BoundaryCaseError:
     )
 
 
-def _pairs(ch: KrausChannel, rho, sigma):
-    """The pairs ``(rho, sigma)`` and ``(L(rho), L(sigma))``, all strictly
-    positive, for every quantity derived from them."""
-    rho = _as_positive(rho, "rho", _boundary_case)
+def _pairs(ch: KrausChannel, rho, sigma, boundary: bool = False):
+    """The pairs ``(rho, sigma)`` and ``(L(rho), L(sigma))`` for every quantity
+    derived from them. sigma and its image are strictly positive; so are rho
+    and its image, or, on the ``boundary`` of the PSD cone, both are
+    :class:`PsdOperator`."""
+    def state(x, what):
+        return _as_psd(x) if boundary else _as_positive(x, what, _boundary_case)
+
+    rho = state(rho, "rho")
     sigma = _as_positive(sigma, "sigma", _boundary_case)
-    rho_out = _as_positive(apply(ch, rho.op), "channel image of rho", _boundary_case)
+    rho_out = state(apply(ch, rho.op), "channel image of rho")
     sigma_out = _as_positive(apply(ch, sigma.op), "channel image of sigma", _boundary_case)
     return _Pair(rho, sigma), _Pair(rho_out, sigma_out)
 
@@ -136,23 +142,9 @@ def dpi_gap(m: MeasureSpec, ch: KrausChannel, rho, sigma) -> float:
     return _gap(m, *_pairs(ch, rho, sigma))
 
 
-def _boundary_images(ch: KrausChannel, rho, sigma):
-    """``(rho, sigma, L(rho), L(sigma))`` for a PSD rho: rho and its image as
-    :class:`PsdOperator`, sigma and its image strictly positive."""
-    rho = _as_psd(rho)
-    sigma = _as_positive(sigma, "sigma", _boundary_case)
-    rho_out = PsdOperator(apply(ch, rho.op))
-    sigma_out = _as_positive(apply(ch, sigma.op), "channel image of sigma", _boundary_case)
-    return rho, sigma, rho_out, sigma_out
-
-
-def _boundary_gap(m: MeasureSpec, rho, sigma, rho_out, sigma_out) -> float:
-    return m.sign * (evaluate_psd(m, rho, sigma) - evaluate_psd(m, rho_out, sigma_out))
-
-
 def boundary_gap(m: MeasureSpec, ch: KrausChannel, rho: PsdOperator, sigma) -> float:
     """Sign-adjusted gap with a PSD first argument (continuous extension)."""
-    return _boundary_gap(m, *_boundary_images(ch, rho, sigma))
+    return _gap(m, *_pairs(ch, rho, sigma, boundary=True))
 
 
 def residual1(m: MeasureSpec, ch: KrausChannel, rho, sigma) -> HermitianOperator:
@@ -201,43 +193,24 @@ class ConverseCertificate:
 
 
 _SCALE_DRAWS = ((2.0, 0.5), (0.7, 3.0))
+# The families whose value transforms invertibly under scalar multiplication.
+_SCALING_LAW_FAMILIES = ("relative_entropy", "fidelity", "sandwiched_renyi", "alpha_z")
 
 
-def _verify_scaling_law(m: MeasureSpec, rho: PositiveOperator, sigma: PositiveOperator) -> bool:
-    """Numerically confirm the family's behavior under scalar multiplication."""
-    for k, kp in _SCALE_DRAWS:
-        if m.family in ("sandwiched_renyi", "alpha_z"):
-            chk = scaling_check(m, rho, sigma, k, kp)
-            lhs, rhs = chk.lhs, chk.rhs
-        elif m.family == "relative_entropy":
-            lhs = evaluate(m, _scale(rho, k), _scale(sigma, kp))
-            tr_rho = float(np.real(np.trace(rho.matrix)))
-            rhs = k * evaluate(m, rho, sigma) + k * tr_rho * (math.log(k) - math.log(kp))
-        elif m.family == "fidelity":
-            lhs = evaluate(m, _scale(rho, k), _scale(sigma, kp))
-            rhs = math.sqrt(k * kp) * evaluate(m, rho, sigma)
-        else:
-            return False
-        if abs(lhs - rhs) > 1e-10 * max(1.0, abs(lhs), abs(rhs)):
-            return False
-    return True
-
-
-def _scale(op: PositiveOperator, k: float) -> PositiveOperator:
-    return PositiveOperator(hermitize(k * op.matrix))
-
-
-def _require_scaling_law(m: MeasureSpec, rho: PositiveOperator, sigma: PositiveOperator) -> None:
-    """Raise unless the family has a scaling law and it verifies on (rho, sigma)."""
-    if m.family not in ("sandwiched_renyi", "alpha_z", "relative_entropy", "fidelity"):
+def _require_scaling_law(m: MeasureSpec, pt: _Pair) -> None:
+    """Raise unless the family has a scaling law and it verifies numerically
+    on the pair ``pt``, whose value it reuses."""
+    if m.family not in _SCALING_LAW_FAMILIES:
         raise ValueError(
             f"family {m.family!r} has no verified scaling law; "
             "check the gap directly instead"
         )
-    if not _verify_scaling_law(m, rho, sigma):
-        raise ConverseViolationError(
-            f"scaling law failed to verify numerically for family {m.family!r}"
-        )
+    for k, kp in _SCALE_DRAWS:
+        chk = _scaling_law(m, pt, k, kp)
+        if abs(chk.lhs - chk.rhs) > 1e-10 * max(1.0, abs(chk.lhs), abs(chk.rhs)):
+            raise ConverseViolationError(
+                f"scaling law failed to verify numerically for family {m.family!r}"
+            )
 
 
 def _converse_verdict(r1: float, gap: float, residual_tol: float, gap_tol: float) -> ConverseCertificate:
@@ -269,10 +242,9 @@ def converse_certificate(
     images are taken. A small residual with a large gap raises
     :class:`ConverseViolationError`.
     """
-    rho = _as_positive(rho, "rho", _boundary_case)
-    sigma = _as_positive(sigma, "sigma", _boundary_case)
-    _require_scaling_law(m, rho, sigma)
-    pt, pt_out = _pairs(ch, rho, sigma)
+    pt = _Pair(_as_positive(rho, "rho", _boundary_case), _as_positive(sigma, "sigma", _boundary_case))
+    _require_scaling_law(m, pt)
+    pt_out = _pairs(ch, pt.rho, pt.sigma)[1]
     r1 = frobenius(_residual(_grad1, m, ch, pt, pt_out))
     return _converse_verdict(r1, _gap(m, pt, pt_out), residual_tol, gap_tol)
 
@@ -282,6 +254,19 @@ def converse_certificate(
 # ---------------------------------------------------------------------------
 
 
+class _TangentProjection:
+    """``M -> M - Q M Q``, the orthogonal projection onto the tangent space of
+    the PSD cone at rho, with ``P`` the support projector of rho and
+    ``Q = 1 - P``; M may be a stack of matrices."""
+
+    def __init__(self, rho):
+        self.p = zeroth_power(rho).matrix
+        self.q = np.eye(rho.dim) - self.p
+
+    def __call__(self, m: np.ndarray) -> np.ndarray:
+        return m - self.q @ m @ self.q
+
+
 def tangent_project(rho: PsdOperator, M) -> HermitianOperator:
     """Project onto the tangent space at a PSD operator:
     ``M - (1 - P) M (1 - P)`` with P the support projector."""
@@ -289,8 +274,7 @@ def tangent_project(rho: PsdOperator, M) -> HermitianOperator:
     m = as_matrix(M)
     if m.shape != rho.matrix.shape:
         raise ValueError(f"dimension mismatch: {m.shape} vs {rho.matrix.shape}")
-    q = np.eye(rho.dim) - zeroth_power(rho).matrix
-    return hermitize(m - q @ m @ q)
+    return hermitize(_TangentProjection(rho)(m))
 
 
 def _kernel_operator_basis(rho: PsdOperator):
@@ -330,8 +314,7 @@ def tangent_space_rank(rho: PsdOperator, tol: float = 1e-8) -> int:
     rho = _as_psd(rho)
     n = rho.dim
     basis = np.array([b.matrix for b in hermitian_basis(n)])
-    q = np.eye(n) - zeroth_power(rho).matrix
-    proj = (basis - q @ basis @ q).reshape(n * n, n * n)
+    proj = _TangentProjection(rho)(basis).reshape(n * n, n * n)
     svals = np.linalg.svd(np.concatenate([proj.real, proj.imag], axis=1), compute_uv=False)
     return int(np.count_nonzero(svals > tol * svals[0]))
 
@@ -342,12 +325,6 @@ def tangent_space_rank(rho: PsdOperator, tol: float = 1e-8) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _support_restrict(arr: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """``A - (1 - P) A (1 - P)``: kill the block acting on the kernel."""
-    q = np.eye(arr.shape[0]) - support
-    return arr - q @ arr @ q
-
-
 def boundary_residual_relent(ch: KrausChannel, rho, sigma) -> HermitianOperator:
     """Support-restricted relative-entropy residual for PSD rho:
 
@@ -356,24 +333,20 @@ def boundary_residual_relent(ch: KrausChannel, rho, sigma) -> HermitianOperator:
     where ``logx`` is the support logarithm and ``|_rest`` removes the block
     on the corresponding kernel. Requires s and L(s) strictly positive.
     """
-    return _boundary_residual_relent(ch, *_boundary_images(ch, rho, sigma))
+    return _boundary_residual_relent(ch, *_pairs(ch, rho, sigma, boundary=True))
 
 
-def _boundary_residual_relent(ch: KrausChannel, rho, sigma, rho_out, sigma_out) -> HermitianOperator:
-    p_in = zeroth_power(rho).matrix
-    p_out = zeroth_power(rho_out).matrix
-    log_sigma = _logm(sigma)
-    log_sigma_out = _logm(sigma_out)
-
-    lhs = log_cross(rho).matrix - _support_restrict(log_sigma, p_in)
-    inner = log_cross(rho_out).matrix - _support_restrict(log_sigma_out, p_out)
-    rhs = _support_restrict(adjoint_apply(ch, hermitize(inner)).matrix, p_in)
+def _boundary_residual_relent(ch: KrausChannel, pt: _Pair, pt_out: _Pair) -> HermitianOperator:
+    tangent_in, tangent_out = _TangentProjection(pt.rho), _TangentProjection(pt_out.rho)
+    lhs = log_cross(pt.rho).matrix - tangent_in(_logm(pt.sigma))
+    inner = log_cross(pt_out.rho).matrix - tangent_out(_logm(pt_out.sigma))
+    rhs = tangent_in(adjoint_apply(ch, hermitize(inner)).matrix)
     return hermitize(lhs - rhs)
 
 
-def _extended_gradient(m: MeasureSpec, rho: PsdOperator, sigma: PositiveOperator) -> HermitianOperator:
-    """Gradient of B(., s) at a PSD point, extended from the tangent space of
-    the PSD cone by zero on its orthogonal complement.
+def _extended_gradient(m: MeasureSpec, pt: _Pair) -> HermitianOperator:
+    """Gradient of B(., s) at the pair's PSD point, extended from the tangent
+    space of the PSD cone by zero on its orthogonal complement.
 
     Relative entropy has the closed form
     ``logx(r) - log(s) + (1-P) log(s) (1-P) + P``; at full rank any family
@@ -381,13 +354,12 @@ def _extended_gradient(m: MeasureSpec, rho: PsdOperator, sigma: PositiveOperator
     differences along tangent directions are used.
     """
     if m.family == "relative_entropy":
-        p = zeroth_power(rho).matrix
-        q = np.eye(rho.dim) - p
-        log_sigma = _logm(sigma)
-        return hermitize(log_cross(rho).matrix - log_sigma + q @ log_sigma @ q + p)
-    if rho.rank == rho.dim:
-        return grad1(m, PositiveOperator(rho.op), sigma)
-    return _fd_tangent_gradient(m, rho, sigma)
+        tangent = _TangentProjection(pt.rho)
+        log_sigma = _logm(pt.sigma)
+        return hermitize(log_cross(pt.rho).matrix - log_sigma + tangent.q @ log_sigma @ tangent.q + tangent.p)
+    if _as_psd(pt.rho).rank == pt.rho.dim:
+        return _grad1(m, pt)
+    return _fd_tangent_gradient(m, pt)
 
 
 def _psd_clamp(arr: np.ndarray, floor: float) -> PsdOperator:
@@ -399,24 +371,26 @@ def _psd_clamp(arr: np.ndarray, floor: float) -> PsdOperator:
     return PsdOperator(hermitize(_spectral(v, w)), zero_tol=floor)
 
 
-def _fd_tangent_gradient(m: MeasureSpec, rho: PsdOperator, sigma: PositiveOperator) -> HermitianOperator:
+def _fd_tangent_gradient(m: MeasureSpec, pt: _Pair) -> HermitianOperator:
     """One-sided finite differences along tangent probes, dualized.
 
     Carries an O(h) bias, so this path is a diagnostic rather than a
     certificate at the tight tolerances of the closed forms.
     """
+    rho = pt.rho
     n = rho.dim
     h = 1e-5 * max(1.0, float(np.linalg.norm(rho.matrix)))
-    base = evaluate_psd(m, rho, sigma)
+    base = _value(m, pt)
+    tangent = _TangentProjection(rho)
     vals = np.empty(n * n)
     for i, b in enumerate(hermitian_basis(n)):
-        probe = tangent_project(rho, b).matrix
+        probe = hermitize(tangent(b.matrix)).matrix
         if float(np.linalg.norm(probe)) < 1e-14:
             vals[i] = 0.0
             continue
         try:
             shifted = _psd_clamp(rho.matrix + h * probe, floor=1e-7 * max(1.0, h))
-            vals[i] = (evaluate_psd(m, shifted, sigma) - base) / h
+            vals[i] = (_value(m, _Pair(shifted, pt.sigma)) - base) / h
         except (PositivityError, ValueError) as exc:
             raise ValueError(
                 f"boundary derivative undefined along tangent direction {i}: {exc}"
@@ -431,15 +405,12 @@ def boundary_residual_general(m: MeasureSpec, ch: KrausChannel, rho, sigma) -> H
 
     Reduces to :func:`residual1` when rho has full rank.
     """
-    return _boundary_residual_general(m, ch, *_boundary_images(ch, rho, sigma))
+    return _boundary_residual_general(m, ch, *_pairs(ch, rho, sigma, boundary=True))
 
 
-def _boundary_residual_general(m: MeasureSpec, ch: KrausChannel, rho, sigma, rho_out, sigma_out) -> HermitianOperator:
-    g_in = _extended_gradient(m, rho, sigma)
-    g_out = _extended_gradient(m, rho_out, sigma_out)
-    back = adjoint_apply(ch, g_out).matrix
-    q = np.eye(rho.dim) - zeroth_power(rho).matrix
-    return hermitize(g_in.matrix - (back - q @ back @ q))
+def _boundary_residual_general(m: MeasureSpec, ch: KrausChannel, pt: _Pair, pt_out: _Pair) -> HermitianOperator:
+    back = adjoint_apply(ch, _extended_gradient(m, pt_out)).matrix
+    return hermitize(_extended_gradient(m, pt).matrix - _TangentProjection(pt.rho)(back))
 
 
 def hiai_residual(ch: KrausChannel, rho, sigma) -> np.ndarray:
@@ -450,13 +421,14 @@ def hiai_residual(ch: KrausChannel, rho, sigma) -> np.ndarray:
     with P, P' the support projectors of r and L(r). The two sides are not
     Hermitian in general, so a plain complex matrix is returned.
     """
-    return _hiai_residual(ch, *_boundary_images(ch, rho, sigma))
+    return _hiai_residual(ch, *_pairs(ch, rho, sigma, boundary=True))
 
 
-def _hiai_residual(ch: KrausChannel, rho, sigma, rho_out, sigma_out) -> np.ndarray:
-    lhs = log_cross(rho).matrix - _logm(sigma) @ zeroth_power(rho).matrix
-    inner = log_cross(rho_out).matrix - _logm(sigma_out) @ zeroth_power(rho_out).matrix
-    return lhs - _adjoint_raw(ch.kraus, inner)
+def _hiai_residual(ch: KrausChannel, pt: _Pair, pt_out: _Pair) -> np.ndarray:
+    def side(p: _Pair) -> np.ndarray:
+        return log_cross(p.rho).matrix - _logm(p.sigma) @ zeroth_power(p.rho).matrix
+
+    return side(pt) - _adjoint_raw(ch.kraus, side(pt_out))
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,43 @@ class TestReportReuse:
             r1 = sat.residual1(m, c, PositiveOperator(rho.op), sigma)
             assert detail["full_rank_reduction_error"] == float(np.linalg.norm(general.matrix - r1.matrix))
 
+    @pytest.mark.parametrize("measure,spec,eigensolves", [
+        ({"family": "relative_entropy"}, MeasureSpec.relative_entropy(), 4),
+        ({"family": "fidelity"}, MeasureSpec.fidelity(), 6),
+        ({"family": "sandwiched_renyi", "alpha": 0.7}, MeasureSpec.sandwiched_renyi(0.7), 6),
+        ({"family": "alpha_z", "alpha": 1.5, "z": 1.2}, MeasureSpec.alpha_z(1.5, 1.2), 6),
+    ])
+    def test_converse_reads_the_report_pair(self, tmp_path, monkeypatch, measure, spec, eigensolves):
+        # The scaling law takes B(rho, sigma) from the report's pair: each of
+        # its two draws eigensolves only the scaled states and their core.
+        import dpisat.cli as cli
+
+        law, eigh, calls = cli._require_scaling_law, np.linalg.eigh, []
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(a)
+            return eigh(a, *args, **kwargs)
+
+        def counted(*args):
+            monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+            try:
+                law(*args)
+            finally:
+                monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+        monkeypatch.setattr(cli, "_require_scaling_law", counted)
+        scenario = dict(RANDOM_SCENARIO, name="conv", measure=measure, checks=["gap", "converse"])
+        scen = tmp_path / "scen.json"
+        write_scenarios(scen, [scenario])
+        assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == eigensolves
+
+        cert = sat.converse_certificate(spec, depolarizing(3, 0.3), positive_state(3, 42), positive_state(3, 43))
+        assert load_report(tmp_path / "out", "conv")["checks"]["converse"] == {
+            "passed": True, "residual1_norm": cert.residual1_norm, "gap": cert.gap,
+            "implied_gap_zero": cert.implied_gap_zero,
+        }
+
 
 class TestSchemaErrors:
     def test_integer_entry_beyond_float_range(self, tmp_path, capsys):

@@ -83,6 +83,22 @@ class TestDpiGap:
         gap = boundary_gap(MeasureSpec.relative_entropy(), dephasing_pinching(3), rho, sigma)
         assert gap == pytest.approx(0.0, abs=1e-12)
 
+    def test_unitary_boundary_gap_vanishes_for_spectral_families(self):
+        # A unitary saturates exactly. The kernel of rho must stay an exact
+        # zero of each core: roundoff there, raised to a power below 1,
+        # reached 1e-3 for alpha_z(0.3, 2).
+        from _fixtures import random_unitary
+        from dpisat.channels import unitary
+
+        specs = [MeasureSpec.alpha_z(a, z) for a, z in ((0.3, 2.0), (0.5, 1.0), (0.6, 0.6), (0.7, 0.9))]
+        specs += [m for m in measure_suite() if m.family in ("fidelity", "sandwiched_renyi", "alpha_z")]
+        for seed in range(20):
+            g = gen(seed)
+            rho, sigma = random_psd_rank(g, 4, 2), random_positive(g, 4)
+            c = unitary(random_unitary(g, 4))
+            for m in specs:
+                assert abs(boundary_gap(m, c, rho, sigma)) <= 1e-12, (seed, m.family, m.alpha, m.z)
+
 
 class TestResiduals:
     def test_saturating_fixtures_residuals_vanish(self):
