@@ -6,10 +6,25 @@ construction. The Kraus representation is primary precisely because the
 adjoint is syntactically trivial. Channels may change dimension
 (``dim_in -> dim_out``); Kraus operators are then rectangular.
 
-The operators are stored as one ``(r, m, n)`` stack, and both actions run
-through one blocked kernel (:func:`_sandwich`) that does two large GEMMs per
-block of operators instead of two small ones per operator; a real stack
-multiplies in real arithmetic.
+The operators are stored as one ``(r, m, n)`` stack, and a channel acts in
+one of two ways, chosen at construction from the stack alone:
+
+* a sparse stack, with ``P = sum_k nnz(K_k)**2 <= r m n`` (depolarizing,
+  partial traces, computational-basis pinching, measure-prepare in the
+  computational basis), acts through its transfer form
+  ``T = sum_k K_k (x) conj(K_k)`` (Watrous, *The Theory of Quantum
+  Information*, 2018, section 2.2), kept as P coordinate entries:
+  ``vec L(A) = T vec(A)`` and ``vec L*(B) = T^H vec(B)`` are each one scatter
+  over those entries, O(P) work;
+* any other stack acts through one blocked kernel (:func:`_sandwich`) that
+  does two large GEMMs per block of operators instead of two small ones per
+  operator, ``r m n (m + n)`` multiply-adds; a real stack multiplies in real
+  arithmetic.
+
+Under the rule the scatter does at most ``1/(m + n)`` of the kernel's work.
+:func:`apply`, :func:`adjoint_apply` and :func:`choi_matrix` act through the
+channel's own form, and so do the saturation checks; :func:`apply_raw` on a
+bare stack always takes the blocked kernel.
 
 Complete positivity is automatic from Kraus form; :func:`verify_cptp`
 nevertheless recomputes the Choi matrix from the channel action as an
@@ -68,13 +83,16 @@ class KrausChannel:
     read-only float64 or complex128 stack is kept without a copy; anything
     else is copied. Trace preservation ``||sum_i K_i^H K_i - I||_F <= tp_tol``
     is enforced at construction; pass a larger ``tp_tol`` deliberately to hold
-    a known-bad operator list for diagnostics.
+    a known-bad operator list for diagnostics. A sparse stack also keeps its
+    transfer form (see the module docstring), through which it acts.
     """
 
     kraus: np.ndarray
     tp_tol: float = DEFAULT_TP_TOL
     dim_in: int = field(init=False)
     dim_out: int = field(init=False)
+    # ``(row, col, w)`` of the transfer form, or None for a dense stack.
+    _transfer: tuple | None = field(init=False, repr=False)
 
     def __post_init__(self):
         stack = _as_stack(self.kraus)
@@ -89,11 +107,16 @@ class KrausChannel:
         finite = np.isfinite(stack).all(axis=(1, 2))
         if not finite.all():
             raise ValueError(f"Kraus operator {int(np.argmin(finite))} has non-finite entries")
-        _require_trace_preserving(tp_error(stack), self.tp_tol)
         stack.setflags(write=False)
         object.__setattr__(self, "kraus", stack)
         object.__setattr__(self, "dim_in", stack.shape[2])
         object.__setattr__(self, "dim_out", stack.shape[1])
+        object.__setattr__(self, "_transfer", _transfer_form(stack))
+        if self._transfer is None:
+            tp = tp_error(stack)
+        else:  # ||L*(I) - I||_F, the same quantity in O(P)
+            tp = float(np.linalg.norm(_act_adjoint(self, np.eye(self.dim_out)) - np.eye(self.dim_in)))
+        _require_trace_preserving(tp, self.tp_tol)
 
 
 def _from_stack(stack: np.ndarray, tp_tol: float = DEFAULT_TP_TOL) -> KrausChannel:
@@ -128,6 +151,65 @@ def _as_stack(kraus) -> np.ndarray:
     if np.iscomplexobj(stack) and stack.imag.any():
         return np.ascontiguousarray(stack, dtype=np.complex128)
     return np.ascontiguousarray(stack.real, dtype=np.float64)
+
+
+def _transfer_form(stack: np.ndarray):
+    """The transfer form of a stack ``K`` of shape ``(r, m, n)`` as coordinate
+    entries ``(row, col, w)``: ``w = K_k[i, j] conj(K_k[i', j'])`` at
+    ``row = i m + i'`` and ``col = j n + j'``, over the pairs of nonzero
+    entries of each operator. None when there are more than ``r m n`` of them.
+    """
+    r, m, n = stack.shape
+    nonzero = stack != 0
+    # P >= nnz**2 / r, so a dense stack is turned away before any extraction.
+    if np.count_nonzero(nonzero) ** 2 > r * r * m * n:
+        return None
+    where = np.flatnonzero(nonzero)
+    k, at = np.divmod(where, m * n)
+    counts = np.bincount(k, minlength=r)
+    if counts @ counts > r * m * n:
+        return None
+    i, j = np.divmod(at, n)
+    vals = stack.reshape(-1)[where]
+    # Entry e pairs with each of the c[e] entries of its operator, which start
+    # at first[k[e]]; the pairs of e are the block of positions from block[e].
+    c = counts[k]
+    first = np.cumsum(counts) - counts
+    block = np.cumsum(c) - c
+    left = np.repeat(np.arange(k.size), c)
+    right = (first[k] - block)[left] + np.arange(left.size)
+    row = i[left] * m + i[right]
+    col = j[left] * n + j[right]
+    return row, col, vals[left] * vals[right].conj()
+
+
+def _scatter(to: np.ndarray, frm: np.ndarray, w: np.ndarray, x, size: int) -> np.ndarray:
+    """``out[t] = sum of w[e] x.flat[frm[e]] over the entries e with to[e] = t``,
+    complex, with the real and imaginary parts summed separately."""
+    prod = w * np.ravel(x)[frm]
+    out = np.empty(size, dtype=np.complex128)
+    out.real = np.bincount(to, prod.real, size)
+    out.imag = np.bincount(to, prod.imag, size)
+    return out
+
+
+def _act(ch: KrausChannel, a) -> np.ndarray:
+    """``L(A)`` for any square A, Hermitian or not, with no validation: a
+    scatter over the transfer form, else the blocked kernel."""
+    if ch._transfer is None:
+        return _sandwich(ch.kraus, a)
+    row, col, w = ch._transfer
+    m = ch.dim_out
+    return _scatter(row, col, w, a, m * m).reshape(m, m)
+
+
+def _act_adjoint(ch: KrausChannel, b) -> np.ndarray:
+    """``L*(B)`` for any square B, Hermitian or not, with no validation."""
+    if ch._transfer is None:
+        return _adjoint_raw(ch.kraus, b)
+    row, col, w = ch._transfer
+    n = ch.dim_in
+    return _scatter(col, row, w.conj(), b, n * n).reshape(n, n)
 
 
 def tp_error(kraus) -> float:
@@ -196,7 +278,7 @@ def apply(ch: KrausChannel, A) -> HermitianOperator:
         raise ValueError(
             f"dimension mismatch: channel expects {ch.dim_in}, got {arr.shape}"
         )
-    return hermitize(apply_raw(ch.kraus, arr))
+    return hermitize(_act(ch, arr))
 
 
 def adjoint_apply(ch: KrausChannel, A) -> HermitianOperator:
@@ -206,7 +288,7 @@ def adjoint_apply(ch: KrausChannel, A) -> HermitianOperator:
         raise ValueError(
             f"dimension mismatch: adjoint expects {ch.dim_out}, got {arr.shape}"
         )
-    return hermitize(_adjoint_raw(ch.kraus, arr))
+    return hermitize(_act_adjoint(ch, arr))
 
 
 def choi_matrix(ch: KrausChannel) -> np.ndarray:
@@ -217,7 +299,7 @@ def choi_matrix(ch: KrausChannel) -> np.ndarray:
         for j in range(n):
             unit = np.zeros((n, n), dtype=np.complex128)
             unit[i, j] = 1.0
-            choi[i * m:(i + 1) * m, j * m:(j + 1) * m] = apply_raw(ch.kraus, unit)
+            choi[i * m:(i + 1) * m, j * m:(j + 1) * m] = _act(ch, unit)
     return choi
 
 

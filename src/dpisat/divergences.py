@@ -50,6 +50,8 @@ from .linalg import (
     _symmetrized,
     clustered_eigensystem,
     hermitize,
+    log_cross,
+    zeroth_power,
 )
 
 __all__ = [
@@ -280,6 +282,21 @@ class _Pair:
         return s_outer @ _powm(x, exponent) @ s_outer
 
     @cached_property
+    def support(self) -> np.ndarray:
+        """The projector onto the support of rho."""
+        return zeroth_power(self.rho).matrix
+
+    @cached_property
+    def log_support(self) -> np.ndarray:
+        """The logarithm of rho on its support, zero on its kernel."""
+        return log_cross(self.rho).matrix
+
+    @cached_property
+    def log_sigma(self) -> np.ndarray:
+        """The logarithm of sigma."""
+        return _logm(self.sigma)
+
+    @cached_property
     def overlap(self):
         """Clustered eigensystems ``(p, ids, V_r)``, ``(mu, ids, V_s)`` of rho
         and sigma and their overlap ``W = V_s^H V_r``."""
@@ -316,7 +333,7 @@ def _value(m: MeasureSpec, pt: _Pair) -> float:
         wr = pt.rho.eigenvalues if isinstance(pt.rho, PsdOperator) else pt.rho.eigensystem[0]
         pos = wr > 0.0
         entropy = np.sum(wr[pos] * np.log(wr[pos]))
-        return float(entropy - np.real(np.trace(pt.rho.matrix @ _logm(pt.sigma))))
+        return float(entropy - np.real(np.trace(pt.rho.matrix @ pt.log_sigma)))
     if m.family == "fidelity":
         wy = pt.core(0.5)[1].eigensystem[0]
         return float(np.sum(np.sqrt(np.maximum(wy, 0.0))))
@@ -383,7 +400,7 @@ def _fdiv_grad(pair: ScalarFunctionPair, pt: _Pair, slot: int) -> HermitianOpera
 def _grad1(m: MeasureSpec, pt: _Pair) -> HermitianOperator:
     rho, sigma = pt.rho, pt.sigma
     if m.family == "relative_entropy":
-        return hermitize(_logm(rho) - _logm(sigma) + np.eye(rho.dim))
+        return hermitize(_logm(rho) - pt.log_sigma + np.eye(rho.dim))
     if m.family == "fidelity":
         return _fidelity_grad1(pt)
     if m.family in ("sandwiched_renyi", "alpha_z"):

@@ -32,7 +32,7 @@ from .calculus import (
 )
 from .channels import (
     KrausChannel,
-    _adjoint_raw,
+    _act_adjoint,
     _from_stack,
     _require_trace_preserving,
     adjoint_apply,
@@ -54,14 +54,12 @@ from .linalg import (
     _as_positive,
     _as_psd,
     _eigh,
-    _logm,
     _powm,
     _spectral,
     as_matrix,
     frobenius,
     hermitize,
     hs_inner,
-    log_cross,
     matrix_to_json,
     zeroth_power,
 )
@@ -256,12 +254,12 @@ def converse_certificate(
 
 class _TangentProjection:
     """``M -> M - Q M Q``, the orthogonal projection onto the tangent space of
-    the PSD cone at rho, with ``P`` the support projector of rho and
+    the PSD cone at rho, from ``P`` the support projector of rho and
     ``Q = 1 - P``; M may be a stack of matrices."""
 
-    def __init__(self, rho):
-        self.p = zeroth_power(rho).matrix
-        self.q = np.eye(rho.dim) - self.p
+    def __init__(self, p: np.ndarray):
+        self.p = p
+        self.q = np.eye(p.shape[0]) - p
 
     def __call__(self, m: np.ndarray) -> np.ndarray:
         return m - self.q @ m @ self.q
@@ -274,7 +272,7 @@ def tangent_project(rho: PsdOperator, M) -> HermitianOperator:
     m = as_matrix(M)
     if m.shape != rho.matrix.shape:
         raise ValueError(f"dimension mismatch: {m.shape} vs {rho.matrix.shape}")
-    return hermitize(_TangentProjection(rho)(m))
+    return hermitize(_TangentProjection(zeroth_power(rho).matrix)(m))
 
 
 def _kernel_operator_basis(rho: PsdOperator):
@@ -314,7 +312,7 @@ def tangent_space_rank(rho: PsdOperator, tol: float = 1e-8) -> int:
     rho = _as_psd(rho)
     n = rho.dim
     basis = np.array([b.matrix for b in hermitian_basis(n)])
-    proj = _TangentProjection(rho)(basis).reshape(n * n, n * n)
+    proj = _TangentProjection(zeroth_power(rho).matrix)(basis).reshape(n * n, n * n)
     svals = np.linalg.svd(np.concatenate([proj.real, proj.imag], axis=1), compute_uv=False)
     return int(np.count_nonzero(svals > tol * svals[0]))
 
@@ -337,9 +335,9 @@ def boundary_residual_relent(ch: KrausChannel, rho, sigma) -> HermitianOperator:
 
 
 def _boundary_residual_relent(ch: KrausChannel, pt: _Pair, pt_out: _Pair) -> HermitianOperator:
-    tangent_in, tangent_out = _TangentProjection(pt.rho), _TangentProjection(pt_out.rho)
-    lhs = log_cross(pt.rho).matrix - tangent_in(_logm(pt.sigma))
-    inner = log_cross(pt_out.rho).matrix - tangent_out(_logm(pt_out.sigma))
+    tangent_in, tangent_out = _TangentProjection(pt.support), _TangentProjection(pt_out.support)
+    lhs = pt.log_support - tangent_in(pt.log_sigma)
+    inner = pt_out.log_support - tangent_out(pt_out.log_sigma)
     rhs = tangent_in(adjoint_apply(ch, hermitize(inner)).matrix)
     return hermitize(lhs - rhs)
 
@@ -354,9 +352,9 @@ def _extended_gradient(m: MeasureSpec, pt: _Pair) -> HermitianOperator:
     differences along tangent directions are used.
     """
     if m.family == "relative_entropy":
-        tangent = _TangentProjection(pt.rho)
-        log_sigma = _logm(pt.sigma)
-        return hermitize(log_cross(pt.rho).matrix - log_sigma + tangent.q @ log_sigma @ tangent.q + tangent.p)
+        tangent = _TangentProjection(pt.support)
+        log_sigma = pt.log_sigma
+        return hermitize(pt.log_support - log_sigma + tangent.q @ log_sigma @ tangent.q + tangent.p)
     if _as_psd(pt.rho).rank == pt.rho.dim:
         return _grad1(m, pt)
     return _fd_tangent_gradient(m, pt)
@@ -381,7 +379,7 @@ def _fd_tangent_gradient(m: MeasureSpec, pt: _Pair) -> HermitianOperator:
     n = rho.dim
     h = 1e-5 * max(1.0, float(np.linalg.norm(rho.matrix)))
     base = _value(m, pt)
-    tangent = _TangentProjection(rho)
+    tangent = _TangentProjection(pt.support)
     vals = np.empty(n * n)
     for i, b in enumerate(hermitian_basis(n)):
         probe = hermitize(tangent(b.matrix)).matrix
@@ -410,7 +408,7 @@ def boundary_residual_general(m: MeasureSpec, ch: KrausChannel, rho, sigma) -> H
 
 def _boundary_residual_general(m: MeasureSpec, ch: KrausChannel, pt: _Pair, pt_out: _Pair) -> HermitianOperator:
     back = adjoint_apply(ch, _extended_gradient(m, pt_out)).matrix
-    return hermitize(_extended_gradient(m, pt).matrix - _TangentProjection(pt.rho)(back))
+    return hermitize(_extended_gradient(m, pt).matrix - _TangentProjection(pt.support)(back))
 
 
 def hiai_residual(ch: KrausChannel, rho, sigma) -> np.ndarray:
@@ -426,9 +424,9 @@ def hiai_residual(ch: KrausChannel, rho, sigma) -> np.ndarray:
 
 def _hiai_residual(ch: KrausChannel, pt: _Pair, pt_out: _Pair) -> np.ndarray:
     def side(p: _Pair) -> np.ndarray:
-        return log_cross(p.rho).matrix - _logm(p.sigma) @ zeroth_power(p.rho).matrix
+        return p.log_support - p.log_sigma @ p.support
 
-    return side(pt) - _adjoint_raw(ch.kraus, side(pt_out))
+    return side(pt) - _act_adjoint(ch, side(pt_out))
 
 
 # ---------------------------------------------------------------------------

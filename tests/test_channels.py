@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from dpisat.channels import (
     _BLOCK,
     KrausChannel,
+    _act,
+    _act_adjoint,
     _adjoint_raw,
     adjoint_apply,
     apply,
@@ -18,6 +20,7 @@ from dpisat.channels import (
     identity,
     measure_prepare,
     partial_trace,
+    tp_error,
     unitary,
     verify_cptp,
 )
@@ -25,6 +28,7 @@ from dpisat.linalg import HermitianOperator, SchemaError, hs_inner
 
 from _fixtures import (
     gen,
+    permutation_measure_prepare,
     random_cptp,
     random_hermitian,
     random_positive,
@@ -408,3 +412,115 @@ class TestKrausStack:
             KrausChannel(np.zeros((0, 2, 2)))
         with pytest.raises(ValueError, match="Kraus operator 0 is not a matrix"):
             KrausChannel((np.ones(2),))
+
+
+def _weyl_channel(d, probs):
+    """Complex sparse stack: ``sqrt(p_ab) X^a Z^b``, phase-dressed
+    permutations (clock and shift), one nonzero per row."""
+    shift = np.roll(np.eye(d), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    ops = [np.sqrt(probs[a, b]) * np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+           for a in range(d) for b in range(d)]
+    return KrausChannel(tuple(ops))
+
+
+def _transfer_channels():
+    probs = gen(400).dirichlet(np.ones(9)).reshape(3, 3)
+    cases = [(f"depolarizing_n{n}_p{p}", depolarizing(n, p)) for n in (2, 5, 32) for p in (0.0, 0.3, 1.0)]
+    cases += [
+        ("ptrace_a", partial_trace(2, 3, "a")),
+        ("ptrace_b", partial_trace(3, 2, "b")),
+        ("pinching", dephasing_pinching(4)),
+        ("weyl", _weyl_channel(3, probs)),
+        ("compose", compose(partial_trace(2, 3, "a"), depolarizing(6, 0.3))),
+        ("measure_prepare", permutation_measure_prepare(4)),
+    ]
+    return [pytest.param(c, id=label) for label, c in cases]
+
+
+class TestTransferForm:
+    """Sparse stacks act through the transfer form ``sum_k K_k (x) conj(K_k)``;
+    dense stacks keep the blocked kernel."""
+
+    @pytest.mark.parametrize("c", _transfer_channels())
+    def test_actions_match_loop_on_non_hermitian_input(self, c):
+        assert c._transfer is not None
+        g = gen(401)
+        a = _random_matrix(g, c.dim_in, c.dim_in)
+        b = _random_matrix(g, c.dim_out, c.dim_out)
+        fwd, ref_fwd = _act(c, a), _loop_apply(c.kraus, a)
+        adj, ref_adj = _act_adjoint(c, b), _loop_adjoint(c.kraus, b)
+        assert fwd.shape == (c.dim_out, c.dim_out) and adj.shape == (c.dim_in, c.dim_in)
+        assert np.linalg.norm(fwd - ref_fwd) <= 1e-13 * np.linalg.norm(ref_fwd)
+        assert np.linalg.norm(adj - ref_adj) <= 1e-13 * np.linalg.norm(ref_adj)
+        # tr[L*(B) A] = tr[B L(A)] for non-Hermitian A and B.
+        scale = np.linalg.norm(a) * np.linalg.norm(b)
+        assert abs(np.trace(adj @ a) - np.trace(b @ fwd)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("c", _transfer_channels())
+    def test_public_actions_match_loop(self, c):
+        g = gen(402)
+        a, b = random_hermitian(g, c.dim_in), random_hermitian(g, c.dim_out)
+        ref_fwd = _loop_apply(c.kraus, a.matrix)
+        ref_adj = _loop_adjoint(c.kraus, b.matrix)
+        assert np.linalg.norm(apply(c, a).matrix - ref_fwd) <= 1e-13 * np.linalg.norm(ref_fwd)
+        assert np.linalg.norm(adjoint_apply(c, b).matrix - ref_adj) <= 1e-13 * np.linalg.norm(ref_adj)
+
+    def test_dense_stacks_keep_the_kernel(self):
+        g = gen(403)
+        for c in (unitary(random_unitary(g, 4)), dephasing_pinching(random_unitary(g, 4)),
+                  random_cptp(g, 3, 3, n_kraus=4)):
+            assert c._transfer is None
+            a = _random_matrix(g, c.dim_in, c.dim_in)
+            np.testing.assert_array_equal(_act(c, a), apply_raw(c.kraus, a))
+            np.testing.assert_array_equal(_act_adjoint(c, a), _adjoint_raw(c.kraus, a))
+
+    def test_rule_counts_pairs_of_nonzeros(self):
+        # P = sum_k nnz(K_k)**2 against r m n: depolarizing(n) has P = 2 n**2.
+        c = depolarizing(4, 0.5)
+        assert c._transfer[0].size == 2 * 4 ** 2
+        # One dense 2x2 operator: P = 16 > 4.
+        assert KrausChannel((np.array([[0.6, 0.8], [-0.8, 0.6]]),))._transfer is None
+
+    def test_sparse_stack_not_trace_preserving_raises(self):
+        stack = 1.1 * depolarizing(3, 0.4).kraus
+        expected = f"channel is not trace preserving: ||sum K^H K - I||_F = {tp_error(stack):.3e}"
+        with pytest.raises(ValueError) as err:
+            KrausChannel(stack)
+        assert str(err.value) == expected
+        held = KrausChannel(stack, tp_tol=1.0)
+        assert held._transfer is not None
+        assert verify_cptp(held).tp_error == tp_error(stack)
+
+    def test_all_zero_stack_is_not_trace_preserving(self):
+        with pytest.raises(ValueError, match=r"not trace preserving: \|\|sum K\^H K - I\|\|_F = 1\.732e\+00"):
+            KrausChannel(np.zeros((2, 3, 3)))
+
+
+def _reference_cptp(c):
+    """verify_cptp as the blocked kernel computes it, one unit at a time."""
+    n, m = c.dim_in, c.dim_out
+    choi = np.zeros((n * m, n * m), dtype=np.complex128)
+    for i in range(n):
+        for j in range(n):
+            unit = np.zeros((n, n), dtype=np.complex128)
+            unit[i, j] = 1.0
+            choi[i * m:(i + 1) * m, j * m:(j + 1) * m] = apply_raw(c.kraus, unit)
+    return tp_error(c.kraus), float(np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)[0])
+
+
+class TestChoiThroughChannel:
+    @pytest.mark.parametrize(
+        "c",
+        [identity(3), unitary(random_unitary(gen(410), 3)), depolarizing(4, 0.3),
+         depolarizing(3, 1.0), dephasing_pinching(3, 0.4), dephasing_pinching(random_unitary(gen(411), 3)),
+         partial_trace(2, 3, "a"), partial_trace(2, 3, "b"), permutation_measure_prepare(3),
+         compose(partial_trace(2, 2, "b"), depolarizing(4, 0.5)), random_cptp(gen(412), 3, 2)],
+        ids=["identity", "unitary", "depolarizing", "depolarizing_full", "pinching",
+             "pinching_basis", "ptrace_a", "ptrace_b", "measure_prepare", "compose", "random"],
+    )
+    def test_verify_cptp_matches_kernel_reference(self, c):
+        tp_ref, eig_ref = _reference_cptp(c)
+        rep = verify_cptp(c)
+        assert rep.tp_error == tp_ref
+        assert abs(rep.choi_min_eig - eig_ref) <= 1e-12

@@ -801,3 +801,77 @@ class TestValidationAtBoundary:
         whats = self._count_validations(monkeypatch)
         build_report(MeasureSpec.relative_entropy(), c, rho, sigma)
         assert whats == ["HermitianOperator"] * 2
+
+
+class TestBoundarySpectralProducts:
+    """One boundary check forms the support projector, the support log of
+    rho and log sigma once per pair, reading them from the pair."""
+
+    @staticmethod
+    def _count(monkeypatch, names) -> dict:
+        import sys
+
+        import dpisat.linalg as la
+
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            func = getattr(la, name)
+
+            def wrapper(*args, _name=name, _func=func, **kwargs):
+                calls[_name] += 1
+                return _func(*args, **kwargs)
+
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.startswith("dpisat.") and mod is not la and vars(mod).get(name) is func:
+                    monkeypatch.setattr(mod, name, wrapper)
+        return calls
+
+    @staticmethod
+    def _reference(c, pt, pt_out):
+        """The three boundary residuals as separate products, per call."""
+        from dpisat.channels import _act_adjoint
+        from dpisat.linalg import _logm
+
+        def tangent(rho, m):
+            q = np.eye(rho.dim) - zeroth_power(rho).matrix
+            return m - q @ m @ q
+
+        def extended(p):
+            q = np.eye(p.rho.dim) - zeroth_power(p.rho).matrix
+            log_sigma = _logm(p.sigma)
+            return hermitize(log_cross(p.rho).matrix - log_sigma + q @ log_sigma @ q
+                             + zeroth_power(p.rho).matrix)
+
+        lhs = log_cross(pt.rho).matrix - tangent(pt.rho, _logm(pt.sigma))
+        inner = log_cross(pt_out.rho).matrix - tangent(pt_out.rho, _logm(pt_out.sigma))
+        relent = hermitize(lhs - tangent(pt.rho, adjoint_apply(c, hermitize(inner)).matrix))
+        back = adjoint_apply(c, extended(pt_out)).matrix
+        general = hermitize(extended(pt).matrix - tangent(pt.rho, back))
+
+        def side(p):
+            return log_cross(p.rho).matrix - _logm(p.sigma) @ zeroth_power(p.rho).matrix
+
+        return relent, general, side(pt) - _act_adjoint(c, side(pt_out))
+
+    def test_two_of_each_per_check_and_same_bits(self, monkeypatch):
+        from dpisat.saturation import (
+            _boundary_residual_general,
+            _boundary_residual_relent,
+            _hiai_residual,
+            _pairs,
+        )
+
+        m = MeasureSpec.relative_entropy()
+        for label, c, rho, sigma in boundary_saturating_fixtures():
+            ref = self._reference(c, *_pairs(c, rho, sigma, boundary=True))
+            with monkeypatch.context() as mp:
+                calls = self._count(mp, ("zeroth_power", "log_cross", "_logm"))
+                pt, pt_out = _pairs(c, rho, sigma, boundary=True)
+                got = (
+                    _boundary_residual_relent(c, pt, pt_out),
+                    _boundary_residual_general(m, c, pt, pt_out),
+                    _hiai_residual(c, pt, pt_out),
+                )
+            assert calls == {"zeroth_power": 2, "log_cross": 2, "_logm": 2}, label
+            for res, expected in zip(got, ref):
+                np.testing.assert_array_equal(getattr(res, "matrix", res), getattr(expected, "matrix", expected))
