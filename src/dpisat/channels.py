@@ -42,6 +42,7 @@ from .linalg import (
     SchemaError,
     _eigh,
     _number,
+    _positive_int,
     as_matrix,
     hermitize,
     matrix_from_json,
@@ -465,12 +466,6 @@ def _require(obj: dict, key: str, path: str):
     if key not in obj:
         raise SchemaError(f"{path}.{key}", "missing required field")
     return obj[key]
-
-
-def _positive_int(val, path: str) -> int:
-    if not isinstance(val, int) or isinstance(val, bool) or val < 1:
-        raise SchemaError(path, f"expected a positive integer, got {val!r}")
-    return val
 
 
 def channel_from_json(obj, path: str = "channel") -> KrausChannel:

@@ -15,7 +15,9 @@ Parameter combinations outside the known data-processing regions are
 rejected at construction unless explicitly overridden. Every gradient, in
 either argument, is closed form; the f-divergence ones use the Petz form
 ``sum_j tr P_j g_j(s)``, ``g_j(mu) = mu f(p_j/mu)`` (Hiai, Mosonyi, Petz and
-Beny, Rev. Math. Phys. 23, 2011).
+Beny, Rev. Math. Phys. 23, 2011). At a rank-deficient first state, every
+family with a value on the boundary has its first gradient in closed form on
+the tangent space of the PSD cone.
 """
 
 from __future__ import annotations
@@ -233,6 +235,19 @@ class MeasureSpec:
         )
 
 
+class _TangentProjection:
+    """``M -> M - Q M Q``, the orthogonal projection onto the tangent space of
+    the PSD cone at rho, from ``P`` the support projector of rho and
+    ``Q = 1 - P``; M may be a stack of matrices."""
+
+    def __init__(self, p: np.ndarray):
+        self.p = p
+        self.q = np.eye(p.shape[0]) - p
+
+    def __call__(self, m: np.ndarray) -> np.ndarray:
+        return m - self.q @ m @ self.q
+
+
 def _checked_pair(rho, sigma) -> "_Pair":
     sigma = _as_positive(sigma, "sigma")
     if rho.dim != sigma.dim:
@@ -258,15 +273,15 @@ class _Pair:
         there reaches a power below 1."""
         key = (gamma, p)
         if key not in self._cores:
-            rho, psd = self.rho, isinstance(self.rho, PsdOperator)
+            rho, kernel = self.rho, self.kernel
             s_g = _powm(self.sigma, gamma)
             if p is None:
                 r = rho.matrix
             else:
+                psd = isinstance(rho, PsdOperator)
                 wr, vr = (rho.eigenvalues, rho.eigenvectors) if psd else rho.eigensystem
                 r = _spectral(vr, wr ** p)
             x = HermitianOperator._exact(_symmetrized(s_g @ r @ s_g))
-            kernel = rho.dim - rho.rank if psd else 0
             if kernel:
                 wx, vx = x.eigensystem
                 wx = np.concatenate((np.zeros(kernel), wx[kernel:]))
@@ -280,6 +295,12 @@ class _Pair:
         s_g, x = self.core(gamma, p)
         s_outer = s_g if outer == gamma else _powm(self.sigma, outer)
         return s_outer @ _powm(x, exponent) @ s_outer
+
+    @cached_property
+    def kernel(self) -> int:
+        """The dimension of the kernel of rho: nonzero only for a
+        rank-deficient :class:`PsdOperator`, on the boundary of the cone."""
+        return self.rho.dim - self.rho.rank if isinstance(self.rho, PsdOperator) else 0
 
     @cached_property
     def support(self) -> np.ndarray:
@@ -310,19 +331,34 @@ class _Pair:
 # ---------------------------------------------------------------------------
 
 
+def _on_support(func, x: np.ndarray, pos: np.ndarray, at_zero: float) -> np.ndarray:
+    """``func`` at the columns of ``x`` that ``pos`` marks, ``at_zero`` at the
+    others (those of a vanishing eigenvalue of rho)."""
+    if pos.all():
+        return _scalar_values(func, x)
+    out = np.full(x.shape, float(at_zero))
+    out[..., pos] = _scalar_values(func, x[..., pos])
+    return out
+
+
+def _fdiv_ratios(pair: ScalarFunctionPair, pt: _Pair):
+    """``x = p_a/mu_k`` and the columns ``pos`` of nonzero ``p_a``; a vanishing
+    ``p_a`` needs the continuous extension ``f(0+)``."""
+    p, _, _, mu, _, _, _ = pt.overlap
+    pos = p > 0.0
+    if not pos.all() and pair.value_at_zero is None:
+        raise ValueError(f"f-divergence {pair.name!r} has no continuous extension at 0")
+    return p[None, :] / mu[:, None], pos
+
+
 def _fdiv_value(pair: ScalarFunctionPair, pt: _Pair, allow_zero: bool = False) -> float:
     """``sum_{k,a} mu_k f(p_a/mu_k) |W_ka|^2`` with ``W = V_s^H V_r``; ``f(0+)``
     stands in at vanishing ``p_a`` when ``allow_zero``."""
     p, _, _, mu, _, _, w = pt.overlap
-    pos = p > 0.0
-    fx = np.empty((mu.size, p.size))
-    fx[:, pos] = _scalar_values(pair.f, p[pos] / mu[:, None])
-    if not pos.all():
-        if not allow_zero:
-            raise PositivityError("f-divergence value requires positive states")
-        if pair.value_at_zero is None:
-            raise ValueError(f"f-divergence {pair.name!r} has no continuous extension at 0")
-        fx[:, ~pos] = pair.value_at_zero
+    if not allow_zero and not (p > 0.0).all():
+        raise PositivityError("f-divergence value requires positive states")
+    x, pos = _fdiv_ratios(pair, pt)
+    fx = _on_support(pair.f, x, pos, pair.value_at_zero)
     return float(np.sum(mu[:, None] * fx * np.abs(w) ** 2))
 
 
@@ -368,8 +404,8 @@ def evaluate_psd(m: MeasureSpec, rho: PsdOperator, sigma) -> float:
 
 def _fidelity_grad1(pt: _Pair) -> HermitianOperator:
     s_half, y = pt.core(0.5)
-    if y.eigensystem[0][0] <= 0.0:
-        raise PositivityError("fidelity gradient needs sqrt(s) r sqrt(s) > 0")
+    if (y.eigensystem[0][pt.kernel:] <= 0.0).any():
+        raise PositivityError("fidelity gradient needs sqrt(s) r sqrt(s) > 0 on the support of r")
     return hermitize(0.5 * s_half @ _powm(y, -0.5) @ s_half)
 
 
@@ -382,10 +418,15 @@ def _fdiv_grad(pair: ScalarFunctionPair, pt: _Pair, slot: int) -> HermitianOpera
     eigenbasis, slot 1 is ``sum_k conj(W_ka) W_kb h_k^[1](p_a, p_b)`` (same
     cluster: ``f'(x)``) and slot 2 is ``sum_a W_ka conj(W_la) g_a^[1](mu_k, mu_l)``
     (same cluster: ``f(x) - x f'(x)``).
+
+    A vanishing ``p_b`` takes ``h_k(0) = mu_k f(0+)``, so the support-kernel
+    entries are ``(h_k(p_a) - h_k(0)) / p_a``, and ``f'`` is 0 on the
+    kernel-kernel block, which the tangent space of the PSD cone drops.
     """
     p, rid, vr, mu, sid, vs, w = pt.overlap
-    x = p[None, :] / mu[:, None]
-    fx, fpx = _scalar_values(pair.f, x), _scalar_values(pair.f_prime, x)
+    x, pos = _fdiv_ratios(pair, pt)
+    fx = _on_support(pair.f, x, pos, pair.value_at_zero)
+    fpx = _on_support(pair.f_prime, x, pos, 0.0)
     vals = mu[:, None] * fx
     if slot == 1:
         g = np.einsum("ka,kb,kab->ab", w.conj(), w, _loewner_matrix(p, rid, vals, fpx))
@@ -398,24 +439,46 @@ def _fdiv_grad(pair: ScalarFunctionPair, pt: _Pair, slot: int) -> HermitianOpera
 
 
 def _grad1(m: MeasureSpec, pt: _Pair) -> HermitianOperator:
-    rho, sigma = pt.rho, pt.sigma
+    """Gradient in the first argument.
+
+    At a rank-deficient :class:`PsdOperator` rho it is the gradient on the
+    tangent space of the PSD cone: the closed form with its kernel-kernel
+    block dropped, projected onto the tangent space. The Renyi and fidelity
+    cores take zero-preserving powers; ``r^{a/z}`` and the f-divergences take
+    divided differences with ``h(0)`` from the continuous extension. Relative
+    entropy reads ``logx(r) - log s + Q log s Q + P`` with ``logx`` the
+    support logarithm, P the support projector and ``Q = 1 - P``.
+    """
+    rho = pt.rho
     if m.family == "relative_entropy":
+        if pt.kernel:
+            tangent = _TangentProjection(pt.support)
+            log_sigma = pt.log_sigma
+            return hermitize(pt.log_support - log_sigma + tangent.q @ log_sigma @ tangent.q + tangent.p)
         return hermitize(_logm(rho) - pt.log_sigma + np.eye(rho.dim))
     if m.family == "fidelity":
-        return _fidelity_grad1(pt)
-    if m.family in ("sandwiched_renyi", "alpha_z"):
+        g = _fidelity_grad1(pt)
+    elif m.family in ("sandwiched_renyi", "alpha_z"):
         alpha, z = m.alpha, m.z or m.alpha  # sandwiched: z = alpha
         gamma = m.gamma
         wx = pt.core(gamma, alpha / z)[1].eigensystem[0]
         if m.family == "sandwiched_renyi":
             trace = float(np.sum(wx ** alpha))
             core = pt.core_power(gamma, 1.0, gamma, alpha - 1.0)
-            return hermitize(alpha / ((alpha - 1.0) * trace) * core)
-        trace = float(np.sum(wx ** z))
-        w = _symmetrized(pt.core_power(gamma, alpha / z, gamma, z - 1.0))
-        deriv = frechet_derivative(rho, w, power(alpha / z))
-        return hermitize(z / ((alpha - 1.0) * trace) * deriv.matrix)
-    return _fdiv_grad(m.f_pair, pt, 1)
+            g = hermitize(alpha / ((alpha - 1.0) * trace) * core)
+        else:
+            trace = float(np.sum(wx ** z))
+            w = _symmetrized(pt.core_power(gamma, alpha / z, gamma, z - 1.0))
+            # The Frechet derivative of r^{a/z} along w, with 0^{a/z} = 0.
+            p, rid, vr = pt.overlap[:3]
+            pos, pw = p > 0.0, power(alpha / z)
+            kernel = _loewner_matrix(p, rid, _on_support(pw.f, p, pos, 0.0),
+                                     _on_support(pw.f_prime, p, pos, 0.0))
+            deriv = _symmetrized(vr @ (kernel * (vr.conj().T @ w @ vr)) @ vr.conj().T)
+            g = hermitize(z / ((alpha - 1.0) * trace) * deriv)
+    else:
+        g = _fdiv_grad(m.f_pair, pt, 1)
+    return hermitize(_TangentProjection(pt.support)(g.matrix)) if pt.kernel else g
 
 
 def _grad2(m: MeasureSpec, pt: _Pair) -> HermitianOperator:

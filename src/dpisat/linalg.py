@@ -269,9 +269,11 @@ def _spectral(v: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 
 def _powm(op, p: float) -> np.ndarray:
-    """``A**p`` of an operator, from its (unsnapped) eigensystem."""
+    """``A**p`` of an operator, from its (unsnapped) eigensystem. An exact
+    zero eigenvalue stays zero, so the power of a boundary core with exact
+    kernel zeros is its power on the support."""
     w, v = op.eigensystem
-    return _spectral(v, w ** p)
+    return _spectral(v, np.power(w, p, out=np.zeros_like(w), where=w != 0.0))
 
 
 def _logm(op) -> np.ndarray:
@@ -451,10 +453,18 @@ def hs_inner(A, B) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _number(val, path: str) -> float:
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise SchemaError(path, f"expected a number, got {val!r}")
+def _number(val, path: str, what: str = "a number", positive: bool = False) -> float:
+    """A JSON number (not a bool) as a float, strictly positive if ``positive``."""
+    if not isinstance(val, (int, float)) or isinstance(val, bool) or (positive and val <= 0):
+        raise SchemaError(path, f"expected {what}, got {val!r}")
     return float(val)
+
+
+def _positive_int(val, path: str, what: str = "a positive integer", least: int | None = 1) -> int:
+    """A JSON integer (not a bool) of at least ``least``; ``least=None`` admits any."""
+    if not isinstance(val, int) or isinstance(val, bool) or (least is not None and val < least):
+        raise SchemaError(path, f"expected {what}, got {val!r}")
+    return val
 
 
 def matrix_to_json(m) -> dict:
@@ -476,8 +486,7 @@ def matrix_from_json(obj, path: str = "matrix") -> np.ndarray:
     else:
         raise SchemaError(path, "missing 'dim' (or 'rows'/'cols')")
     for key, val in (("rows", rows), ("cols", cols)):
-        if not isinstance(val, int) or isinstance(val, bool) or val < 1:
-            raise SchemaError(f"{path}.{key}", f"expected a positive integer, got {val!r}")
+        _positive_int(val, f"{path}.{key}")
     entries = obj.get("entries")
     if not isinstance(entries, list) or len(entries) != rows:
         raise SchemaError(f"{path}.entries", f"expected a list of {rows} rows")

@@ -25,11 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import (
-    LinearFunctionalSample,
-    dualize,
-    hermitian_basis,
-)
+from .calculus import hermitian_basis
 from .channels import (
     KrausChannel,
     _act_adjoint,
@@ -44,6 +40,7 @@ from .divergences import (
     _grad2,
     _Pair,
     _scaling_law,
+    _TangentProjection,
     _value,
 )
 from .linalg import (
@@ -53,13 +50,11 @@ from .linalg import (
     PsdOperator,
     _as_positive,
     _as_psd,
-    _eigh,
     _powm,
     _spectral,
     as_matrix,
     frobenius,
     hermitize,
-    hs_inner,
     matrix_to_json,
     zeroth_power,
 )
@@ -171,9 +166,9 @@ def normalized_sandwiched_residual(
         raise ValueError(
             f"normalized residual is meaningful only at saturation; |gap|={abs(gap):.3e}"
         )
-    gamma = (1.0 - alpha) / (2.0 * alpha)
-    outer = pt.core_power(gamma, None, gamma, alpha - 1.0)
-    inner = pt_out.core_power(gamma, None, gamma, alpha - 1.0)
+    gamma = m.gamma
+    outer = pt.core_power(gamma, 1.0, gamma, alpha - 1.0)
+    inner = pt_out.core_power(gamma, 1.0, gamma, alpha - 1.0)
     return hermitize(outer - adjoint_apply(ch, hermitize(inner)).matrix)
 
 
@@ -252,19 +247,6 @@ def converse_certificate(
 # ---------------------------------------------------------------------------
 
 
-class _TangentProjection:
-    """``M -> M - Q M Q``, the orthogonal projection onto the tangent space of
-    the PSD cone at rho, from ``P`` the support projector of rho and
-    ``Q = 1 - P``; M may be a stack of matrices."""
-
-    def __init__(self, p: np.ndarray):
-        self.p = p
-        self.q = np.eye(p.shape[0]) - p
-
-    def __call__(self, m: np.ndarray) -> np.ndarray:
-        return m - self.q @ m @ self.q
-
-
 def tangent_project(rho: PsdOperator, M) -> HermitianOperator:
     """Project onto the tangent space at a PSD operator:
     ``M - (1 - P) M (1 - P)`` with P the support projector."""
@@ -275,32 +257,20 @@ def tangent_project(rho: PsdOperator, M) -> HermitianOperator:
     return hermitize(_TangentProjection(zeroth_power(rho).matrix)(m))
 
 
-def _kernel_operator_basis(rho: PsdOperator):
-    """Orthonormal Hermitian basis of the operators on the kernel of rho."""
-    vecs = rho.eigenvectors[:, rho.eigenvalues == 0.0]
-    k = vecs.shape[1]
-    basis = []
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for a in range(k):
-        va = vecs[:, a:a + 1]
-        basis.append(va @ va.conj().T)
-        for b in range(a + 1, k):
-            vb = vecs[:, b:b + 1]
-            cross = va @ vb.conj().T
-            basis.append(inv_sqrt2 * (cross + cross.conj().T))
-            basis.append(inv_sqrt2 * (1j * cross - 1j * cross.conj().T))
-    return basis
-
-
 def tangent_membership(rho: PsdOperator, M, tol: float = 1e-10) -> bool:
     """Whether M is orthogonal (Hilbert-Schmidt) to every operator acting on
-    the kernel of rho, i.e. tangent to the PSD cone at rho."""
+    the kernel of rho, i.e. tangent to the PSD cone at rho.
+
+    The coordinates of M in the orthonormal Hermitian basis of those
+    operators are read from the kernel block ``B = V_k^H M V_k``: ``B_aa``,
+    ``sqrt(2) Re B_ab`` and ``sqrt(2) Im B_ab`` for ``a < b``.
+    """
     rho = _as_psd(rho)
-    m = as_matrix(M)
-    for b in _kernel_operator_basis(rho):
-        if abs(hs_inner(m, b)) > tol:
-            return False
-    return True
+    vecs = rho.eigenvectors[:, rho.eigenvalues == 0.0]
+    b = vecs.conj().T @ as_matrix(M) @ vecs
+    upper = b[np.triu_indices(b.shape[0], 1)]
+    coords = np.concatenate((b.diagonal().real, math.sqrt(2.0) * upper.real, math.sqrt(2.0) * upper.imag))
+    return not (np.abs(coords) > tol).any()
 
 
 def tangent_space_rank(rho: PsdOperator, tol: float = 1e-8) -> int:
@@ -342,73 +312,23 @@ def _boundary_residual_relent(ch: KrausChannel, pt: _Pair, pt_out: _Pair) -> Her
     return hermitize(lhs - rhs)
 
 
-def _extended_gradient(m: MeasureSpec, pt: _Pair) -> HermitianOperator:
-    """Gradient of B(., s) at the pair's PSD point, extended from the tangent
-    space of the PSD cone by zero on its orthogonal complement.
-
-    Relative entropy has the closed form
-    ``logx(r) - log(s) + (1-P) log(s) (1-P) + P``; at full rank any family
-    reduces to the ordinary first gradient; otherwise one-sided finite
-    differences along tangent directions are used.
-    """
-    if m.family == "relative_entropy":
-        tangent = _TangentProjection(pt.support)
-        log_sigma = pt.log_sigma
-        return hermitize(pt.log_support - log_sigma + tangent.q @ log_sigma @ tangent.q + tangent.p)
-    if _as_psd(pt.rho).rank == pt.rho.dim:
-        return _grad1(m, pt)
-    return _fd_tangent_gradient(m, pt)
-
-
-def _psd_clamp(arr: np.ndarray, floor: float) -> PsdOperator:
-    """Snap small negative eigenvalues to zero; reject genuine negativity."""
-    w, v = _eigh((arr + arr.conj().T) / 2.0)
-    if w[0] < -floor:
-        raise PositivityError(f"probe left the PSD cone (eigenvalue {w[0]:.3e})")
-    w = np.maximum(w, 0.0)
-    return PsdOperator(hermitize(_spectral(v, w)), zero_tol=floor)
-
-
-def _fd_tangent_gradient(m: MeasureSpec, pt: _Pair) -> HermitianOperator:
-    """One-sided finite differences along tangent probes, dualized.
-
-    Carries an O(h) bias, so this path is a diagnostic rather than a
-    certificate at the tight tolerances of the closed forms.
-    """
-    rho = pt.rho
-    n = rho.dim
-    h = 1e-5 * max(1.0, float(np.linalg.norm(rho.matrix)))
-    base = _value(m, pt)
-    tangent = _TangentProjection(pt.support)
-    vals = np.empty(n * n)
-    for i, b in enumerate(hermitian_basis(n)):
-        probe = hermitize(tangent(b.matrix)).matrix
-        if float(np.linalg.norm(probe)) < 1e-14:
-            vals[i] = 0.0
-            continue
-        try:
-            shifted = _psd_clamp(rho.matrix + h * probe, floor=1e-7 * max(1.0, h))
-            vals[i] = (_value(m, _Pair(shifted, pt.sigma)) - base) / h
-        except (PositivityError, ValueError) as exc:
-            raise ValueError(
-                f"boundary derivative undefined along tangent direction {i}: {exc}"
-            ) from exc
-    return dualize(LinearFunctionalSample(n, vals))
-
-
 def boundary_residual_general(m: MeasureSpec, ch: KrausChannel, rho, sigma) -> HermitianOperator:
     """Tangent-space gradient residual for a PSD first argument:
 
-        grad_ext(r) - [ L*(grad_ext(L r)) - (1-P) L*(grad_ext(L r)) (1-P) ]
+        G(r) - [ L*(G(L r)) - (1-P) L*(G(L r)) (1-P) ]
 
-    Reduces to :func:`residual1` when rho has full rank.
+    where ``G`` is the closed-form gradient of ``B(., s)`` on the tangent
+    space of the PSD cone (the ordinary first gradient at full rank) and P
+    the support projector of r. It vanishes at saturation for every family
+    with a value on the boundary; ``neg_log`` has none and raises
+    ``ValueError``. Reduces to :func:`residual1` when rho has full rank.
     """
     return _boundary_residual_general(m, ch, *_pairs(ch, rho, sigma, boundary=True))
 
 
 def _boundary_residual_general(m: MeasureSpec, ch: KrausChannel, pt: _Pair, pt_out: _Pair) -> HermitianOperator:
-    back = adjoint_apply(ch, _extended_gradient(m, pt_out)).matrix
-    return hermitize(_extended_gradient(m, pt).matrix - _TangentProjection(pt.support)(back))
+    back = adjoint_apply(ch, _grad1(m, pt_out)).matrix
+    return hermitize(_grad1(m, pt).matrix - _TangentProjection(pt.support)(back))
 
 
 def hiai_residual(ch: KrausChannel, rho, sigma) -> np.ndarray:

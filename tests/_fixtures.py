@@ -198,3 +198,32 @@ def classical_renyi(alpha: float, p, q) -> float:
 
 def classical_fdiv(f, p, q) -> float:
     return float(sum(qi * f(pi / qi) for pi, qi in zip(p, q)))
+
+
+def fd_tangent_gradient(m: MeasureSpec, rho: PsdOperator, sigma, h: float) -> np.ndarray:
+    """Finite-difference oracle for the gradient of ``B(., sigma)`` on the
+    tangent space of the PSD cone at ``rho``.
+
+    One-sided differences with step ``h`` along the tangent projection of
+    each canonical Hermitian basis element, dualized. Each probe
+    ``rho + h M`` is snapped back onto the cone: eigenvalues within
+    ``1e-7 * max(1, h)`` of zero become zero, so the probe keeps the rank of
+    rho. The estimate carries an O(h) bias.
+    """
+    from dpisat.calculus import LinearFunctionalSample, dualize, hermitian_basis
+    from dpisat.divergences import evaluate_psd
+    from dpisat.saturation import tangent_project
+
+    n = rho.dim
+    floor = 1e-7 * max(1.0, h)
+    base = evaluate_psd(m, rho, sigma)
+    vals = np.zeros(n * n)
+    for i, b in enumerate(hermitian_basis(n)):
+        probe = tangent_project(rho, b).matrix
+        if np.linalg.norm(probe) < 1e-14:
+            continue
+        w, v = np.linalg.eigh(rho.matrix + h * probe)
+        assert w[0] >= -floor, f"probe {i} left the PSD cone (eigenvalue {w[0]:.3e})"
+        shifted = (v * np.maximum(w, 0.0)) @ v.conj().T
+        vals[i] = (evaluate_psd(m, PsdOperator(HermitianOperator(shifted, herm_tol=1e-8), zero_tol=floor), sigma) - base) / h
+    return dualize(LinearFunctionalSample(n, vals)).matrix

@@ -89,6 +89,38 @@ class TestRun:
         assert rep["checks"]["boundary"]["zeros_log_norm"] <= 1e-8
         assert rep["checks"]["tangent"]["measured"] == 8
 
+    @pytest.mark.parametrize("measure", [
+        {"family": "fidelity"},
+        {"family": "sandwiched_renyi", "alpha": 2.0},
+    ], ids=lambda m: m["family"])
+    def test_boundary_scenario_for_other_families(self, tmp_path, measure):
+        # The tangent-space gradient residual is judged; the support-log
+        # residuals are relative-entropy recoverability conditions.
+        scen = tmp_path / "scen.json"
+        write_scenarios(scen, [dict(BOUNDARY_SCENARIO, measure=measure)])
+        out = tmp_path / "out"
+        assert main(["run", str(scen), "--out", str(out)]) == 0
+        rep = load_report(out, "boundary-rank2")
+        assert rep["passed"] is True
+        assert abs(rep["gap"]) <= 1e-12
+        assert set(rep["checks"]["boundary"]) == {"passed", "general_norm"}
+        assert rep["checks"]["boundary"]["general_norm"] <= 1e-10
+        assert rep["checks"]["tangent"]["measured"] == 8
+
+    def test_neg_log_boundary_fails_alone_with_reason(self, tmp_path):
+        scen = tmp_path / "scen.json"
+        measure = {"family": "f_divergence", "f": "neg_log"}
+        write_scenarios(scen, [dict(BOUNDARY_SCENARIO, name="neg-log", measure=measure)])
+        out = tmp_path / "out"
+        assert main(["run", str(scen), "--out", str(out)]) == 1
+        rep = load_report(out, "neg-log")
+        assert "error" not in rep
+        assert rep["gap"] is None
+        reason = "gap could not be evaluated: f-divergence 'neg_log' has no continuous extension at 0"
+        for check in ("gap", "boundary"):
+            assert rep["checks"][check] == {"passed": False, "reason": reason}
+        assert rep["checks"]["tangent"] == {"passed": True, "measured": 8, "expected": 8}
+
     def test_unevaluable_gap_fails_only_the_checks_that_need_it(self, tmp_path):
         # neg_log has no continuous extension at 0, so the gap of a
         # rank-deficient rho cannot be evaluated; tangent does not need it.
@@ -344,6 +376,28 @@ class TestSchemaErrors:
         assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value,path", [
+        ("rho", {"builder": "diag", "values": []}, "rho.values"),
+        ("rho", {"builder": "diag", "values": [0.5, "x"]}, "rho.values"),
+        ("rho", {"builder": "diag", "values": [True, 0.5]}, "rho.values"),
+        ("rho", {"builder": "random_pos", "dim": 0, "seed": 1}, "rho.dim"),
+        ("rho", {"builder": "random_pos", "dim": True, "seed": 1}, "rho.dim"),
+        ("rho", {"builder": "random_pos", "dim": 2, "seed": 1.5}, "rho.seed"),
+        ("rho", {"builder": "random_pos", "dim": 2, "seed": False}, "rho.seed"),
+        ("rho", {"dim": True, "entries": [[[1, 0]]]}, "rho.rows"),
+        ("rho", {"rows": 1, "cols": 0, "entries": [[]]}, "rho.cols"),
+        ("channel", {"builder": "dephasing_pinching", "dim": 0}, "channel.dim"),
+        ("channel", {"builder": "dephasing_pinching", "dim": 2.0}, "channel.dim"),
+        ("tolerances", {"gap_tol": 0}, "tolerances.gap_tol"),
+        ("tolerances", {"residual_tol": True}, "tolerances.residual_tol"),
+        ("tolerances", {"gap_tol": "1e-8"}, "tolerances.gap_tol"),
+    ])
+    def test_field_validators(self, tmp_path, capsys, field, value, path):
+        scen = tmp_path / "scen.json"
+        write_scenarios(scen, [dict(PINCHING_SCENARIO, **{field: value})])
+        assert main(["validate", str(scen)]) == 2
+        assert capsys.readouterr().err.startswith(f"schema error at scenario[0].{path}: expected ")
+
     def test_unknown_check(self, tmp_path, capsys):
         scen = tmp_path / "scen.json"
         bad = dict(PINCHING_SCENARIO)
@@ -397,6 +451,19 @@ class TestValidate:
     def test_valid_file(self, tmp_path):
         scen = tmp_path / "scen.json"
         write_scenarios(scen, [PINCHING_SCENARIO, DEPOLARIZING_SCENARIO])
+        assert main(["validate", str(scen)]) == 0
+
+    def test_gap_and_boundary_on_rank_deficient_rho_for_every_family(self, tmp_path):
+        from dpisat.divergences import measure_to_json
+
+        from _fixtures import measure_suite
+
+        scenarios = [
+            dict(BOUNDARY_SCENARIO, name=f"s{i}", measure=measure_to_json(m))
+            for i, m in enumerate(measure_suite())
+        ]
+        scen = tmp_path / "scen.json"
+        write_scenarios(scen, scenarios)
         assert main(["validate", str(scen)]) == 0
 
     def test_invalid_file(self, tmp_path):

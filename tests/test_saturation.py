@@ -43,9 +43,11 @@ from dpisat.saturation import (
 from _fixtures import (
     boundary_saturating_fixtures,
     classical_kl,
+    count_eigh,
     depolarizing_fixture,
     diag_positive,
     diag_psd,
+    fd_tangent_gradient,
     gen,
     measure_suite,
     random_cptp,
@@ -336,8 +338,7 @@ class TestBoundaryResiduals:
             assert np.linalg.norm(gen_res.matrix - ref.matrix) <= 1e-9, m
 
     def test_boundary_fd_path_on_saturating_fixture(self):
-        # Non-relative-entropy families use one-sided differences along
-        # tangent probes; accuracy is O(h), so the bound here is loose.
+        # A loose bound; TestTangentGradient holds every family to 1e-10.
         label, c, rho, sigma = boundary_saturating_fixtures()[0]
         for m in (MeasureSpec.fidelity(), MeasureSpec.sandwiched_renyi(2.0)):
             res = boundary_residual_general(m, c, rho, sigma)
@@ -564,6 +565,83 @@ class TestSinglePassReport:
             build_report(MeasureSpec.relative_entropy(), c, rho, sigma)
         rep = build_report(MeasureSpec.relative_entropy(), c, rho, sigma, with_petz=False)
         assert rep.petz_recovery_error_rho is None
+
+
+# Every spec with a value on the boundary, that is with f(0+).
+BOUNDARY_SPECS = [m for m in measure_suite() if m.f_name != "neg_log"]
+
+
+def _tangent_grad(m, rho, sigma) -> np.ndarray:
+    from dpisat.divergences import _grad1, _Pair
+
+    return _grad1(m, _Pair(rho, sigma)).matrix
+
+
+class TestTangentGradient:
+    """The closed-form gradient on the tangent space of the PSD cone, for
+    every family with a value on the boundary."""
+
+    @pytest.mark.parametrize("m", BOUNDARY_SPECS, ids=str)
+    def test_matches_finite_difference_oracle(self, m):
+        # The oracle's O(h) bias shrinks linearly with the step.
+        g = gen(590)
+        for rank in (1, 2, 3):
+            rho, sigma = random_psd_rank(g, 4, rank), random_positive(g, 4)
+            closed = _tangent_grad(m, rho, sigma)
+            for h, bound in ((1e-5, 1e-3), (1e-6, 1e-4)):
+                oracle = fd_tangent_gradient(m, rho, sigma, h)
+                assert np.linalg.norm(closed - oracle) <= bound * np.linalg.norm(closed), (rank, h)
+
+    @pytest.mark.parametrize("m", BOUNDARY_SPECS, ids=str)
+    def test_is_tangent(self, m):
+        g = gen(591)
+        rho, sigma = random_psd_rank(g, 4, 2), random_positive(g, 4)
+        assert tangent_membership(rho, _tangent_grad(m, rho, sigma), tol=1e-12)
+
+    @pytest.mark.parametrize("m", BOUNDARY_SPECS, ids=str)
+    def test_residual_vanishes_on_saturating_fixtures(self, m):
+        for label, c, rho, sigma in boundary_saturating_fixtures():
+            assert frobenius(boundary_residual_general(m, c, rho, sigma)) <= 1e-10, label
+
+    def test_neg_log_has_no_boundary_gradient(self):
+        m = MeasureSpec.f_divergence("neg_log")
+        for label, c, rho, sigma in boundary_saturating_fixtures():
+            with pytest.raises(ValueError, match="no continuous extension at 0"):
+                boundary_residual_general(m, c, rho, sigma)
+
+    @pytest.mark.parametrize("m", measure_suite(), ids=str)
+    def test_full_rank_psd_is_the_ordinary_gradient(self, m):
+        from dpisat.divergences import grad1
+
+        g = gen(592)
+        rho, sigma = random_positive(g, 3), random_positive(g, 3)
+        np.testing.assert_array_equal(
+            _tangent_grad(m, PsdOperator(rho.op), sigma), grad1(m, rho, sigma).matrix
+        )
+
+    def test_rank_one_fidelity(self):
+        # On the rank-one stratum F(r, s) = sqrt(tr(r s)), so at r = |v><v|
+        # the tangent gradient is the projection of s / (2 sqrt(<v|s|v>)):
+        # for v = e_0, the first row and column of s over 2 sqrt(s_00).
+        sigma = HermitianOperator(np.array([[0.5, 0.1, 0.0], [0.1, 0.3, 0.05j], [0.0, -0.05j, 0.2]]))
+        got = _tangent_grad(MeasureSpec.fidelity(), diag_psd([1.0, 0.0, 0.0]), PositiveOperator(sigma))
+        expected = np.zeros((3, 3), dtype=complex)
+        expected[0, :] = sigma.matrix[0, :]
+        expected[:, 0] = sigma.matrix[:, 0]
+        np.testing.assert_allclose(got, expected / (2.0 * math.sqrt(0.5)), atol=1e-13)
+
+
+class TestNormalizedSandwichedEigensolves:
+    def test_reads_the_gap_core(self, monkeypatch):
+        # _pairs eigensolves the two channel images, the gap one sandwiched
+        # core per pair; the residual powers those same cores.
+        from _fixtures import saturating_fixtures
+
+        label, c, rho, sigma = saturating_fixtures()[1]  # pinching fixture
+        inputs = count_eigh(monkeypatch)
+        res = normalized_sandwiched_residual(c, rho, sigma, alpha=2.0)
+        assert len(inputs) == 4
+        assert frobenius(res) <= 1e-10
 
 
 class TestTangentRankBatched:
