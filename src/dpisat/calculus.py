@@ -31,6 +31,7 @@ from .linalg import (
     HermitianOperator,
     MatrixFunctionDomainError,
     _scalar_values,
+    _symmetrized,
     as_matrix,
     clustered_eigensystem,
     hermitize,
@@ -259,6 +260,14 @@ def _loewner_matrix(reps, ids, fvals, fpvals) -> np.ndarray:
     return np.where(same, fpvals[..., :, None], kernel)
 
 
+def _frechet(reps, ids, v, fvals, fpvals, m: np.ndarray) -> np.ndarray:
+    """``V (K o V^H M V) V^H``, symmetrized: the Frechet derivative along ``m``
+    of the spectral function with values ``fvals``/``fpvals`` at the cluster
+    representatives ``reps`` of a clustered eigensystem, K its Loewner kernel."""
+    kernel = _loewner_matrix(reps, ids, fvals, fpvals)
+    return _symmetrized(v @ (kernel * (v.conj().T @ m @ v)) @ v.conj().T)
+
+
 def frechet_derivative(A, M, fp: ScalarFunctionPair,
                        cluster_tol: float = DEFAULT_CLUSTER_TOL) -> HermitianOperator:
     """Directional derivative of the matrix function ``fp.f`` at A along M.
@@ -269,9 +278,7 @@ def frechet_derivative(A, M, fp: ScalarFunctionPair,
     if a.shape != m.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {m.shape}")
     reps, ids, v = clustered_eigensystem(A, cluster_tol)
-    kernel = _loewner_matrix(reps, ids, *_pair_values(reps, fp))
-    mt = v.conj().T @ m @ v
-    return hermitize(v @ (kernel * mt) @ v.conj().T)
+    return hermitize(_frechet(reps, ids, v, *_pair_values(reps, fp), m))
 
 
 def finite_difference_frechet(A, M, f, h: float = 1e-5) -> HermitianOperator:

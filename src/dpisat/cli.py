@@ -153,7 +153,7 @@ def _state_from_json(obj, path: str, seed_override: int | None):
         return np.diag(np.asarray(values, dtype=np.complex128)), None
     if name == "random_pos":
         dim = _positive_int(obj.get("dim"), f"{path}.dim")
-        seed = _positive_int(obj.get("seed"), f"{path}.seed", "an integer seed", least=None)
+        seed = _positive_int(obj.get("seed"), f"{path}.seed", "a non-negative integer seed", least=0)
         if seed_override is not None:
             seed = seed_override
         return random_positive_state(dim, seed), seed
@@ -193,17 +193,16 @@ def _validate_checks(sc: Scenario, path: str):
             )
 
 
-def _build_scenario(obj, path: str, flags) -> Scenario:
+def _build_scenario(obj, path: str, args, seed_override: int | None) -> Scenario:
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected a scenario object")
     name = obj.get("name")
     if not isinstance(name, str) or not name.strip():
         raise SchemaError(f"{path}.name", "expected a non-empty string")
     measure = measure_from_json(
-        obj.get("measure"), f"{path}.measure", allow_non_dpi=flags.allow_non_dpi
+        obj.get("measure"), f"{path}.measure", allow_non_dpi=args.allow_non_dpi
     )
     channel = channel_from_json(obj.get("channel"), f"{path}.channel")
-    seed_override = flags.seed_override
     seeds = {}
 
     rho_arr, rho_seed = _state_from_json(obj.get("rho"), f"{path}.rho", seed_override)
@@ -234,10 +233,10 @@ def _build_scenario(obj, path: str, flags) -> Scenario:
         raise SchemaError(f"{path}.checks", "expected a non-empty list of check names")
 
     gap_tol, residual_tol = _tolerances_from_json(obj.get("tolerances"), f"{path}.tolerances")
-    if flags.tol_gap is not None:
-        gap_tol = flags.tol_gap
-    if flags.tol_residual is not None:
-        residual_tol = flags.tol_residual
+    if args.tol_gap is not None:
+        gap_tol = args.tol_gap
+    if args.tol_residual is not None:
+        residual_tol = args.tol_residual
 
     known_keys = {"name", "measure", "channel", "rho", "sigma", "checks", "tolerances"}
     for key in obj:
@@ -259,7 +258,7 @@ def _build_scenario(obj, path: str, flags) -> Scenario:
     return sc
 
 
-def _load_scenarios(file_path: str, flags) -> list:
+def _load_scenarios(file_path: str, args) -> list:
     try:
         with open(file_path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -273,8 +272,9 @@ def _load_scenarios(file_path: str, flags) -> list:
         items = doc
     else:
         raise SchemaError(file_path, "expected a scenario object or a list of them")
+    seed_override = _seed_override()
     scenarios = [
-        _build_scenario(obj, f"scenario[{i}]", flags) for i, obj in enumerate(items)
+        _build_scenario(obj, f"scenario[{i}]", args, seed_override) for i, obj in enumerate(items)
     ]
     names = [sc.name for sc in scenarios]
     if len(set(names)) != len(names):
@@ -451,33 +451,16 @@ def _report_filename(name: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Flags:
-    allow_non_dpi: bool = False
-    tol_gap: float | None = None
-    tol_residual: float | None = None
-    seed_override: int | None = None
-
-
-def _flags_from_args(args) -> _Flags:
-    seed_override = None
+def _seed_override() -> int | None:
+    """``DPISAT_SEED``, the override of every scenario seed, read on each call."""
     env_seed = os.environ.get("DPISAT_SEED")
-    if env_seed is not None:
-        try:
-            seed_override = int(env_seed)
-        except ValueError as exc:
-            raise SchemaError("DPISAT_SEED", f"expected an integer, got {env_seed!r}") from exc
-    return _Flags(
-        allow_non_dpi=getattr(args, "allow_non_dpi", False),
-        tol_gap=getattr(args, "tol_gap", None),
-        tol_residual=getattr(args, "tol_residual", None),
-        seed_override=seed_override,
-    )
+    if env_seed is not None and not env_seed.strip().isdecimal():
+        raise SchemaError("DPISAT_SEED", f"expected a non-negative integer, got {env_seed!r}")
+    return None if env_seed is None else int(env_seed)
 
 
 def _cmd_run(args) -> int:
-    flags = _flags_from_args(args)
-    scenarios = _load_scenarios(args.file, flags)
+    scenarios = _load_scenarios(args.file, args)
     all_passed = True
     for sc in scenarios:
         try:
@@ -538,7 +521,7 @@ def _operand_from_arg(text: str, decoder, path: str):
 
 
 def _cmd_sweep(args) -> int:
-    flags = _flags_from_args(args)
+    seed_override = _seed_override()
     if args.measure not in ("sandwiched_renyi", "alpha_z"):
         raise SchemaError("measure", "sweep supports sandwiched_renyi and alpha_z")
     axes = _parse_grid(args.grid)
@@ -549,8 +532,9 @@ def _cmd_sweep(args) -> int:
             "grid", f"{args.measure} sweep needs axes {required}, got {axis_names}"
         )
     channel = _operand_from_arg(args.channel, channel_from_json, "channel")
+
     def state(obj, path):
-        return _state_from_json(obj, path, flags.seed_override)[0]
+        return _state_from_json(obj, path, seed_override)[0]
 
     rho_arr = _operand_from_arg(args.rho, state, "rho")
     sigma_arr = _operand_from_arg(args.sigma, state, "sigma")
@@ -570,9 +554,9 @@ def _cmd_sweep(args) -> int:
             continue
         try:
             if args.measure == "sandwiched_renyi":
-                m = MeasureSpec.sandwiched_renyi(alpha, allow_non_dpi=flags.allow_non_dpi)
+                m = MeasureSpec.sandwiched_renyi(alpha, allow_non_dpi=args.allow_non_dpi)
             else:
-                m = MeasureSpec.alpha_z(alpha, z, allow_non_dpi=flags.allow_non_dpi)
+                m = MeasureSpec.alpha_z(alpha, z, allow_non_dpi=args.allow_non_dpi)
         except ValueError as exc:
             print(f"warning: skipping {point}: {exc}", file=sys.stderr)
             continue
@@ -585,8 +569,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    flags = _flags_from_args(args)
-    scenarios = _load_scenarios(args.file, flags)
+    scenarios = _load_scenarios(args.file, args)
     print(f"{args.file}: {len(scenarios)} scenario(s) OK")
     return 0
 
@@ -605,8 +588,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("file", help="scenario JSON file")
     run_p.add_argument("--out", required=True, help="output directory for reports")
     run_p.add_argument("--allow-non-dpi", action="store_true", dest="allow_non_dpi")
-    run_p.add_argument("--tol-gap", type=float, default=None, dest="tol_gap")
-    run_p.add_argument("--tol-residual", type=float, default=None, dest="tol_residual")
+    run_p.add_argument("--tol-gap", type=float, dest="tol_gap")
+    run_p.add_argument("--tol-residual", type=float, dest="tol_residual")
     run_p.add_argument("--dump-matrices", action="store_true", dest="dump_matrices")
     run_p.set_defaults(func=_cmd_run)
 
@@ -623,6 +606,9 @@ def _build_parser() -> argparse.ArgumentParser:
     val_p = sub.add_parser("validate", help="schema-check a scenario file")
     val_p.add_argument("file")
     val_p.set_defaults(func=_cmd_validate)
+    # The options a subcommand lacks read as unset in every namespace.
+    for p in (run_p, sweep_p, val_p):
+        p.set_defaults(allow_non_dpi=False, tol_gap=None, tol_residual=None)
     return parser
 
 

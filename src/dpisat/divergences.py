@@ -31,6 +31,7 @@ import numpy as np
 from .calculus import (
     LOG,
     ScalarFunctionPair,
+    _frechet,
     _loewner_matrix,
     frechet_derivative,
     power,
@@ -48,7 +49,7 @@ from .linalg import (
     _number,
     _powm,
     _scalar_values,
-    _spectral,
+    _spectrum,
     _symmetrized,
     clustered_eigensystem,
     hermitize,
@@ -237,12 +238,12 @@ class MeasureSpec:
 
 class _TangentProjection:
     """``M -> M - Q M Q``, the orthogonal projection onto the tangent space of
-    the PSD cone at rho, from ``P`` the support projector of rho and
+    the PSD cone at rho, with ``P`` the support projector of rho and
     ``Q = 1 - P``; M may be a stack of matrices."""
 
-    def __init__(self, p: np.ndarray):
-        self.p = p
-        self.q = np.eye(p.shape[0]) - p
+    def __init__(self, rho):
+        self.p = zeroth_power(rho).matrix
+        self.q = np.eye(rho.dim) - self.p
 
     def __call__(self, m: np.ndarray) -> np.ndarray:
         return m - self.q @ m @ self.q
@@ -268,25 +269,20 @@ class _Pair:
         """``(s^gamma, X)``, ``X = s^gamma r^p s^gamma``: the Renyi core at
         ``p = a/z``; ``p=None`` takes r itself (the fidelity core).
 
-        A PSD rho is read through its snapped spectrum, and the ``dim - rank``
-        eigenvalues of X on its kernel are exactly zero, so that no roundoff
-        there reaches a power below 1."""
+        X is positive semidefinite by construction, so its eigensystem is
+        seeded once with roundoff below zero clamped to zero and the
+        ``kernel`` eigenvalues on the kernel of rho set to exactly zero:
+        no roundoff there reaches a power below 1."""
         key = (gamma, p)
         if key not in self._cores:
-            rho, kernel = self.rho, self.kernel
             s_g = _powm(self.sigma, gamma)
-            if p is None:
-                r = rho.matrix
-            else:
-                psd = isinstance(rho, PsdOperator)
-                wr, vr = (rho.eigenvalues, rho.eigenvectors) if psd else rho.eigensystem
-                r = _spectral(vr, wr ** p)
+            r = self.rho.matrix if p is None else _powm(self.rho, p)
             x = HermitianOperator._exact(_symmetrized(s_g @ r @ s_g))
-            if kernel:
-                wx, vx = x.eigensystem
-                wx = np.concatenate((np.zeros(kernel), wx[kernel:]))
-                wx.setflags(write=False)
-                vars(x)["eigensystem"] = wx, vx  # seeds the cached eigensystem
+            wx, vx = x.eigensystem
+            wx = np.maximum(wx, 0.0)
+            wx[:self.kernel] = 0.0
+            wx.setflags(write=False)
+            vars(x)["eigensystem"] = wx, vx  # seeds the cached eigensystem
             self._cores[key] = s_g, x
         return self._cores[key]
 
@@ -300,12 +296,12 @@ class _Pair:
     def kernel(self) -> int:
         """The dimension of the kernel of rho: nonzero only for a
         rank-deficient :class:`PsdOperator`, on the boundary of the cone."""
-        return self.rho.dim - self.rho.rank if isinstance(self.rho, PsdOperator) else 0
+        return int(np.count_nonzero(_spectrum(self.rho)[0] == 0.0))
 
     @cached_property
-    def support(self) -> np.ndarray:
-        """The projector onto the support of rho."""
-        return zeroth_power(self.rho).matrix
+    def tangent(self) -> _TangentProjection:
+        """The projection onto the tangent space of the PSD cone at rho."""
+        return _TangentProjection(self.rho)
 
     @cached_property
     def log_support(self) -> np.ndarray:
@@ -351,34 +347,37 @@ def _fdiv_ratios(pair: ScalarFunctionPair, pt: _Pair):
     return p[None, :] / mu[:, None], pos
 
 
-def _fdiv_value(pair: ScalarFunctionPair, pt: _Pair, allow_zero: bool = False) -> float:
+def _fdiv_value(pair: ScalarFunctionPair, pt: _Pair) -> float:
     """``sum_{k,a} mu_k f(p_a/mu_k) |W_ka|^2`` with ``W = V_s^H V_r``; ``f(0+)``
-    stands in at vanishing ``p_a`` when ``allow_zero``."""
+    stands in at vanishing ``p_a``."""
     p, _, _, mu, _, _, w = pt.overlap
-    if not allow_zero and not (p > 0.0).all():
-        raise PositivityError("f-divergence value requires positive states")
     x, pos = _fdiv_ratios(pair, pt)
     fx = _on_support(pair.f, x, pos, pair.value_at_zero)
     return float(np.sum(mu[:, None] * fx * np.abs(w) ** 2))
+
+
+def _renyi_trace(m: MeasureSpec, pt: _Pair):
+    """``(alpha, z, X, tr X^z)``: a Renyi measure's parameters (sandwiched:
+    ``z = alpha``), its core ``X = s^g r^{a/z} s^g`` at a pair, and the trace."""
+    alpha, z = m.alpha, m.z or m.alpha
+    x = pt.core(m.gamma, alpha / z)[1]
+    return alpha, z, x, float(np.sum(x.eigensystem[0] ** z))
 
 
 def _value(m: MeasureSpec, pt: _Pair) -> float:
     """The measure at a pair; a :class:`PsdOperator` first state takes the
     continuous extension onto the boundary."""
     if m.family == "relative_entropy":
-        wr = pt.rho.eigenvalues if isinstance(pt.rho, PsdOperator) else pt.rho.eigensystem[0]
+        wr = _spectrum(pt.rho)[0]
         pos = wr > 0.0
         entropy = np.sum(wr[pos] * np.log(wr[pos]))
         return float(entropy - np.real(np.trace(pt.rho.matrix @ pt.log_sigma)))
     if m.family == "fidelity":
-        wy = pt.core(0.5)[1].eigensystem[0]
-        return float(np.sum(np.sqrt(np.maximum(wy, 0.0))))
+        return float(np.sum(np.sqrt(pt.core(0.5)[1].eigensystem[0])))
     if m.family in ("sandwiched_renyi", "alpha_z"):
-        alpha, z = m.alpha, m.z or m.alpha  # sandwiched: z = alpha
-        wx = pt.core(m.gamma, alpha / z)[1].eigensystem[0]
-        trace = float(np.sum(np.maximum(wx, 0.0) ** z))
+        alpha, _, _, trace = _renyi_trace(m, pt)
         return math.log(trace) / (alpha - 1.0)
-    return _fdiv_value(m.f_pair, pt, allow_zero=isinstance(pt.rho, PsdOperator))
+    return _fdiv_value(m.f_pair, pt)
 
 
 def evaluate(m: MeasureSpec, rho, sigma) -> float:
@@ -449,36 +448,28 @@ def _grad1(m: MeasureSpec, pt: _Pair) -> HermitianOperator:
     entropy reads ``logx(r) - log s + Q log s Q + P`` with ``logx`` the
     support logarithm, P the support projector and ``Q = 1 - P``.
     """
-    rho = pt.rho
     if m.family == "relative_entropy":
         if pt.kernel:
-            tangent = _TangentProjection(pt.support)
-            log_sigma = pt.log_sigma
+            tangent, log_sigma = pt.tangent, pt.log_sigma
             return hermitize(pt.log_support - log_sigma + tangent.q @ log_sigma @ tangent.q + tangent.p)
-        return hermitize(_logm(rho) - pt.log_sigma + np.eye(rho.dim))
+        return hermitize(_logm(pt.rho) - pt.log_sigma + np.eye(pt.rho.dim))
     if m.family == "fidelity":
         g = _fidelity_grad1(pt)
-    elif m.family in ("sandwiched_renyi", "alpha_z"):
-        alpha, z = m.alpha, m.z or m.alpha  # sandwiched: z = alpha
-        gamma = m.gamma
-        wx = pt.core(gamma, alpha / z)[1].eigensystem[0]
-        if m.family == "sandwiched_renyi":
-            trace = float(np.sum(wx ** alpha))
-            core = pt.core_power(gamma, 1.0, gamma, alpha - 1.0)
-            g = hermitize(alpha / ((alpha - 1.0) * trace) * core)
-        else:
-            trace = float(np.sum(wx ** z))
-            w = _symmetrized(pt.core_power(gamma, alpha / z, gamma, z - 1.0))
-            # The Frechet derivative of r^{a/z} along w, with 0^{a/z} = 0.
-            p, rid, vr = pt.overlap[:3]
-            pos, pw = p > 0.0, power(alpha / z)
-            kernel = _loewner_matrix(p, rid, _on_support(pw.f, p, pos, 0.0),
-                                     _on_support(pw.f_prime, p, pos, 0.0))
-            deriv = _symmetrized(vr @ (kernel * (vr.conj().T @ w @ vr)) @ vr.conj().T)
-            g = hermitize(z / ((alpha - 1.0) * trace) * deriv)
+    elif m.family == "sandwiched_renyi":
+        alpha, _, _, trace = _renyi_trace(m, pt)
+        core = pt.core_power(m.gamma, 1.0, m.gamma, alpha - 1.0)
+        g = hermitize(alpha / ((alpha - 1.0) * trace) * core)
+    elif m.family == "alpha_z":
+        alpha, z, _, trace = _renyi_trace(m, pt)
+        w = _symmetrized(pt.core_power(m.gamma, alpha / z, m.gamma, z - 1.0))
+        # The Frechet derivative of r^{a/z} along w, with 0^{a/z} = 0.
+        p, rid, vr = clustered_eigensystem(pt.rho)
+        pos, pw = p > 0.0, power(alpha / z)
+        deriv = _frechet(p, rid, vr, _on_support(pw.f, p, pos, 0.0), _on_support(pw.f_prime, p, pos, 0.0), w)
+        g = hermitize(z / ((alpha - 1.0) * trace) * deriv)
     else:
         g = _fdiv_grad(m.f_pair, pt, 1)
-    return hermitize(_TangentProjection(pt.support)(g.matrix)) if pt.kernel else g
+    return hermitize(pt.tangent(g.matrix)) if pt.kernel else g
 
 
 def _grad2(m: MeasureSpec, pt: _Pair) -> HermitianOperator:
@@ -488,14 +479,11 @@ def _grad2(m: MeasureSpec, pt: _Pair) -> HermitianOperator:
     if m.family == "fidelity":
         return _fidelity_grad1(_Pair(sigma, rho))
     if m.family in ("sandwiched_renyi", "alpha_z"):
-        alpha, z = m.alpha, m.z or m.alpha  # sandwiched: z = alpha
-        gamma = m.gamma
-        x = pt.core(gamma, alpha / z)[1]
-        trace = float(np.sum(x.eigensystem[0] ** z))
+        alpha, z, x, trace = _renyi_trace(m, pt)
         x_z = _powm(x, z)
-        s_neg_g = _powm(sigma, -gamma)
+        s_neg_g = _powm(sigma, -m.gamma)
         anti = x_z @ s_neg_g + s_neg_g @ x_z
-        deriv = frechet_derivative(sigma, hermitize(anti), power(gamma))
+        deriv = frechet_derivative(sigma, hermitize(anti), power(m.gamma))
         return hermitize(z / ((alpha - 1.0) * trace) * deriv.matrix)
     return _fdiv_grad(m.f_pair, pt, 2)
 
@@ -591,7 +579,10 @@ def measure_from_json(obj, path: str = "measure", allow_non_dpi: bool = False) -
     family = obj.get("family")
     if family not in FAMILIES:
         raise SchemaError(f"{path}.family", f"unknown family {family!r}")
-    allow = bool(obj.get("allow_non_dpi", False)) or allow_non_dpi
+    allow = obj.get("allow_non_dpi", False)
+    if not isinstance(allow, bool):
+        raise SchemaError(f"{path}.allow_non_dpi", f"expected true or false, got {allow!r}")
+    allow = allow or allow_non_dpi
     try:
         if family == "relative_entropy":
             return MeasureSpec.relative_entropy()

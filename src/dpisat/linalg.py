@@ -11,8 +11,11 @@ which prevents catastrophic cancellation for near-degenerate spectra.
 
 Each operator solves its eigensystem on first use, keeps it read-only and
 shares it with every spectral function of it, so it is eigensolved at most
-once. Containers are otherwise immutable and every operation is a pure
-function, so values can be shared freely between threads.
+once. :func:`_spectrum` reads it (a :class:`PsdOperator` its snapped
+eigenvalues), and every power, logarithm and support projector goes through
+:func:`_spectral_map`: f on the nonzero eigenvalues, exact zeros kept at 0.
+Containers are otherwise immutable and every operation is a pure function,
+so values can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -268,18 +271,33 @@ def _spectral(v: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return (v * vals) @ v.conj().T
 
 
+def _spectrum(op):
+    """``(w, v)``: the snapped eigenvalues and eigenvectors of a
+    :class:`PsdOperator`, the eigensystem of any other operator."""
+    if isinstance(op, PsdOperator):
+        return op.eigenvalues, op.eigenvectors
+    return op.eigensystem
+
+
+def _spectral_map(op, f) -> np.ndarray:
+    """``f(A)`` from the spectrum of an operator: ``f`` on its nonzero
+    eigenvalues, 0 on its exact zeros, so that a function of a PSD operator
+    lives on its support."""
+    w, v = _spectrum(op)
+    nonzero = w != 0.0
+    vals = np.zeros_like(w)
+    vals[nonzero] = f(w[nonzero])
+    return _spectral(v, vals)
+
+
 def _powm(op, p: float) -> np.ndarray:
-    """``A**p`` of an operator, from its (unsnapped) eigensystem. An exact
-    zero eigenvalue stays zero, so the power of a boundary core with exact
-    kernel zeros is its power on the support."""
-    w, v = op.eigensystem
-    return _spectral(v, np.power(w, p, out=np.zeros_like(w), where=w != 0.0))
+    """``A**p`` on the support of an operator, zero on its kernel."""
+    return _spectral_map(op, lambda w: w ** p)
 
 
 def _logm(op) -> np.ndarray:
-    """``log A`` of a strictly positive operator, from its eigensystem."""
-    w, v = op.eigensystem
-    return _spectral(v, np.log(w))
+    """``log A`` on the support of an operator, zero on its kernel."""
+    return _spectral_map(op, np.log)
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,10 +359,8 @@ def clustered_eigensystem(A, cluster_tol: float = DEFAULT_CLUSTER_TOL):
     For :class:`PsdOperator` inputs the snapped eigenvalues are used, so the
     zero eigenspace is exact; other operators reuse their eigensystem.
     """
-    if isinstance(A, PsdOperator):
-        w, v = A.eigenvalues, A.eigenvectors
-    elif isinstance(A, (HermitianOperator, PositiveOperator)):
-        w, v = A.eigensystem
+    if isinstance(A, (HermitianOperator, _View)):
+        w, v = _spectrum(A)
     else:
         w, v = _eigh(_validated_square(as_matrix(A), "operator"))
     starts, reps = _cluster_groups(np.asarray(w, dtype=float), cluster_tol)
@@ -413,19 +429,12 @@ def _as_positive(x, what: str,
 
 def log_cross(A) -> HermitianOperator:
     """Logarithm on the support of a PSD operator, zero on its kernel."""
-    psd = _as_psd(A)
-    w = psd.eigenvalues
-    vals = np.zeros_like(w)
-    pos = w > 0.0
-    vals[pos] = np.log(w[pos])
-    return hermitize(_spectral(psd.eigenvectors, vals))
+    return hermitize(_logm(_as_psd(A)))
 
 
 def zeroth_power(A) -> HermitianOperator:
     """Orthogonal projector onto the nonzero eigenspaces of a PSD operator."""
-    psd = _as_psd(A)
-    vals = (psd.eigenvalues > 0.0).astype(float)
-    return hermitize(_spectral(psd.eigenvectors, vals))
+    return hermitize(_spectral_map(_as_psd(A), np.ones_like))
 
 
 def hs_inner(A, B) -> float:

@@ -51,12 +51,11 @@ from .linalg import (
     _as_positive,
     _as_psd,
     _powm,
-    _spectral,
+    _spectral_map,
     as_matrix,
     frobenius,
     hermitize,
     matrix_to_json,
-    zeroth_power,
 )
 
 __all__ = [
@@ -254,7 +253,7 @@ def tangent_project(rho: PsdOperator, M) -> HermitianOperator:
     m = as_matrix(M)
     if m.shape != rho.matrix.shape:
         raise ValueError(f"dimension mismatch: {m.shape} vs {rho.matrix.shape}")
-    return hermitize(_TangentProjection(zeroth_power(rho).matrix)(m))
+    return hermitize(_TangentProjection(rho)(m))
 
 
 def tangent_membership(rho: PsdOperator, M, tol: float = 1e-10) -> bool:
@@ -282,7 +281,7 @@ def tangent_space_rank(rho: PsdOperator, tol: float = 1e-8) -> int:
     rho = _as_psd(rho)
     n = rho.dim
     basis = np.array([b.matrix for b in hermitian_basis(n)])
-    proj = _TangentProjection(zeroth_power(rho).matrix)(basis).reshape(n * n, n * n)
+    proj = _TangentProjection(rho)(basis).reshape(n * n, n * n)
     svals = np.linalg.svd(np.concatenate([proj.real, proj.imag], axis=1), compute_uv=False)
     return int(np.count_nonzero(svals > tol * svals[0]))
 
@@ -300,12 +299,17 @@ def boundary_residual_relent(ch: KrausChannel, rho, sigma) -> HermitianOperator:
 
     where ``logx`` is the support logarithm and ``|_rest`` removes the block
     on the corresponding kernel. Requires s and L(s) strictly positive.
+
+    For trace-preserving L it equals :func:`boundary_residual_general` of the
+    relative entropy, saturating or not: ``tr(r L*(Q')) = tr(L(r) Q') = 0``
+    with ``Q' = 1 - P'`` puts ``L*(Q') >= 0`` on the kernel of r, so the
+    tangent projection of ``L*(P')`` is P, the P of the tangent gradient.
     """
     return _boundary_residual_relent(ch, *_pairs(ch, rho, sigma, boundary=True))
 
 
 def _boundary_residual_relent(ch: KrausChannel, pt: _Pair, pt_out: _Pair) -> HermitianOperator:
-    tangent_in, tangent_out = _TangentProjection(pt.support), _TangentProjection(pt_out.support)
+    tangent_in, tangent_out = pt.tangent, pt_out.tangent
     lhs = pt.log_support - tangent_in(pt.log_sigma)
     inner = pt_out.log_support - tangent_out(pt_out.log_sigma)
     rhs = tangent_in(adjoint_apply(ch, hermitize(inner)).matrix)
@@ -328,7 +332,7 @@ def boundary_residual_general(m: MeasureSpec, ch: KrausChannel, rho, sigma) -> H
 
 def _boundary_residual_general(m: MeasureSpec, ch: KrausChannel, pt: _Pair, pt_out: _Pair) -> HermitianOperator:
     back = adjoint_apply(ch, _grad1(m, pt_out)).matrix
-    return hermitize(_grad1(m, pt).matrix - _TangentProjection(pt.support)(back))
+    return hermitize(_grad1(m, pt).matrix - pt.tangent(back))
 
 
 def hiai_residual(ch: KrausChannel, rho, sigma) -> np.ndarray:
@@ -344,7 +348,7 @@ def hiai_residual(ch: KrausChannel, rho, sigma) -> np.ndarray:
 
 def _hiai_residual(ch: KrausChannel, pt: _Pair, pt_out: _Pair) -> np.ndarray:
     def side(p: _Pair) -> np.ndarray:
-        return p.log_support - p.log_sigma @ p.support
+        return p.log_support - p.log_sigma @ p.tangent.p
 
     return side(pt) - _act_adjoint(ch, side(pt_out))
 
@@ -356,8 +360,7 @@ def _hiai_residual(ch: KrausChannel, pt: _Pair, pt_out: _Pair) -> np.ndarray:
 
 def _petz_factors(sigma: PositiveOperator, sigma_out: PositiveOperator):
     """``(s^{1/2}, (Ls)^{-1/2})``, the two factors of the Petz recovery map."""
-    ws, vs = sigma.eigensystem
-    return _spectral(vs, np.sqrt(ws)), _powm(sigma_out, -0.5)
+    return _spectral_map(sigma, np.sqrt), _powm(sigma_out, -0.5)
 
 
 def petz_map(sigma, ch: KrausChannel) -> KrausChannel:

@@ -376,6 +376,42 @@ class TestSchemaErrors:
         assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 2
         assert "seed" in capsys.readouterr().err
 
+    def test_negative_seed(self, tmp_path, capsys, monkeypatch):
+        scen = tmp_path / "scen.json"
+        out = tmp_path / "out"
+        write_scenarios(scen, [dict(RANDOM_SCENARIO, rho={"builder": "random_pos", "dim": 3, "seed": -1})])
+        for argv in (["validate", str(scen)], ["run", str(scen), "--out", str(out)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                "schema error at scenario[0].rho.seed: expected a non-negative integer seed, got -1\n"
+            )
+        write_scenarios(scen, [RANDOM_SCENARIO])
+        sweep = [
+            "sweep", "--measure", "alpha_z", "--grid", "alpha=1.5:1.5:1;z=1.2:1.2:1",
+            "--channel", json.dumps(RANDOM_SCENARIO["channel"]),
+            "--rho", json.dumps(RANDOM_SCENARIO["rho"]), "--sigma", json.dumps(RANDOM_SCENARIO["sigma"]),
+            "--out", str(tmp_path / "sweep.csv"),
+        ]
+        for env in ("-1", "x"):
+            monkeypatch.setenv("DPISAT_SEED", env)
+            for argv in (["validate", str(scen)], ["run", str(scen), "--out", str(out)], sweep):
+                assert main(argv) == 2
+                assert capsys.readouterr().err == (
+                    f"schema error at DPISAT_SEED: expected a non-negative integer, got {env!r}\n"
+                )
+        assert not out.exists() and not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["false", 0, None])
+    def test_allow_non_dpi_must_be_a_bool(self, tmp_path, capsys, flag):
+        scen = tmp_path / "scen.json"
+        measure = {"family": "sandwiched_renyi", "alpha": 0.2, "allow_non_dpi": flag}
+        write_scenarios(scen, [dict(PINCHING_SCENARIO, measure=measure, checks=["gap"])])
+        for argv in (["validate", str(scen)], ["run", str(scen), "--out", str(tmp_path / "out")]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"schema error at scenario[0].measure.allow_non_dpi: expected true or false, got {flag!r}\n"
+            )
+
     @pytest.mark.parametrize("field,value,path", [
         ("rho", {"builder": "diag", "values": []}, "rho.values"),
         ("rho", {"builder": "diag", "values": [0.5, "x"]}, "rho.values"),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dpisat import calculus, divergences
+from dpisat import calculus
 from dpisat.divergences import (
     MeasureSpec,
     evaluate,
@@ -18,7 +18,6 @@ from dpisat.divergences import (
 from dpisat.linalg import (
     HermitianOperator,
     PositiveOperator,
-    PositivityError,
     PsdOperator,
     SchemaError,
     hs_inner,
@@ -377,8 +376,6 @@ class TestFdivClosedForm:
     def test_zero_eigenvalue_errors(self):
         rho = PsdOperator(HermitianOperator(np.diag([1.0, 0.0]).astype(complex)))
         sigma = diag_positive([0.5, 0.5])
-        with pytest.raises(PositivityError, match="^f-divergence value requires positive states$"):
-            divergences._fdiv_value(calculus.X_LOG_X, divergences._Pair(rho, sigma.op))
         with pytest.raises(ValueError) as info:
             evaluate_psd(MeasureSpec.f_divergence("neg_log"), rho, sigma)
         assert type(info.value) is ValueError
@@ -508,3 +505,18 @@ class TestMeasureJson:
             measure_from_json({"family": "alpha_z", "alpha": 1.5, "z": 0.5})
         m = measure_from_json({"family": "alpha_z", "alpha": 1.5, "z": 0.5, "allow_non_dpi": True})
         assert m.allow_non_dpi
+
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, [], {}], ids=repr)
+    def test_allow_non_dpi_must_be_a_bool(self, flag):
+        obj = {"family": "sandwiched_renyi", "alpha": 0.2, "allow_non_dpi": flag}
+        with pytest.raises(SchemaError) as info:
+            measure_from_json(obj)
+        assert info.value.path == "measure.allow_non_dpi"
+        assert info.value.reason == f"expected true or false, got {flag!r}"
+
+    def test_allow_non_dpi_bools(self):
+        obj = {"family": "sandwiched_renyi", "alpha": 0.2}
+        assert measure_from_json(dict(obj, allow_non_dpi=True)).allow_non_dpi
+        with pytest.raises(SchemaError) as info:
+            measure_from_json(dict(obj, allow_non_dpi=False))
+        assert info.value.path == "measure"

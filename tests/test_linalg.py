@@ -427,6 +427,37 @@ class TestSupportFunctions:
         assert np.linalg.norm(p @ p - p) <= 1e-10
 
 
+class TestZeroAwareSpectralMap:
+    """Every function of a spectrum is taken on the nonzero eigenvalues and
+    is 0 on exact zeros, so a function of a PSD operator lives on its support."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_powers_and_log_of_rank_deficient_psd(self, rank):
+        from dpisat.linalg import _logm, _powm
+
+        g = gen(124 + rank)
+        psd = random_psd_rank(g, 4, rank)
+        p = zeroth_power(psd).matrix
+        q = np.eye(4) - p
+        for out in (_logm(psd), _powm(psd, -1.0), _powm(psd, 0.5), _powm(psd, 1.7)):
+            assert np.isfinite(out).all()
+            assert np.linalg.norm(out @ q) <= 1e-12
+        np.testing.assert_array_equal(hermitize(_logm(psd)).matrix, log_cross(psd).matrix)
+        # Powers compose on the support: A^-1 A = P and (A^1/2)^2 = A.
+        assert np.linalg.norm(_powm(psd, -1.0) @ psd.matrix - p) <= 1e-10
+        assert np.linalg.norm(_powm(psd, 0.5) @ _powm(psd, 0.5) - psd.matrix) <= 1e-12
+
+    def test_full_rank_is_the_plain_function(self):
+        from dpisat.linalg import _logm, _powm
+
+        g = gen(128)
+        a = random_positive(g, 4)
+        w, v = np.linalg.eigh(a.matrix)
+        for psd in (a, PsdOperator(a.op)):
+            np.testing.assert_array_equal(_logm(psd), (v * np.log(w)) @ v.conj().T)
+            np.testing.assert_array_equal(_powm(psd, -0.5), (v * w ** -0.5) @ v.conj().T)
+
+
 class TestHsInner:
     def test_identity_pair(self):
         assert hs_inner(np.eye(3, dtype=complex), np.eye(3, dtype=complex)) == pytest.approx(3.0)
