@@ -11,7 +11,9 @@ Commands
 
 ``sweep --measure ... --grid ... --channel ... --rho ... --sigma ... --out f.csv``
     Evaluate gap and residual norms over a Renyi parameter grid and emit a
-    CSV with one row per grid point.
+    CSV with one row per grid point. Exit code 0 when every point is
+    evaluated; 1 when one cannot be, naming it on stderr and writing no CSV;
+    2 on a schema violation, a dimension mismatch included.
 
 ``validate <file>``
     Schema-check a scenario file without running anything.
@@ -193,6 +195,15 @@ def _validate_checks(sc: Scenario, path: str):
             )
 
 
+def _check_dims(channel: KrausChannel, rho, sigma, prefix: str = "") -> None:
+    """rho, sigma and the channel input share one dimension; a mismatch names
+    the field at ``prefix + "sigma"`` or ``prefix + "channel"``."""
+    if rho.dim != sigma.dim:
+        raise SchemaError(f"{prefix}sigma", f"sigma dim {sigma.dim} != rho dim {rho.dim}")
+    if channel.dim_in != rho.dim:
+        raise SchemaError(f"{prefix}channel", f"channel dim_in {channel.dim_in} != state dim {rho.dim}")
+
+
 def _build_scenario(obj, path: str, args, seed_override: int | None) -> Scenario:
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected a scenario object")
@@ -221,12 +232,7 @@ def _build_scenario(obj, path: str, args, seed_override: int | None) -> Scenario
     except (ValueError, PositivityError) as exc:
         raise SchemaError(f"{path}.sigma", str(exc)) from exc
 
-    if rho_psd.dim != sigma.dim:
-        raise SchemaError(f"{path}.sigma", f"sigma dim {sigma.dim} != rho dim {rho_psd.dim}")
-    if channel.dim_in != rho_psd.dim:
-        raise SchemaError(
-            f"{path}.channel", f"channel dim_in {channel.dim_in} != state dim {rho_psd.dim}"
-        )
+    _check_dims(channel, rho_psd, sigma, f"{path}.")
 
     checks = obj.get("checks")
     if not isinstance(checks, list) or not checks or not all(isinstance(c, str) for c in checks):
@@ -413,7 +419,7 @@ def _boundary_check(sc: Scenario, saturated_here: bool, core, pairs):
         detail["hiai_norm"] = float(np.linalg.norm(_hiai_residual(sc.channel, *pairs)))
     passed = True
     if core is not None:
-        reduction = float(np.linalg.norm(res_general.matrix - core.residual1.matrix))
+        reduction = float(np.linalg.norm(res_general - core.residual1.matrix))
         detail["full_rank_reduction_error"] = reduction
         passed = reduction <= 1e-9
     if saturated_here:
@@ -542,6 +548,7 @@ def _cmd_sweep(args) -> int:
         rho, sigma = PositiveOperator(rho_arr), PositiveOperator(sigma_arr)
     except (ValueError, PositivityError) as exc:
         raise SchemaError("states", str(exc)) from exc
+    _check_dims(channel, rho, sigma)
 
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -560,7 +567,12 @@ def _cmd_sweep(args) -> int:
         except ValueError as exc:
             print(f"warning: skipping {point}: {exc}", file=sys.stderr)
             continue
-        rep = build_report(m, channel, rho, sigma, with_petz=False)
+        try:
+            rep = build_report(m, channel, rho, sigma, with_petz=False)
+        except (ValueError, RuntimeError) as exc:
+            where = ", ".join(f"{name}={v!r}" for name, v in zip(axis_names, point))
+            print(f"error at {where}: {exc}", file=sys.stderr)
+            return 1
         values = (rep.gap, rep.residual1_frobenius, rep.residual2_frobenius)
         writer.writerow([repr(v) for v in point] + [repr(x) for x in values])
     _write_atomic(args.out, buf.getvalue())

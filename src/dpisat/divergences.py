@@ -33,7 +33,7 @@ from .calculus import (
     ScalarFunctionPair,
     _frechet,
     _loewner_matrix,
-    frechet_derivative,
+    _pair_values,
     power,
     resolve_function,
 )
@@ -49,12 +49,11 @@ from .linalg import (
     _number,
     _powm,
     _scalar_values,
+    _spectral_map,
     _spectrum,
     _symmetrized,
     clustered_eigensystem,
     hermitize,
-    log_cross,
-    zeroth_power,
 )
 
 __all__ = [
@@ -242,7 +241,7 @@ class _TangentProjection:
     ``Q = 1 - P``; M may be a stack of matrices."""
 
     def __init__(self, rho):
-        self.p = zeroth_power(rho).matrix
+        self.p = _symmetrized(_spectral_map(_as_psd(rho), np.ones_like))
         self.q = np.eye(rho.dim) - self.p
 
     def __call__(self, m: np.ndarray) -> np.ndarray:
@@ -306,7 +305,7 @@ class _Pair:
     @cached_property
     def log_support(self) -> np.ndarray:
         """The logarithm of rho on its support, zero on its kernel."""
-        return log_cross(self.rho).matrix
+        return _symmetrized(_logm(_as_psd(self.rho)))
 
     @cached_property
     def log_sigma(self) -> np.ndarray:
@@ -401,14 +400,14 @@ def evaluate_psd(m: MeasureSpec, rho: PsdOperator, sigma) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _fidelity_grad1(pt: _Pair) -> HermitianOperator:
+def _fidelity_grad1(pt: _Pair) -> np.ndarray:
     s_half, y = pt.core(0.5)
     if (y.eigensystem[0][pt.kernel:] <= 0.0).any():
         raise PositivityError("fidelity gradient needs sqrt(s) r sqrt(s) > 0 on the support of r")
-    return hermitize(0.5 * s_half @ _powm(y, -0.5) @ s_half)
+    return _symmetrized(0.5 * s_half @ _powm(y, -0.5) @ s_half)
 
 
-def _fdiv_grad(pair: ScalarFunctionPair, pt: _Pair, slot: int) -> HermitianOperator:
+def _fdiv_grad(pair: ScalarFunctionPair, pt: _Pair, slot: int) -> np.ndarray:
     """Closed-form f-divergence gradient in argument ``slot`` (1 or 2).
 
     The value is ``sum_k tr Q_k h_k(r) = sum_a tr P_a g_a(s)`` with
@@ -434,11 +433,11 @@ def _fdiv_grad(pair: ScalarFunctionPair, pt: _Pair, slot: int) -> HermitianOpera
         kernel = _loewner_matrix(mu, sid, vals.T, (fx - x * fpx).T)
         g = np.einsum("ka,la,akl->kl", w, w.conj(), kernel)
         v = vs
-    return hermitize(v @ g @ v.conj().T)
+    return _symmetrized(v @ g @ v.conj().T)
 
 
-def _grad1(m: MeasureSpec, pt: _Pair) -> HermitianOperator:
-    """Gradient in the first argument.
+def _grad1(m: MeasureSpec, pt: _Pair) -> np.ndarray:
+    """Gradient in the first argument, symmetrized.
 
     At a rank-deficient :class:`PsdOperator` rho it is the gradient on the
     tangent space of the PSD cone: the closed form with its kernel-kernel
@@ -451,14 +450,14 @@ def _grad1(m: MeasureSpec, pt: _Pair) -> HermitianOperator:
     if m.family == "relative_entropy":
         if pt.kernel:
             tangent, log_sigma = pt.tangent, pt.log_sigma
-            return hermitize(pt.log_support - log_sigma + tangent.q @ log_sigma @ tangent.q + tangent.p)
-        return hermitize(_logm(pt.rho) - pt.log_sigma + np.eye(pt.rho.dim))
+            return _symmetrized(pt.log_support - log_sigma + tangent.q @ log_sigma @ tangent.q + tangent.p)
+        return _symmetrized(_logm(pt.rho) - pt.log_sigma + np.eye(pt.rho.dim))
     if m.family == "fidelity":
         g = _fidelity_grad1(pt)
     elif m.family == "sandwiched_renyi":
         alpha, _, _, trace = _renyi_trace(m, pt)
         core = pt.core_power(m.gamma, 1.0, m.gamma, alpha - 1.0)
-        g = hermitize(alpha / ((alpha - 1.0) * trace) * core)
+        g = _symmetrized(alpha / ((alpha - 1.0) * trace) * core)
     elif m.family == "alpha_z":
         alpha, z, _, trace = _renyi_trace(m, pt)
         w = _symmetrized(pt.core_power(m.gamma, alpha / z, m.gamma, z - 1.0))
@@ -466,37 +465,39 @@ def _grad1(m: MeasureSpec, pt: _Pair) -> HermitianOperator:
         p, rid, vr = clustered_eigensystem(pt.rho)
         pos, pw = p > 0.0, power(alpha / z)
         deriv = _frechet(p, rid, vr, _on_support(pw.f, p, pos, 0.0), _on_support(pw.f_prime, p, pos, 0.0), w)
-        g = hermitize(z / ((alpha - 1.0) * trace) * deriv)
+        g = z / ((alpha - 1.0) * trace) * deriv
     else:
         g = _fdiv_grad(m.f_pair, pt, 1)
-    return hermitize(pt.tangent(g.matrix)) if pt.kernel else g
+    return _symmetrized(pt.tangent(g)) if pt.kernel else g
 
 
-def _grad2(m: MeasureSpec, pt: _Pair) -> HermitianOperator:
+def _grad2(m: MeasureSpec, pt: _Pair) -> np.ndarray:
+    """Gradient in the second argument, symmetrized."""
     rho, sigma = pt.rho, pt.sigma
-    if m.family == "relative_entropy":
-        return hermitize(-frechet_derivative(sigma, rho, LOG).matrix)
     if m.family == "fidelity":
         return _fidelity_grad1(_Pair(sigma, rho))
-    if m.family in ("sandwiched_renyi", "alpha_z"):
-        alpha, z, x, trace = _renyi_trace(m, pt)
-        x_z = _powm(x, z)
-        s_neg_g = _powm(sigma, -m.gamma)
-        anti = x_z @ s_neg_g + s_neg_g @ x_z
-        deriv = frechet_derivative(sigma, hermitize(anti), power(m.gamma))
-        return hermitize(z / ((alpha - 1.0) * trace) * deriv.matrix)
-    return _fdiv_grad(m.f_pair, pt, 2)
+    if m.family == "f_divergence":
+        return _fdiv_grad(m.f_pair, pt, 2)
+    reps, ids, v = clustered_eigensystem(sigma)
+    if m.family == "relative_entropy":
+        return -_frechet(reps, ids, v, *_pair_values(reps, LOG), rho.matrix)
+    alpha, z, x, trace = _renyi_trace(m, pt)
+    x_z = _powm(x, z)
+    s_neg_g = _powm(sigma, -m.gamma)
+    anti = _symmetrized(x_z @ s_neg_g + s_neg_g @ x_z)
+    deriv = _frechet(reps, ids, v, *_pair_values(reps, power(m.gamma)), anti)
+    return z / ((alpha - 1.0) * trace) * deriv
 
 
 def grad1(m: MeasureSpec, rho, sigma) -> HermitianOperator:
     """Matrix gradient of the measure with respect to its first argument."""
-    return _grad1(m, _checked_pair(_as_positive(rho, "rho"), sigma))
+    return hermitize(_grad1(m, _checked_pair(_as_positive(rho, "rho"), sigma)))
 
 
 def grad2(m: MeasureSpec, rho, sigma) -> HermitianOperator:
     """Matrix gradient with respect to the second argument, in closed form
     for every family."""
-    return _grad2(m, _checked_pair(_as_positive(rho, "rho"), sigma))
+    return hermitize(_grad2(m, _checked_pair(_as_positive(rho, "rho"), sigma)))
 
 
 def grad2_method(m: MeasureSpec) -> str:
@@ -526,8 +527,8 @@ def _scaling_law(m: MeasureSpec, pt: _Pair, k: float, k_prime: float) -> Scaling
     * fidelity: ``sqrt(k k') F(r, s)``.
     """
     scaled = _checked_pair(
-        PositiveOperator(hermitize(k * pt.rho.matrix)),
-        PositiveOperator(hermitize(k_prime * pt.sigma.matrix)),
+        PositiveOperator(HermitianOperator._exact(k * pt.rho.matrix)),
+        PositiveOperator(HermitianOperator._exact(k_prime * pt.sigma.matrix)),
     )
     lhs, base = _value(m, scaled), _value(m, pt)
     if m.family == "relative_entropy":

@@ -3,9 +3,12 @@ decompositions, and matrix functions of Hermitian operators.
 
 Matrices are dense ``complex128`` arrays stored as ``(A + A^H) / 2``.
 Inputs are validated where they enter: JSON decoding and the public
-constructors. A matrix the library has computed passes :func:`hermitize`,
-one fused roundoff check that hands what it rejects to the validating
-constructor. Eigenvalues that agree up to a relative tolerance are merged
+constructors. Inside the library, private cores pass plain arrays made
+exactly Hermitian by :func:`_symmetrized` and check nothing. The fused
+roundoff check :func:`hermitize`, which hands what it rejects to the
+validating constructor, runs where a computed matrix becomes an operator:
+on a channel image and on the value a public function returns.
+Eigenvalues that agree up to a relative tolerance are merged
 into a single cluster before any divided-difference formula is evaluated,
 which prevents catastrophic cancellation for near-degenerate spectra.
 
@@ -167,9 +170,15 @@ class HermitianOperator:
 
 
 def _symmetrized(arr: np.ndarray, adj: np.ndarray | None = None) -> np.ndarray:
-    """``(arr + arr^H) / 2``, given ``adj = arr^H`` if formed; ``*= 0.5`` is ``/ 2`` bit for bit."""
-    sym = arr + (arr.conj().T if adj is None else adj)
-    sym *= 0.5
+    """``(arr + arr^H) / 2`` as complex128, given ``adj = arr^H`` if formed.
+
+    Both parts are halved as reals; a complex ``* 0.5`` would take the sign
+    of a zero in one part from the other. So the result is exactly Hermitian,
+    signed zeros included, and symmetrizing it again returns the same bits.
+    """
+    sym = np.add(arr, arr.conj().T if adj is None else adj, out=np.empty(arr.shape, np.complex128))
+    halves = sym.view(np.float64)
+    halves *= 0.5
     return sym
 
 
@@ -179,7 +188,9 @@ def hermitize(matrix, rel_tol: float = 1e-8) -> HermitianOperator:
     The allowed deviation scales with the largest entry, so results of long
     floating-point pipelines are accepted while genuinely non-Hermitian
     values still raise, from the validating constructor that gets every
-    matrix this fused check rejects.
+    matrix this fused check rejects. It runs on channel images and on the
+    values public functions return; private cores pass :func:`_symmetrized`
+    arrays instead, on which it would find no skew and change no bit.
     """
     arr = np.asarray(as_matrix(matrix), dtype=np.complex128)
     scale = float(np.max(np.abs(arr))) if arr.size else 1.0

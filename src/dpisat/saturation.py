@@ -30,8 +30,6 @@ from .channels import (
     KrausChannel,
     _act_adjoint,
     _from_stack,
-    _require_trace_preserving,
-    adjoint_apply,
     apply,
 )
 from .divergences import (
@@ -52,6 +50,7 @@ from .linalg import (
     _as_psd,
     _powm,
     _spectral_map,
+    _symmetrized,
     as_matrix,
     frobenius,
     hermitize,
@@ -122,10 +121,9 @@ def _gap(m: MeasureSpec, pt: _Pair, pt_out: _Pair) -> float:
     return m.sign * (_value(m, pt) - _value(m, pt_out))
 
 
-def _residual(grad, m: MeasureSpec, ch: KrausChannel, pt: _Pair, pt_out: _Pair) -> HermitianOperator:
+def _residual(grad, m: MeasureSpec, ch: KrausChannel, pt: _Pair, pt_out: _Pair) -> np.ndarray:
     """``grad(r, s) - L*(grad(L r, L s))`` for ``grad`` = _grad1 or _grad2."""
-    inner = grad(m, pt_out)
-    return hermitize(grad(m, pt).matrix - adjoint_apply(ch, inner).matrix)
+    return grad(m, pt) - _symmetrized(_act_adjoint(ch, grad(m, pt_out)))
 
 
 def dpi_gap(m: MeasureSpec, ch: KrausChannel, rho, sigma) -> float:
@@ -141,12 +139,12 @@ def boundary_gap(m: MeasureSpec, ch: KrausChannel, rho: PsdOperator, sigma) -> f
 
 def residual1(m: MeasureSpec, ch: KrausChannel, rho, sigma) -> HermitianOperator:
     """First-argument gradient residual; zero whenever the gap vanishes."""
-    return _residual(_grad1, m, ch, *_pairs(ch, rho, sigma))
+    return hermitize(_residual(_grad1, m, ch, *_pairs(ch, rho, sigma)))
 
 
 def residual2(m: MeasureSpec, ch: KrausChannel, rho, sigma) -> HermitianOperator:
     """Second-argument gradient residual."""
-    return _residual(_grad2, m, ch, *_pairs(ch, rho, sigma))
+    return hermitize(_residual(_grad2, m, ch, *_pairs(ch, rho, sigma)))
 
 
 def normalized_sandwiched_residual(
@@ -168,7 +166,7 @@ def normalized_sandwiched_residual(
     gamma = m.gamma
     outer = pt.core_power(gamma, 1.0, gamma, alpha - 1.0)
     inner = pt_out.core_power(gamma, 1.0, gamma, alpha - 1.0)
-    return hermitize(outer - adjoint_apply(ch, hermitize(inner)).matrix)
+    return hermitize(outer - _symmetrized(_act_adjoint(ch, _symmetrized(inner))))
 
 
 # ---------------------------------------------------------------------------
@@ -305,15 +303,14 @@ def boundary_residual_relent(ch: KrausChannel, rho, sigma) -> HermitianOperator:
     with ``Q' = 1 - P'`` puts ``L*(Q') >= 0`` on the kernel of r, so the
     tangent projection of ``L*(P')`` is P, the P of the tangent gradient.
     """
-    return _boundary_residual_relent(ch, *_pairs(ch, rho, sigma, boundary=True))
+    return hermitize(_boundary_residual_relent(ch, *_pairs(ch, rho, sigma, boundary=True)))
 
 
-def _boundary_residual_relent(ch: KrausChannel, pt: _Pair, pt_out: _Pair) -> HermitianOperator:
+def _boundary_residual_relent(ch: KrausChannel, pt: _Pair, pt_out: _Pair) -> np.ndarray:
     tangent_in, tangent_out = pt.tangent, pt_out.tangent
     lhs = pt.log_support - tangent_in(pt.log_sigma)
     inner = pt_out.log_support - tangent_out(pt_out.log_sigma)
-    rhs = tangent_in(adjoint_apply(ch, hermitize(inner)).matrix)
-    return hermitize(lhs - rhs)
+    return _symmetrized(lhs - tangent_in(_symmetrized(_act_adjoint(ch, _symmetrized(inner)))))
 
 
 def boundary_residual_general(m: MeasureSpec, ch: KrausChannel, rho, sigma) -> HermitianOperator:
@@ -327,12 +324,12 @@ def boundary_residual_general(m: MeasureSpec, ch: KrausChannel, rho, sigma) -> H
     with a value on the boundary; ``neg_log`` has none and raises
     ``ValueError``. Reduces to :func:`residual1` when rho has full rank.
     """
-    return _boundary_residual_general(m, ch, *_pairs(ch, rho, sigma, boundary=True))
+    return hermitize(_boundary_residual_general(m, ch, *_pairs(ch, rho, sigma, boundary=True)))
 
 
-def _boundary_residual_general(m: MeasureSpec, ch: KrausChannel, pt: _Pair, pt_out: _Pair) -> HermitianOperator:
-    back = adjoint_apply(ch, _grad1(m, pt_out)).matrix
-    return hermitize(_grad1(m, pt).matrix - pt.tangent(back))
+def _boundary_residual_general(m: MeasureSpec, ch: KrausChannel, pt: _Pair, pt_out: _Pair) -> np.ndarray:
+    back = _symmetrized(_act_adjoint(ch, _grad1(m, pt_out)))
+    return _symmetrized(_grad1(m, pt) - pt.tangent(back))
 
 
 def hiai_residual(ch: KrausChannel, rho, sigma) -> np.ndarray:
@@ -359,8 +356,20 @@ def _hiai_residual(ch: KrausChannel, pt: _Pair, pt_out: _Pair) -> np.ndarray:
 
 
 def _petz_factors(sigma: PositiveOperator, sigma_out: PositiveOperator):
-    """``(s^{1/2}, (Ls)^{-1/2})``, the two factors of the Petz recovery map."""
-    return _spectral_map(sigma, np.sqrt), _powm(sigma_out, -0.5)
+    """``(s^{1/2}, (Ls)^{-1/2})``, the two factors of the Petz recovery map R.
+
+    R is trace preserving exactly when its Kraus sum
+    ``(Ls)^{-1/2} L(s) (Ls)^{-1/2}`` is the identity. The computed sum is off
+    by about ``eps cond(Ls)``; beyond ``_PETZ_TP_TOL`` this raises ValueError.
+    """
+    out_inv_half = _powm(sigma_out, -0.5)
+    tp = float(np.linalg.norm(out_inv_half @ sigma_out.matrix @ out_inv_half - np.eye(sigma_out.dim)))
+    if tp > _PETZ_TP_TOL:
+        raise ValueError(
+            "Petz recovery map is not trace preserving: "
+            f"||(Ls)^{{-1/2}} L(s) (Ls)^{{-1/2}} - I||_F = {tp:.3e} > {_PETZ_TP_TOL:.0e}"
+        )
+    return _spectral_map(sigma, np.sqrt), out_inv_half
 
 
 def petz_map(sigma, ch: KrausChannel) -> KrausChannel:
@@ -382,18 +391,11 @@ def petz_map(sigma, ch: KrausChannel) -> KrausChannel:
 
 def _petz_recovery_errors(ch: KrausChannel, pt: _Pair, pt_out: _Pair):
     """``||R(L r) - r||_F`` and ``||R(L s) - s||_F`` for the Petz map R,
-    evaluated through the adjoint without building R's Kraus operators.
-
-    R is trace preserving exactly when its Kraus sum
-    ``(Ls)^{-1/2} L(s) (Ls)^{-1/2}`` is the identity; that is checked
-    against the same tolerance as :func:`petz_map`.
-    """
+    evaluated through the adjoint without building R's Kraus operators."""
     s_half, out_inv_half = _petz_factors(pt.sigma, pt_out.sigma)
-    tp = float(np.linalg.norm(out_inv_half @ pt_out.sigma.matrix @ out_inv_half - np.eye(ch.dim_out)))
-    _require_trace_preserving(tp, _PETZ_TP_TOL)
 
     def error(x, x_out) -> float:
-        back = adjoint_apply(ch, out_inv_half @ x_out.matrix @ out_inv_half).matrix
+        back = _symmetrized(_act_adjoint(ch, out_inv_half @ x_out.matrix @ out_inv_half))
         return float(np.linalg.norm(s_half @ back @ s_half - x.matrix))
 
     return error(pt.rho, pt_out.rho), error(pt.sigma, pt_out.sigma)
@@ -406,8 +408,8 @@ def alpha2_petz_residual(ch: KrausChannel, rho, sigma) -> HermitianOperator:
     s_inv_half = _powm(pt.sigma, -0.5)
     out_inv_half = _powm(pt_out.sigma, -0.5)
     lhs = s_inv_half @ pt.rho.matrix @ s_inv_half
-    inner = hermitize(out_inv_half @ pt_out.rho.matrix @ out_inv_half)
-    return hermitize(lhs - adjoint_apply(ch, inner).matrix)
+    inner = _symmetrized(out_inv_half @ pt_out.rho.matrix @ out_inv_half)
+    return hermitize(lhs - _symmetrized(_act_adjoint(ch, inner)))
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +442,7 @@ def _alpha_z_crosscheck(
     for outer_exp, core_exp in (((1.0 - z) / (2.0 * z), z - 1.0), (gamma, alpha - 1.0)):
         f_in = pt.core_power(gamma, alpha / z, outer_exp, core_exp)
         f_out = pt_out.core_power(gamma, alpha / z, outer_exp, core_exp)
-        res = f_in - adjoint_apply(ch, hermitize(f_out)).matrix
+        res = f_in - _symmetrized(_act_adjoint(ch, _symmetrized(f_out)))
         results.append(float(np.linalg.norm(res)))
     return AlphaZCrosscheck(
         gradient_residual=gradient_residual, chehade_residual=results[0], zhang_residual=results[1]
@@ -515,8 +517,8 @@ def build_report(
     """
     pt, pt_out = _pairs(ch, rho, sigma)
     gap = _gap(m, pt, pt_out)
-    r1 = _residual(_grad1, m, ch, pt, pt_out)
-    r2 = _residual(_grad2, m, ch, pt, pt_out)
+    r1 = hermitize(_residual(_grad1, m, ch, pt, pt_out))
+    r2 = hermitize(_residual(_grad2, m, ch, pt, pt_out))
     n1, n2 = frobenius(r1), frobenius(r2)
     err_rho = err_sigma = None
     if with_petz:

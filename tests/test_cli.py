@@ -224,7 +224,7 @@ class TestRun:
 
 def count_channel_calls(monkeypatch) -> dict:
     """Count the channel applies and adjoints made through saturation."""
-    calls = {"apply": 0, "adjoint_apply": 0}
+    calls = {"apply": 0, "_act_adjoint": 0}
     for name in calls:
         func = getattr(sat, name)
 
@@ -262,7 +262,7 @@ class TestReportReuse:
         write_scenarios(scen, [scenario])
         calls = count_channel_calls(monkeypatch)
         assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 0
-        assert calls == {"apply": 2, "adjoint_apply": adjoints}
+        assert calls == {"apply": 2, "_act_adjoint": adjoints}
         checks = load_report(tmp_path / "out", "reuse")["checks"]
 
         m = MeasureSpec.alpha_z(1.5, 1.2) if measure["family"] == "alpha_z" else (
@@ -594,13 +594,59 @@ class TestSweep:
         calls = count_channel_calls(monkeypatch)
         dep = {"builder": "depolarizing", "dim": 2, "p": 0.4}
         rows = self._sweep(tmp_path, "alpha_z", "alpha=0.5:2.5:0.5;z=0.5:2.5:0.5", dep)
-        assert calls == {"apply": 2 * len(rows), "adjoint_apply": 2 * len(rows)}
+        assert calls == {"apply": 2 * len(rows), "_act_adjoint": 2 * len(rows)}
         c, rho, sigma = depolarizing(2, 0.4), positive_state(2, 5), positive_state(2, 6)
         for row in rows:
             m = MeasureSpec.alpha_z(float(row["alpha"]), float(row["z"]))
             assert row["gap"] == repr(sat.dpi_gap(m, c, rho, sigma))
             assert row["residual1_norm"] == repr(frobenius(sat.residual1(m, c, rho, sigma)))
             assert row["residual2_norm"] == repr(frobenius(sat.residual2(m, c, rho, sigma)))
+
+
+    @staticmethod
+    def _sweep_exit(tmp_path, measure, grid, channel, rho_dim=2, sigma_dim=2):
+        out = tmp_path / "sweep.csv"
+        code = main([
+            "sweep", "--measure", measure, "--grid", grid,
+            "--channel", json.dumps(channel),
+            "--rho", json.dumps({"builder": "random_pos", "dim": rho_dim, "seed": 5}),
+            "--sigma", json.dumps({"builder": "random_pos", "dim": sigma_dim, "seed": 6}),
+            "--out", str(out),
+        ])
+        return code, out.exists()
+
+    @pytest.mark.parametrize(
+        "channel_dim,sigma_dim,message",
+        [
+            (3, 2, "schema error at channel: channel dim_in 3 != state dim 2"),
+            (2, 3, "schema error at sigma: sigma dim 3 != rho dim 2"),
+        ],
+    )
+    def test_dimension_mismatch_is_a_schema_error(self, tmp_path, capsys, channel_dim, sigma_dim, message):
+        dep = {"builder": "depolarizing", "dim": channel_dim, "p": 0.4}
+        code, wrote = self._sweep_exit(tmp_path, "sandwiched_renyi", "alpha=1.5:2.0:0.5", dep, sigma_dim=sigma_dim)
+        assert (code, wrote) == (2, False)
+        assert capsys.readouterr().err.strip() == message
+
+    @pytest.mark.parametrize(
+        "measure,grid,where",
+        [("sandwiched_renyi", "alpha=1.5:2.0:0.5", "alpha=1.5"),
+         ("alpha_z", "alpha=1.5:1.5:1.0;z=1.2:1.2:1.0", "alpha=1.5, z=1.2")],
+    )
+    def test_point_that_raises_exits_1_without_csv(self, tmp_path, capsys, measure, grid, where):
+        # Replacement by |0><0|: every image is rank one, so a report cannot
+        # take the channel image of rho as strictly positive.
+        def unit(i, j):
+            entries = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+            entries[i][j] = [1, 0]
+            return {"dim": 2, "entries": entries}
+
+        replacement = {"kraus": [unit(0, 0), unit(0, 1)]}
+        code, wrote = self._sweep_exit(tmp_path, measure, grid, replacement)
+        assert (code, wrote) == (1, False)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error at {where}: channel image of rho is not strictly positive")
+        assert "Traceback" not in err
 
 
 class TestRandomStateBuilder:

@@ -211,6 +211,24 @@ class TestHermitize:
         with pytest.raises(ValueError, match=r"^HermitianOperator has non-finite entries$"):
             hermitize(arr)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 6), st.integers(-300, 300))
+    def test_symmetrized_is_a_fixed_point(self, seed, n, exponent):
+        # Inside the library a symmetrized array needs no guard: the guard
+        # finds zero skew on it and returns the same bits. Magnitudes stay
+        # below half the float range, where A + A^H cannot overflow.
+        from dpisat.linalg import _symmetrized
+
+        g = gen(seed)
+        x = (g.normal(size=(n, n)) + 1j * g.normal(size=(n, n))) * 10.0 ** exponent
+        # Exact and signed zeros in either part, as real inputs and sparse products have.
+        x.real[g.random((n, n)) < 0.2] = -0.0
+        x.imag[g.random((n, n)) < 0.3] = 0.0
+        x.imag[g.random((n, n)) < 0.2] = -0.0
+        sym = _symmetrized(x)
+        assert hermitize(sym).matrix.tobytes() == sym.tobytes()
+        assert _symmetrized(sym).tobytes() == sym.tobytes()
+
     @pytest.mark.parametrize("shape", [(2, 3), (4,), (0, 0), (2, 2, 2)])
     def test_non_square_raises(self, shape):
         pattern = rf"^HermitianOperator must be a square matrix, got shape {re.escape(str(shape))}$"

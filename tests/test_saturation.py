@@ -526,7 +526,7 @@ class TestSinglePassReport:
         from dpisat.channels import KrausChannel
 
         _, c, rho, sigma = next(self._cases())
-        calls = {"apply": 0, "adjoint_apply": 0, "KrausChannel": 0}
+        calls = {"apply": 0, "_act_adjoint": 0, "KrausChannel": 0}
 
         def counted(name, func):
             def wrapper(*args, **kwargs):
@@ -535,12 +535,12 @@ class TestSinglePassReport:
             return wrapper
 
         monkeypatch.setattr(sat, "apply", counted("apply", sat.apply))
-        monkeypatch.setattr(sat, "adjoint_apply", counted("adjoint_apply", sat.adjoint_apply))
+        monkeypatch.setattr(sat, "_act_adjoint", counted("_act_adjoint", sat._act_adjoint))
         monkeypatch.setattr(
             KrausChannel, "__post_init__", counted("KrausChannel", KrausChannel.__post_init__)
         )
         build_report(MeasureSpec.relative_entropy(), c, rho, sigma, with_petz=True)
-        assert calls == {"apply": 2, "adjoint_apply": 4, "KrausChannel": 0}
+        assert calls == {"apply": 2, "_act_adjoint": 4, "KrausChannel": 0}
 
     def test_agrees_with_standalone_functions(self):
         for label, c, rho, sigma in self._cases():
@@ -568,7 +568,7 @@ class TestSinglePassReport:
         )
         c = unitary(random_unitary(g, 3))
         rho = random_positive(g, 3)
-        message = r"channel is not trace preserving: \|\|sum K\^H K - I\|\|_F = "
+        message = r"Petz recovery map is not trace preserving: \|\|\(Ls\)\^\{-1/2\} L\(s\) \(Ls\)\^\{-1/2\} - I\|\|_F = "
         with pytest.raises(ValueError, match=message):
             petz_map(sigma, c)
         with pytest.raises(ValueError, match=message):
@@ -584,7 +584,7 @@ BOUNDARY_SPECS = [m for m in measure_suite() if m.f_name != "neg_log"]
 def _tangent_grad(m, rho, sigma) -> np.ndarray:
     from dpisat.divergences import _grad1, _Pair
 
-    return _grad1(m, _Pair(rho, sigma)).matrix
+    return _grad1(m, _Pair(rho, sigma))
 
 
 class TestTangentGradient:
@@ -896,16 +896,21 @@ class TestBoundarySpectralProducts:
     rho and log sigma once per pair, reading them from the pair."""
 
     @staticmethod
-    def _count(monkeypatch, names) -> dict:
+    def _count(monkeypatch) -> dict:
+        """Count the support projectors (``_spectral_map``) and the logarithms
+        (``_logm``) of rho, a :class:`PsdOperator` here, and of sigma that the
+        dpisat modules form outside linalg."""
         import sys
 
         import dpisat.linalg as la
 
-        calls = dict.fromkeys(names, 0)
-        for name in names:
+        calls = {"_spectral_map": 0, "_logm(rho)": 0, "_logm(sigma)": 0}
+        for name in ("_spectral_map", "_logm"):
             func = getattr(la, name)
 
             def wrapper(*args, _name=name, _func=func, **kwargs):
+                if _name == "_logm":
+                    _name += "(rho)" if isinstance(args[0], PsdOperator) else "(sigma)"
                 calls[_name] += 1
                 return _func(*args, **kwargs)
 
@@ -953,14 +958,14 @@ class TestBoundarySpectralProducts:
         for label, c, rho, sigma in boundary_saturating_fixtures():
             ref = self._reference(c, *_pairs(c, rho, sigma, boundary=True))
             with monkeypatch.context() as mp:
-                calls = self._count(mp, ("zeroth_power", "log_cross", "_logm"))
+                calls = self._count(mp)
                 pt, pt_out = _pairs(c, rho, sigma, boundary=True)
                 got = (
                     _boundary_residual_relent(c, pt, pt_out),
                     _boundary_residual_general(m, c, pt, pt_out),
                     _hiai_residual(c, pt, pt_out),
                 )
-            assert calls == {"zeroth_power": 2, "log_cross": 2, "_logm": 2}, label
+            assert calls == {"_spectral_map": 2, "_logm(rho)": 2, "_logm(sigma)": 2}, label
             for res, expected in zip(got, ref):
                 np.testing.assert_array_equal(getattr(res, "matrix", res), getattr(expected, "matrix", expected))
 
@@ -1000,3 +1005,105 @@ class TestIllConditionedRenyiCores:
                 rep = build_report(m, c, rho, sigma)
                 assert math.isfinite(rep.residual1_frobenius) and math.isfinite(rep.residual2_frobenius), m
         assert dipped >= 10  # the draws reach the clamped spectra
+
+
+def _guard_passes(arr: np.ndarray) -> bool:
+    """The predicate of the fused guard in ``hermitize``: finite, and
+    ``max|A - A^H| <= 1e-8 max(1, max|A|)``."""
+    scale = float(np.max(np.abs(arr)))
+    return scale < math.inf and float(np.max(np.abs(arr - arr.conj().T))) <= 1e-8 * max(1.0, scale)
+
+
+class TestHermitianByConstruction:
+    """Private cores pass symmetrized arrays and never run the fused guard;
+    it runs on the two channel images and on each value a public function
+    returns. The guard this drops from the cores is kept here, as a check on
+    every internal symmetrization."""
+
+    @staticmethod
+    def _count_guards(monkeypatch) -> list:
+        """Count ``hermitize`` runs, wrapped in every dpisat module that binds it."""
+        import sys
+
+        import dpisat.linalg as la
+
+        runs = []
+        func = la.hermitize
+
+        def counted(*args, **kwargs):
+            runs.append(1)
+            return func(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("dpisat.") and vars(mod).get("hermitize") is func:
+                monkeypatch.setattr(mod, "hermitize", counted)
+        return runs
+
+    @staticmethod
+    def _check_symmetrizations(monkeypatch) -> dict:
+        """Wrap ``_symmetrized`` where the cores bind it; record per module
+        how many inputs pass the guard's predicate and how many fail it."""
+        import dpisat.calculus as calc
+        import dpisat.divergences as div
+        import dpisat.saturation as sat
+
+        seen = {}
+        for mod in (calc, div, sat):
+            func = mod._symmetrized
+            tally = seen.setdefault(mod.__name__, {"passed": 0, "failed": 0})
+
+            def checked(arr, adj=None, _func=func, _tally=tally):
+                _tally["passed" if _guard_passes(arr) else "failed"] += 1
+                return _func(arr, adj)
+
+            monkeypatch.setattr(mod, "_symmetrized", checked)
+        return seen
+
+    @staticmethod
+    def _report_cases():
+        from _fixtures import saturating_fixtures
+
+        g = gen(595)
+        cases = list(saturating_fixtures())
+        cases.append(("depolarizing_fixture",) + depolarizing_fixture())
+        cases.append(("depolarizing_n6", depolarizing(6, 0.4), random_positive(g, 6), random_positive(g, 6)))
+        return cases
+
+    def test_four_guards_per_report(self, monkeypatch):
+        g = gen(594)
+        c, rho, sigma = depolarizing(6, 0.4), random_positive(g, 6), random_positive(g, 6)
+        runs = self._count_guards(monkeypatch)
+        for m in measure_suite():
+            runs.clear()
+            build_report(m, c, rho, sigma)
+            # The two channel images and the two residuals.
+            assert len(runs) == 4, m
+        # A public residual: the two images and the value it returns.
+        runs.clear()
+        residual1(MeasureSpec.relative_entropy(), c, rho, sigma)
+        assert len(runs) == 3
+
+    def test_internal_symmetrizations_pass_the_guard(self, monkeypatch):
+        seen = self._check_symmetrizations(monkeypatch)
+        for label, c, rho, sigma in self._report_cases():
+            for m in measure_suite():
+                build_report(m, c, rho, sigma)
+        for label, c, rho, sigma in boundary_saturating_fixtures():
+            boundary_residual_relent(c, rho, sigma)
+            for m in BOUNDARY_SPECS:
+                boundary_residual_general(m, c, rho, sigma)
+        for name, tally in seen.items():
+            assert tally["failed"] == 0, (name, tally)
+            assert tally["passed"] > 0, name
+
+    def test_public_results_still_guarded(self, monkeypatch):
+        # A core that returned a skewed array reaches the public guard, which
+        # rejects it exactly as it would a skewed public input.
+        import dpisat.divergences as div
+        from dpisat.divergences import grad1
+        from dpisat.linalg import HermiticityError
+
+        c, rho, sigma = depolarizing_fixture()
+        monkeypatch.setattr(div, "_grad1", lambda m, pt: np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        with pytest.raises(HermiticityError):
+            grad1(MeasureSpec.relative_entropy(), rho, sigma)
