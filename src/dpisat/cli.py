@@ -52,6 +52,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -163,18 +164,22 @@ def _state_from_json(obj, path: str, seed_override: int | None):
 
 
 def _tolerances_from_json(obj, path: str):
-    gap_tol, residual_tol = DEFAULT_GAP_TOL, DEFAULT_RESIDUAL_TOL
-    if obj is None:
-        return gap_tol, residual_tol
-    if not isinstance(obj, dict):
+    tols = {"gap_tol": DEFAULT_GAP_TOL, "residual_tol": DEFAULT_RESIDUAL_TOL}
+    if obj is not None and not isinstance(obj, dict):
         raise SchemaError(path, "expected an object")
-    for key in obj:
-        if key not in ("gap_tol", "residual_tol"):
+    for key, val in (obj or {}).items():
+        if key not in tols:
             raise SchemaError(f"{path}.{key}", "unknown tolerance")
-        _number(obj[key], f"{path}.{key}", "a positive number", positive=True)
-    gap_tol = float(obj.get("gap_tol", gap_tol))
-    residual_tol = float(obj.get("residual_tol", residual_tol))
-    return gap_tol, residual_tol
+        tols[key] = _number(val, f"{path}.{key}", "a positive number", positive=True)
+    return tols["gap_tol"], tols["residual_tol"]
+
+
+def _tolerance_arg(text: str) -> float:
+    """A ``--tol-*`` value, under the rule of the JSON tolerances."""
+    try:
+        return _number(float(text), "tolerance", positive=True)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}") from None
 
 
 def _validate_checks(sc: Scenario, path: str):
@@ -312,7 +317,8 @@ def _execute_scenario(sc: Scenario, dump_matrices: bool) -> dict:
 
     gap = gap_error = core = pairs = None
     if sc.rho.rank == sc.rho.dim:
-        # Petz errors need an invertible channel image of sigma; only
+        # The Petz errors cost two adjoints and (L sigma)^{-1/2}, and their
+        # trace-preservation check raises once cond(L sigma) is large; only
         # evaluate them when the scenario asks for them.
         core = build_report(
             sc.measure, sc.channel, PositiveOperator(sc.rho), sc.sigma,
@@ -503,6 +509,8 @@ def _parse_grid(text: str):
             start, stop, step = (float(p) for p in pieces)
         except ValueError as exc:
             raise SchemaError("grid", f"non-numeric grid bound in {part!r}") from exc
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise SchemaError("grid", f"non-finite grid bound in {part!r}")
         if step <= 0 or stop < start:
             raise SchemaError("grid", f"empty or descending grid in {part!r}")
         values = []
@@ -600,8 +608,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("file", help="scenario JSON file")
     run_p.add_argument("--out", required=True, help="output directory for reports")
     run_p.add_argument("--allow-non-dpi", action="store_true", dest="allow_non_dpi")
-    run_p.add_argument("--tol-gap", type=float, dest="tol_gap")
-    run_p.add_argument("--tol-residual", type=float, dest="tol_residual")
+    run_p.add_argument("--tol-gap", type=_tolerance_arg, dest="tol_gap")
+    run_p.add_argument("--tol-residual", type=_tolerance_arg, dest="tol_residual")
     run_p.add_argument("--dump-matrices", action="store_true", dest="dump_matrices")
     run_p.set_defaults(func=_cmd_run)
 

@@ -474,10 +474,20 @@ def hs_inner(A, B) -> float:
 
 
 def _number(val, path: str, what: str = "a number", positive: bool = False) -> float:
-    """A JSON number (not a bool) as a float, strictly positive if ``positive``."""
-    if not isinstance(val, (int, float)) or isinstance(val, bool) or (positive and val <= 0):
+    """A finite JSON number (not a bool) as a float, strictly positive if
+    ``positive``. JSON's ``NaN`` and ``Infinity`` and an integer beyond the
+    float range are schema errors."""
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
         raise SchemaError(path, f"expected {what}, got {val!r}")
-    return float(val)
+    try:
+        num = float(val)
+    except OverflowError:  # an integer beyond the float range
+        num = math.inf if val > 0 else -math.inf
+    if not math.isfinite(num):
+        raise SchemaError(path, f"expected a finite number, got {num!r}")
+    if positive and num <= 0:
+        raise SchemaError(path, f"expected {what}, got {val!r}")
+    return num
 
 
 def _positive_int(val, path: str, what: str = "a positive integer", least: int | None = 1) -> int:

@@ -1,17 +1,18 @@
 """Saturation certificates for the data processing inequality.
 
 When a channel preserves the value of a distinguishability measure on a
-pair of states, the difference of gradients
+pair of states, the saturation condition
 
-    residual = grad(B)|_{r,s} - L*( grad(B)|_{L(r),L(s)} )
+    residual = X(r, s) - L*( X(L r, L s) )
 
-must vanish as an operator, for either argument slot. This module computes
-those residuals, the sign-adjusted gap itself, the converse certificate for
-families with a verified scalar-multiplication law, the boundary variants
-for rank-deficient states (restricted to the tangent space of the PSD
-cone), the Petz recovery map together with its exact-recovery checks, and
-numerical cross-checks against two alternative published saturation
-conditions for the alpha-z family.
+must vanish as an operator, for X the gradient of the measure in either
+argument slot or an operator of the pair that another condition names;
+:func:`_residual` takes every Hermitian one. This module computes them, the
+sign-adjusted gap, the converse certificate for families with a verified
+scalar-multiplication law, the boundary variants for rank-deficient states
+(restricted to the tangent space of the PSD cone), the Petz recovery map
+with its exact-recovery checks, and numerical cross-checks against two
+alternative published saturation conditions for the alpha-z family.
 
 Every quantity is derived from two state pairs, ``(r, s)`` and
 ``(L r, L s)``, each taken once. A rank-deficient r, on the boundary of the
@@ -22,6 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from operator import methodcaller
 
 import numpy as np
 
@@ -121,9 +124,12 @@ def _gap(m: MeasureSpec, pt: _Pair, pt_out: _Pair) -> float:
     return m.sign * (_value(m, pt) - _value(m, pt_out))
 
 
-def _residual(grad, m: MeasureSpec, ch: KrausChannel, pt: _Pair, pt_out: _Pair) -> np.ndarray:
-    """``grad(r, s) - L*(grad(L r, L s))`` for ``grad`` = _grad1 or _grad2."""
-    return grad(m, pt) - _symmetrized(_act_adjoint(ch, grad(m, pt_out)))
+def _residual(ch: KrausChannel, side, pt: _Pair, pt_out: _Pair, tangent: bool = False) -> np.ndarray:
+    """``X(r, s) - L*(X(L r, L s))`` for the condition operator ``X = side``.
+    ``L*`` acts between two symmetrizations, then, with ``tangent``, the
+    projection onto the tangent space at r; ``side(pt)`` is taken as it is."""
+    back = _symmetrized(_act_adjoint(ch, _symmetrized(side(pt_out))))
+    return side(pt) - (pt.tangent(back) if tangent else back)
 
 
 def dpi_gap(m: MeasureSpec, ch: KrausChannel, rho, sigma) -> float:
@@ -139,12 +145,12 @@ def boundary_gap(m: MeasureSpec, ch: KrausChannel, rho: PsdOperator, sigma) -> f
 
 def residual1(m: MeasureSpec, ch: KrausChannel, rho, sigma) -> HermitianOperator:
     """First-argument gradient residual; zero whenever the gap vanishes."""
-    return hermitize(_residual(_grad1, m, ch, *_pairs(ch, rho, sigma)))
+    return hermitize(_residual(ch, partial(_grad1, m), *_pairs(ch, rho, sigma)))
 
 
 def residual2(m: MeasureSpec, ch: KrausChannel, rho, sigma) -> HermitianOperator:
     """Second-argument gradient residual."""
-    return hermitize(_residual(_grad2, m, ch, *_pairs(ch, rho, sigma)))
+    return hermitize(_residual(ch, partial(_grad2, m), *_pairs(ch, rho, sigma)))
 
 
 def normalized_sandwiched_residual(
@@ -163,10 +169,8 @@ def normalized_sandwiched_residual(
         raise ValueError(
             f"normalized residual is meaningful only at saturation; |gap|={abs(gap):.3e}"
         )
-    gamma = m.gamma
-    outer = pt.core_power(gamma, 1.0, gamma, alpha - 1.0)
-    inner = pt_out.core_power(gamma, 1.0, gamma, alpha - 1.0)
-    return hermitize(outer - _symmetrized(_act_adjoint(ch, _symmetrized(inner))))
+    core = methodcaller("core_power", m.gamma, 1.0, m.gamma, alpha - 1.0)
+    return hermitize(_residual(ch, core, pt, pt_out))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +239,7 @@ def converse_certificate(
     pt = _Pair(_as_positive(rho, "rho", _boundary_case), _as_positive(sigma, "sigma", _boundary_case))
     _require_scaling_law(m, pt)
     pt_out = _pairs(ch, pt.rho, pt.sigma)[1]
-    r1 = frobenius(_residual(_grad1, m, ch, pt, pt_out))
+    r1 = frobenius(_residual(ch, partial(_grad1, m), pt, pt_out))
     return _converse_verdict(r1, _gap(m, pt, pt_out), residual_tol, gap_tol)
 
 
@@ -284,7 +288,6 @@ def tangent_space_rank(rho: PsdOperator, tol: float = 1e-8) -> int:
     return int(np.count_nonzero(svals > tol * svals[0]))
 
 
-
 # ---------------------------------------------------------------------------
 # Boundary residuals (rank-deficient first argument)
 # ---------------------------------------------------------------------------
@@ -307,10 +310,10 @@ def boundary_residual_relent(ch: KrausChannel, rho, sigma) -> HermitianOperator:
 
 
 def _boundary_residual_relent(ch: KrausChannel, pt: _Pair, pt_out: _Pair) -> np.ndarray:
-    tangent_in, tangent_out = pt.tangent, pt_out.tangent
-    lhs = pt.log_support - tangent_in(pt.log_sigma)
-    inner = pt_out.log_support - tangent_out(pt_out.log_sigma)
-    return _symmetrized(lhs - tangent_in(_symmetrized(_act_adjoint(ch, _symmetrized(inner)))))
+    def side(p: _Pair) -> np.ndarray:
+        return p.log_support - p.tangent(p.log_sigma)
+
+    return _symmetrized(_residual(ch, side, pt, pt_out, tangent=True))
 
 
 def boundary_residual_general(m: MeasureSpec, ch: KrausChannel, rho, sigma) -> HermitianOperator:
@@ -328,8 +331,7 @@ def boundary_residual_general(m: MeasureSpec, ch: KrausChannel, rho, sigma) -> H
 
 
 def _boundary_residual_general(m: MeasureSpec, ch: KrausChannel, pt: _Pair, pt_out: _Pair) -> np.ndarray:
-    back = _symmetrized(_act_adjoint(ch, _grad1(m, pt_out)))
-    return _symmetrized(_grad1(m, pt) - pt.tangent(back))
+    return _symmetrized(_residual(ch, partial(_grad1, m), pt, pt_out, tangent=True))
 
 
 def hiai_residual(ch: KrausChannel, rho, sigma) -> np.ndarray:
@@ -404,12 +406,11 @@ def _petz_recovery_errors(ch: KrausChannel, pt: _Pair, pt_out: _Pair):
 def alpha2_petz_residual(ch: KrausChannel, rho, sigma) -> HermitianOperator:
     """Residual of ``s^{-1/2} r s^{-1/2} = L*( (Ls)^{-1/2} (Lr) (Ls)^{-1/2} )``,
     the alpha = 2 sandwiched condition and the original Petz criterion."""
-    pt, pt_out = _pairs(ch, rho, sigma)
-    s_inv_half = _powm(pt.sigma, -0.5)
-    out_inv_half = _powm(pt_out.sigma, -0.5)
-    lhs = s_inv_half @ pt.rho.matrix @ s_inv_half
-    inner = _symmetrized(out_inv_half @ pt_out.rho.matrix @ out_inv_half)
-    return hermitize(lhs - _symmetrized(_act_adjoint(ch, inner)))
+    def side(p: _Pair) -> np.ndarray:
+        inv_half = _powm(p.sigma, -0.5)
+        return inv_half @ p.rho.matrix @ inv_half
+
+    return hermitize(_residual(ch, side, *_pairs(ch, rho, sigma)))
 
 
 # ---------------------------------------------------------------------------
@@ -436,16 +437,13 @@ def _alpha_z_crosscheck(
     ``X = s^g r^{a/z} s^g``, which the gradients share."""
     m = MeasureSpec.alpha_z(alpha, z)
     if gradient_residual is None:
-        gradient_residual = frobenius(_residual(_grad1, m, ch, pt, pt_out))
-    gamma = m.gamma
-    results = []
-    for outer_exp, core_exp in (((1.0 - z) / (2.0 * z), z - 1.0), (gamma, alpha - 1.0)):
-        f_in = pt.core_power(gamma, alpha / z, outer_exp, core_exp)
-        f_out = pt_out.core_power(gamma, alpha / z, outer_exp, core_exp)
-        res = f_in - _symmetrized(_act_adjoint(ch, _symmetrized(f_out)))
-        results.append(float(np.linalg.norm(res)))
+        gradient_residual = frobenius(_residual(ch, partial(_grad1, m), pt, pt_out))
+    chehade, zhang = (
+        frobenius(_residual(ch, methodcaller("core_power", m.gamma, alpha / z, *exps), pt, pt_out))
+        for exps in (((1.0 - z) / (2.0 * z), z - 1.0), (m.gamma, alpha - 1.0))
+    )
     return AlphaZCrosscheck(
-        gradient_residual=gradient_residual, chehade_residual=results[0], zhang_residual=results[1]
+        gradient_residual=gradient_residual, chehade_residual=chehade, zhang_residual=zhang
     )
 
 
@@ -509,16 +507,17 @@ def build_report(
 
     The channel images of rho and sigma are computed once; each residual
     takes one adjoint, and each Petz recovery error one more (two channel
-    applies and four adjoints per report). ``with_petz=False`` skips the
-    recovery errors (they need the channel image of sigma to be invertible)
-    and leaves those fields unset. Each of the four operators and each
+    applies and four adjoints per report). ``with_petz=False`` leaves the
+    recovery errors unset and skips their two adjoints, ``(Ls)^{-1/2}`` and
+    the recovery map's trace-preservation check, which raises ValueError
+    once cond(Ls) is large. Each of the four operators and each
     spectral core of the two pairs is eigensolved once (at most 8 per
     report); the report keeps both pairs for further checks.
     """
     pt, pt_out = _pairs(ch, rho, sigma)
     gap = _gap(m, pt, pt_out)
-    r1 = hermitize(_residual(_grad1, m, ch, pt, pt_out))
-    r2 = hermitize(_residual(_grad2, m, ch, pt, pt_out))
+    r1 = hermitize(_residual(ch, partial(_grad1, m), pt, pt_out))
+    r2 = hermitize(_residual(ch, partial(_grad2, m), pt, pt_out))
     n1, n2 = frobenius(r1), frobenius(r2)
     err_rho = err_sigma = None
     if with_petz:

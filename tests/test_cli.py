@@ -427,6 +427,10 @@ class TestSchemaErrors:
         ("tolerances", {"gap_tol": 0}, "tolerances.gap_tol"),
         ("tolerances", {"residual_tol": True}, "tolerances.residual_tol"),
         ("tolerances", {"gap_tol": "1e-8"}, "tolerances.gap_tol"),
+        # Python's json reads NaN, Infinity and integers beyond the float range.
+        ("tolerances", {"gap_tol": float("nan")}, "tolerances.gap_tol"),
+        ("measure", {"family": "sandwiched_renyi", "alpha": float("inf")}, "measure.alpha"),
+        ("channel", {"builder": "depolarizing", "dim": 2, "p": 10 ** 400}, "channel.p"),
     ])
     def test_field_validators(self, tmp_path, capsys, field, value, path):
         scen = tmp_path / "scen.json"
@@ -628,6 +632,15 @@ class TestSweep:
         assert (code, wrote) == (2, False)
         assert capsys.readouterr().err.strip() == message
 
+    # An infinite stop or step would append grid points without end.
+    @pytest.mark.parametrize(
+        "grid", ["alpha=nan:3:0.5", "alpha=0.5:inf:0.5", "alpha=0.5:3:inf", "alpha=-inf:3:0.5"]
+    )
+    def test_non_finite_grid_bound_is_a_schema_error(self, tmp_path, capsys, grid):
+        dep = {"builder": "depolarizing", "dim": 2, "p": 0.4}
+        assert self._sweep_exit(tmp_path, "sandwiched_renyi", grid, dep) == (2, False)
+        assert capsys.readouterr().err == f"schema error at grid: non-finite grid bound in {grid!r}\n"
+
     @pytest.mark.parametrize(
         "measure,grid,where",
         [("sandwiched_renyi", "alpha=1.5:2.0:0.5", "alpha=1.5"),
@@ -735,6 +748,11 @@ class TestParserOncePerProcess:
             ["run", str(scen)],
             ["frobnicate"],
             ["run", str(scen), "--out", "o", "--tol-gap", "x"],
+            # The tolerance flags follow the rule of the JSON tolerances.
+            ["run", str(scen), "--out", "o", "--tol-gap", "-1"],
+            ["run", str(scen), "--out", "o", "--tol-gap", "inf"],
+            ["run", str(scen), "--out", "o", "--tol-residual", "nan"],
+            ["run", str(scen), "--out", "o", "--tol-residual", "0"],
         )
         for argv in usage_errors:
             with pytest.raises(SystemExit) as exc:

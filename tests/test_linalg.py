@@ -14,6 +14,7 @@ from dpisat.linalg import (
     PositivityError,
     PsdOperator,
     SchemaError,
+    _number,
     clustered_eigensystem,
     frobenius,
     hermitize,
@@ -564,6 +565,17 @@ class TestMatrixJson:
     def test_non_finite_or_unrepresentable_entry_is_named(self, value):
         entries = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, value], [1.0, 0.0]]]
         assert self._error(entries) == ("rho.entries[1][0]", "entries must be finite")
+
+    @pytest.mark.parametrize(
+        "value,got", [(float("nan"), "nan"), (-float("inf"), "-inf"), (10 ** 400, "inf"), (-(10 ** 400), "-inf")],
+        ids=["nan", "-inf", "huge-int", "huge-negative-int"],
+    )
+    def test_number_field_must_be_finite(self, value, got):
+        for positive in (False, True):
+            with pytest.raises(SchemaError) as err:
+                _number(value, "measure.alpha", positive=positive)
+            assert (err.value.path, err.value.reason) == ("measure.alpha", f"expected a finite number, got {got}")
+        assert _number(3, "p") == 3.0 and type(_number(3, "p")) is float
 
     def test_short_row_is_named(self):
         entries = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]

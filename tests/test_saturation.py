@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpisat.channels import adjoint_apply, apply, dephasing_pinching, depolarizing, identity
+from dpisat.channels import adjoint_apply, apply, dephasing_pinching, depolarizing, identity, unitary
 from dpisat.divergences import MeasureSpec, evaluate
 from dpisat.linalg import (
     HermitianOperator,
@@ -1107,3 +1107,57 @@ class TestHermitianByConstruction:
         monkeypatch.setattr(div, "_grad1", lambda m, pt: np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
         with pytest.raises(HermiticityError):
             grad1(MeasureSpec.relative_entropy(), rho, sigma)
+
+
+class TestOneResidualForm:
+    """Every Hermitian saturation residual is ``X(r, s) - L*(X(L r, L s))``
+    taken by one helper: each adjoint a residual acts through is taken inside
+    ``_residual``, once per condition."""
+
+    @staticmethod
+    def _track(monkeypatch) -> dict:
+        import dpisat.saturation as sat
+
+        calls = {"_residual": 0, "adjoint_inside": 0, "adjoint_outside": 0}
+        depth = [0]
+        residual, act_adjoint = sat._residual, sat._act_adjoint
+
+        def tracked_residual(*args, **kwargs):
+            calls["_residual"] += 1
+            depth[0] += 1
+            try:
+                return residual(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        def tracked_adjoint(*args, **kwargs):
+            calls["adjoint_inside" if depth[0] else "adjoint_outside"] += 1
+            return act_adjoint(*args, **kwargs)
+
+        monkeypatch.setattr(sat, "_residual", tracked_residual)
+        monkeypatch.setattr(sat, "_act_adjoint", tracked_adjoint)
+        return calls
+
+    def test_every_hermitian_residual_takes_its_adjoint_in_the_helper(self, monkeypatch):
+        g = gen(1200)
+        c, rho, sigma = depolarizing(3, 0.3), random_positive(g, 3), random_positive(g, 3)
+        # A unitary channel saturates, as the normalized residual requires.
+        c_unitary = unitary(random_unitary(g, 3))
+        _, c_psd, rho_psd, sigma_psd = boundary_saturating_fixtures()[0]
+        m = MeasureSpec.sandwiched_renyi(2.0)
+        cases = [
+            (lambda: residual1(m, c, rho, sigma), 1),
+            (lambda: residual2(m, c, rho, sigma), 1),
+            (lambda: normalized_sandwiched_residual(c_unitary, rho, sigma, alpha=2.0), 1),
+            (lambda: converse_certificate(m, c, rho, sigma, residual_tol=0.0), 1),
+            (lambda: alpha2_petz_residual(c, rho, sigma), 1),
+            (lambda: alpha_z_crosscheck(c, rho, sigma, 1.5, 1.2), 3),
+            (lambda: build_report(m, c, rho, sigma, with_petz=False), 2),
+            (lambda: boundary_residual_relent(c_psd, rho_psd, sigma_psd), 1),
+            (lambda: boundary_residual_general(m, c_psd, rho_psd, sigma_psd), 1),
+        ]
+        calls = self._track(monkeypatch)
+        for i, (run, conditions) in enumerate(cases):
+            calls.update(dict.fromkeys(calls, 0))
+            run()
+            assert calls == {"_residual": conditions, "adjoint_inside": conditions, "adjoint_outside": 0}, i
