@@ -57,7 +57,7 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -112,6 +112,8 @@ _CROSSCHECK_FAMILIES = ("alpha_z", "sandwiched_renyi")
 _FULL_RANK_CHECKS = ("residual1", "residual2", "petz", "converse", "alpha_z_crosscheck")
 # Checks judged against the gap: they fail alone when it cannot be evaluated.
 _GAP_CHECKS = ("gap", "boundary")
+# The most points a sweep grid may have.
+_MAX_GRID_POINTS = 10 ** 5
 
 
 @dataclass
@@ -269,14 +271,22 @@ def _build_scenario(obj, path: str, args, seed_override: int | None) -> Scenario
     return sc
 
 
-def _load_scenarios(file_path: str, args) -> list:
+def _json_from(source: str, path: str, inline: bool = False):
+    """The JSON document in the file ``source``, or ``source`` itself when
+    ``inline``; one that cannot be read or decoded is a schema error at ``path``."""
     try:
-        with open(file_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        if inline:
+            return json.loads(source)
+        with open(source, "r", encoding="utf-8") as fh:
+            return json.load(fh)
     except OSError as exc:
-        raise SchemaError(file_path, f"cannot read scenario file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(file_path, f"invalid JSON: {exc}") from exc
+        raise SchemaError(path, f"cannot read file: {exc}") from exc
+    except ValueError as exc:  # malformed, or an integer of more digits than int() takes
+        raise SchemaError(path, f"invalid JSON: {exc}") from exc
+
+
+def _load_scenarios(file_path: str, args) -> list:
+    doc = _json_from(file_path, file_path)
     if isinstance(doc, dict):
         items = [doc]
     elif isinstance(doc, list):
@@ -380,23 +390,12 @@ def _execute_scenario(sc: Scenario, dump_matrices: bool) -> dict:
         elif check == "boundary":
             passed, detail = _boundary_check(sc, saturated_here, core, pairs)
         elif check == "alpha_z_crosscheck":
-            alpha_z = sc.measure.family == "alpha_z"
             res = _alpha_z_crosscheck(
-                sc.channel, *core.pairs,
-                sc.measure.alpha, sc.measure.z if alpha_z else sc.measure.alpha,
-                # An alpha_z scenario's residual1 is the crosscheck's gradient
-                # residual; a sandwiched one takes it from the alpha_z form.
-                gradient_residual=core.residual1_frobenius if alpha_z else None,
+                sc.channel, *core.pairs, sc.measure.alpha, sc.measure.z or sc.measure.alpha,
+                gradient_residual=core.residual1_frobenius,
             )
-            detail.update(
-                {
-                    "gradient_residual": res.gradient_residual,
-                    "chehade_residual": res.chehade_residual,
-                    "zhang_residual": res.zhang_residual,
-                }
-            )
-            norms = (res.gradient_residual, res.chehade_residual, res.zhang_residual)
-            passed = (not saturated_here) or all(n <= sc.residual_tol for n in norms)
+            detail.update(asdict(res))  # the three residual norms
+            passed = (not saturated_here) or all(n <= sc.residual_tol for n in detail.values())
         elif check == "tangent":
             n, k = sc.rho.dim, sc.rho.dim - sc.rho.rank
             rank = tangent_space_rank(sc.rho)
@@ -468,7 +467,10 @@ def _seed_override() -> int | None:
     env_seed = os.environ.get("DPISAT_SEED")
     if env_seed is not None and not env_seed.strip().isdecimal():
         raise SchemaError("DPISAT_SEED", f"expected a non-negative integer, got {env_seed!r}")
-    return None if env_seed is None else int(env_seed)
+    try:
+        return None if env_seed is None else int(env_seed)
+    except ValueError as exc:  # more digits than int() takes
+        raise SchemaError("DPISAT_SEED", str(exc)) from exc
 
 
 def _cmd_run(args) -> int:
@@ -492,8 +494,9 @@ def _cmd_run(args) -> int:
 
 
 def _parse_grid(text: str):
-    """Parse 'alpha=0.5:3.0:0.25;z=...' into an ordered (name, values) list."""
-    axes = []
+    """Parse 'alpha=0.5:3.0:0.25;z=...' into an ordered (name, values) list;
+    point k of an axis is ``round(start + k*step, 12)``."""
+    axes, size = [], 1
     for part in text.split(";"):
         part = part.strip()
         if not part:
@@ -513,25 +516,19 @@ def _parse_grid(text: str):
             raise SchemaError("grid", f"non-finite grid bound in {part!r}")
         if step <= 0 or stop < start:
             raise SchemaError("grid", f"empty or descending grid in {part!r}")
-        values = []
-        x = start
-        while x <= stop + 1e-9:
-            values.append(round(x, 12))
-            x += step
-        axes.append((name, values))
+        count = math.floor(min((stop - start + 1e-9) / step, _MAX_GRID_POINTS)) + 1
+        size *= count
+        if size > _MAX_GRID_POINTS:
+            raise SchemaError("grid", f"more than {_MAX_GRID_POINTS} grid points in {text!r}")
+        axes.append((name, start, step, count))
     if not axes:
         raise SchemaError("grid", "no axes given")
-    return axes
+    return [(name, [round(start + k * step, 12) for k in range(n)]) for name, start, step, n in axes]
 
 
 def _operand_from_arg(text: str, decoder, path: str):
     """Accept inline JSON (starting with '{') or a path to a JSON file."""
-    if text.lstrip().startswith("{"):
-        obj = json.loads(text)
-    else:
-        with open(text, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    return decoder(obj, path)
+    return decoder(_json_from(text, path, inline=text.lstrip().startswith("{")), path)
 
 
 def _cmd_sweep(args) -> int:
@@ -638,9 +635,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except SchemaError as exc:
         print(f"schema error at {exc.path}: {exc.reason}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"schema error: invalid JSON: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"schema error: {exc}", file=sys.stderr)

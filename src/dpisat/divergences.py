@@ -11,6 +11,12 @@ normalization requirement on the states:
 * f-divergence            ``sum_{jk} mu_k f(p_j/mu_k) tr(P_j Q_k)`` over the
   spectra ``r = sum p_j P_j`` and ``s = sum mu_k Q_k``
 
+Fidelity and sandwiched Renyi are the points ``(1/2, 1/2)`` and ``(a, a)`` of
+the alpha-z quasi-entropy ``Q = tr X^z``, ``X = s^g r^{a/z} s^g`` (``F = Q``),
+and share its core, value and gradient path. For ``z < 1`` the first gradient
+reads ``X^{z-1}``, so it raises :class:`PositivityError` unless X is positive
+on the support of r.
+
 Parameter combinations outside the known data-processing regions are
 rejected at construction unless explicitly overridden. Every gradient, in
 either argument, is closed form; the f-divergence ones use the Petz form
@@ -23,6 +29,7 @@ the tangent space of the PSD cone.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -264,9 +271,9 @@ class _Pair:
         self.rho, self.sigma = rho, sigma
         self._cores = {}
 
-    def core(self, gamma: float, p: float | None = None):
-        """``(s^gamma, X)``, ``X = s^gamma r^p s^gamma``: the Renyi core at
-        ``p = a/z``; ``p=None`` takes r itself (the fidelity core).
+    def core(self, gamma: float, p: float):
+        """``(s^gamma, X)``, ``X = s^gamma r^p s^gamma``: the alpha-z core at
+        ``p = a/z``; ``p = 1`` takes r itself, since ``r^1 = r``.
 
         X is positive semidefinite by construction, so its eigensystem is
         seeded once with roundoff below zero clamped to zero and the
@@ -275,7 +282,7 @@ class _Pair:
         key = (gamma, p)
         if key not in self._cores:
             s_g = _powm(self.sigma, gamma)
-            r = self.rho.matrix if p is None else _powm(self.rho, p)
+            r = self.rho.matrix if p == 1.0 else _powm(self.rho, p)
             x = HermitianOperator._exact(_symmetrized(s_g @ r @ s_g))
             wx, vx = x.eigensystem
             wx = np.maximum(wx, 0.0)
@@ -285,7 +292,7 @@ class _Pair:
             self._cores[key] = s_g, x
         return self._cores[key]
 
-    def core_power(self, gamma: float, p: float | None, outer: float, exponent: float) -> np.ndarray:
+    def core_power(self, gamma: float, p: float, outer: float, exponent: float) -> np.ndarray:
         """``s^outer X^exponent s^outer`` for the core ``X`` of ``(gamma, p)``."""
         s_g, x = self.core(gamma, p)
         s_outer = s_g if outer == gamma else _powm(self.sigma, outer)
@@ -355,12 +362,21 @@ def _fdiv_value(pair: ScalarFunctionPair, pt: _Pair) -> float:
     return float(np.sum(mu[:, None] * fx * np.abs(w) ** 2))
 
 
-def _renyi_trace(m: MeasureSpec, pt: _Pair):
-    """``(alpha, z, X, tr X^z)``: a Renyi measure's parameters (sandwiched:
-    ``z = alpha``), its core ``X = s^g r^{a/z} s^g`` at a pair, and the trace."""
-    alpha, z = m.alpha, m.z or m.alpha
-    x = pt.core(m.gamma, alpha / z)[1]
-    return alpha, z, x, float(np.sum(x.eigensystem[0] ** z))
+# A pair's alpha-z core X, the value from ``Q = tr X^z`` and ``c = z dvalue/dQ``.
+_QuasiEntropy = namedtuple("_QuasiEntropy", "alpha z gamma core value chain")
+
+
+def _quasi_entropy(m: MeasureSpec, pt: _Pair) -> _QuasiEntropy:
+    """The alpha-z quasi-entropy ``Q = tr X^z``, ``X = s^g r^{a/z} s^g`` with
+    ``g = (1-a)/(2z)``: fidelity is ``F = Q`` at ``a = z = 1/2``, the Renyi
+    families are ``log Q / (a-1)``, sandwiched on the line ``z = a``."""
+    fidelity = m.family == "fidelity"
+    alpha, z = (0.5, 0.5) if fidelity else (m.alpha, m.z or m.alpha)
+    gamma = (1.0 - alpha) / (2.0 * z)
+    x = pt.core(gamma, alpha / z)[1]
+    q = float(np.sum(x.eigensystem[0] ** z))
+    value, c = (q, z) if fidelity else (math.log(q) / (alpha - 1.0), z / ((alpha - 1.0) * q))
+    return _QuasiEntropy(alpha, z, gamma, x, value, c)
 
 
 def _value(m: MeasureSpec, pt: _Pair) -> float:
@@ -371,12 +387,9 @@ def _value(m: MeasureSpec, pt: _Pair) -> float:
         pos = wr > 0.0
         entropy = np.sum(wr[pos] * np.log(wr[pos]))
         return float(entropy - np.real(np.trace(pt.rho.matrix @ pt.log_sigma)))
-    if m.family == "fidelity":
-        return float(np.sum(np.sqrt(pt.core(0.5)[1].eigensystem[0])))
-    if m.family in ("sandwiched_renyi", "alpha_z"):
-        alpha, _, _, trace = _renyi_trace(m, pt)
-        return math.log(trace) / (alpha - 1.0)
-    return _fdiv_value(m.f_pair, pt)
+    if m.family == "f_divergence":
+        return _fdiv_value(m.f_pair, pt)
+    return _quasi_entropy(m, pt).value
 
 
 def evaluate(m: MeasureSpec, rho, sigma) -> float:
@@ -398,13 +411,6 @@ def evaluate_psd(m: MeasureSpec, rho: PsdOperator, sigma) -> float:
 # ---------------------------------------------------------------------------
 # Gradients
 # ---------------------------------------------------------------------------
-
-
-def _fidelity_grad1(pt: _Pair) -> np.ndarray:
-    s_half, y = pt.core(0.5)
-    if (y.eigensystem[0][pt.kernel:] <= 0.0).any():
-        raise PositivityError("fidelity gradient needs sqrt(s) r sqrt(s) > 0 on the support of r")
-    return _symmetrized(0.5 * s_half @ _powm(y, -0.5) @ s_half)
 
 
 def _fdiv_grad(pair: ScalarFunctionPair, pt: _Pair, slot: int) -> np.ndarray:
@@ -441,33 +447,33 @@ def _grad1(m: MeasureSpec, pt: _Pair) -> np.ndarray:
 
     At a rank-deficient :class:`PsdOperator` rho it is the gradient on the
     tangent space of the PSD cone: the closed form with its kernel-kernel
-    block dropped, projected onto the tangent space. The Renyi and fidelity
-    cores take zero-preserving powers; ``r^{a/z}`` and the f-divergences take
-    divided differences with ``h(0)`` from the continuous extension. Relative
-    entropy reads ``logx(r) - log s + Q log s Q + P`` with ``logx`` the
-    support logarithm, P the support projector and ``Q = 1 - P``.
+    block dropped, projected onto the tangent space. The quasi-entropies
+    need ``X > 0`` on the support of rho when ``z < 1``; ``r^{a/z}`` (unless
+    ``a = z``) and the f-divergences take divided differences with ``h(0)``
+    from the continuous extension. Relative entropy reads
+    ``logx(r) - log s + Q log s Q + P`` with ``logx`` the support logarithm,
+    P the support projector and ``Q = 1 - P``.
     """
     if m.family == "relative_entropy":
         if pt.kernel:
             tangent, log_sigma = pt.tangent, pt.log_sigma
             return _symmetrized(pt.log_support - log_sigma + tangent.q @ log_sigma @ tangent.q + tangent.p)
         return _symmetrized(_logm(pt.rho) - pt.log_sigma + np.eye(pt.rho.dim))
-    if m.family == "fidelity":
-        g = _fidelity_grad1(pt)
-    elif m.family == "sandwiched_renyi":
-        alpha, _, _, trace = _renyi_trace(m, pt)
-        core = pt.core_power(m.gamma, 1.0, m.gamma, alpha - 1.0)
-        g = _symmetrized(alpha / ((alpha - 1.0) * trace) * core)
-    elif m.family == "alpha_z":
-        alpha, z, _, trace = _renyi_trace(m, pt)
-        w = _symmetrized(pt.core_power(m.gamma, alpha / z, m.gamma, z - 1.0))
-        # The Frechet derivative of r^{a/z} along w, with 0^{a/z} = 0.
-        p, rid, vr = clustered_eigensystem(pt.rho)
-        pos, pw = p > 0.0, power(alpha / z)
-        deriv = _frechet(p, rid, vr, _on_support(pw.f, p, pos, 0.0), _on_support(pw.f_prime, p, pos, 0.0), w)
-        g = z / ((alpha - 1.0) * trace) * deriv
-    else:
+    if m.family == "f_divergence":
         g = _fdiv_grad(m.f_pair, pt, 1)
+    else:
+        alpha, z, gamma, x, _, c = _quasi_entropy(m, pt)
+        if z < 1.0 and (x.eigensystem[0][pt.kernel:] <= 0.0).any():
+            raise PositivityError("a gradient with z < 1 needs s^g r^{a/z} s^g > 0 on the support of r")
+        w = pt.core_power(gamma, alpha / z, gamma, z - 1.0)
+        if alpha / z == 1.0:  # r -> r is linear: its Frechet derivative is the identity
+            g = _symmetrized(c * w)
+        else:
+            # The Frechet derivative of r^{a/z} along w, with 0^{a/z} = 0.
+            p, rid, vr = clustered_eigensystem(pt.rho)
+            pos, pw = p > 0.0, power(alpha / z)
+            values = _on_support(pw.f, p, pos, 0.0), _on_support(pw.f_prime, p, pos, 0.0)
+            g = c * _frechet(p, rid, vr, *values, _symmetrized(w))
     return _symmetrized(pt.tangent(g)) if pt.kernel else g
 
 
@@ -475,18 +481,17 @@ def _grad2(m: MeasureSpec, pt: _Pair) -> np.ndarray:
     """Gradient in the second argument, symmetrized."""
     rho, sigma = pt.rho, pt.sigma
     if m.family == "fidelity":
-        return _fidelity_grad1(_Pair(sigma, rho))
+        return _grad1(m, _Pair(sigma, rho))
     if m.family == "f_divergence":
         return _fdiv_grad(m.f_pair, pt, 2)
     reps, ids, v = clustered_eigensystem(sigma)
     if m.family == "relative_entropy":
         return -_frechet(reps, ids, v, *_pair_values(reps, LOG), rho.matrix)
-    alpha, z, x, trace = _renyi_trace(m, pt)
+    _, z, gamma, x, _, c = _quasi_entropy(m, pt)
     x_z = _powm(x, z)
-    s_neg_g = _powm(sigma, -m.gamma)
+    s_neg_g = _powm(sigma, -gamma)
     anti = _symmetrized(x_z @ s_neg_g + s_neg_g @ x_z)
-    deriv = _frechet(reps, ids, v, *_pair_values(reps, power(m.gamma)), anti)
-    return z / ((alpha - 1.0) * trace) * deriv
+    return c * _frechet(reps, ids, v, *_pair_values(reps, power(gamma)), anti)
 
 
 def grad1(m: MeasureSpec, rho, sigma) -> HermitianOperator:

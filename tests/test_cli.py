@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -249,9 +250,9 @@ class TestReportReuse:
         "measure,adjoints",
         [
             ({"family": "alpha_z", "alpha": 1.5, "z": 1.2}, 6),
-            # The sandwiched crosscheck takes its gradient residual from the
-            # alpha_z form, one more adjoint.
-            ({"family": "sandwiched_renyi", "alpha": 1.5}, 7),
+            # Sandwiched is alpha_z at z = alpha bit for bit, so its residual1
+            # is the crosscheck's gradient residual too.
+            ({"family": "sandwiched_renyi", "alpha": 1.5}, 6),
         ],
     )
     def test_details_match_public_functions(self, tmp_path, monkeypatch, measure, adjoints):
@@ -263,7 +264,9 @@ class TestReportReuse:
         calls = count_channel_calls(monkeypatch)
         assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 0
         assert calls == {"apply": 2, "_act_adjoint": adjoints}
-        checks = load_report(tmp_path / "out", "reuse")["checks"]
+        report = load_report(tmp_path / "out", "reuse")
+        checks = report["checks"]
+        assert checks["alpha_z_crosscheck"]["gradient_residual"] == report["residual1_frobenius"]
 
         m = MeasureSpec.alpha_z(1.5, 1.2) if measure["family"] == "alpha_z" else (
             MeasureSpec.sandwiched_renyi(1.5))
@@ -487,6 +490,59 @@ class TestSchemaErrors:
         assert "unique" in capsys.readouterr().err
 
 
+# Python's int() refuses decimal strings of more than 4300 digits, and json
+# reads integer literals through it; each entry point that decodes such a
+# literal turns that refusal into a schema error that names its source.
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python converts integers of any length"
+)
+HUGE_INT = "1" * 5001
+
+
+@needs_digit_limit
+class TestIntegerDigitLimit:
+    SWEEP = ["sweep", "--measure", "alpha_z", "--grid", "alpha=1.5:1.5:1;z=1.2:1.2:1"]
+
+    def _sweep(self, tmp_path, channel=None, rho=None):
+        return main(self.SWEEP + [
+            "--channel", channel or json.dumps(RANDOM_SCENARIO["channel"]),
+            "--rho", rho or json.dumps(RANDOM_SCENARIO["rho"]),
+            "--sigma", json.dumps(RANDOM_SCENARIO["sigma"]),
+            "--out", str(tmp_path / "sweep.csv"),
+        ])
+
+    def test_scenario_file(self, tmp_path, capsys):
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps([DEPOLARIZING_SCENARIO]).replace('"p": 0.5', f'"p": {HUGE_INT}'),
+                        encoding="utf-8")
+        for argv in (["validate", str(scen)], ["run", str(scen), "--out", str(tmp_path / "out")]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith(f"schema error at {scen}: invalid JSON: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_operand_inline_and_from_file(self, tmp_path, capsys):
+        channel = json.dumps(RANDOM_SCENARIO["channel"]).replace('"p": 0.3', f'"p": {HUGE_INT}')
+        assert self._sweep(tmp_path, channel=channel) == 2
+        assert capsys.readouterr().err.startswith("schema error at channel: invalid JSON: ")
+        rho = tmp_path / "rho.json"
+        rho.write_text(json.dumps(RANDOM_SCENARIO["rho"]).replace('"seed": 42', f'"seed": {HUGE_INT}'),
+                       encoding="utf-8")
+        assert self._sweep(tmp_path, rho=str(rho)) == 2
+        assert capsys.readouterr().err.startswith("schema error at rho: invalid JSON: ")
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_seed_environment(self, tmp_path, capsys, monkeypatch):
+        scen = tmp_path / "scen.json"
+        write_scenarios(scen, [RANDOM_SCENARIO])
+        monkeypatch.setenv("DPISAT_SEED", HUGE_INT)
+        for argv in (["validate", str(scen)], ["run", str(scen), "--out", str(tmp_path / "out")]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("schema error at DPISAT_SEED: ")
+        assert self._sweep(tmp_path) == 2
+        assert capsys.readouterr().err.startswith("schema error at DPISAT_SEED: ")
+        assert not (tmp_path / "out").exists() and not (tmp_path / "sweep.csv").exists()
+
+
 class TestValidate:
     def test_valid_file(self, tmp_path):
         scen = tmp_path / "scen.json"
@@ -640,6 +696,37 @@ class TestSweep:
         dep = {"builder": "depolarizing", "dim": 2, "p": 0.4}
         assert self._sweep_exit(tmp_path, "sandwiched_renyi", grid, dep) == (2, False)
         assert capsys.readouterr().err == f"schema error at grid: non-finite grid bound in {grid!r}\n"
+
+    # A step that cannot advance the start, or a grid too large to sweep, is
+    # rejected before any point is formed.
+    @pytest.mark.parametrize("grid", [
+        "alpha=0.5:3:1e-300", "alpha=0.5:3:1e-12", "alpha=0.5:1e300:1e-300", "alpha=0.5:3:0.001;z=0.5:3:0.001",
+    ])
+    def test_grid_of_too_many_points_is_a_schema_error(self, tmp_path, capsys, grid):
+        dep = {"builder": "depolarizing", "dim": 2, "p": 0.4}
+        assert self._sweep_exit(tmp_path, "alpha_z", grid, dep) == (2, False)
+        assert capsys.readouterr().err == f"schema error at grid: more than 100000 grid points in {grid!r}\n"
+
+    @pytest.mark.parametrize("grid", [
+        "alpha=1.5:3.0:0.5", "alpha=0.5:2.5:0.25;z=0.5:2.5:0.25", "alpha=0.5:3.0:0.25",
+        "alpha=0.5:2.5:0.5;z=0.5:2.5:0.5", "alpha=1.5:1.5:1.0;z=0.25:2.0:0.25", "alpha=1.5:2.0:0.5",
+        "alpha=1.5:1.5:1;z=1.2:1.2:1", "alpha=0.5:1.0:0.1",
+    ])
+    def test_grid_points_by_index_match_accumulation(self, grid):
+        from dpisat.cli import _parse_grid
+
+        def accumulated(start, stop, step):
+            values, x = [], start
+            while x <= stop + 1e-9:
+                values.append(round(x, 12))
+                x += step
+            return values
+
+        expected = []
+        for axis in grid.split(";"):
+            name, bounds = axis.split("=")
+            expected.append((name, accumulated(*map(float, bounds.split(":")))))
+        assert _parse_grid(grid) == expected
 
     @pytest.mark.parametrize(
         "measure,grid,where",

@@ -197,16 +197,36 @@ class TestGradients:
         assert np.linalg.norm(lhs.matrix - rhs.matrix) == 0.0
 
     def test_sandwiched_equals_alpha_z_diagonal(self):
+        # Sandwiched Renyi is the alpha-z quasi-entropy on the line z = alpha,
+        # through the same core, value and gradient path: bit for bit.
+        from dpisat.saturation import build_report
+
         g = gen(414)
         rho, sigma = random_positive(g, 3), random_positive(g, 3)
+        c = depolarizing(3, 0.3)
         for alpha in (0.6, 1.4, 2.0, 2.7):
             ms = MeasureSpec.sandwiched_renyi(alpha)
             ma = MeasureSpec.alpha_z(alpha, alpha)
-            assert evaluate(ms, rho, sigma) == pytest.approx(
-                evaluate(ma, rho, sigma), abs=1e-10
-            )
-            d = np.linalg.norm(grad1(ms, rho, sigma).matrix - grad1(ma, rho, sigma).matrix)
-            assert d <= 1e-10
+            assert evaluate(ms, rho, sigma) == evaluate(ma, rho, sigma)
+            for grad in (grad1, grad2):
+                assert np.array_equal(grad(ms, rho, sigma).matrix, grad(ma, rho, sigma).matrix)
+            rs, ra = build_report(ms, c, rho, sigma), build_report(ma, c, rho, sigma)
+            assert rs.gap == ra.gap
+            assert np.array_equal(rs.residual1.matrix, ra.residual1.matrix)
+            assert np.array_equal(rs.residual2.matrix, ra.residual2.matrix)
+
+    def test_alpha_z_at_one_half_is_log_fidelity(self):
+        # Q at (1/2, 1/2) is the fidelity: D = log F / (1/2 - 1) = -2 log F,
+        # and its first gradient is -(2/F) times the fidelity's.
+        g = gen(418)
+        mf, ma = MeasureSpec.fidelity(), MeasureSpec.alpha_z(0.5, 0.5)
+        for _ in range(3):
+            rho, sigma = random_positive(g, 4), random_positive(g, 4)
+            f = evaluate(mf, rho, sigma)
+            assert evaluate(ma, rho, sigma) == pytest.approx(-2.0 * math.log(f), rel=1e-12)
+            expected = -(2.0 / f) * grad1(mf, rho, sigma).matrix
+            got = grad1(ma, rho, sigma).matrix
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("m", measure_suite(), ids=str)
     def test_grad1_against_numeric_oracle(self, m):

@@ -695,9 +695,12 @@ def _ref_renyi_trace(alpha, z, rho, sigma):
     gamma = (1.0 - alpha) / (2.0 * z)
     ws, vs = np.linalg.eigh(sigma)
     s_g = _ref_powm(ws, vs, gamma)
-    wr, vr = np.linalg.eigh(rho)
-    wr = np.maximum(wr, 0.0)
-    r_az = (vr * wr ** (alpha / z)) @ vr.conj().T
+    if alpha == z:  # r^1 = r
+        r_az = rho
+    else:
+        wr, vr = np.linalg.eigh(rho)
+        wr = np.maximum(wr, 0.0)
+        r_az = (vr * wr ** (alpha / z)) @ vr.conj().T
     wx, vx = np.linalg.eigh(_ref_sym(s_g @ r_az @ s_g))
     return gamma, ws, vs, s_g, wx, vx
 
@@ -768,10 +771,10 @@ def _ref_grad2(m, r, s):
 
 def _ref_condition_operator(rho, sigma, alpha, z, outer_exp, core_exp):
     ws, vs = np.linalg.eigh(sigma)
-    wr, vr = np.linalg.eigh(rho)
     s_inner = _ref_powm(ws, vs, (1.0 - alpha) / (2.0 * z))
     s_outer = _ref_powm(ws, vs, outer_exp)
-    core = _ref_sym(s_inner @ _ref_powm(wr, vr, alpha / z) @ s_inner)
+    r_az = rho if alpha == z else _ref_powm(*np.linalg.eigh(rho), alpha / z)  # r^1 = r
+    core = _ref_sym(s_inner @ r_az @ s_inner)
     wc, vc = np.linalg.eigh(core)
     return s_outer @ _ref_powm(wc, vc, core_exp) @ s_outer
 
@@ -1005,6 +1008,32 @@ class TestIllConditionedRenyiCores:
                 rep = build_report(m, c, rho, sigma)
                 assert math.isfinite(rep.residual1_frobenius) and math.isfinite(rep.residual2_frobenius), m
         assert dipped >= 10  # the draws reach the clamped spectra
+
+    def test_z_below_one_needs_a_positive_core(self):
+        # For z < 1 the first gradient reads X^{z-1}; a clamped core
+        # eigenvalue on the support of rho makes it a PositivityError, never a
+        # silent 0 in place of a huge entry.
+        from dpisat.divergences import _Pair, _quasi_entropy, grad1
+
+        specs = (MeasureSpec.fidelity(), MeasureSpec.sandwiched_renyi(0.6), MeasureSpec.alpha_z(0.7, 0.9))
+        g = gen(0)
+        raised = dict.fromkeys(specs, 0)
+        for _ in range(200):
+            w = np.concatenate(([10.0 ** g.uniform(-16, -13)], g.uniform(0.1, 1.0, 3)))
+            u, sigma = random_unitary(g, 4), random_positive(g, 4)
+            try:
+                rho = PositiveOperator(hermitize((u * w) @ u.conj().T))
+            except PositivityError:  # roundoff put the smallest eigenvalue at or below zero
+                continue
+            for m in specs:
+                clamped = (_quasi_entropy(m, _Pair(rho, sigma)).core.eigensystem[0] <= 0.0).any()
+                if clamped:
+                    with pytest.raises(PositivityError, match="z < 1"):
+                        grad1(m, rho, sigma)
+                    raised[m] += 1
+                else:
+                    assert np.isfinite(grad1(m, rho, sigma).matrix).all(), m
+        assert raised[specs[1]] >= 1, raised  # the draws reach the guard
 
 
 def _guard_passes(arr: np.ndarray) -> bool:
