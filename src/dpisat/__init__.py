@@ -1,7 +1,7 @@
 """Quantum distinguishability measures, matrix-manifold gradients, and
 data-processing-inequality saturation certificates."""
 
-from . import calculus, channels, cli, divergences, linalg, saturation
+from . import calculus, channels, divergences, linalg, saturation
 from .calculus import (
     EXP,
     IDENTITY,

@@ -41,8 +41,10 @@ from .linalg import (
     HermitianOperator,
     SchemaError,
     _eigh,
+    _fields,
     _number,
     _positive_int,
+    _schema_at,
     as_matrix,
     hermitize,
     matrix_from_json,
@@ -462,64 +464,59 @@ def channel_to_json(ch: KrausChannel) -> dict:
     }
 
 
-def _require(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise SchemaError(f"{path}.{key}", "missing required field")
-    return obj[key]
-
-
 def channel_from_json(obj, path: str = "channel") -> KrausChannel:
     """Decode a channel from explicit Kraus form or builder shorthand."""
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
-    try:
-        if "builder" in obj:
+    with _schema_at(path):
+        if isinstance(obj, dict) and "builder" in obj:
             return _builder_from_json(obj, path)
-        kraus_json = _require(obj, "kraus", path)
+        _fields(obj, path, ("kraus",), ("dim_in", "dim_out"))
+        kraus_json = obj["kraus"]
         if not isinstance(kraus_json, list) or not kraus_json:
             raise SchemaError(f"{path}.kraus", "expected a non-empty list of matrices")
         kraus = [
             matrix_from_json(k, f"{path}.kraus[{i}]") for i, k in enumerate(kraus_json)
         ]
         ch = KrausChannel(tuple(kraus))
-        if "dim_in" in obj and obj["dim_in"] != ch.dim_in:
-            raise SchemaError(f"{path}.dim_in", f"declared {obj['dim_in']}, actual {ch.dim_in}")
-        if "dim_out" in obj and obj["dim_out"] != ch.dim_out:
-            raise SchemaError(f"{path}.dim_out", f"declared {obj['dim_out']}, actual {ch.dim_out}")
+        for key, actual in (("dim_in", ch.dim_in), ("dim_out", ch.dim_out)):
+            if key in obj and _positive_int(obj[key], f"{path}.{key}") != actual:
+                raise SchemaError(f"{path}.{key}", f"declared {obj[key]}, actual {actual}")
         return ch
-    except SchemaError:
-        raise
-    except ValueError as exc:
-        raise SchemaError(path, str(exc)) from exc
 
 
 def _builder_from_json(obj: dict, path: str) -> KrausChannel:
     name = obj["builder"]
+
+    def fields(*required, optional=()) -> dict:
+        return _fields(obj, path, required, ("builder",) + optional)
+
+    def dim(key: str = "dim") -> int:
+        return _positive_int(obj[key], f"{path}.{key}")
+
     if name == "identity":
-        return identity(_positive_int(_require(obj, "dim", path), f"{path}.dim"))
+        fields("dim")
+        return identity(dim())
     if name == "unitary":
-        return unitary(matrix_from_json(_require(obj, "matrix", path), f"{path}.matrix"))
+        fields("matrix")
+        return unitary(matrix_from_json(obj["matrix"], f"{path}.matrix"))
     if name == "depolarizing":
-        return depolarizing(
-            _positive_int(_require(obj, "dim", path), f"{path}.dim"),
-            _number(_require(obj, "p", path), f"{path}.p"),
-        )
+        fields("dim", "p")
+        return depolarizing(dim(), _number(obj["p"], f"{path}.p"))
     if name == "dephasing_pinching":
+        if "basis" in obj and "dim" in obj:
+            raise SchemaError(f"{path}.basis", "expected 'dim' or 'basis', not both")
         if "basis" in obj:
+            fields("basis", optional=("p",))
             basis = matrix_from_json(obj["basis"], f"{path}.basis")
         else:
-            basis = _positive_int(_require(obj, "dim", path), f"{path}.dim")
-        p = _number(obj.get("p", 1.0), f"{path}.p")
-        return dephasing_pinching(basis, p)
+            fields("dim", optional=("p",))
+            basis = dim()
+        return dephasing_pinching(basis, _number(obj.get("p", 1.0), f"{path}.p"))
     if name == "partial_trace":
-        return partial_trace(
-            _positive_int(_require(obj, "dim_a", path), f"{path}.dim_a"),
-            _positive_int(_require(obj, "dim_b", path), f"{path}.dim_b"),
-            _require(obj, "keep", path),
-        )
+        fields("dim_a", "dim_b", "keep")
+        return partial_trace(dim("dim_a"), dim("dim_b"), obj["keep"])
     if name == "measure_prepare":
-        povm_json = _require(obj, "povm", path)
-        states_json = _require(obj, "states", path)
+        fields("povm", "states")
+        povm_json, states_json = obj["povm"], obj["states"]
         if not isinstance(povm_json, list) or not isinstance(states_json, list):
             raise SchemaError(path, "'povm' and 'states' must be lists of matrices")
         povm = [matrix_from_json(e, f"{path}.povm[{i}]") for i, e in enumerate(povm_json)]

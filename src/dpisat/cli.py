@@ -71,11 +71,12 @@ from .divergences import (
 from .linalg import (
     HermitianOperator,
     PositiveOperator,
-    PositivityError,
     PsdOperator,
     SchemaError,
+    _fields,
     _number,
     _positive_int,
+    _schema_at,
     frobenius,
     matrix_from_json,
 )
@@ -144,21 +145,21 @@ def random_positive_state(dim: int, seed: int) -> np.ndarray:
 
 def _state_from_json(obj, path: str, seed_override: int | None):
     """Decode a state: explicit matrix, diag builder, or seeded random_pos."""
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected a matrix object or a builder object")
-    if "builder" not in obj:
+    if not isinstance(obj, dict) or "builder" not in obj:
         return matrix_from_json(obj, path), None
     name = obj["builder"]
     if name == "diag":
-        values, what = obj.get("values"), "a non-empty list of numbers"
+        values = _fields(obj, path, ("builder", "values"))["values"]
+        what = "a non-empty list of numbers"
         if not isinstance(values, list) or not values:
             raise SchemaError(f"{path}.values", f"expected {what}, got {values!r}")
         for v in values:
             _number(v, f"{path}.values", what)
         return np.diag(np.asarray(values, dtype=np.complex128)), None
     if name == "random_pos":
-        dim = _positive_int(obj.get("dim"), f"{path}.dim")
-        seed = _positive_int(obj.get("seed"), f"{path}.seed", "a non-negative integer seed", least=0)
+        _fields(obj, path, ("builder", "dim", "seed"))
+        dim = _positive_int(obj["dim"], f"{path}.dim")
+        seed = _positive_int(obj["seed"], f"{path}.seed", "a non-negative integer seed", least=0)
         if seed_override is not None:
             seed = seed_override
         return random_positive_state(dim, seed), seed
@@ -167,11 +168,7 @@ def _state_from_json(obj, path: str, seed_override: int | None):
 
 def _tolerances_from_json(obj, path: str):
     tols = {"gap_tol": DEFAULT_GAP_TOL, "residual_tol": DEFAULT_RESIDUAL_TOL}
-    if obj is not None and not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
-    for key, val in (obj or {}).items():
-        if key not in tols:
-            raise SchemaError(f"{path}.{key}", "unknown tolerance")
+    for key, val in _fields(obj, path, optional=tols).items():
         tols[key] = _number(val, f"{path}.{key}", "a positive number", positive=True)
     return tols["gap_tol"], tols["residual_tol"]
 
@@ -212,49 +209,40 @@ def _check_dims(channel: KrausChannel, rho, sigma, prefix: str = "") -> None:
 
 
 def _build_scenario(obj, path: str, args, seed_override: int | None) -> Scenario:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected a scenario object")
-    name = obj.get("name")
+    _fields(obj, path, ("name", "measure", "channel", "rho", "sigma", "checks"), ("tolerances",),
+            "a scenario object")
+    name = obj["name"]
     if not isinstance(name, str) or not name.strip():
         raise SchemaError(f"{path}.name", "expected a non-empty string")
     measure = measure_from_json(
-        obj.get("measure"), f"{path}.measure", allow_non_dpi=args.allow_non_dpi
+        obj["measure"], f"{path}.measure", allow_non_dpi=args.allow_non_dpi
     )
-    channel = channel_from_json(obj.get("channel"), f"{path}.channel")
+    channel = channel_from_json(obj["channel"], f"{path}.channel")
     seeds = {}
 
-    rho_arr, rho_seed = _state_from_json(obj.get("rho"), f"{path}.rho", seed_override)
+    rho_arr, rho_seed = _state_from_json(obj["rho"], f"{path}.rho", seed_override)
     if rho_seed is not None:
         seeds["rho"] = rho_seed
-    sigma_arr, sigma_seed = _state_from_json(obj.get("sigma"), f"{path}.sigma", seed_override)
+    sigma_arr, sigma_seed = _state_from_json(obj["sigma"], f"{path}.sigma", seed_override)
     if sigma_seed is not None:
         seeds["sigma"] = sigma_seed
 
-    try:
+    with _schema_at(f"{path}.rho"):
         rho_psd = PsdOperator(HermitianOperator(rho_arr))
-    except (ValueError, PositivityError) as exc:
-        raise SchemaError(f"{path}.rho", str(exc)) from exc
-    try:
+    with _schema_at(f"{path}.sigma"):
         sigma = PositiveOperator(HermitianOperator(sigma_arr))
-    except (ValueError, PositivityError) as exc:
-        raise SchemaError(f"{path}.sigma", str(exc)) from exc
 
     _check_dims(channel, rho_psd, sigma, f"{path}.")
 
-    checks = obj.get("checks")
+    checks = obj["checks"]
     if not isinstance(checks, list) or not checks or not all(isinstance(c, str) for c in checks):
         raise SchemaError(f"{path}.checks", "expected a non-empty list of check names")
 
-    gap_tol, residual_tol = _tolerances_from_json(obj.get("tolerances"), f"{path}.tolerances")
+    gap_tol, residual_tol = _tolerances_from_json(obj.get("tolerances", {}), f"{path}.tolerances")
     if args.tol_gap is not None:
         gap_tol = args.tol_gap
     if args.tol_residual is not None:
         residual_tol = args.tol_residual
-
-    known_keys = {"name", "measure", "channel", "rho", "sigma", "checks", "tolerances"}
-    for key in obj:
-        if key not in known_keys:
-            raise SchemaError(f"{path}.{key}", "unknown scenario field")
 
     sc = Scenario(
         name=name,
@@ -467,10 +455,8 @@ def _seed_override() -> int | None:
     env_seed = os.environ.get("DPISAT_SEED")
     if env_seed is not None and not env_seed.strip().isdecimal():
         raise SchemaError("DPISAT_SEED", f"expected a non-negative integer, got {env_seed!r}")
-    try:
+    with _schema_at("DPISAT_SEED"):  # more digits than int() takes
         return None if env_seed is None else int(env_seed)
-    except ValueError as exc:  # more digits than int() takes
-        raise SchemaError("DPISAT_SEED", str(exc)) from exc
 
 
 def _cmd_run(args) -> int:
@@ -545,14 +531,12 @@ def _cmd_sweep(args) -> int:
     channel = _operand_from_arg(args.channel, channel_from_json, "channel")
 
     def state(obj, path):
-        return _state_from_json(obj, path, seed_override)[0]
+        arr = _state_from_json(obj, path, seed_override)[0]
+        with _schema_at(path):
+            return PositiveOperator(arr)
 
-    rho_arr = _operand_from_arg(args.rho, state, "rho")
-    sigma_arr = _operand_from_arg(args.sigma, state, "sigma")
-    try:
-        rho, sigma = PositiveOperator(rho_arr), PositiveOperator(sigma_arr)
-    except (ValueError, PositivityError) as exc:
-        raise SchemaError("states", str(exc)) from exc
+    rho = _operand_from_arg(args.rho, state, "rho")
+    sigma = _operand_from_arg(args.sigma, state, "sigma")
     _check_dims(channel, rho, sigma)
 
     buf = io.StringIO()
@@ -636,8 +620,8 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"schema error at {exc.path}: {exc.reason}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
+    except OSError as exc:  # reading is a schema error, so this is a write
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

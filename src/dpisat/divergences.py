@@ -52,10 +52,12 @@ from .linalg import (
     SchemaError,
     _as_positive,
     _as_psd,
+    _fields,
     _logm,
     _number,
     _powm,
     _scalar_values,
+    _schema_at,
     _spectral_map,
     _spectrum,
     _symmetrized,
@@ -77,13 +79,16 @@ __all__ = [
     "measure_from_json",
 ]
 
-FAMILIES = (
-    "relative_entropy",
-    "fidelity",
-    "sandwiched_renyi",
-    "alpha_z",
-    "f_divergence",
-)
+# Each family with its JSON fields besides "family" and the optional
+# "allow_non_dpi"; the "power" f-divergence adds its exponent "alpha".
+_MEASURE_FIELDS = {
+    "relative_entropy": (),
+    "fidelity": (),
+    "sandwiched_renyi": ("alpha",),
+    "alpha_z": ("alpha", "z"),
+    "f_divergence": ("f",),
+}
+FAMILIES = tuple(_MEASURE_FIELDS)
 
 # Registered operator-monotonicity-safe f's for the f-divergence family.
 # x**a with 0 < a < 1 is operator concave, so that divergence satisfies the
@@ -563,55 +568,37 @@ def scaling_check(m: MeasureSpec, rho, sigma, k: float, k_prime: float) -> Scali
 # ---------------------------------------------------------------------------
 
 
+def _measure_fields(family: str, f_name) -> tuple:
+    fields = _MEASURE_FIELDS[family]
+    return fields + ("alpha",) if f_name == "power" else fields
+
+
 def measure_to_json(m: MeasureSpec) -> dict:
     out: dict = {"family": m.family}
-    if m.family == "sandwiched_renyi":
-        out["alpha"] = m.alpha
-    elif m.family == "alpha_z":
-        out["alpha"] = m.alpha
-        out["z"] = m.z
-    elif m.family == "f_divergence":
-        out["f"] = m.f_name
-        if m.f_name == "power":
-            out["alpha"] = m.alpha
+    for key in _measure_fields(m.family, m.f_name):
+        out[key] = m.f_name if key == "f" else getattr(m, key)
     if m.allow_non_dpi:
         out["allow_non_dpi"] = True
     return out
 
 
 def measure_from_json(obj, path: str = "measure", allow_non_dpi: bool = False) -> MeasureSpec:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object with a 'family' field")
-    family = obj.get("family")
+    # A field no family defines is named before the family is read.
+    any_field = {"allow_non_dpi"}.union(*_MEASURE_FIELDS.values())
+    family = _fields(obj, path, ("family",), any_field, "an object with a 'family' field")["family"]
     if family not in FAMILIES:
         raise SchemaError(f"{path}.family", f"unknown family {family!r}")
+    fields = _measure_fields(family, obj.get("f"))
+    _fields(obj, path, fields, ("family", "allow_non_dpi"))
     allow = obj.get("allow_non_dpi", False)
     if not isinstance(allow, bool):
         raise SchemaError(f"{path}.allow_non_dpi", f"expected true or false, got {allow!r}")
-    allow = allow or allow_non_dpi
-    try:
-        if family == "relative_entropy":
-            return MeasureSpec.relative_entropy()
-        if family == "fidelity":
-            return MeasureSpec.fidelity()
-        if family == "sandwiched_renyi":
-            return MeasureSpec.sandwiched_renyi(
-                _number(obj.get("alpha"), f"{path}.alpha"), allow_non_dpi=allow
-            )
-        if family == "alpha_z":
-            return MeasureSpec.alpha_z(
-                _number(obj.get("alpha"), f"{path}.alpha"),
-                _number(obj.get("z"), f"{path}.z"),
-                allow_non_dpi=allow,
-            )
-        f_name = obj.get("f")
-        if not isinstance(f_name, str):
+    # Relative entropy and fidelity have no data-processing region to leave.
+    allow = (allow or allow_non_dpi) and family not in ("relative_entropy", "fidelity")
+    params = {key: _number(obj[key], f"{path}.{key}") for key in fields if key != "f"}
+    with _schema_at(path):
+        if family != "f_divergence":
+            return MeasureSpec(family, **params, allow_non_dpi=allow)
+        if not isinstance(obj["f"], str):
             raise SchemaError(f"{path}.f", "f_divergence requires a registered 'f' name")
-        alpha = None
-        if f_name == "power":
-            alpha = _number(obj.get("alpha"), f"{path}.alpha")
-        return MeasureSpec.f_divergence(f_name, alpha=alpha, allow_non_dpi=allow)
-    except SchemaError:
-        raise
-    except ValueError as exc:
-        raise SchemaError(path, str(exc)) from exc
+        return MeasureSpec.f_divergence(obj["f"], alpha=params.get("alpha"), allow_non_dpi=allow)

@@ -24,6 +24,7 @@ so values can be shared freely between threads.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -469,7 +470,8 @@ def hs_inner(A, B) -> float:
 #
 # Square matrices: {"dim": n, "entries": [[[re, im], ...], ...]} (row-major).
 # Rectangular matrices (Kraus operators of dimension-changing channels) use
-# explicit {"rows": m, "cols": n, "entries": ...}.
+# explicit {"rows": m, "cols": n, "entries": ...}. Every decoder of the package
+# declares an object's fields once, through _fields.
 # ---------------------------------------------------------------------------
 
 
@@ -497,6 +499,34 @@ def _positive_int(val, path: str, what: str = "a positive integer", least: int |
     return val
 
 
+def _fields(obj, path: str, required=(), optional=(), what: str = "an object") -> dict:
+    """``obj`` as a JSON object of the fields ``required`` and ``optional``.
+
+    A key of neither kind is an error at ``<path>.<key>``, named before a
+    missing required field so that a misspelt one reads as itself."""
+    if not isinstance(obj, dict):
+        raise SchemaError(path, f"expected {what}")
+    for key in obj:
+        if key not in required and key not in optional:
+            raise SchemaError(f"{path}.{key}", "unknown field")
+    for key in required:
+        if key not in obj:
+            raise SchemaError(f"{path}.{key}", "missing required field")
+    return obj
+
+
+@contextmanager
+def _schema_at(path: str):
+    """Report a library ``ValueError`` raised inside as a schema error at
+    ``path``; a :class:`SchemaError` keeps its own, deeper path."""
+    try:
+        yield
+    except SchemaError:
+        raise
+    except ValueError as exc:
+        raise SchemaError(path, str(exc)) from exc
+
+
 def matrix_to_json(m) -> dict:
     arr = np.asarray(as_matrix(m), dtype=np.complex128)
     entries = [[[float(x.real), float(x.imag)] for x in row] for row in arr]
@@ -507,17 +537,13 @@ def matrix_to_json(m) -> dict:
 
 def matrix_from_json(obj, path: str = "matrix") -> np.ndarray:
     """Decode a matrix JSON object, validating shape and finiteness."""
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object with 'dim' or 'rows'/'cols'")
-    if "dim" in obj:
-        rows = cols = obj["dim"]
-    elif "rows" in obj and "cols" in obj:
-        rows, cols = obj["rows"], obj["cols"]
+    shape = ("dim",) if isinstance(obj, dict) and "dim" in obj else ("rows", "cols")
+    _fields(obj, path, shape + ("entries",), what="an object with 'dim' or 'rows'/'cols'")
+    if shape == ("dim",):
+        rows = cols = _positive_int(obj["dim"], f"{path}.dim")
     else:
-        raise SchemaError(path, "missing 'dim' (or 'rows'/'cols')")
-    for key, val in (("rows", rows), ("cols", cols)):
-        _positive_int(val, f"{path}.{key}")
-    entries = obj.get("entries")
+        rows, cols = (_positive_int(obj[key], f"{path}.{key}") for key in shape)
+    entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != rows:
         raise SchemaError(f"{path}.entries", f"expected a list of {rows} rows")
     flat = _finite_pairs(entries, cols)

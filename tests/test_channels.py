@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from dpisat.channels import (
     unitary,
     verify_cptp,
 )
-from dpisat.linalg import HermitianOperator, SchemaError, hs_inner
+from dpisat.linalg import HermitianOperator, SchemaError, hs_inner, matrix_to_json
 
 from _fixtures import (
     gen,
@@ -253,6 +255,25 @@ class TestChannelJson:
         assert back.dim_in == 2 and back.dim_out == 3
         a = random_hermitian(g, 2)
         assert np.linalg.norm(apply(back, a).matrix - apply(c, a).matrix) <= 1e-14
+
+    @pytest.mark.parametrize("obj", [
+        {"builder": "identity", "dim": 2},
+        {"builder": "unitary", "matrix": matrix_to_json(np.array([[0, 1j], [1j, 0]]))},
+        {"builder": "depolarizing", "dim": 3, "p": 0.4},
+        {"builder": "dephasing_pinching", "dim": 3, "p": 0.5},
+        {"builder": "dephasing_pinching", "basis": matrix_to_json(np.array([[1, 1], [1, -1]]) / np.sqrt(2))},
+        {"builder": "partial_trace", "dim_a": 2, "dim_b": 3, "keep": "b"},
+        {"builder": "measure_prepare",
+         "povm": [matrix_to_json(np.diag([1.0, 0.0])), matrix_to_json(np.diag([0.0, 1.0]))],
+         "states": [matrix_to_json(np.diag([0.5, 0.5, 0.0])), matrix_to_json(np.diag([0.0, 0.0, 1.0]))]},
+    ], ids=lambda obj: obj["builder"] + ("/basis" if "basis" in obj else ""))
+    def test_roundtrip_every_builder(self, obj):
+        c = channel_from_json(obj)
+        back = channel_from_json(json.loads(json.dumps(channel_to_json(c))))
+        assert (back.dim_in, back.dim_out) == (c.dim_in, c.dim_out)
+        assert len(back.kraus) == len(c.kraus)
+        for k_back, k in zip(back.kraus, c.kraus):
+            np.testing.assert_array_equal(k_back, k)
 
     def test_builder_shorthand(self):
         c = channel_from_json({"builder": "depolarizing", "dim": 2, "p": 0.5})

@@ -423,7 +423,7 @@ class TestSchemaErrors:
         ("rho", {"builder": "random_pos", "dim": True, "seed": 1}, "rho.dim"),
         ("rho", {"builder": "random_pos", "dim": 2, "seed": 1.5}, "rho.seed"),
         ("rho", {"builder": "random_pos", "dim": 2, "seed": False}, "rho.seed"),
-        ("rho", {"dim": True, "entries": [[[1, 0]]]}, "rho.rows"),
+        ("rho", {"dim": True, "entries": [[[1, 0]]]}, "rho.dim"),
         ("rho", {"rows": 1, "cols": 0, "entries": [[]]}, "rho.cols"),
         ("channel", {"builder": "dephasing_pinching", "dim": 0}, "channel.dim"),
         ("channel", {"builder": "dephasing_pinching", "dim": 2.0}, "channel.dim"),
@@ -488,6 +488,157 @@ class TestSchemaErrors:
         write_scenarios(scen, [PINCHING_SCENARIO, PINCHING_SCENARIO])
         assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 2
         assert "unique" in capsys.readouterr().err
+
+
+SQUARE = {"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
+RECTANGULAR = {"rows": 2, "cols": 2, "entries": SQUARE["entries"]}
+# One valid object of each builder; the unknown-field case adds "q" to it and
+# the missing-field case drops the field named next to it.
+BUILDERS = {
+    "identity": ({"builder": "identity", "dim": 2}, "dim"),
+    "unitary": ({"builder": "unitary", "matrix": SQUARE}, "matrix"),
+    "depolarizing": ({"builder": "depolarizing", "dim": 2, "p": 0.5}, "p"),
+    "dephasing_pinching": ({"builder": "dephasing_pinching", "dim": 2, "p": 0.5}, "dim"),
+    "partial_trace": ({"builder": "partial_trace", "dim_a": 2, "dim_b": 1, "keep": "a"}, "keep"),
+    "measure_prepare": ({"builder": "measure_prepare", "povm": [SQUARE], "states": [SQUARE]}, "states"),
+}
+
+
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+def _field_cases():
+    """(scenario field, its value, path of the error under scenario[0], reason),
+    each with an id that names the family or builder, the path and the reason."""
+    unknown, missing = "unknown field", "missing required field"
+    cases = [
+        ("tolerances", {"gap_tol": 1e-8, "gap_tolerance": 1e-8}, "tolerances.gap_tolerance", unknown),
+        ("measure", {"alpha": 2.0}, "measure.family", missing),
+        ("measure", {"family": "relative_entropy", "alpha": 2.0}, "measure.alpha", unknown),
+        ("measure", {"family": "fidelity", "z": 1.0}, "measure.z", unknown),
+        ("measure", {"family": "sandwiched_renyi", "alpha": 2.0, "z": 1.5}, "measure.z", unknown),
+        ("measure", {"family": "sandwiched_renyi"}, "measure.alpha", missing),
+        ("measure", {"family": "alpha_z", "alpha": 2.0, "Z": 1.5}, "measure.Z", unknown),
+        ("measure", {"family": "alpha_z", "alpha": 2.0}, "measure.z", missing),
+        ("measure", {"family": "f_divergence", "f": "x_log_x", "alpha": 2.0}, "measure.alpha", unknown),
+        ("measure", {"family": "f_divergence"}, "measure.f", missing),
+        ("measure", {"family": "f_divergence", "f": "power"}, "measure.alpha", missing),
+        ("channel", {"kraus": [SQUARE], "builder_typo": "identity"}, "channel.builder_typo", unknown),
+        ("channel", {"dim_in": 2, "dim_out": 2}, "channel.kraus", missing),
+        ("channel", {"builder": "dephasing_pinching", "dim": 3, "basis": SQUARE}, "channel.basis",
+         "expected 'dim' or 'basis', not both"),
+        ("rho", dict(SQUARE, rows=5), "rho.rows", unknown),
+        ("rho", _without(SQUARE, "entries"), "rho.entries", missing),
+        ("rho", dict(RECTANGULAR, entires=[]), "rho.entires", unknown),
+        ("rho", _without(RECTANGULAR, "cols"), "rho.cols", missing),
+        ("rho", {"builder": "diag", "values": [0.6, 0.4], "seed": 1}, "rho.seed", unknown),
+        ("rho", {"builder": "diag"}, "rho.values", missing),
+        ("rho", {"builder": "random_pos", "dim": 2, "seed": 1, "values": [1]}, "rho.values", unknown),
+        ("rho", {"builder": "random_pos", "dim": 2}, "rho.seed", missing),
+    ]
+    for obj, required in BUILDERS.values():
+        cases.append(("channel", dict(obj, q=0.5), "channel.q", unknown))
+        cases.append(("channel", _without(obj, required), f"channel.{required}", missing))
+
+    def label(field, value, path, reason):
+        return f"{value.get('family', value.get('builder', field))} {path}: {reason}"
+
+    return [pytest.param(*case, id=label(*case)) for case in cases]
+
+
+class TestFieldSchema:
+    """Each JSON object takes the fields it defines and no other."""
+
+    @pytest.mark.parametrize("field,value,path,reason", _field_cases())
+    def test_unknown_and_missing_fields(self, tmp_path, capsys, field, value, path, reason):
+        scen = tmp_path / "scen.json"
+        write_scenarios(scen, [dict(PINCHING_SCENARIO, **{field: value})])
+        assert main(["validate", str(scen)]) == 2
+        assert capsys.readouterr().err == f"schema error at scenario[0].{path}: {reason}\n"
+
+    @pytest.mark.parametrize("key,path,reason", [
+        ("extra", "extra", "unknown field"),
+        ("checks", "checks", "missing required field"),
+    ])
+    def test_scenario_fields(self, tmp_path, capsys, key, path, reason):
+        scen = tmp_path / "scen.json"
+        bad = dict(PINCHING_SCENARIO, extra=1) if key == "extra" else _without(PINCHING_SCENARIO, key)
+        write_scenarios(scen, [bad])
+        assert main(["validate", str(scen)]) == 2
+        assert capsys.readouterr().err == f"schema error at scenario[0].{path}: {reason}\n"
+
+    @pytest.mark.parametrize("declared", [2.0, True, 0])
+    def test_declared_channel_dims_are_integers(self, tmp_path, capsys, declared):
+        scen = tmp_path / "scen.json"
+        channel = {"dim_in": declared, "dim_out": 2, "kraus": [SQUARE]}
+        write_scenarios(scen, [dict(PINCHING_SCENARIO, channel=channel)])
+        assert main(["validate", str(scen)]) == 2
+        assert capsys.readouterr().err == (
+            f"schema error at scenario[0].channel.dim_in: expected a positive integer, got {declared!r}\n"
+        )
+
+    @pytest.mark.parametrize("field,value,path", [
+        ("measure", {"family": "sandwiched_renyi", "alpha": 2, "z": 1.5}, "measure.z"),
+        ("measure", {"family": "relative_entropy", "alpha": 2}, "measure.alpha"),
+        ("channel", {"builder": "dephasing_pinching", "dim": 3, "basis": SQUARE}, "channel.basis"),
+    ])
+    def test_dropped_fields_are_errors(self, tmp_path, capsys, field, value, path):
+        # Dropping the field would run a measure or channel other than the
+        # one written down, so neither command reads past it.
+        scen = tmp_path / "scen.json"
+        write_scenarios(scen, [dict(PINCHING_SCENARIO, **{field: value})])
+        for argv in (["validate", str(scen)], ["run", str(scen), "--out", str(tmp_path / "out")]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith(f"schema error at scenario[0].{path}: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        scen = tmp_path / "scen.json"
+        write_scenarios(scen, [PINCHING_SCENARIO])
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        sweep = [
+            "sweep", "--measure", "sandwiched_renyi", "--grid", "alpha=2:2:1",
+            "--channel", json.dumps(UNITARY_CHANNEL_JSON),
+            "--rho", json.dumps(RANDOM_SCENARIO["rho"] | {"dim": 2}),
+            "--sigma", json.dumps(RANDOM_SCENARIO["sigma"] | {"dim": 2}),
+            "--out", str(blocker / "sweep.csv"),
+        ]
+        for argv in (["run", str(scen), "--out", str(blocker / "out")], sweep):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot write output: ") and "schema" not in err
+
+    @pytest.mark.parametrize("operand", ["rho", "sigma"])
+    def test_sweep_names_the_non_positive_state(self, tmp_path, capsys, operand):
+        states = {"rho": {"builder": "diag", "values": [0.6, 0.4]},
+                  "sigma": {"builder": "diag", "values": [0.3, 0.7]}}
+        states[operand] = {"builder": "diag", "values": [1.0, 0.0]}
+        argv = [
+            "sweep", "--measure", "sandwiched_renyi", "--grid", "alpha=2:2:1",
+            "--channel", json.dumps(UNITARY_CHANNEL_JSON),
+            "--rho", json.dumps(states["rho"]), "--sigma", json.dumps(states["sigma"]),
+            "--out", str(tmp_path / "sweep.csv"),
+        ]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"schema error at {operand}: ")
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_module_entry_point_warns_nothing(self, tmp_path):
+        import subprocess
+
+        import dpisat
+
+        scen = tmp_path / "scen.json"
+        write_scenarios(scen, PINCHING_SCENARIO)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dpisat.__file__)))
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "dpisat.cli", "validate", str(scen)],
+            env=env, capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
 
 
 # Python's int() refuses decimal strings of more than 4300 digits, and json

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -515,6 +517,18 @@ class TestMeasureJson:
         assert back.z == m.z
         assert back.f_name == m.f_name
         assert back.sign == m.sign
+
+    @pytest.mark.parametrize("m", measure_suite(), ids=str)
+    def test_roundtrip_with_allow_non_dpi(self, m):
+        # Relative entropy and fidelity take no parameter, so they have no
+        # data-processing region to leave and keep no flag.
+        if m.family not in ("relative_entropy", "fidelity"):
+            m = dataclasses.replace(m, allow_non_dpi=True)
+        obj = measure_to_json(m)
+        back = measure_from_json(json.loads(json.dumps(obj)))
+        assert measure_to_json(back) == obj
+        fields = ("family", "alpha", "z", "f_name", "sign", "allow_non_dpi")
+        assert [getattr(back, f) for f in fields] == [getattr(m, f) for f in fields]
 
     def test_unknown_family(self):
         with pytest.raises(SchemaError, match="family"):
