@@ -6,8 +6,10 @@ construction. The Kraus representation is primary precisely because the
 adjoint is syntactically trivial. Channels may change dimension
 (``dim_in -> dim_out``); Kraus operators are then rectangular.
 
-The operators are stored as one ``(r, m, n)`` stack, and a channel acts in
-one of two ways, chosen at construction from the stack alone:
+The operators form one ``(r, m, n)`` stack. The sparse builders write its
+nonzero entries in closed form and build the stack only when ``.kraus`` is
+read; any other stack is given whole. A channel acts in one of two ways,
+chosen at construction from the nonzero entries alone:
 
 * a sparse stack, with ``P = sum_k nnz(K_k)**2 <= r m n`` (depolarizing,
   partial traces, computational-basis pinching, measure-prepare in the
@@ -76,7 +78,7 @@ DEFAULT_TP_TOL = 1e-10
 _BLOCK = 32
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class KrausChannel:
     """A completely positive trace-preserving map given by Kraus operators.
 
@@ -86,23 +88,29 @@ class KrausChannel:
     read-only float64 or complex128 stack is kept without a copy; anything
     else is copied. Trace preservation ``||sum_i K_i^H K_i - I||_F <= tp_tol``
     is enforced at construction; pass a larger ``tp_tol`` deliberately to hold
-    a known-bad operator list for diagnostics. A sparse stack also keeps its
-    transfer form (see the module docstring), through which it acts.
+    a known-bad operator list for diagnostics. A channel keeps the nonzero
+    entries of a sparse stack and acts through their transfer form (see the
+    module docstring); a sparse builder's channel builds its stack only when
+    ``kraus`` is first read.
     """
 
-    kraus: np.ndarray
-    tp_tol: float = DEFAULT_TP_TOL
-    dim_in: int = field(init=False)
-    dim_out: int = field(init=False)
-    # ``(row, col, w)`` of the transfer form, or None for a dense stack.
-    _transfer: tuple | None = field(init=False, repr=False)
+    tp_tol: float
+    dim_in: int
+    dim_out: int
+    # The nonzero entries ``(k, i, j, value)`` of the ``_shape`` stack,
+    # k-major and row-major (None for a dense stack), their transfer form
+    # ``(row, col, w)`` (None when too dense), and the stack (None until read).
+    _shape: tuple = field(repr=False)
+    _entries: tuple | None = field(repr=False)
+    _transfer: tuple | None = field(repr=False)
+    _kraus: np.ndarray | None = field(repr=False)
 
-    def __post_init__(self):
-        stack = _as_stack(self.kraus)
+    def __init__(self, kraus, tp_tol: float = DEFAULT_TP_TOL):
+        stack = _as_stack(kraus)
         if (
             stack.flags.writeable
-            and isinstance(self.kraus, np.ndarray)
-            and np.may_share_memory(stack, self.kraus)
+            and isinstance(kraus, np.ndarray)
+            and np.may_share_memory(stack, kraus)
         ):
             stack = stack.copy()
         if stack.shape[0] == 0:
@@ -111,15 +119,48 @@ class KrausChannel:
         if not finite.all():
             raise ValueError(f"Kraus operator {int(np.argmin(finite))} has non-finite entries")
         stack.setflags(write=False)
-        object.__setattr__(self, "kraus", stack)
-        object.__setattr__(self, "dim_in", stack.shape[2])
-        object.__setattr__(self, "dim_out", stack.shape[1])
-        object.__setattr__(self, "_transfer", _transfer_form(stack))
-        if self._transfer is None:
-            tp = tp_error(stack)
+        nonzero = stack != 0
+        entries = None
+        # P >= nnz**2 / r, so a dense stack is turned away before any extraction.
+        if np.count_nonzero(nonzero) ** 2 <= stack.shape[0] * stack.size:
+            k, i, j = np.nonzero(nonzero)
+            entries = (k, i, j, stack[k, i, j])
+        self.__post_init__(stack.shape, entries, stack, tp_tol)
+
+    def __post_init__(self, shape: tuple, entries, stack, tp_tol: float) -> None:
+        # Every construction ends here, from a stack or from entries alone.
+        transfer = None if entries is None else _transfer_form(shape, *entries)
+        self.__dict__.update(
+            tp_tol=tp_tol, dim_in=shape[2], dim_out=shape[1], _shape=shape,
+            _entries=entries, _transfer=transfer, _kraus=stack,
+        )
+        if transfer is None:
+            tp = tp_error(self.kraus)
         else:  # ||L*(I) - I||_F, the same quantity in O(P)
             tp = float(np.linalg.norm(_act_adjoint(self, np.eye(self.dim_out)) - np.eye(self.dim_in)))
-        _require_trace_preserving(tp, self.tp_tol)
+        _require_trace_preserving(tp, tp_tol)
+
+    @property
+    def kraus(self) -> np.ndarray:
+        """The read-only ``(r, m, n)`` stack of Kraus operators."""
+        if self._kraus is None:
+            k, i, j, vals = self._entries
+            stack = np.zeros(self._shape, dtype=vals.dtype)
+            stack[k, i, j] = vals
+            stack.setflags(write=False)
+            self.__dict__["_kraus"] = stack
+        return self._kraus
+
+
+def _from_entries(shape: tuple, k, i, j, vals) -> KrausChannel:
+    """A channel from the entries ``K_k[i, j] = vals`` of its stack, k-major
+    and row-major; zero values are dropped, as the stack would drop them."""
+    if shape[0] < 1 or min(shape) < 0:
+        raise ValueError(f"no channel has a Kraus stack of shape {shape}")
+    keep = vals != 0
+    ch = object.__new__(KrausChannel)
+    ch.__post_init__(shape, (k[keep], i[keep], j[keep], vals[keep]), None, DEFAULT_TP_TOL)
+    return ch
 
 
 def _from_stack(stack: np.ndarray, tp_tol: float = DEFAULT_TP_TOL) -> KrausChannel:
@@ -156,24 +197,17 @@ def _as_stack(kraus) -> np.ndarray:
     return np.ascontiguousarray(stack.real, dtype=np.float64)
 
 
-def _transfer_form(stack: np.ndarray):
-    """The transfer form of a stack ``K`` of shape ``(r, m, n)`` as coordinate
-    entries ``(row, col, w)``: ``w = K_k[i, j] conj(K_k[i', j'])`` at
-    ``row = i m + i'`` and ``col = j n + j'``, over the pairs of nonzero
-    entries of each operator. None when there are more than ``r m n`` of them.
+def _transfer_form(shape: tuple, k, i, j, vals):
+    """The transfer form of a stack ``K`` of shape ``(r, m, n)`` with nonzero
+    entries ``K_k[i, j] = vals`` (k-major, row-major), as coordinate entries
+    ``(row, col, w)``: ``w = K_k[i, j] conj(K_k[i', j'])`` at
+    ``row = i m + i'`` and ``col = j n + j'``, over the pairs of entries of
+    each operator. None when there are more than ``r m n`` of them.
     """
-    r, m, n = stack.shape
-    nonzero = stack != 0
-    # P >= nnz**2 / r, so a dense stack is turned away before any extraction.
-    if np.count_nonzero(nonzero) ** 2 > r * r * m * n:
-        return None
-    where = np.flatnonzero(nonzero)
-    k, at = np.divmod(where, m * n)
+    r, m, n = shape
     counts = np.bincount(k, minlength=r)
     if counts @ counts > r * m * n:
         return None
-    i, j = np.divmod(at, n)
-    vals = stack.reshape(-1)[where]
     # Entry e pairs with each of the c[e] entries of its operator, which start
     # at first[k[e]]; the pairs of e are the block of positions from block[e].
     c = counts[k]
@@ -332,7 +366,7 @@ def compose(second: KrausChannel, first: KrausChannel) -> KrausChannel:
 
 
 def identity(n: int) -> KrausChannel:
-    return _from_stack(np.eye(n)[None])
+    return dephasing_pinching(n, 0.0)
 
 
 def unitary(u: np.ndarray) -> KrausChannel:
@@ -346,21 +380,28 @@ def unitary(u: np.ndarray) -> KrausChannel:
     return KrausChannel((arr,))
 
 
+def _identity_and_units(n: int, p: float, i, j, value) -> KrausChannel:
+    """The channel of Kraus operators ``sqrt(1-p) I`` (when ``p < 1``) and,
+    when ``p > 0``, ``value |i_e><j_e|`` for each pair ``(i_e, j_e)`` in turn.
+    The entries of the absent block are zero, so :func:`_from_entries` drops
+    them."""
+    d = np.arange(n)
+    k = np.concatenate((0 * d, int(p < 1.0) + np.arange(i.size)))
+    vals = np.concatenate((np.full(n, np.sqrt(1.0 - p)), np.full(i.size, value)), dtype=float)
+    r = int(p < 1.0) + (i.size if p > 0.0 else 0)
+    return _from_entries((r, n, n), k, np.concatenate((d, i)), np.concatenate((d, j)), vals)
+
+
 def depolarizing(n: int, p: float) -> KrausChannel:
     """Mix with the maximally mixed state: ``A -> (1-p) A + p tr(A) I/n``.
 
     Kraus operators ``sqrt(1-p) I`` (when ``p < 1``) and ``sqrt(p/n) |i><j|``
-    (when ``p > 0``, row-major in ``(i, j)``), written into one real stack.
+    (when ``p > 0``, row-major in ``(i, j)``): ``n + n^2`` nonzero entries.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing strength p must be in [0, 1], got {p}")
-    stack = np.zeros((int(p < 1.0) + (n * n if p > 0.0 else 0), n, n))
-    if p < 1.0:
-        stack[0] = np.sqrt(1.0 - p) * np.eye(n)
-    if p > 0.0:
-        # Operator i*n + j holds its one entry at flat position i*n + j.
-        np.fill_diagonal(stack[-n * n:].reshape(n * n, n * n), np.sqrt(p / n))
-    return _from_stack(stack)
+    i, j = np.divmod(np.arange(n * n), n)
+    return _identity_and_units(n, p, i, j, np.sqrt(p / n))
 
 
 def dephasing_pinching(basis, p: float = 1.0) -> KrausChannel:
@@ -371,15 +412,15 @@ def dephasing_pinching(basis, p: float = 1.0) -> KrausChannel:
     map that deletes all off-diagonal elements; for ``p < 1`` off-diagonals
     are scaled by ``1 - p``.
     """
-    if isinstance(basis, (int, np.integer)):
-        vecs = np.eye(int(basis))
-    else:
-        vecs = np.asarray(as_matrix(basis), dtype=np.complex128)
-        dev = float(np.linalg.norm(vecs.conj().T @ vecs - np.eye(vecs.shape[0])))
-        if dev > 1e-10:
-            raise ValueError(f"pinching basis is not orthonormal (deviation {dev:.3e})")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"dephasing strength p must be in [0, 1], got {p}")
+    if isinstance(basis, (int, np.integer)):
+        d = np.arange(basis)
+        return _identity_and_units(int(basis), p, d, d, np.sqrt(p))
+    vecs = np.asarray(as_matrix(basis), dtype=np.complex128)
+    dev = float(np.linalg.norm(vecs.conj().T @ vecs - np.eye(vecs.shape[0])))
+    if dev > 1e-10:
+        raise ValueError(f"pinching basis is not orthonormal (deviation {dev:.3e})")
     n = vecs.shape[0]
     stack = np.zeros((int(p < 1.0) + (n if p > 0.0 else 0), n, n), dtype=vecs.dtype)
     if p < 1.0:
@@ -395,17 +436,14 @@ def partial_trace(n_a: int, n_b: int, keep: str) -> KrausChannel:
     keep = str(keep).lower()
     if keep not in ("a", "b"):
         raise ValueError(f"keep must be 'a' or 'b', got {keep!r}")
-    a = np.arange(n_a)[:, None]
-    b = np.arange(n_b)[None, :]
+    e = np.arange(n_a * n_b)
     if keep == "a":
         # Operator b is I_a (x) <b|: entry (a, a*n_b + b).
-        stack = np.zeros((n_b, n_a, n_a * n_b))
-        stack[b, a, a * n_b + b] = 1.0
-    else:
-        # Operator a is <a| (x) I_b: entry (b, a*n_b + b).
-        stack = np.zeros((n_a, n_b, n_a * n_b))
-        stack[a, b, a * n_b + b] = 1.0
-    return _from_stack(stack)
+        b, a = np.divmod(e, n_a)
+        return _from_entries((n_b, n_a, n_a * n_b), b, a, a * n_b + b, np.ones(e.size))
+    # Operator a is <a| (x) I_b: entry (b, a*n_b + b).
+    a, b = np.divmod(e, n_b)
+    return _from_entries((n_a, n_b, n_a * n_b), a, b, a * n_b + b, np.ones(e.size))
 
 
 def _psd_vectors(arr: np.ndarray, what: str):

@@ -115,7 +115,8 @@ class MeasureSpec:
     ``sign`` is +1 when the measure decreases under channels and -1 when it
     increases (fidelity, and f-divergences built from operator-concave
     powers). ``allow_non_dpi`` admits Renyi parameters outside the known
-    data-processing regions; the pole at ``alpha = 1`` is always rejected.
+    data-processing regions, and power f-divergence exponents above 2; the
+    pole at ``alpha = 1`` and the linear power ``x^1`` are always rejected.
     """
 
     family: str
@@ -159,14 +160,14 @@ class MeasureSpec:
                     "custom f-divergence functions must be explicitly asserted "
                     "as operator convex (caller_asserted=True)"
                 )
-            if self.f_name == "power":
+            if self.f_name == "power" and not self.f_asserted:
                 exp = self.alpha
-                if exp is None or not (0.0 < exp <= 2.0) or abs(exp - 1.0) < _EPS:
-                    if not self.f_asserted:
-                        raise ValueError(
-                            "registered power f-divergences need an exponent in "
-                            "(0,1) or (1,2]; assert custom exponents explicitly"
-                        )
+                top, region = (np.inf, "(1,inf)") if self.allow_non_dpi else (2.0, "(1,2]")
+                if exp is None or not 0.0 < exp <= top or abs(exp - 1.0) < _EPS:
+                    raise ValueError(
+                        "registered power f-divergences need an exponent in (0,1) or "
+                        f"{region}; assert custom exponents explicitly"
+                    )
         if self.sign is None:
             object.__setattr__(self, "sign", self._derive_sign())
         elif self.sign not in (1, -1):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,9 @@ from dpisat.channels import (
     unitary,
     verify_cptp,
 )
+from dpisat.divergences import MeasureSpec
 from dpisat.linalg import HermitianOperator, SchemaError, hs_inner, matrix_to_json
+from dpisat.saturation import build_report, petz_map
 
 from _fixtures import (
     gen,
@@ -516,6 +519,77 @@ class TestTransferForm:
     def test_all_zero_stack_is_not_trace_preserving(self):
         with pytest.raises(ValueError, match=r"not trace preserving: \|\|sum K\^H K - I\|\|_F = 1\.732e\+00"):
             KrausChannel(np.zeros((2, 3, 3)))
+
+
+def _entry_builders():
+    """Factories of the builders that write their entries, not a stack."""
+    cases = [(f"depolarizing_n{n}_p{p}", lambda n=n, p=p: depolarizing(n, p))
+             for n in (1, 2, 5, 32) for p in (0.0, 0.3, 1.0)]
+    cases += [(f"pinching_p{p}", lambda p=p: dephasing_pinching(4, p)) for p in (0.0, 0.4, 1.0)]
+    cases += [
+        # sqrt(p/n) underflows to 0: the n**2 unit operators hold no entry.
+        ("depolarizing_subnormal_p", lambda: depolarizing(2, 5e-324)),
+        ("ptrace_a", lambda: partial_trace(2, 3, "a")),
+        ("ptrace_b", lambda: partial_trace(3, 2, "b")),
+        ("identity", lambda: identity(3)),
+    ]
+    return [pytest.param(make, id=label) for label, make in cases]
+
+
+class TestEntryBuilders:
+    """The sparse builders write their nonzero entries; the channel is the one
+    extracted from the stack those entries describe, bit for bit, and the
+    stack itself is built only when ``kraus`` is read."""
+
+    @pytest.mark.parametrize("make", _entry_builders())
+    def test_transfer_form_and_actions_match_the_stack_bit_for_bit(self, make):
+        c = make()
+        assert c._kraus is None
+        ref = KrausChannel(np.array(c.kraus))
+        assert ref._transfer is not None
+        for got, want in zip(c._transfer, ref._transfer):
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype
+        g = gen(470)
+        a = _random_matrix(g, c.dim_in, c.dim_in)
+        b = _random_matrix(g, c.dim_out, c.dim_out)
+        np.testing.assert_array_equal(_act(c, a), _act(ref, a))
+        np.testing.assert_array_equal(_act_adjoint(c, b), _act_adjoint(ref, b))
+
+    @pytest.mark.parametrize("make", [c for c in _entry_builders() if "n32" not in c.id])
+    def test_stack_readers_match_a_given_stack(self, make):
+        ref = KrausChannel(np.array(make().kraus))
+        sigma = random_positive(gen(471), ref.dim_in)
+        np.testing.assert_array_equal(petz_map(sigma, make()).kraus, petz_map(sigma, ref).kraus)
+        np.testing.assert_array_equal(compose(make(), identity(ref.dim_in)).kraus,
+                                      compose(ref, identity(ref.dim_in)).kraus)
+        assert channel_to_json(make()) == channel_to_json(ref)
+        back = channel_from_json(json.loads(json.dumps(channel_to_json(make()))))
+        np.testing.assert_array_equal(back.kraus, ref.kraus)
+        assert verify_cptp(make()) == verify_cptp(ref)
+
+    def test_construction_allocates_no_stack(self):
+        tracemalloc.start()
+        try:
+            depolarizing(64, 0.3)  # its stack would be 4097 x 64 x 64 float64, 134 MB
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+    def test_report_leaves_the_stack_unbuilt(self):
+        n, p = 32, 0.3
+        c = depolarizing(n, p)
+        g = gen(472)
+        build_report(MeasureSpec.relative_entropy(), c, random_positive(g, n), random_positive(g, n),
+                     with_petz=True)
+        assert c._kraus is None
+        stack = np.zeros((n * n + 1, n, n))
+        stack[0] = np.sqrt(1 - p) * np.eye(n)
+        stack[1:].reshape(n * n, n * n)[np.diag_indices(n * n)] = np.sqrt(p / n)
+        np.testing.assert_array_equal(c.kraus, stack)
+        assert c.kraus.dtype == np.float64 and not c.kraus.flags.writeable
+        assert c.kraus is c.kraus
 
 
 def _reference_cptp(c):

@@ -475,6 +475,16 @@ class TestSchemaErrors:
         out = tmp_path / "out"
         assert main(["run", str(scen), "--out", str(out), "--allow-non-dpi"]) == 0
 
+    def test_allow_non_dpi_flag_admits_power_exponent_above_two(self, tmp_path):
+        scen = tmp_path / "scen.json"
+        power = dict(RANDOM_SCENARIO, name="power3", checks=["gap"])
+        power["measure"] = {"family": "f_divergence", "f": "power", "alpha": 3}
+        write_scenarios(scen, [power])
+        assert main(["run", str(scen), "--out", str(tmp_path / "strict")]) == 2
+        out = tmp_path / "out"
+        assert main(["run", str(scen), "--out", str(out), "--allow-non-dpi"]) == 0
+        assert np.isfinite(load_report(out, "power3")["gap"])
+
     def test_invalid_json_file(self, tmp_path, capsys):
         scen = tmp_path / "scen.json"
         scen.write_text("{not json", encoding="utf-8")

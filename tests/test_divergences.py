@@ -65,6 +65,16 @@ class TestMeasureSpecValidation:
                 MeasureSpec.alpha_z(alpha, z)
             MeasureSpec.alpha_z(alpha, z, allow_non_dpi=True)
 
+    def test_power_exponent_outside_dpi_needs_the_flag(self):
+        power = {"family": "f_divergence", "f": "power", "alpha": 3}
+        with pytest.raises(SchemaError, match=r"\(0,1\) or \(1,2\]"):
+            measure_from_json(power)
+        assert measure_from_json({**power, "allow_non_dpi": True}).sign == 1
+        for allow in (False, True):
+            for alpha in (1, -0.5):
+                with pytest.raises(SchemaError, match="exponent"):
+                    measure_from_json({**power, "alpha": alpha, "allow_non_dpi": allow})
+
     def test_gamma_derivation(self):
         assert MeasureSpec.sandwiched_renyi(2.0).gamma == pytest.approx(-0.25)
         assert MeasureSpec.alpha_z(2.0, 1.0).gamma == pytest.approx(-0.5)
