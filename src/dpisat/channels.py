@@ -446,16 +446,13 @@ def partial_trace(n_a: int, n_b: int, keep: str) -> KrausChannel:
     return _from_entries((n_a, n_b, n_a * n_b), a, b, a * n_b + b, np.ones(e.size))
 
 
-def _psd_vectors(arr: np.ndarray, what: str):
-    """Split a PSD matrix into weighted eigenvectors, dropping null modes."""
-    w, v = _eigh(arr)
-    if w[0] < -1e-10:
-        raise ValueError(f"{what} has negative eigenvalue {w[0]:.3e}")
-    out = []
-    for i in range(w.size):
-        if w[i] > 1e-14:
-            out.append((float(w[i]), v[:, i]))
-    return out
+def _psd_eigensystems(mats: list, what: str):
+    """PSD matrices' eigensystems by one stacked eigensolve; names the most negative."""
+    w, v = _eigh(np.asarray(mats))
+    i = int(np.argmin(w[:, 0]))
+    if w[i, 0] < -1e-10:
+        raise ValueError(f"{what} {i} has negative eigenvalue {w[i, 0]:.3e}")
+    return w, v
 
 
 def measure_prepare(povm, states) -> KrausChannel:
@@ -465,25 +462,25 @@ def measure_prepare(povm, states) -> KrausChannel:
     the identity and each prepared state ``tau_i`` has unit trace. The
     channel is entanglement breaking; its Kraus operators are the rank-one
     bridges ``sqrt(e t) |v><u|`` over the eigenpairs of ``E_i`` and
-    ``tau_i``.
+    ``tau_i`` with ``e, t > 1e-14``, ordered by ``i``, then ``u``, then ``v``.
     """
     if len(povm) != len(states):
         raise ValueError("need one prepared state per POVM element")
     effects = [np.asarray(as_matrix(e), dtype=np.complex128) for e in povm]
-    taus = [np.asarray(as_matrix(t), dtype=np.complex128) for t in states]
+    taus = np.array([np.asarray(as_matrix(t), dtype=np.complex128) for t in states])
     n = effects[0].shape[0]
     total = sum(effects)
     if float(np.linalg.norm(total - np.eye(n))) > 1e-10:
         raise ValueError("POVM elements do not sum to the identity")
-    ops = []
-    for i, (effect, tau) in enumerate(zip(effects, taus)):
-        tr = float(np.real(np.trace(tau)))
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"prepared state {i} has trace {tr!r}, expected 1")
-        for e_val, u in _psd_vectors(effect, f"POVM element {i}"):
-            for t_val, v in _psd_vectors(tau, f"prepared state {i}"):
-                ops.append(np.sqrt(e_val * t_val) * np.outer(v, u.conj()))
-    return KrausChannel(tuple(ops))
+    traces = np.real(np.trace(taus, axis1=1, axis2=2))
+    i = int(np.argmax(np.abs(traces - 1.0)))
+    if abs(traces[i] - 1.0) > 1e-10:
+        raise ValueError(f"prepared state {i} has trace {float(traces[i])!r}, expected 1")
+    we, ue = _psd_eigensystems(effects, "POVM element")
+    wt, vt = _psd_eigensystems(taus, "prepared state")
+    i, a, b = np.nonzero((we > 1e-14)[:, :, None] & (wt > 1e-14)[:, None, :])
+    bridges = vt[i, :, b][:, :, None] * ue[i, :, a].conj()[:, None, :]
+    return _from_stack(np.sqrt(we[i, a] * wt[i, b])[:, None, None] * bridges)
 
 
 # ---------------------------------------------------------------------------

@@ -18,23 +18,18 @@ Commands
 ``validate <file>``
     Schema-check a scenario file without running anything.
 
-Check semantics (each check asserts an invariant that must hold for any
-valid configuration):
+Check semantics (README.md has them in full): each check asserts an
+invariant of any valid configuration, and the measure's family row says
+which checks apply and what ``petz`` and ``boundary`` judge.
 
-* ``gap``        the sign-adjusted gap is >= -gap_tol (data processing);
-* ``residual1``  if |gap| <= gap_tol then ||residual1||_F <= residual_tol
-  (the forward saturation theorem), likewise ``residual2``;
-* ``converse``   for scaling-law families, residual1 <= residual_tol forces
-  |gap| <= gap_tol;
-* ``petz``       the Petz map returns sigma exactly, and recovers rho when
-  the gap is below tolerance;
-* ``boundary``   the tangent-space gradient residual vanishes at
-  saturation, and matches residual1 at full rank; for relative entropy the
-  support-logarithm residuals (recoverability conditions) vanish too;
-* ``alpha_z_crosscheck`` all three published saturation conditions agree at
-  saturation;
-* ``tangent``    the tangent space of the PSD cone at rho has numerical
-  dimension n^2 - k^2.
+* ``gap`` >= -gap_tol; ``residual1`` and ``residual2`` vanish when
+  |gap| <= gap_tol; ``converse``: a vanishing residual1 forces a vanishing gap;
+* ``petz``: sigma is recovered, and so is rho at saturation when saturation
+  implies recovery for the family (otherwise ``"judged": false``);
+* ``boundary``: the tangent-space residual vanishes at saturation and equals
+  residual1 at full rank, and so do the family's support-logarithm residuals;
+* ``alpha_z_crosscheck``: three published conditions agree at saturation;
+* ``tangent``: the tangent space at rho has dimension n^2 - k^2.
 
 State builders: a matrix object, ``{"builder": "diag", "values": [...]}``,
 or ``{"builder": "random_pos", "dim": n, "seed": s}``. Random states are
@@ -63,6 +58,8 @@ import numpy as np
 
 from .channels import KrausChannel, channel_from_json
 from .divergences import (
+    _FAMILY_TABLE,
+    FAMILIES,
     MeasureSpec,
     grad2_method,
     measure_from_json,
@@ -83,7 +80,6 @@ from .linalg import (
 from .saturation import (
     DEFAULT_GAP_TOL,
     DEFAULT_RESIDUAL_TOL,
-    _SCALING_LAW_FAMILIES,
     ConverseViolationError,
     _alpha_z_crosscheck,
     _boundary_residual_general,
@@ -109,7 +105,6 @@ KNOWN_CHECKS = (
     "tangent",
 )
 
-_CROSSCHECK_FAMILIES = ("alpha_z", "sandwiched_renyi")
 _FULL_RANK_CHECKS = ("residual1", "residual2", "petz", "converse", "alpha_z_crosscheck")
 # Checks judged against the gap: they fail alone when it cannot be evaluated.
 _GAP_CHECKS = ("gap", "boundary")
@@ -184,19 +179,17 @@ def _tolerance_arg(text: str) -> float:
 def _validate_checks(sc: Scenario, path: str):
     """Every requested check must apply to the (measure, state-rank) combo."""
     full_rank = sc.rho.rank == sc.rho.dim
-    family = sc.measure.family
+    family, row = sc.measure.family, sc.measure._row
     for i, check in enumerate(sc.checks):
         cpath = f"{path}.checks[{i}]"
         if check not in KNOWN_CHECKS:
             raise SchemaError(cpath, f"unknown check {check!r}")
         if check in _FULL_RANK_CHECKS and not full_rank:
             raise SchemaError(cpath, f"{check!r} needs a strictly positive rho")
-        if check == "converse" and family not in _SCALING_LAW_FAMILIES:
+        if check == "converse" and row.scaling is None:
             raise SchemaError(cpath, f"'converse' needs a scaling-law family, not {family!r}")
-        if check == "alpha_z_crosscheck" and family not in _CROSSCHECK_FAMILIES:
-            raise SchemaError(
-                cpath, f"'alpha_z_crosscheck' needs a Renyi family, not {family!r}"
-            )
+        if check == "alpha_z_crosscheck" and not row.renyi:
+            raise SchemaError(cpath, f"'alpha_z_crosscheck' needs a Renyi family, not {family!r}")
 
 
 def _check_dims(channel: KrausChannel, rho, sigma, prefix: str = "") -> None:
@@ -331,14 +324,7 @@ def _execute_scenario(sc: Scenario, dump_matrices: bool) -> dict:
             gap = _gap(sc.measure, *pairs)
         except (ValueError, RuntimeError) as exc:
             gap_error = f"gap could not be evaluated: {exc}"
-        report.update(
-            {
-                "gap": gap,
-                "residual1_frobenius": None,
-                "residual2_frobenius": None,
-                "saturated": None,
-            }
-        )
+        report.update(gap=gap, residual1_frobenius=None, residual2_frobenius=None, saturated=None)
 
     saturated_here = gap is not None and abs(gap) <= sc.gap_tol
 
@@ -357,16 +343,9 @@ def _execute_scenario(sc: Scenario, dump_matrices: bool) -> dict:
         elif check == "converse":
             try:
                 _require_scaling_law(sc.measure, core.pairs[0])
-                cert = _converse_verdict(
-                    core.residual1_frobenius, core.gap, sc.residual_tol, sc.gap_tol
-                )
-                detail.update(
-                    {
-                        "residual1_norm": cert.residual1_norm,
-                        "gap": cert.gap,
-                        "implied_gap_zero": cert.implied_gap_zero,
-                    }
-                )
+                cert = _converse_verdict(core.residual1_frobenius, core.gap, sc.residual_tol, sc.gap_tol)
+                detail.update(residual1_norm=cert.residual1_norm, gap=cert.gap,
+                              implied_gap_zero=cert.implied_gap_zero)
             except ConverseViolationError as exc:
                 detail["error"] = str(exc)
                 passed = False
@@ -374,14 +353,14 @@ def _execute_scenario(sc: Scenario, dump_matrices: bool) -> dict:
             err_sigma = report["petz_recovery_error_sigma"]
             err_rho = report["petz_recovery_error_rho"]
             detail.update({"recovery_error_rho": err_rho, "recovery_error_sigma": err_sigma})
-            passed = err_sigma <= 1e-9 and ((not saturated_here) or err_rho <= 1e-7)
+            judged = sc.measure._row.recovers(sc.measure)
+            if not judged:
+                detail["judged"] = False
+            passed = err_sigma <= 1e-9 and not (judged and saturated_here and err_rho > 1e-7)
         elif check == "boundary":
             passed, detail = _boundary_check(sc, saturated_here, core, pairs)
         elif check == "alpha_z_crosscheck":
-            res = _alpha_z_crosscheck(
-                sc.channel, *core.pairs, sc.measure.alpha, sc.measure.z or sc.measure.alpha,
-                gradient_residual=core.residual1_frobenius,
-            )
+            res = _alpha_z_crosscheck(sc.channel, *core.pairs, sc.measure, core.residual1_frobenius)
             detail.update(asdict(res))  # the three residual norms
             passed = (not saturated_here) or all(n <= sc.residual_tol for n in detail.values())
         elif check == "tangent":
@@ -404,10 +383,10 @@ def _boundary_check(sc: Scenario, saturated_here: bool, core, pairs):
     family. The support-logarithm residuals (``zeros_log_norm``,
     ``hiai_norm``) are recoverability conditions of the relative entropy;
     saturating another family, the fidelity say, does not imply
-    recoverability, so they are reported and judged for it alone."""
+    recoverability, so only a family whose row owns them reports them."""
     res_general = _boundary_residual_general(sc.measure, sc.channel, *pairs)
     detail: dict = {"general_norm": frobenius(res_general)}
-    if sc.measure.family == "relative_entropy":
+    if sc.measure._row.support_log:
         detail["zeros_log_norm"] = frobenius(_boundary_residual_relent(sc.channel, *pairs))
         detail["hiai_norm"] = float(np.linalg.norm(_hiai_residual(sc.channel, *pairs)))
     passed = True
@@ -519,15 +498,14 @@ def _operand_from_arg(text: str, decoder, path: str):
 
 def _cmd_sweep(args) -> int:
     seed_override = _seed_override()
-    if args.measure not in ("sandwiched_renyi", "alpha_z"):
-        raise SchemaError("measure", "sweep supports sandwiched_renyi and alpha_z")
+    row = _FAMILY_TABLE.get(args.measure)
+    if row is None or not row.renyi:
+        renyi = [f for f in FAMILIES if _FAMILY_TABLE[f].renyi]
+        raise SchemaError("measure", f"sweep supports {' and '.join(renyi)}")
     axes = _parse_grid(args.grid)
     axis_names = [a for a, _ in axes]
-    required = ["alpha"] if args.measure == "sandwiched_renyi" else ["alpha", "z"]
-    if axis_names != required:
-        raise SchemaError(
-            "grid", f"{args.measure} sweep needs axes {required}, got {axis_names}"
-        )
+    if axis_names != list(row.fields):
+        raise SchemaError("grid", f"{args.measure} sweep needs axes {list(row.fields)}, got {axis_names}")
     channel = _operand_from_arg(args.channel, channel_from_json, "channel")
 
     def state(obj, path):
@@ -543,16 +521,11 @@ def _cmd_sweep(args) -> int:
     writer = csv.writer(buf)
     writer.writerow(axis_names + ["gap", "residual1_norm", "residual2_norm"])
     for point in itertools.product(*(values for _, values in axes)):
-        alpha = point[0]
-        z = point[1] if len(point) > 1 else None
-        if abs(alpha - 1.0) < 1e-12:
+        if abs(point[0] - 1.0) < 1e-12:
             print(f"warning: skipping alpha=1 pole at {point}", file=sys.stderr)
             continue
         try:
-            if args.measure == "sandwiched_renyi":
-                m = MeasureSpec.sandwiched_renyi(alpha, allow_non_dpi=args.allow_non_dpi)
-            else:
-                m = MeasureSpec.alpha_z(alpha, z, allow_non_dpi=args.allow_non_dpi)
+            m = MeasureSpec(args.measure, **dict(zip(axis_names, point)), allow_non_dpi=args.allow_non_dpi)
         except ValueError as exc:
             print(f"warning: skipping {point}: {exc}", file=sys.stderr)
             continue

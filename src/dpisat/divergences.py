@@ -11,6 +11,9 @@ normalization requirement on the states:
 * f-divergence            ``sum_{jk} mu_k f(p_j/mu_k) tr(P_j Q_k)`` over the
   spectra ``r = sum p_j P_j`` and ``s = sum mu_k Q_k``
 
+A family's rules, and which saturation checks apply to it, live in its row
+of ``_FAMILY_TABLE``; no other code names a family.
+
 Fidelity and sandwiched Renyi are the points ``(1/2, 1/2)`` and ``(a, a)`` of
 the alpha-z quasi-entropy ``Q = tr X^z``, ``X = s^g r^{a/z} s^g`` (``F = Q``),
 and share its core, value and gradient path. For ``z < 1`` the first gradient
@@ -79,33 +82,7 @@ __all__ = [
     "measure_from_json",
 ]
 
-# Each family with its JSON fields besides "family" and the optional
-# "allow_non_dpi"; the "power" f-divergence adds its exponent "alpha".
-_MEASURE_FIELDS = {
-    "relative_entropy": (),
-    "fidelity": (),
-    "sandwiched_renyi": ("alpha",),
-    "alpha_z": ("alpha", "z"),
-    "f_divergence": ("f",),
-}
-FAMILIES = tuple(_MEASURE_FIELDS)
-
-# Registered operator-monotonicity-safe f's for the f-divergence family.
-# x**a with 0 < a < 1 is operator concave, so that divergence satisfies the
-# reversed inequality and carries sign = -1, exactly like the fidelity.
-_F_REGISTRY_NAMES = ("x_log_x", "neg_log", "chi_square", "power")
-
 _EPS = 1e-12
-
-
-def _in_alpha_z_dpi_region(alpha: float, z: float) -> bool:
-    if 0.0 < alpha < 1.0:
-        return z >= max(alpha, 1.0 - alpha) - _EPS
-    if 1.0 < alpha <= 2.0:
-        return alpha / 2.0 - _EPS <= z <= alpha + _EPS
-    if alpha > 2.0:
-        return alpha - 1.0 - _EPS <= z <= alpha + _EPS
-    return False
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +91,8 @@ class MeasureSpec:
 
     ``sign`` is +1 when the measure decreases under channels and -1 when it
     increases (fidelity, and f-divergences built from operator-concave
-    powers). ``allow_non_dpi`` admits Renyi parameters outside the known
+    powers); it is the family's, and only a caller-asserted f may give its
+    own. ``allow_non_dpi`` admits Renyi parameters outside the known
     data-processing regions, and power f-divergence exponents above 2; the
     pole at ``alpha = 1`` and the linear power ``x^1`` are always rejected.
     """
@@ -129,78 +107,35 @@ class MeasureSpec:
     allow_non_dpi: bool = False
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if self.family not in _FAMILY_TABLE:
             raise ValueError(f"unknown measure family {self.family!r}")
-        if self.family in ("relative_entropy", "fidelity"):
-            if self.alpha is not None or self.z is not None or self.f_pair is not None:
-                raise ValueError(f"{self.family} takes no parameters")
-        elif self.family == "sandwiched_renyi":
-            self._check_alpha()
-            if self.z is not None:
-                raise ValueError("sandwiched_renyi takes no z parameter")
-            if not self.allow_non_dpi and self.alpha < 0.5 - _EPS:
-                raise ValueError(
-                    f"alpha={self.alpha} is outside the data-processing range "
-                    "[1/2, inf); pass allow_non_dpi=True to override"
-                )
-        elif self.family == "alpha_z":
-            self._check_alpha()
-            if self.z is None or not self.z > 0.0:
-                raise ValueError("alpha_z requires z > 0")
-            if not self.allow_non_dpi and not _in_alpha_z_dpi_region(self.alpha, self.z):
-                raise ValueError(
-                    f"(alpha={self.alpha}, z={self.z}) is outside the "
-                    "data-processing region; pass allow_non_dpi=True to override"
-                )
-        else:  # f_divergence
-            if self.f_pair is None:
-                raise ValueError("f_divergence requires a scalar function pair")
-            if self.f_name not in _F_REGISTRY_NAMES and not self.f_asserted:
-                raise ValueError(
-                    "custom f-divergence functions must be explicitly asserted "
-                    "as operator convex (caller_asserted=True)"
-                )
-            if self.f_name == "power" and not self.f_asserted:
-                exp = self.alpha
-                top, region = (np.inf, "(1,inf)") if self.allow_non_dpi else (2.0, "(1,2]")
-                if exp is None or not 0.0 < exp <= top or abs(exp - 1.0) < _EPS:
-                    raise ValueError(
-                        "registered power f-divergences need an exponent in (0,1) or "
-                        f"{region}; assert custom exponents explicitly"
-                    )
+        fields = _measure_fields(self.family, self.f_name)
+        given = {"alpha": self.alpha, "z": self.z, "f": self.f_pair}
+        unused = [key for key, val in given.items() if val is not None and key not in fields]
+        if unused:
+            raise ValueError(f"{self.family} takes no {' or '.join(unused)} parameter")
+        self._row.check(self)
+        sign = self._row.sign(self)
         if self.sign is None:
-            object.__setattr__(self, "sign", self._derive_sign())
+            object.__setattr__(self, "sign", sign)
         elif self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        elif self.sign != sign and not (self.f_asserted and "f" in fields):
+            raise ValueError(f"sign={self.sign} contradicts the {self.family} sign {sign}; only a "
+                             "caller-asserted f may set its own")
 
-    def _check_alpha(self):
-        if self.alpha is None or not self.alpha > 0.0:
-            raise ValueError(f"{self.family} requires alpha > 0")
-        if abs(self.alpha - 1.0) < _EPS:
-            raise ValueError(
-                "alpha = 1 is a pole of the Renyi families; use relative_entropy"
-            )
-
-    def _derive_sign(self) -> int:
-        if self.family == "fidelity":
-            return -1
-        if (
-            self.family == "f_divergence"
-            and self.f_name == "power"
-            and self.alpha is not None
-            and 0.0 < self.alpha < 1.0
-        ):
-            return -1
-        return 1
+    @property
+    def _row(self) -> _Family:
+        """The family's row of the family table."""
+        return _FAMILY_TABLE[self.family]
 
     @property
     def gamma(self) -> float | None:
         """Sandwich exponent: (1-a)/(2a) sandwiched, (1-a)/(2z) alpha-z."""
-        if self.family == "sandwiched_renyi":
-            return (1.0 - self.alpha) / (2.0 * self.alpha)
-        if self.family == "alpha_z":
-            return (1.0 - self.alpha) / (2.0 * self.z)
-        return None
+        if not self._row.renyi:
+            return None
+        alpha, z = self._row.point(self)
+        return (1.0 - alpha) / (2.0 * z)
 
     # -- constructors -------------------------------------------------------
 
@@ -221,31 +156,14 @@ class MeasureSpec:
         return cls("alpha_z", alpha=float(alpha), z=float(z), allow_non_dpi=allow_non_dpi)
 
     @classmethod
-    def f_divergence(
-        cls,
-        f="x_log_x",
-        alpha: float | None = None,
-        sign: int | None = None,
-        caller_asserted: bool = False,
-        allow_non_dpi: bool = False,
-    ) -> "MeasureSpec":
+    def f_divergence(cls, f="x_log_x", alpha: float | None = None, sign: int | None = None,
+                     caller_asserted: bool = False, allow_non_dpi: bool = False) -> "MeasureSpec":
         """Build from a registered name ('x_log_x', 'neg_log', 'chi_square',
         'power' with exponent ``alpha``) or from a custom pair, which must be
         caller-asserted."""
-        if isinstance(f, str):
-            pair = resolve_function(f, exponent=alpha)
-            name = f
-        else:
-            pair, name = f, f.name
-        return cls(
-            "f_divergence",
-            alpha=alpha,
-            f_pair=pair,
-            f_name=name,
-            f_asserted=caller_asserted,
-            sign=sign,
-            allow_non_dpi=allow_non_dpi,
-        )
+        pair, name = (resolve_function(f, exponent=alpha), f) if isinstance(f, str) else (f, f.name)
+        return cls("f_divergence", alpha=alpha, f_pair=pair, f_name=name, f_asserted=caller_asserted,
+                   sign=sign, allow_non_dpi=allow_non_dpi)
 
 
 class _TangentProjection:
@@ -374,28 +292,27 @@ _QuasiEntropy = namedtuple("_QuasiEntropy", "alpha z gamma core value chain")
 
 def _quasi_entropy(m: MeasureSpec, pt: _Pair) -> _QuasiEntropy:
     """The alpha-z quasi-entropy ``Q = tr X^z``, ``X = s^g r^{a/z} s^g`` with
-    ``g = (1-a)/(2z)``: fidelity is ``F = Q`` at ``a = z = 1/2``, the Renyi
-    families are ``log Q / (a-1)``, sandwiched on the line ``z = a``."""
-    fidelity = m.family == "fidelity"
-    alpha, z = (0.5, 0.5) if fidelity else (m.alpha, m.z or m.alpha)
+    ``g = (1-a)/(2z)``, at the family's point ``(a, z)``: the fidelity is
+    ``F = Q`` at ``(1/2, 1/2)``, a Renyi family is ``log Q / (a-1)``."""
+    alpha, z = m._row.point(m)
     gamma = (1.0 - alpha) / (2.0 * z)
     x = pt.core(gamma, alpha / z)[1]
     q = float(np.sum(x.eigensystem[0] ** z))
-    value, c = (q, z) if fidelity else (math.log(q) / (alpha - 1.0), z / ((alpha - 1.0) * q))
+    value, c = (math.log(q) / (alpha - 1.0), z / ((alpha - 1.0) * q)) if m._row.renyi else (q, z)
     return _QuasiEntropy(alpha, z, gamma, x, value, c)
+
+
+def _relent_value(m: MeasureSpec, pt: _Pair) -> float:
+    wr = _spectrum(pt.rho)[0]
+    pos = wr > 0.0
+    entropy = np.sum(wr[pos] * np.log(wr[pos]))
+    return float(entropy - np.real(np.trace(pt.rho.matrix @ pt.log_sigma)))
 
 
 def _value(m: MeasureSpec, pt: _Pair) -> float:
     """The measure at a pair; a :class:`PsdOperator` first state takes the
     continuous extension onto the boundary."""
-    if m.family == "relative_entropy":
-        wr = _spectrum(pt.rho)[0]
-        pos = wr > 0.0
-        entropy = np.sum(wr[pos] * np.log(wr[pos]))
-        return float(entropy - np.real(np.trace(pt.rho.matrix @ pt.log_sigma)))
-    if m.family == "f_divergence":
-        return _fdiv_value(m.f_pair, pt)
-    return _quasi_entropy(m, pt).value
+    return m._row.value(m, pt)
 
 
 def evaluate(m: MeasureSpec, rho, sigma) -> float:
@@ -448,6 +365,32 @@ def _fdiv_grad(pair: ScalarFunctionPair, pt: _Pair, slot: int) -> np.ndarray:
     return _symmetrized(v @ g @ v.conj().T)
 
 
+def _on_tangent(pt: _Pair, g: np.ndarray) -> np.ndarray:
+    """``g`` projected onto the tangent space at a rank-deficient rho."""
+    return _symmetrized(pt.tangent(g)) if pt.kernel else g
+
+
+def _relent_grad1(m: MeasureSpec, pt: _Pair) -> np.ndarray:
+    if pt.kernel:
+        tangent, log_sigma = pt.tangent, pt.log_sigma
+        return _symmetrized(pt.log_support - log_sigma + tangent.q @ log_sigma @ tangent.q + tangent.p)
+    return _symmetrized(_logm(pt.rho) - pt.log_sigma + np.eye(pt.rho.dim))
+
+
+def _quasi_grad1(m: MeasureSpec, pt: _Pair) -> np.ndarray:
+    alpha, z, gamma, x, _, c = _quasi_entropy(m, pt)
+    if z < 1.0 and (x.eigensystem[0][pt.kernel:] <= 0.0).any():
+        raise PositivityError("a gradient with z < 1 needs s^g r^{a/z} s^g > 0 on the support of r")
+    w = pt.core_power(gamma, alpha / z, gamma, z - 1.0)
+    if alpha / z == 1.0:  # r -> r is linear: its Frechet derivative is the identity
+        return _on_tangent(pt, _symmetrized(c * w))
+    # The Frechet derivative of r^{a/z} along w, with 0^{a/z} = 0.
+    p, rid, vr = clustered_eigensystem(pt.rho)
+    pos, pw = p > 0.0, power(alpha / z)
+    values = _on_support(pw.f, p, pos, 0.0), _on_support(pw.f_prime, p, pos, 0.0)
+    return _on_tangent(pt, c * _frechet(p, rid, vr, *values, _symmetrized(w)))
+
+
 def _grad1(m: MeasureSpec, pt: _Pair) -> np.ndarray:
     """Gradient in the first argument, symmetrized.
 
@@ -460,44 +403,26 @@ def _grad1(m: MeasureSpec, pt: _Pair) -> np.ndarray:
     ``logx(r) - log s + Q log s Q + P`` with ``logx`` the support logarithm,
     P the support projector and ``Q = 1 - P``.
     """
-    if m.family == "relative_entropy":
-        if pt.kernel:
-            tangent, log_sigma = pt.tangent, pt.log_sigma
-            return _symmetrized(pt.log_support - log_sigma + tangent.q @ log_sigma @ tangent.q + tangent.p)
-        return _symmetrized(_logm(pt.rho) - pt.log_sigma + np.eye(pt.rho.dim))
-    if m.family == "f_divergence":
-        g = _fdiv_grad(m.f_pair, pt, 1)
-    else:
-        alpha, z, gamma, x, _, c = _quasi_entropy(m, pt)
-        if z < 1.0 and (x.eigensystem[0][pt.kernel:] <= 0.0).any():
-            raise PositivityError("a gradient with z < 1 needs s^g r^{a/z} s^g > 0 on the support of r")
-        w = pt.core_power(gamma, alpha / z, gamma, z - 1.0)
-        if alpha / z == 1.0:  # r -> r is linear: its Frechet derivative is the identity
-            g = _symmetrized(c * w)
-        else:
-            # The Frechet derivative of r^{a/z} along w, with 0^{a/z} = 0.
-            p, rid, vr = clustered_eigensystem(pt.rho)
-            pos, pw = p > 0.0, power(alpha / z)
-            values = _on_support(pw.f, p, pos, 0.0), _on_support(pw.f_prime, p, pos, 0.0)
-            g = c * _frechet(p, rid, vr, *values, _symmetrized(w))
-    return _symmetrized(pt.tangent(g)) if pt.kernel else g
+    return m._row.grad1(m, pt)
+
+
+def _relent_grad2(m: MeasureSpec, pt: _Pair) -> np.ndarray:
+    reps, ids, v = clustered_eigensystem(pt.sigma)
+    return -_frechet(reps, ids, v, *_pair_values(reps, LOG), pt.rho.matrix)
+
+
+def _renyi_grad2(m: MeasureSpec, pt: _Pair) -> np.ndarray:
+    reps, ids, v = clustered_eigensystem(pt.sigma)
+    _, z, gamma, x, _, c = _quasi_entropy(m, pt)
+    x_z = _powm(x, z)
+    s_neg_g = _powm(pt.sigma, -gamma)
+    anti = _symmetrized(x_z @ s_neg_g + s_neg_g @ x_z)
+    return c * _frechet(reps, ids, v, *_pair_values(reps, power(gamma)), anti)
 
 
 def _grad2(m: MeasureSpec, pt: _Pair) -> np.ndarray:
     """Gradient in the second argument, symmetrized."""
-    rho, sigma = pt.rho, pt.sigma
-    if m.family == "fidelity":
-        return _grad1(m, _Pair(sigma, rho))
-    if m.family == "f_divergence":
-        return _fdiv_grad(m.f_pair, pt, 2)
-    reps, ids, v = clustered_eigensystem(sigma)
-    if m.family == "relative_entropy":
-        return -_frechet(reps, ids, v, *_pair_values(reps, LOG), rho.matrix)
-    _, z, gamma, x, _, c = _quasi_entropy(m, pt)
-    x_z = _powm(x, z)
-    s_neg_g = _powm(sigma, -gamma)
-    anti = _symmetrized(x_z @ s_neg_g + s_neg_g @ x_z)
-    return c * _frechet(reps, ids, v, *_pair_values(reps, power(gamma)), anti)
+    return m._row.grad2(m, pt)
 
 
 def grad1(m: MeasureSpec, rho, sigma) -> HermitianOperator:
@@ -531,25 +456,13 @@ class ScalingCheck:
 
 def _scaling_law(m: MeasureSpec, pt: _Pair, k: float, k_prime: float) -> ScalingCheck:
     """``B(k r, k' s)`` against its value by the family's scalar-multiplication
-    law from ``B(r, s)``, which is read from the pair ``pt``:
-
-    * Renyi families: ``D(r, s) + a/(a-1) ln k - ln k'``;
-    * relative entropy: ``k D(r, s) + k tr(r) (ln k - ln k')``;
-    * fidelity: ``sqrt(k k') F(r, s)``.
-    """
+    law from ``B(r, s)``, which is read from the pair ``pt``."""
     scaled = _checked_pair(
         PositiveOperator(HermitianOperator._exact(k * pt.rho.matrix)),
         PositiveOperator(HermitianOperator._exact(k_prime * pt.sigma.matrix)),
     )
     lhs, base = _value(m, scaled), _value(m, pt)
-    if m.family == "relative_entropy":
-        tr_rho = float(np.real(np.trace(pt.rho.matrix)))
-        rhs = k * base + k * tr_rho * (math.log(k) - math.log(k_prime))
-    elif m.family == "fidelity":
-        rhs = math.sqrt(k * k_prime) * base
-    else:
-        rhs = base + m.alpha / (m.alpha - 1.0) * math.log(k) - math.log(k_prime)
-    return ScalingCheck(lhs=lhs, rhs=rhs)
+    return ScalingCheck(lhs=lhs, rhs=m._row.scaling(m, pt, base, k, k_prime))
 
 
 def scaling_check(m: MeasureSpec, rho, sigma, k: float, k_prime: float) -> ScalingCheck:
@@ -557,11 +470,135 @@ def scaling_check(m: MeasureSpec, rho, sigma, k: float, k_prime: float) -> Scali
 
     Only the Renyi families transform by this additive law.
     """
-    if m.family not in ("sandwiched_renyi", "alpha_z"):
+    if not m._row.renyi:
         raise ValueError("scaling_check applies to the Renyi families only")
     if not (k > 0.0 and k_prime > 0.0):
         raise ValueError("scale factors must be strictly positive")
     return _scaling_law(m, _Pair(_as_positive(rho, "rho"), _as_positive(sigma, "sigma")), k, k_prime)
+
+
+# ---------------------------------------------------------------------------
+# The family table
+# ---------------------------------------------------------------------------
+
+
+def _in_alpha_z_dpi_region(alpha: float, z: float) -> bool:
+    if 0.0 < alpha < 1.0:
+        return z >= max(alpha, 1.0 - alpha) - _EPS
+    if 1.0 < alpha <= 2.0:
+        return alpha / 2.0 - _EPS <= z <= alpha + _EPS
+    if alpha > 2.0:
+        return alpha - 1.0 - _EPS <= z <= alpha + _EPS
+    return False
+
+
+def _check_renyi(m: MeasureSpec) -> None:
+    """The Renyi parameters at the point ``(a, z)``; the sandwiched line
+    ``z = a`` meets the alpha-z data-processing region at ``a >= 1/2``."""
+    if m.alpha is None or not m.alpha > 0.0:
+        raise ValueError(f"{m.family} requires alpha > 0")
+    if abs(m.alpha - 1.0) < _EPS:
+        raise ValueError("alpha = 1 is a pole of the Renyi families; use relative_entropy")
+    alpha, z = m._row.point(m)
+    if z is None or not z > 0.0:
+        raise ValueError(f"{m.family} requires z > 0")
+    if not m.allow_non_dpi and not _in_alpha_z_dpi_region(alpha, z):
+        params = ", ".join(f"{key}={getattr(m, key)}" for key in m._row.fields)
+        raise ValueError(f"({params}) is outside the data-processing region; "
+                         "pass allow_non_dpi=True to override")
+
+
+# Registered operator-monotonicity-safe f's for the f-divergence family.
+_F_REGISTRY_NAMES = ("x_log_x", "neg_log", "chi_square", "power")
+
+
+def _check_f(m: MeasureSpec) -> None:
+    if m.f_pair is None:
+        raise ValueError("f_divergence requires a scalar function pair")
+    if m.f_name not in _F_REGISTRY_NAMES and not m.f_asserted:
+        raise ValueError(
+            "custom f-divergence functions must be explicitly asserted "
+            "as operator convex (caller_asserted=True)"
+        )
+    if m.f_name == "power" and not m.f_asserted:
+        top, region = (np.inf, "(1,inf)") if m.allow_non_dpi else (2.0, "(1,2]")
+        if m.alpha is None or not 0.0 < m.alpha <= top or abs(m.alpha - 1.0) < _EPS:
+            raise ValueError(
+                "registered power f-divergences need an exponent in (0,1) or "
+                f"{region}; assert custom exponents explicitly"
+            )
+
+
+def _f_recovers(m: MeasureSpec) -> bool:
+    # Hiai, Mosonyi, Petz and Beny, Rev. Math. Phys. 23, 691 (2011): equality
+    # implies reversibility for an operator convex f whose integral
+    # representation has a measure with enough support points. x log x,
+    # -log x and x^a (0 < a < 2, a != 1) have one; the quadratics chi_square
+    # and x^2 have none, and a caller-asserted f is not vetted here.
+    if m.f_asserted:
+        return False
+    return m.f_name in ("x_log_x", "neg_log") or m.f_name == "power" and m.alpha < 2.0
+
+
+def _quasi_value(m: MeasureSpec, pt: _Pair) -> float:
+    return _quasi_entropy(m, pt).value
+
+
+def _renyi_scaling(m: MeasureSpec, pt: _Pair, base: float, k: float, k_prime: float) -> float:
+    return base + m.alpha / (m.alpha - 1.0) * math.log(k) - math.log(k_prime)
+
+
+# One measure family: ``fields``, its JSON fields besides "family" and
+# "allow_non_dpi"; ``check(m)`` raises ValueError on bad parameters; ``sign(m)``;
+# ``value``, ``grad1`` and ``grad2`` at ``(m, pt)``; ``recovers(m)``: saturation
+# implies recovery by the Petz map; ``point(m)``, its alpha-z quasi-entropy
+# point (a, z); ``scaling(m, pt, base, k, k')``, ``B(k r, k' s)`` by its scaling
+# law from ``base = B(r, s)``; ``renyi``: the value is ``log Q/(a-1)``, so the
+# alpha-z cross-check and :func:`scaling_check` apply; ``support_log``: the
+# support-logarithm boundary residuals are recoverability conditions.
+_Family = namedtuple(
+    "_Family", "fields check sign value grad1 grad2 recovers point scaling renyi support_log",
+    defaults=(None, None, False, False),
+)
+
+_FAMILY_TABLE = {
+    "relative_entropy": _Family(
+        (), lambda m: None, lambda m: 1, _relent_value, _relent_grad1, _relent_grad2,
+        lambda m: True,  # Petz, Commun. Math. Phys. 105, 123 (1986)
+        scaling=lambda m, pt, base, k, k_prime: (
+            k * base + k * float(np.real(np.trace(pt.rho.matrix))) * (math.log(k) - math.log(k_prime))
+        ),
+        support_log=True,
+    ),
+    "fidelity": _Family(
+        (), lambda m: None, lambda m: -1, _quasi_value, _quasi_grad1,
+        lambda m, pt: _grad1(m, _Pair(pt.sigma, pt.rho)),  # F is symmetric
+        # A measurement in the eigenbasis of s^-1/2 (s^1/2 r s^1/2)^1/2 s^-1/2 keeps
+        # F (Fuchs and Caves); its classical output gives back no non-commuting pair.
+        lambda m: False, point=lambda m: (0.5, 0.5),
+        scaling=lambda m, pt, base, k, k_prime: math.sqrt(k * k_prime) * base,
+    ),
+    "sandwiched_renyi": _Family(
+        ("alpha",), _check_renyi, lambda m: 1, _quasi_value, _quasi_grad1, _renyi_grad2,
+        # Jencova, J. Phys. A 50, 085303 (2017) for a > 1, and Ann. Henri
+        # Poincare 22, 3235 (2021) for 1/2 < a < 1.
+        lambda m: m.alpha > 0.5, point=lambda m: (m.alpha, m.alpha), scaling=_renyi_scaling, renyi=True,
+    ),
+    "alpha_z": _Family(
+        ("alpha", "z"), _check_renyi, lambda m: 1, _quasi_value, _quasi_grad1, _renyi_grad2,
+        lambda m: m.z == m.alpha > 0.5,  # known on the sandwiched line only
+        point=lambda m: (m.alpha, m.z), scaling=_renyi_scaling, renyi=True,
+    ),
+    "f_divergence": _Family(
+        ("f",), _check_f,
+        # x^a with 0 < a < 1 is operator concave: the reversed inequality.
+        lambda m: -1 if m.f_name == "power" and m.alpha is not None and 0.0 < m.alpha < 1.0 else 1,
+        lambda m, pt: _fdiv_value(m.f_pair, pt),
+        lambda m, pt: _on_tangent(pt, _fdiv_grad(m.f_pair, pt, 1)),
+        lambda m, pt: _fdiv_grad(m.f_pair, pt, 2), _f_recovers,
+    ),
+}
+FAMILIES = tuple(_FAMILY_TABLE)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +607,7 @@ def scaling_check(m: MeasureSpec, rho, sigma, k: float, k_prime: float) -> Scali
 
 
 def _measure_fields(family: str, f_name) -> tuple:
-    fields = _MEASURE_FIELDS[family]
+    fields = _FAMILY_TABLE[family].fields
     return fields + ("alpha",) if f_name == "power" else fields
 
 
@@ -585,7 +622,7 @@ def measure_to_json(m: MeasureSpec) -> dict:
 
 def measure_from_json(obj, path: str = "measure", allow_non_dpi: bool = False) -> MeasureSpec:
     # A field no family defines is named before the family is read.
-    any_field = {"allow_non_dpi"}.union(*_MEASURE_FIELDS.values())
+    any_field = {"allow_non_dpi"}.union(*(row.fields for row in _FAMILY_TABLE.values()))
     family = _fields(obj, path, ("family",), any_field, "an object with a 'family' field")["family"]
     if family not in FAMILIES:
         raise SchemaError(f"{path}.family", f"unknown family {family!r}")
@@ -594,12 +631,12 @@ def measure_from_json(obj, path: str = "measure", allow_non_dpi: bool = False) -
     allow = obj.get("allow_non_dpi", False)
     if not isinstance(allow, bool):
         raise SchemaError(f"{path}.allow_non_dpi", f"expected true or false, got {allow!r}")
-    # Relative entropy and fidelity have no data-processing region to leave.
-    allow = (allow or allow_non_dpi) and family not in ("relative_entropy", "fidelity")
+    # A family without parameters has no data-processing region to leave.
+    allow = (allow or allow_non_dpi) and bool(_FAMILY_TABLE[family].fields)
     params = {key: _number(obj[key], f"{path}.{key}") for key in fields if key != "f"}
     with _schema_at(path):
-        if family != "f_divergence":
-            return MeasureSpec(family, **params, allow_non_dpi=allow)
-        if not isinstance(obj["f"], str):
-            raise SchemaError(f"{path}.f", "f_divergence requires a registered 'f' name")
-        return MeasureSpec.f_divergence(obj["f"], alpha=params.get("alpha"), allow_non_dpi=allow)
+        if "f" in fields:
+            if not isinstance(obj["f"], str):
+                raise SchemaError(f"{path}.f", f"{family} requires a registered 'f' name")
+            params.update(f_name=obj["f"], f_pair=resolve_function(obj["f"], exponent=params.get("alpha")))
+        return MeasureSpec(family, **params, allow_non_dpi=allow)

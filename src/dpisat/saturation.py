@@ -187,24 +187,17 @@ class ConverseCertificate:
 
 
 _SCALE_DRAWS = ((2.0, 0.5), (0.7, 3.0))
-# The families whose value transforms invertibly under scalar multiplication.
-_SCALING_LAW_FAMILIES = ("relative_entropy", "fidelity", "sandwiched_renyi", "alpha_z")
 
 
 def _require_scaling_law(m: MeasureSpec, pt: _Pair) -> None:
     """Raise unless the family has a scaling law and it verifies numerically
     on the pair ``pt``, whose value it reuses."""
-    if m.family not in _SCALING_LAW_FAMILIES:
-        raise ValueError(
-            f"family {m.family!r} has no verified scaling law; "
-            "check the gap directly instead"
-        )
+    if m._row.scaling is None:
+        raise ValueError(f"family {m.family!r} has no verified scaling law; check the gap directly instead")
     for k, kp in _SCALE_DRAWS:
         chk = _scaling_law(m, pt, k, kp)
         if abs(chk.lhs - chk.rhs) > 1e-10 * max(1.0, abs(chk.lhs), abs(chk.rhs)):
-            raise ConverseViolationError(
-                f"scaling law failed to verify numerically for family {m.family!r}"
-            )
+            raise ConverseViolationError(f"scaling law failed to verify numerically for family {m.family!r}")
 
 
 def _converse_verdict(r1: float, gap: float, residual_tol: float, gap_tol: float) -> ConverseCertificate:
@@ -378,8 +371,10 @@ def petz_map(sigma, ch: KrausChannel) -> KrausChannel:
     """The Petz recovery channel
     ``R(X) = s^{1/2} L*( (Ls)^{-1/2} X (Ls)^{-1/2} ) s^{1/2}``.
 
-    Satisfies ``R(L(s)) = s`` identically, and recovers any rho on which the
-    channel saturates the data processing inequality.
+    Satisfies ``R(L(s)) = s`` identically. It recovers rho when the channel
+    saturates the relative entropy (Petz, 1986), or another measure whose
+    family says saturation implies recovery; saturating the fidelity does
+    not imply it.
     """
     sigma = _as_positive(sigma, "sigma", _boundary_case)
     try:
@@ -428,23 +423,21 @@ class AlphaZCrosscheck:
 
 
 def _alpha_z_crosscheck(
-    ch: KrausChannel, pt: _Pair, pt_out: _Pair, alpha: float, z: float,
-    gradient_residual: float | None = None,
+    ch: KrausChannel, pt: _Pair, pt_out: _Pair, m: MeasureSpec, gradient_residual: float | None = None
 ) -> AlphaZCrosscheck:
-    """:func:`alpha_z_crosscheck` on a state pair and its channel image;
-    ``gradient_residual`` is the alpha-z first-residual norm, when known.
-    Both condition operators are powers of the pairs' alpha-z cores
-    ``X = s^g r^{a/z} s^g``, which the gradients share."""
-    m = MeasureSpec.alpha_z(alpha, z)
+    """:func:`alpha_z_crosscheck` on a state pair and its channel image, at
+    the point ``(a, z)`` of the Renyi spec ``m``; ``gradient_residual`` is its
+    first-residual norm, when known. Both condition operators are powers of
+    the pairs' alpha-z cores ``X = s^g r^{a/z} s^g``, which the gradients
+    share."""
+    alpha, z = m._row.point(m)
     if gradient_residual is None:
         gradient_residual = frobenius(_residual(ch, partial(_grad1, m), pt, pt_out))
     chehade, zhang = (
         frobenius(_residual(ch, methodcaller("core_power", m.gamma, alpha / z, *exps), pt, pt_out))
         for exps in (((1.0 - z) / (2.0 * z), z - 1.0), (m.gamma, alpha - 1.0))
     )
-    return AlphaZCrosscheck(
-        gradient_residual=gradient_residual, chehade_residual=chehade, zhang_residual=zhang
-    )
+    return AlphaZCrosscheck(gradient_residual, chehade, zhang)
 
 
 def alpha_z_crosscheck(ch: KrausChannel, rho, sigma, alpha: float, z: float) -> AlphaZCrosscheck:
@@ -456,7 +449,7 @@ def alpha_z_crosscheck(ch: KrausChannel, rho, sigma, alpha: float, z: float) -> 
 
     All three are necessary at saturation; norms are reported side by side.
     """
-    return _alpha_z_crosscheck(ch, *_pairs(ch, rho, sigma), alpha, z)
+    return _alpha_z_crosscheck(ch, *_pairs(ch, rho, sigma), MeasureSpec.alpha_z(alpha, z))
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,25 @@ def permutation_measure_prepare(n: int) -> ch.KrausChannel:
     return ch.measure_prepare(povm, prep)
 
 
+def fuchs_caves(n: int, seed: int = 4):
+    """``(channel, rho, sigma)``: random full-rank rho and sigma, and the
+    measurement ``|i><e_i|`` in the eigenbasis of
+    ``M = s^-1/2 (s^1/2 r s^1/2)^1/2 s^-1/2``. It keeps the fidelity of the
+    pair (Fuchs and Caves), yet its classical output cannot give back the
+    non-commuting rho: saturation without recovery."""
+    g = gen(seed)
+    rho, sigma = random_positive(g, n), random_positive(g, n)
+
+    def power(a: np.ndarray, p: float) -> np.ndarray:
+        w, v = np.linalg.eigh(a)
+        return (v * w ** p) @ v.conj().T
+
+    s_half, s_inv_half = power(sigma.matrix, 0.5), power(sigma.matrix, -0.5)
+    basis = np.linalg.eigh(s_inv_half @ power(s_half @ rho.matrix @ s_half, 0.5) @ s_inv_half)[1]
+    kraus = np.eye(n)[:, :, None] * basis.conj().T[:, None, :]
+    return ch.KrausChannel(kraus), rho, sigma
+
+
 def measure_suite() -> list:
     """One representative spec per family and parameter branch."""
     return [

@@ -222,6 +222,74 @@ class TestBuilders:
             measure_prepare(povm, states)
 
 
+def random_povm(g, n: int, k: int) -> list:
+    """k random full-rank effects summing to the identity, the last one by
+    subtraction."""
+    parts = [random_positive(g, n).matrix for _ in range(k)]
+    w, v = np.linalg.eigh(sum(parts))
+    inv_half = (v / np.sqrt(w)) @ v.conj().T
+    effects = [inv_half @ p @ inv_half for p in parts[:-1]]
+    return effects + [np.eye(n) - sum(effects)]
+
+
+def reference_measure_prepare_stack(povm, states) -> np.ndarray:
+    """The Kraus stack of measure_prepare, built one eigensolve and one outer
+    product at a time."""
+    ops = []
+    for effect, tau in zip(povm, states):
+        we, ue = np.linalg.eigh(np.asarray(effect, dtype=complex))
+        wt, vt = np.linalg.eigh(np.asarray(tau, dtype=complex))
+        for a in np.flatnonzero(we > 1e-14):
+            for b in np.flatnonzero(wt > 1e-14):
+                ops.append(np.sqrt(we[a] * wt[b]) * np.outer(vt[:, b], ue[:, a].conj()))
+    stack = np.array(ops)
+    return stack.real if not stack.imag.any() else stack
+
+
+class TestMeasurePrepareStack:
+    """measure_prepare solves each operand list with one stacked eigensolve
+    and builds the Kraus stack by broadcasting, bit for bit as one matrix at a
+    time."""
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_stacked_eigh_is_per_matrix_eigh(self, n):
+        mats = np.array(random_povm(gen(340 + n), n, 4))
+        w, v = np.linalg.eigh(mats)
+        for i, mat in enumerate(mats):
+            wi, vi = np.linalg.eigh(mat)
+            assert np.array_equal(w[i], wi) and np.array_equal(v[i], vi)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_permutation_fixture(self, n):
+        povm = [np.diag(np.eye(n)[i]) for i in range(n)]
+        states = [np.diag(np.eye(n)[(i + 1) % n]) for i in range(n)]
+        stack = permutation_measure_prepare(n).kraus
+        expected = reference_measure_prepare_stack(povm, states)
+        assert stack.dtype == expected.dtype and np.array_equal(stack, expected)
+
+    @pytest.mark.parametrize("n,m", [(3, 3), (5, 2), (8, 4)])
+    def test_random_povm(self, n, m):
+        g = gen(350 + n)
+        povm = random_povm(g, n, 3)
+        states = []
+        for _ in povm:  # rank-2 states: one eigenpair of each is dropped
+            x = g.normal(size=(m, 2)) + 1j * g.normal(size=(m, 2))
+            states.append(x @ x.conj().T / np.trace(x @ x.conj().T).real)
+        stack = measure_prepare(povm, states).kraus
+        expected = reference_measure_prepare_stack(povm, states)
+        assert stack.shape == expected.shape and np.array_equal(stack, expected)
+
+    def test_negative_operands_are_named(self):
+        povm = [np.diag([1.0, -0.5]), np.diag([0.0, 1.5])]
+        states = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+        with pytest.raises(ValueError, match="POVM element 0 has negative eigenvalue -5.000e-01"):
+            measure_prepare(povm, states)
+        povm = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+        states = [np.diag([1.0, 0.0]), np.diag([1.2, -0.2])]
+        with pytest.raises(ValueError, match="prepared state 1 has negative eigenvalue -2.000e-01"):
+            measure_prepare(povm, states)
+
+
 class TestInvariants:
     def test_trace_preservation(self):
         g = gen(340)

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 import dpisat.saturation as sat
-from dpisat.channels import depolarizing
+from dpisat import calculus
+from dpisat.channels import channel_to_json, depolarizing
 from dpisat.cli import main, random_positive_state
-from dpisat.divergences import MeasureSpec
-from dpisat.linalg import HermitianOperator, PositiveOperator, frobenius
+from dpisat.divergences import FAMILIES, MeasureSpec, measure_to_json, scaling_check
+from dpisat.linalg import HermitianOperator, PositiveOperator, frobenius, matrix_to_json
 
-from _fixtures import classical_kl
+from _fixtures import classical_kl, fuchs_caves, measure_suite
 
 PINCHING_SCENARIO = {
     "name": "pinching-relent",
@@ -1038,3 +1039,121 @@ class TestParserOncePerProcess:
         # None at import; then one top-level parser and its three subcommand
         # parsers, built once.
         assert done.stdout.split() == ["0", "0", "4", "1"]
+
+
+# The families of each row property, named here independently of the table.
+SCALING_LAW_FAMILIES = {"relative_entropy", "fidelity", "sandwiched_renyi", "alpha_z"}
+RENYI_FAMILIES = {"sandwiched_renyi", "alpha_z"}
+SUPPORT_LOG_FAMILIES = {"relative_entropy"}
+
+
+class TestFamilyTable:
+    """What the CLI and scaling_check accept and report for a measure is read
+    from its family's row."""
+
+    def test_suite_covers_every_family(self):
+        assert {m.family for m in measure_suite()} == set(FAMILIES)
+
+    @pytest.mark.parametrize("m", measure_suite(), ids=lambda m: "-".join(map(str, measure_to_json(m).values())))
+    def test_checks_follow_the_row(self, tmp_path, capsys, m):
+        row = m._row
+        assert (row.scaling is not None) == (m.family in SCALING_LAW_FAMILIES)
+        assert row.renyi == (m.family in RENYI_FAMILIES)
+        assert row.support_log == (m.family in SUPPORT_LOG_FAMILIES)
+
+        def run(checks, command="validate"):
+            scen = tmp_path / "scen.json"
+            write_scenarios(scen, [dict(RANDOM_SCENARIO, name="row", measure=measure_to_json(m),
+                                        checks=checks)])
+            out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+            return main([command, str(scen), *out])
+
+        assert run(["gap", "converse"]) == (0 if m.family in SCALING_LAW_FAMILIES else 2)
+        assert run(["gap", "alpha_z_crosscheck"]) == (0 if m.family in RENYI_FAMILIES else 2)
+        capsys.readouterr()
+
+        assert run(["gap", "boundary"], "run") == 0
+        detail = load_report(tmp_path / "out", "row")["checks"]["boundary"]
+        owned = {"zeros_log_norm", "hiai_norm"}
+        assert owned <= set(detail) if m.family in SUPPORT_LOG_FAMILIES else not owned & set(detail)
+
+        rho, sigma = positive_state(3, 42), positive_state(3, 43)
+        if m.family in RENYI_FAMILIES:
+            scaling_check(m, rho, sigma, 2.0, 0.5)
+        else:
+            with pytest.raises(ValueError, match="Renyi families only"):
+                scaling_check(m, rho, sigma, 2.0, 0.5)
+
+
+def fuchs_caves_scenario(n, measure):
+    c, rho, sigma = fuchs_caves(n)
+    return {
+        "name": "fuchs-caves", "measure": measure, "channel": channel_to_json(c),
+        "rho": matrix_to_json(rho), "sigma": matrix_to_json(sigma),
+        "checks": ["gap", "residual1", "residual2", "petz"],
+    }
+
+
+class TestSaturationWithoutRecovery:
+    """The Fuchs-Caves measurement keeps the fidelity of a non-commuting pair,
+    but its classical output recovers no rho: the fidelity saturates without
+    Petz recovery, so ``petz`` judges only sigma for it."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_fidelity_saturates_and_rho_is_unjudged(self, tmp_path, n):
+        scen = tmp_path / "scen.json"
+        write_scenarios(scen, [fuchs_caves_scenario(n, {"family": "fidelity"})])
+        assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 0
+        report = load_report(tmp_path / "out", "fuchs-caves")
+        assert abs(report["gap"]) <= 1e-13
+        assert report["residual1_frobenius"] <= 1e-13 and report["residual2_frobenius"] <= 1e-13
+        assert report["saturated"] is True
+        petz = report["checks"]["petz"]
+        assert petz["passed"] is True and petz["judged"] is False
+        assert petz["recovery_error_rho"] > 1e-2 and petz["recovery_error_sigma"] <= 1e-13
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("measure", [
+        {"family": "relative_entropy"},
+        {"family": "sandwiched_renyi", "alpha": 0.75},
+        {"family": "sandwiched_renyi", "alpha": 2.0},
+    ])
+    def test_recovering_families_do_not_saturate(self, tmp_path, n, measure):
+        scen = tmp_path / "scen.json"
+        write_scenarios(scen, [fuchs_caves_scenario(n, measure)])
+        assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 0
+        report = load_report(tmp_path / "out", "fuchs-caves")
+        assert report["gap"] > 1e-3 and report["saturated"] is False
+        assert "judged" not in report["checks"]["petz"]
+
+    def test_a_judged_rho_fails_when_saturation_does_not_recover_it(self, tmp_path, monkeypatch):
+        # The same run with the fidelity row claiming recovery fails petz:
+        # the unjudged verdict above comes from the row, not the numbers.
+        from dpisat.divergences import _FAMILY_TABLE
+
+        row = _FAMILY_TABLE["fidelity"]
+        monkeypatch.setitem(_FAMILY_TABLE, "fidelity", row._replace(recovers=lambda m: True))
+        scen = tmp_path / "scen.json"
+        write_scenarios(scen, [fuchs_caves_scenario(3, {"family": "fidelity"})])
+        assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 1
+        petz = load_report(tmp_path / "out", "fuchs-caves")["checks"]["petz"]
+        assert petz["passed"] is False and "judged" not in petz
+
+    @pytest.mark.parametrize("m,judged", [
+        (MeasureSpec.relative_entropy(), True),
+        (MeasureSpec.fidelity(), False),
+        (MeasureSpec.sandwiched_renyi(0.6), True),
+        (MeasureSpec.sandwiched_renyi(0.5), False),
+        (MeasureSpec.alpha_z(1.5, 1.5), True),
+        (MeasureSpec.alpha_z(1.5, 1.2), False),
+        (MeasureSpec.f_divergence("x_log_x"), True),
+        (MeasureSpec.f_divergence("neg_log"), True),
+        (MeasureSpec.f_divergence("power", alpha=0.5), True),
+        (MeasureSpec.f_divergence("power", alpha=1.5), True),
+        (MeasureSpec.f_divergence("power", alpha=2.0), False),
+        (MeasureSpec.f_divergence("chi_square"), False),
+        (MeasureSpec.f_divergence(calculus.power(1.5), caller_asserted=True), False),
+        (MeasureSpec("f_divergence", f_pair=calculus.power(1.5), f_name="power", f_asserted=True), False),
+    ])
+    def test_recovery_flag(self, m, judged):
+        assert m._row.recovers(m) is judged

@@ -39,6 +39,8 @@ from _fixtures import (
     random_psd_rank,
 )
 from dpisat.channels import apply, dephasing_pinching, depolarizing, unitary
+from dpisat.cli import random_positive_state
+from dpisat.saturation import dpi_gap
 
 from _fixtures import random_unitary
 
@@ -86,6 +88,42 @@ class TestMeasureSpecValidation:
         assert MeasureSpec.f_divergence("power", alpha=0.5).sign == -1
         assert MeasureSpec.f_divergence("power", alpha=1.5).sign == 1
         assert MeasureSpec.f_divergence("x_log_x").sign == 1
+
+    def test_sign_is_the_familys(self):
+        # A contradicting sign would flip every gap: relative entropy under
+        # depolarizing noise has gap +0.678 on this pair, never -0.678.
+        c = depolarizing(3, 0.4)
+        rho, sigma = (PositiveOperator(HermitianOperator(random_positive_state(3, s))) for s in (1, 2))
+        for build in (lambda **kw: MeasureSpec("relative_entropy", **kw),
+                      lambda **kw: MeasureSpec.f_divergence("x_log_x", **kw)):
+            with pytest.raises(ValueError, match="contradicts"):
+                build(sign=-1)
+            m = build(sign=1)
+            assert m.sign == 1 and dpi_gap(m, c, rho, sigma) == pytest.approx(0.678, abs=1e-3)
+        with pytest.raises(ValueError, match="contradicts"):
+            MeasureSpec.f_divergence("power", alpha=0.5, sign=1)
+        # replace passes the derived sign back.
+        m = dataclasses.replace(MeasureSpec.f_divergence("power", alpha=0.5), allow_non_dpi=True)
+        assert m.sign == -1 and m.allow_non_dpi
+        assert dataclasses.replace(MeasureSpec.fidelity()).sign == -1
+
+    def test_caller_asserted_f_may_give_its_own_sign(self):
+        pair = calculus.power(0.5)
+        assert MeasureSpec.f_divergence(pair, sign=1, caller_asserted=True).sign == 1
+        assert MeasureSpec.f_divergence(pair, sign=-1, caller_asserted=True).sign == -1
+        with pytest.raises(ValueError, match="contradicts"):
+            MeasureSpec.f_divergence("x_log_x", sign=-1, caller_asserted=False)
+        with pytest.raises(ValueError, match="sign must be"):
+            MeasureSpec.f_divergence(pair, sign=2, caller_asserted=True)
+
+    def test_a_parameter_outside_the_family_fields_is_rejected(self):
+        for kwargs in ({"family": "relative_entropy", "alpha": 0.5},
+                       {"family": "fidelity", "z": 0.5},
+                       {"family": "sandwiched_renyi", "alpha": 1.5, "z": 1.5}):
+            with pytest.raises(ValueError, match="takes no"):
+                MeasureSpec(**kwargs)
+        with pytest.raises(ValueError, match="takes no alpha"):
+            MeasureSpec.f_divergence("x_log_x", alpha=0.5)
 
     def test_custom_f_requires_assertion(self):
         pair = calculus.power(1.5)
