@@ -464,6 +464,8 @@ def measure_prepare(povm, states) -> KrausChannel:
     bridges ``sqrt(e t) |v><u|`` over the eigenpairs of ``E_i`` and
     ``tau_i`` with ``e, t > 1e-14``, ordered by ``i``, then ``u``, then ``v``.
     """
+    if not povm:
+        raise ValueError("need at least one POVM element")
     if len(povm) != len(states):
         raise ValueError("need one prepared state per POVM element")
     effects = [np.asarray(as_matrix(e), dtype=np.complex128) for e in povm]

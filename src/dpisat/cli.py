@@ -19,8 +19,9 @@ Commands
     Schema-check a scenario file without running anything.
 
 Check semantics (README.md has them in full): each check asserts an
-invariant of any valid configuration, and the measure's family row says
-which checks apply and what ``petz`` and ``boundary`` judge.
+invariant of any valid configuration and is one row of ``_CHECKS``, its
+verdict function and what it needs; the measure's family row says which
+checks apply and what ``petz`` and ``boundary`` judge.
 
 * ``gap`` >= -gap_tol; ``residual1`` and ``residual2`` vanish when
   |gap| <= gap_tol; ``converse``: a vanishing residual1 forces a vanishing gap;
@@ -52,6 +53,7 @@ import os
 import re
 import sys
 import tempfile
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -94,20 +96,6 @@ from .saturation import (
     tangent_space_rank,
 )
 
-KNOWN_CHECKS = (
-    "gap",
-    "residual1",
-    "residual2",
-    "converse",
-    "boundary",
-    "petz",
-    "alpha_z_crosscheck",
-    "tangent",
-)
-
-_FULL_RANK_CHECKS = ("residual1", "residual2", "petz", "converse", "alpha_z_crosscheck")
-# Checks judged against the gap: they fail alone when it cannot be evaluated.
-_GAP_CHECKS = ("gap", "boundary")
 # The most points a sweep grid may have.
 _MAX_GRID_POINTS = 10 ** 5
 
@@ -177,19 +165,16 @@ def _tolerance_arg(text: str) -> float:
 
 
 def _validate_checks(sc: Scenario, path: str):
-    """Every requested check must apply to the (measure, state-rank) combo."""
-    full_rank = sc.rho.rank == sc.rho.dim
-    family, row = sc.measure.family, sc.measure._row
-    for i, check in enumerate(sc.checks):
-        cpath = f"{path}.checks[{i}]"
-        if check not in KNOWN_CHECKS:
-            raise SchemaError(cpath, f"unknown check {check!r}")
-        if check in _FULL_RANK_CHECKS and not full_rank:
-            raise SchemaError(cpath, f"{check!r} needs a strictly positive rho")
-        if check == "converse" and row.scaling is None:
-            raise SchemaError(cpath, f"'converse' needs a scaling-law family, not {family!r}")
-        if check == "alpha_z_crosscheck" and not row.renyi:
-            raise SchemaError(cpath, f"'alpha_z_crosscheck' needs a Renyi family, not {family!r}")
+    """Every requested check must apply to the (measure, state-rank) combo,
+    as its row of ``_CHECKS`` says."""
+    for i, name in enumerate(sc.checks):
+        cpath, check = f"{path}.checks[{i}]", _CHECKS.get(name)
+        if check is None:
+            raise SchemaError(cpath, f"unknown check {name!r}")
+        if check.full_rank and sc.rho.rank < sc.rho.dim:
+            raise SchemaError(cpath, f"{name!r} needs a strictly positive rho")
+        if check.family and not getattr(sc.measure._row, check.family[0]):
+            raise SchemaError(cpath, f"{name!r} needs {check.family[1]}, not {sc.measure.family!r}")
 
 
 def _check_dims(channel: KrausChannel, rho, sigma, prefix: str = "") -> None:
@@ -207,23 +192,18 @@ def _build_scenario(obj, path: str, args, seed_override: int | None) -> Scenario
     name = obj["name"]
     if not isinstance(name, str) or not name.strip():
         raise SchemaError(f"{path}.name", "expected a non-empty string")
-    measure = measure_from_json(
-        obj["measure"], f"{path}.measure", allow_non_dpi=args.allow_non_dpi
-    )
+    measure = measure_from_json(obj["measure"], f"{path}.measure", allow_non_dpi=args.allow_non_dpi)
     channel = channel_from_json(obj["channel"], f"{path}.channel")
-    seeds = {}
-
-    rho_arr, rho_seed = _state_from_json(obj["rho"], f"{path}.rho", seed_override)
-    if rho_seed is not None:
-        seeds["rho"] = rho_seed
-    sigma_arr, sigma_seed = _state_from_json(obj["sigma"], f"{path}.sigma", seed_override)
-    if sigma_seed is not None:
-        seeds["sigma"] = sigma_seed
+    states, seeds = {}, {}
+    for key in ("rho", "sigma"):
+        states[key], seed = _state_from_json(obj[key], f"{path}.{key}", seed_override)
+        if seed is not None:
+            seeds[key] = seed
 
     with _schema_at(f"{path}.rho"):
-        rho_psd = PsdOperator(HermitianOperator(rho_arr))
+        rho_psd = PsdOperator(HermitianOperator(states["rho"]))
     with _schema_at(f"{path}.sigma"):
-        sigma = PositiveOperator(HermitianOperator(sigma_arr))
+        sigma = PositiveOperator(HermitianOperator(states["sigma"]))
 
     _check_dims(channel, rho_psd, sigma, f"{path}.")
 
@@ -232,22 +212,11 @@ def _build_scenario(obj, path: str, args, seed_override: int | None) -> Scenario
         raise SchemaError(f"{path}.checks", "expected a non-empty list of check names")
 
     gap_tol, residual_tol = _tolerances_from_json(obj.get("tolerances", {}), f"{path}.tolerances")
-    if args.tol_gap is not None:
-        gap_tol = args.tol_gap
-    if args.tol_residual is not None:
-        residual_tol = args.tol_residual
+    gap_tol = args.tol_gap if args.tol_gap is not None else gap_tol
+    residual_tol = args.tol_residual if args.tol_residual is not None else residual_tol
 
-    sc = Scenario(
-        name=name,
-        measure=measure,
-        channel=channel,
-        rho=rho_psd,
-        sigma=sigma,
-        checks=list(checks),
-        gap_tol=gap_tol,
-        residual_tol=residual_tol,
-        seeds=seeds,
-    )
+    sc = Scenario(name=name, measure=measure, channel=channel, rho=rho_psd, sigma=sigma,
+                  checks=list(checks), gap_tol=gap_tol, residual_tol=residual_tol, seeds=seeds)
     _validate_checks(sc, path)
     return sc
 
@@ -268,20 +237,19 @@ def _json_from(source: str, path: str, inline: bool = False):
 
 def _load_scenarios(file_path: str, args) -> list:
     doc = _json_from(file_path, file_path)
-    if isinstance(doc, dict):
-        items = [doc]
-    elif isinstance(doc, list):
-        items = doc
-    else:
-        raise SchemaError(file_path, "expected a scenario object or a list of them")
+    items = [doc] if isinstance(doc, dict) else doc
+    if not isinstance(items, list) or not items:
+        raise SchemaError(file_path, "expected a scenario object or a non-empty list of them")
     seed_override = _seed_override()
-    scenarios = [
-        _build_scenario(obj, f"scenario[{i}]", args, seed_override) for i, obj in enumerate(items)
-    ]
-    names = [sc.name for sc in scenarios]
-    if len(set(names)) != len(names):
-        raise SchemaError(file_path, "scenario names must be unique")
-    return scenarios
+    by_file = {}  # each scenario writes the report file of its name
+    for i, obj in enumerate(items):
+        sc = _build_scenario(obj, f"scenario[{i}]", args, seed_override)
+        fname = _report_filename(sc.name)
+        if fname in by_file:
+            raise SchemaError(f"scenario[{i}].name", f"scenarios {by_file[fname].name!r} and {sc.name!r} "
+                              f"share the report file {fname!r}; report file names must be unique")
+        by_file[fname] = sc
+    return list(by_file.values())
 
 
 # ---------------------------------------------------------------------------
@@ -300,21 +268,115 @@ def _report_header(sc: Scenario, **fields) -> dict:
     }
 
 
+# What a check's verdict reads: the scenario, its report dict, the gap,
+# whether |gap| <= gap_tol, the SaturationReport (None on the boundary) and
+# the pairs (rho, sigma), (L rho, L sigma).
+_Context = namedtuple("_Context", "sc report gap saturated_here core pairs")
+
+
+def _gap_check(ctx):
+    return ctx.gap >= -ctx.sc.gap_tol, {"value": ctx.gap}
+
+
+def _residual_check(side: str, ctx):
+    norm = ctx.report[f"{side}_frobenius"]
+    return not ctx.saturated_here or norm <= ctx.sc.residual_tol, {"norm": norm}
+
+
+def _converse_check(ctx):
+    """The family's scaling law verifies on the report's pair, and a vanishing
+    residual1 comes with a vanishing gap."""
+    sc, core = ctx.sc, ctx.core
+    try:
+        _require_scaling_law(sc.measure, core.pairs[0])
+        cert = _converse_verdict(core.residual1_frobenius, core.gap, sc.residual_tol, sc.gap_tol)
+    except ConverseViolationError as exc:
+        return False, {"error": str(exc)}
+    return True, {"residual1_norm": cert.residual1_norm, "gap": cert.gap,
+                  "implied_gap_zero": cert.implied_gap_zero}
+
+
+def _petz_check(ctx):
+    """sigma is recovered, and so is rho at saturation when the family's row
+    says saturation implies recovery (otherwise ``"judged": false``)."""
+    m, report = ctx.sc.measure, ctx.report
+    err_rho, err_sigma = report["petz_recovery_error_rho"], report["petz_recovery_error_sigma"]
+    detail = {"recovery_error_rho": err_rho, "recovery_error_sigma": err_sigma}
+    judged = m._row.recovers(m)
+    if not judged:
+        detail["judged"] = False
+    return err_sigma <= 1e-9 and not (judged and ctx.saturated_here and err_rho > 1e-7), detail
+
+
+def _boundary_check(ctx):
+    """Boundary residuals on the pairs ``(rho, sigma)``, ``(L rho, L sigma)``
+    already taken: the report's, or the boundary pairs of its gap.
+
+    The tangent-space gradient residual (``general_norm``) applies to every
+    family. The support-logarithm residuals (``zeros_log_norm``,
+    ``hiai_norm``) are recoverability conditions of the relative entropy;
+    saturating another family, the fidelity say, does not imply
+    recoverability, so only a family whose row owns them reports them."""
+    sc, pairs = ctx.sc, ctx.pairs
+    res_general = _boundary_residual_general(sc.measure, sc.channel, *pairs)
+    detail: dict = {"general_norm": frobenius(res_general)}
+    if sc.measure._row.support_log:
+        detail["zeros_log_norm"] = frobenius(_boundary_residual_relent(sc.channel, *pairs))
+        detail["hiai_norm"] = float(np.linalg.norm(_hiai_residual(sc.channel, *pairs)))
+    passed = True
+    if ctx.core is not None:
+        reduction = float(np.linalg.norm(res_general - ctx.core.residual1.matrix))
+        detail["full_rank_reduction_error"] = reduction
+        passed = reduction <= 1e-9
+    if ctx.saturated_here:
+        passed = passed and all(v <= sc.residual_tol for k, v in detail.items() if k.endswith("_norm"))
+    return passed, detail
+
+
+def _alpha_z_check(ctx):
+    """Three published alpha-z conditions, the first the report's residual1."""
+    sc, core = ctx.sc, ctx.core
+    detail = asdict(_alpha_z_crosscheck(sc.channel, *core.pairs, sc.measure, core.residual1_frobenius))
+    return not ctx.saturated_here or all(n <= sc.residual_tol for n in detail.values()), detail
+
+
+def _tangent_check(ctx):
+    rho = ctx.sc.rho
+    rank, expected = tangent_space_rank(rho), rho.dim ** 2 - (rho.dim - rho.rank) ** 2
+    return rank == expected, {"measured": rank, "expected": expected}
+
+
+# One check of ``run``: its verdict ``run(ctx) -> (passed, detail)`` and what
+# it needs: a strictly positive rho (``full_rank``), the gap (``on_gap``: it
+# fails alone, with a reason, when the gap cannot be evaluated), the Petz
+# errors (``petz``), a family-row column and the phrase naming it (``family``).
+_Check = namedtuple("_Check", "run full_rank on_gap petz family", defaults=(False, False, False, ()))
+
+_CHECKS = {
+    "gap": _Check(_gap_check, on_gap=True),
+    "residual1": _Check(functools.partial(_residual_check, "residual1"), full_rank=True),
+    "residual2": _Check(functools.partial(_residual_check, "residual2"), full_rank=True),
+    "converse": _Check(_converse_check, full_rank=True, family=("scaling", "a scaling-law family")),
+    "boundary": _Check(_boundary_check, on_gap=True),
+    "petz": _Check(_petz_check, full_rank=True, petz=True),
+    "alpha_z_crosscheck": _Check(_alpha_z_check, full_rank=True, family=("renyi", "a Renyi family")),
+    "tangent": _Check(_tangent_check),
+}
+
+
 def _execute_scenario(sc: Scenario, dump_matrices: bool) -> dict:
-    checks_out = {}
-    tolerances = {"gap_tol": sc.gap_tol, "residual_tol": sc.residual_tol}
-    report = _report_header(sc, tolerances=tolerances, seeds=sc.seeds,
-                            grad2_method=grad2_method(sc.measure))
+    report = _report_header(sc, tolerances={"gap_tol": sc.gap_tol, "residual_tol": sc.residual_tol},
+                            seeds=sc.seeds, grad2_method=grad2_method(sc.measure))
 
     gap = gap_error = core = pairs = None
     if sc.rho.rank == sc.rho.dim:
         # The Petz errors cost two adjoints and (L sigma)^{-1/2}, and their
         # trace-preservation check raises once cond(L sigma) is large; only
-        # evaluate them when the scenario asks for them.
+        # evaluate them when a requested check reads them.
         core = build_report(
             sc.measure, sc.channel, PositiveOperator(sc.rho), sc.sigma,
             gap_tol=sc.gap_tol, residual_tol=sc.residual_tol,
-            with_petz="petz" in sc.checks,
+            with_petz=any(_CHECKS[name].petz for name in sc.checks),
         )
         gap, pairs = core.gap, core.pairs
         report.update(report_to_json(core, include_matrices=dump_matrices))
@@ -326,79 +388,16 @@ def _execute_scenario(sc: Scenario, dump_matrices: bool) -> dict:
             gap_error = f"gap could not be evaluated: {exc}"
         report.update(gap=gap, residual1_frobenius=None, residual2_frobenius=None, saturated=None)
 
-    saturated_here = gap is not None and abs(gap) <= sc.gap_tol
-
-    for check in sc.checks:
-        detail: dict = {}
-        passed = True
-        if gap_error is not None and check in _GAP_CHECKS:
-            detail["reason"] = gap_error
-            passed = False
-        elif check == "gap":
-            detail["value"] = gap
-            passed = gap >= -sc.gap_tol
-        elif check in ("residual1", "residual2"):
-            detail["norm"] = norm = report[f"{check}_frobenius"]
-            passed = (not saturated_here) or norm <= sc.residual_tol
-        elif check == "converse":
-            try:
-                _require_scaling_law(sc.measure, core.pairs[0])
-                cert = _converse_verdict(core.residual1_frobenius, core.gap, sc.residual_tol, sc.gap_tol)
-                detail.update(residual1_norm=cert.residual1_norm, gap=cert.gap,
-                              implied_gap_zero=cert.implied_gap_zero)
-            except ConverseViolationError as exc:
-                detail["error"] = str(exc)
-                passed = False
-        elif check == "petz":
-            err_sigma = report["petz_recovery_error_sigma"]
-            err_rho = report["petz_recovery_error_rho"]
-            detail.update({"recovery_error_rho": err_rho, "recovery_error_sigma": err_sigma})
-            judged = sc.measure._row.recovers(sc.measure)
-            if not judged:
-                detail["judged"] = False
-            passed = err_sigma <= 1e-9 and not (judged and saturated_here and err_rho > 1e-7)
-        elif check == "boundary":
-            passed, detail = _boundary_check(sc, saturated_here, core, pairs)
-        elif check == "alpha_z_crosscheck":
-            res = _alpha_z_crosscheck(sc.channel, *core.pairs, sc.measure, core.residual1_frobenius)
-            detail.update(asdict(res))  # the three residual norms
-            passed = (not saturated_here) or all(n <= sc.residual_tol for n in detail.values())
-        elif check == "tangent":
-            n, k = sc.rho.dim, sc.rho.dim - sc.rho.rank
-            rank = tangent_space_rank(sc.rho)
-            detail.update({"measured": rank, "expected": n * n - k * k})
-            passed = rank == n * n - k * k
-        checks_out[check] = {"passed": bool(passed), **detail}
+    ctx = _Context(sc, report, gap, gap is not None and abs(gap) <= sc.gap_tol, core, pairs)
+    checks_out = {}
+    for name in sc.checks:
+        check = _CHECKS[name]
+        passed, detail = (False, {"reason": gap_error}) if gap_error and check.on_gap else check.run(ctx)
+        checks_out[name] = {"passed": bool(passed), **detail}
 
     report["checks"] = checks_out
     report["passed"] = all(c["passed"] for c in checks_out.values())
     return report
-
-
-def _boundary_check(sc: Scenario, saturated_here: bool, core, pairs):
-    """Boundary residuals on the pairs ``(rho, sigma)``, ``(L rho, L sigma)``
-    already taken: the report's, or the boundary pairs of its gap.
-
-    The tangent-space gradient residual (``general_norm``) applies to every
-    family. The support-logarithm residuals (``zeros_log_norm``,
-    ``hiai_norm``) are recoverability conditions of the relative entropy;
-    saturating another family, the fidelity say, does not imply
-    recoverability, so only a family whose row owns them reports them."""
-    res_general = _boundary_residual_general(sc.measure, sc.channel, *pairs)
-    detail: dict = {"general_norm": frobenius(res_general)}
-    if sc.measure._row.support_log:
-        detail["zeros_log_norm"] = frobenius(_boundary_residual_relent(sc.channel, *pairs))
-        detail["hiai_norm"] = float(np.linalg.norm(_hiai_residual(sc.channel, *pairs)))
-    passed = True
-    if core is not None:
-        reduction = float(np.linalg.norm(res_general - core.residual1.matrix))
-        detail["full_rank_reduction_error"] = reduction
-        passed = reduction <= 1e-9
-    if saturated_here:
-        passed = passed and all(
-            val <= sc.residual_tol for key, val in detail.items() if key.endswith("_norm")
-        )
-    return passed, detail
 
 
 # ---------------------------------------------------------------------------
@@ -448,12 +447,9 @@ def _cmd_run(args) -> int:
             report = _report_header(sc, error=str(exc), passed=False, checks={})
         out_path = os.path.join(args.out, _report_filename(sc.name))
         _write_atomic(out_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
-        status = "PASS" if report["passed"] else "FAIL"
-        failed = [name for name, c in report.get("checks", {}).items() if not c["passed"]]
-        suffix = f" ({', '.join(failed)})" if failed else ""
-        if "error" in report:
-            suffix = f" (error: {report['error']})"
-        print(f"{sc.name}: {status}{suffix}")
+        failed = ", ".join(name for name, c in report["checks"].items() if not c["passed"])
+        why = f"error: {report['error']}" if "error" in report else failed
+        print(f"{sc.name}: {'PASS' if report['passed'] else 'FAIL'}" + (f" ({why})" if why else ""))
         all_passed = all_passed and report["passed"]
     return 0 if all_passed else 1
 

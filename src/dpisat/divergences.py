@@ -193,7 +193,7 @@ class _Pair:
 
     def __init__(self, rho, sigma):
         self.rho, self.sigma = rho, sigma
-        self._cores = {}
+        self._cores, self._fdiv = {}, {}
 
     def core(self, gamma: float, p: float):
         """``(s^gamma, X)``, ``X = s^gamma r^p s^gamma``: the alpha-z core at
@@ -221,6 +221,20 @@ class _Pair:
         s_g, x = self.core(gamma, p)
         s_outer = s_g if outer == gamma else _powm(self.sigma, outer)
         return s_outer @ _powm(x, exponent) @ s_outer
+
+    def fdiv_table(self, pair: ScalarFunctionPair):
+        """``(x, f(x), f'(x))`` with ``x = p_a/mu_k``, formed once per ``pair``
+        and shared by the f-divergence value and both gradients; at a
+        vanishing ``p_a`` the continuous extension ``f(0+)`` and 0 stand in."""
+        if pair not in self._fdiv:
+            p, _, _, mu, _, _, _ = self.overlap
+            pos = p > 0.0
+            if not pos.all() and pair.value_at_zero is None:
+                raise ValueError(f"f-divergence {pair.name!r} has no continuous extension at 0")
+            x = p[None, :] / mu[:, None]
+            fx, fpx = _on_support(pair.f, x, pos, pair.value_at_zero), _on_support(pair.f_prime, x, pos, 0.0)
+            self._fdiv[pair] = x, fx, fpx
+        return self._fdiv[pair]
 
     @cached_property
     def kernel(self) -> int:
@@ -267,22 +281,11 @@ def _on_support(func, x: np.ndarray, pos: np.ndarray, at_zero: float) -> np.ndar
     return out
 
 
-def _fdiv_ratios(pair: ScalarFunctionPair, pt: _Pair):
-    """``x = p_a/mu_k`` and the columns ``pos`` of nonzero ``p_a``; a vanishing
-    ``p_a`` needs the continuous extension ``f(0+)``."""
-    p, _, _, mu, _, _, _ = pt.overlap
-    pos = p > 0.0
-    if not pos.all() and pair.value_at_zero is None:
-        raise ValueError(f"f-divergence {pair.name!r} has no continuous extension at 0")
-    return p[None, :] / mu[:, None], pos
-
-
 def _fdiv_value(pair: ScalarFunctionPair, pt: _Pair) -> float:
     """``sum_{k,a} mu_k f(p_a/mu_k) |W_ka|^2`` with ``W = V_s^H V_r``; ``f(0+)``
     stands in at vanishing ``p_a``."""
-    p, _, _, mu, _, _, w = pt.overlap
-    x, pos = _fdiv_ratios(pair, pt)
-    fx = _on_support(pair.f, x, pos, pair.value_at_zero)
+    _, _, _, mu, _, _, w = pt.overlap
+    fx = pt.fdiv_table(pair)[1]
     return float(np.sum(mu[:, None] * fx * np.abs(w) ** 2))
 
 
@@ -351,9 +354,7 @@ def _fdiv_grad(pair: ScalarFunctionPair, pt: _Pair, slot: int) -> np.ndarray:
     kernel-kernel block, which the tangent space of the PSD cone drops.
     """
     p, rid, vr, mu, sid, vs, w = pt.overlap
-    x, pos = _fdiv_ratios(pair, pt)
-    fx = _on_support(pair.f, x, pos, pair.value_at_zero)
-    fpx = _on_support(pair.f_prime, x, pos, 0.0)
+    x, fx, fpx = pt.fdiv_table(pair)
     vals = mu[:, None] * fx
     if slot == 1:
         g = np.einsum("ka,kb,kab->ab", w.conj(), w, _loewner_matrix(p, rid, vals, fpx))

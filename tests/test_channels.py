@@ -221,6 +221,10 @@ class TestBuilders:
         with pytest.raises(ValueError, match="trace"):
             measure_prepare(povm, states)
 
+    def test_measure_prepare_rejects_empty_povm(self):
+        with pytest.raises(ValueError, match="need at least one POVM element"):
+            measure_prepare([], [])
+
 
 def random_povm(g, n: int, k: int) -> list:
     """k random full-rank effects summing to the identity, the last one by
@@ -350,6 +354,11 @@ class TestChannelJson:
         c = channel_from_json({"builder": "depolarizing", "dim": 2, "p": 0.5})
         out = apply(c, HermitianOperator(np.diag([0.9, 0.1]).astype(complex)))
         np.testing.assert_allclose(out.matrix, np.diag([0.7, 0.3]), atol=1e-12)
+
+    def test_empty_povm_is_a_schema_error(self):
+        with pytest.raises(SchemaError) as err:
+            channel_from_json({"builder": "measure_prepare", "povm": [], "states": []}, "channel")
+        assert (err.value.path, err.value.reason) == ("channel", "need at least one POVM element")
 
     def test_unknown_builder(self):
         with pytest.raises(SchemaError, match="builder"):

@@ -9,6 +9,7 @@ import pytest
 import dpisat.saturation as sat
 from dpisat import calculus
 from dpisat.channels import channel_to_json, depolarizing
+import dpisat.cli as cli
 from dpisat.cli import main, random_positive_state
 from dpisat.divergences import FAMILIES, MeasureSpec, measure_to_json, scaling_check
 from dpisat.linalg import HermitianOperator, PositiveOperator, frobenius, matrix_to_json
@@ -499,6 +500,37 @@ class TestSchemaErrors:
         write_scenarios(scen, [PINCHING_SCENARIO, PINCHING_SCENARIO])
         assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 2
         assert "unique" in capsys.readouterr().err
+
+    def test_names_that_share_a_report_file(self, tmp_path, capsys):
+        # Each run of characters outside [A-Za-z0-9._-] becomes "_" in the
+        # report file name, so "a b" and "a_b" would write one file.
+        scen, out = tmp_path / "scen.json", tmp_path / "out"
+        write_scenarios(scen, [dict(PINCHING_SCENARIO, name="a b"), dict(PINCHING_SCENARIO, name="a_b")])
+        for command in (["validate", str(scen)], ["run", str(scen), "--out", str(out)]):
+            assert main(command) == 2
+            assert capsys.readouterr().err == (
+                "schema error at scenario[1].name: scenarios 'a b' and 'a_b' share the report file "
+                "'a_b.json'; report file names must be unique\n")
+        assert not out.exists()
+
+    def test_empty_scenario_list(self, tmp_path, capsys):
+        scen, out = tmp_path / "scen.json", tmp_path / "out"
+        write_scenarios(scen, [])
+        for command in (["validate", str(scen)], ["run", str(scen), "--out", str(out)]):
+            assert main(command) == 2
+            assert capsys.readouterr().err == (
+                f"schema error at {scen}: expected a scenario object or a non-empty list of them\n")
+        assert not out.exists()
+
+    def test_empty_povm(self, tmp_path, capsys):
+        scen, out = tmp_path / "scen.json", tmp_path / "out"
+        channel = {"builder": "measure_prepare", "povm": [], "states": []}
+        write_scenarios(scen, [dict(PINCHING_SCENARIO, channel=channel)])
+        for command in (["validate", str(scen)], ["run", str(scen), "--out", str(out)]):
+            assert main(command) == 2
+            assert capsys.readouterr().err == (
+                "schema error at scenario[0].channel: need at least one POVM element\n")
+        assert not out.exists()
 
 
 SQUARE = {"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
@@ -1039,6 +1071,63 @@ class TestParserOncePerProcess:
         # None at import; then one top-level parser and its three subcommand
         # parsers, built once.
         assert done.stdout.split() == ["0", "0", "4", "1"]
+
+
+# What each check needs, named here independently of the check table.
+FULL_RANK_CHECKS = {"residual1", "residual2", "converse", "petz", "alpha_z_crosscheck"}
+GAP_CHECKS = {"gap", "boundary"}
+FAMILY_CHECKS = {"converse": "a scaling-law family", "alpha_z_crosscheck": "a Renyi family"}
+
+
+class TestCheckTable:
+    """Each row of cli._CHECKS says what its check needs, and the schema
+    errors and the report follow the row."""
+
+    def test_rows(self):
+        assert set(cli._CHECKS) == {"gap", "residual1", "residual2", "converse", "boundary", "petz",
+                                    "alpha_z_crosscheck", "tangent"}
+
+    @pytest.mark.parametrize("name", list(cli._CHECKS))
+    def test_inapplicable_check_is_a_schema_error(self, tmp_path, capsys, name):
+        def validate(scenario):
+            scen = tmp_path / "scen.json"
+            write_scenarios(scen, [dict(scenario, checks=["gap", name])])
+            return main(["validate", str(scen)]), capsys.readouterr().err
+
+        at = "schema error at scenario[0].checks[1]: "
+        rank_deficient = validate(BOUNDARY_SCENARIO)
+        if name in FULL_RANK_CHECKS:
+            assert rank_deficient == (2, f"{at}{name!r} needs a strictly positive rho\n")
+        else:
+            assert rank_deficient == (0, "")
+        no_column = validate(dict(RANDOM_SCENARIO, measure={"family": "f_divergence", "f": "x_log_x"}))
+        if name in FAMILY_CHECKS:
+            assert no_column == (2, f"{at}{name!r} needs {FAMILY_CHECKS[name]}, not 'f_divergence'\n")
+        else:
+            assert no_column == (0, "")
+
+    @pytest.mark.parametrize("name", list(cli._CHECKS))
+    def test_report_follows_the_row(self, tmp_path, name):
+        scen, out = tmp_path / "scen.json", tmp_path / "out"
+        write_scenarios(scen, [dict(RANDOM_SCENARIO, checks=[name])])
+        assert main(["run", str(scen), "--out", str(out)]) == 0
+        rep = load_report(out, RANDOM_SCENARIO["name"])
+        # Only a check that reads the Petz errors has the report evaluate them.
+        assert (rep["petz_recovery_error_sigma"] is not None) == (name == "petz")
+        if name not in FULL_RANK_CHECKS:
+            # neg_log has no value at a rank-deficient rho: a check judged
+            # against the gap fails alone with the reason, any other passes.
+            measure = {"family": "f_divergence", "f": "neg_log"}
+            write_scenarios(scen, [dict(BOUNDARY_SCENARIO, measure=measure, checks=[name])])
+            assert main(["run", str(scen), "--out", str(out)]) == (1 if name in GAP_CHECKS else 0)
+            detail = load_report(out, BOUNDARY_SCENARIO["name"])["checks"][name]
+            assert ("reason" in detail) == (name in GAP_CHECKS) == (not detail["passed"])
+
+    def test_unknown_check(self, tmp_path, capsys):
+        scen = tmp_path / "scen.json"
+        write_scenarios(scen, [dict(PINCHING_SCENARIO, checks=["gap", "telepathy"])])
+        assert main(["validate", str(scen)]) == 2
+        assert capsys.readouterr().err == "schema error at scenario[0].checks[1]: unknown check 'telepathy'\n"
 
 
 # The families of each row property, named here independently of the table.

@@ -576,6 +576,31 @@ class TestSinglePassReport:
         rep = build_report(MeasureSpec.relative_entropy(), c, rho, sigma, with_petz=False)
         assert rep.petz_recovery_error_rho is None
 
+    def test_f_divergence_calls_f_and_f_prime_once_per_entry(self):
+        # The value and both gradients share each pair's table of f(p_a/mu_k)
+        # and f'(p_a/mu_k): one call per entry of the n x n ratio table.
+        from dpisat.calculus import X_LOG_X, ScalarFunctionPair
+
+        calls = {"f": 0, "f_prime": 0}
+
+        def counted(name, func):
+            def wrapper(x):
+                calls[name] += 1
+                return func(x)
+            return wrapper
+
+        pair = ScalarFunctionPair("counted_x_log_x", counted("f", X_LOG_X.f), counted("f_prime", X_LOG_X.f_prime),
+                                  domain=X_LOG_X.domain, value_at_zero=X_LOG_X.value_at_zero)
+        m = MeasureSpec.f_divergence(pair, caller_asserted=True)
+        for _, c, rho, sigma in self._cases():
+            calls.update(f=0, f_prime=0)  # the pair's self-check at construction called both
+            rep = build_report(m, c, rho, sigma)
+            entries = 2 * rho.dim ** 2  # (rho, sigma) and its image, both n x n here
+            assert calls == {"f": entries, "f_prime": entries}
+            ref = build_report(MeasureSpec.f_divergence("x_log_x"), c, rho, sigma)
+            assert (rep.gap, rep.residual1_frobenius, rep.residual2_frobenius) == (
+                ref.gap, ref.residual1_frobenius, ref.residual2_frobenius)
+
 
 # Every spec with a value on the boundary, that is with f(0+).
 BOUNDARY_SPECS = [m for m in measure_suite() if m.f_name != "neg_log"]
