@@ -7,9 +7,12 @@ operator ``A = sum_j lambda_j P_j`` acting on a Hermitian direction ``M`` is
              + sum_{j != k} [(f(lambda_j) - f(lambda_k)) / (lambda_j - lambda_k)] P_j M P_k,
 
 i.e. first divided differences off the diagonal blocks and ``f'`` on them.
-Eigenvalue clustering happens upstream (see :mod:`dpisat.linalg`); once two
-eigenvalues have been merged, the ``f'`` branch is used for their block, so
-this module needs no secondary degeneracy threshold.
+One Frechet path, ``_frechet(spectrum, pair, direction)``, serves
+:func:`frechet_derivative` and every closed-form gradient. Eigenvalue
+clustering is decided in :mod:`dpisat.linalg`; a clustered eigensystem gives
+each eigenvalue its cluster's representative, so the ``f'`` branch is taken
+where representatives are equal, and this module reads no cluster ids and
+needs no secondary degeneracy threshold.
 
 Also provided: central finite-difference oracles for both the Frechet
 derivative and scalar gradients, and the dualization that turns a linear
@@ -232,39 +235,49 @@ def dualize(sample: LinearFunctionalSample) -> HermitianOperator:
     return hermitize(out)
 
 
-def _pair_values(reps: np.ndarray, pair: ScalarFunctionPair):
-    """``f`` and ``f'`` at the cluster representatives, domain-checked first."""
+def _pair_values(x: np.ndarray, pair: ScalarFunctionPair, at_zero: float | None = None):
+    """``f`` and ``f'`` at every entry of ``x``. Given ``at_zero``, an entry
+    equal to 0 takes ``(at_zero, 0)``; every other entry must lie in the
+    pair's domain, where both values must be finite."""
+    live = None if at_zero is None else x != 0.0
+    pts = x if live is None or live.all() else x[live]
     lo, hi = pair.domain
-    for rep in reps.tolist():
-        if not lo < rep < hi:
-            raise MatrixFunctionDomainError(rep, f"{pair.name} is undefined at eigenvalue {rep!r}")
+    inside = (lo < pts) & (pts < hi)
+    if not inside.all():
+        bad = float(pts[~inside][0])
+        raise MatrixFunctionDomainError(bad, f"{pair.name} is undefined at {bad!r}")
     with np.errstate(all="ignore"):
-        fvals, fpvals = _scalar_values(pair.f, reps), _scalar_values(pair.f_prime, reps)
-    bad = ~(np.isfinite(fvals) & np.isfinite(fpvals))
-    if bad.any():
-        rep = float(reps[bad][0])
-        raise MatrixFunctionDomainError(
-            rep, f"{pair.name} or its derivative is undefined at eigenvalue {rep!r}"
-        )
-    return fvals, fpvals
+        fvals, fpvals = _scalar_values(pair.f, pts), _scalar_values(pair.f_prime, pts)
+    finite = np.isfinite(fvals) & np.isfinite(fpvals)
+    if not finite.all():
+        bad = float(pts[~finite][0])
+        raise MatrixFunctionDomainError(bad, f"{pair.name} or its derivative is undefined at {bad!r}")
+    if pts is x:
+        return fvals, fpvals
+    fx, fpx = np.full(x.shape, float(at_zero)), np.zeros(x.shape)
+    fx[live], fpx[live] = fvals, fpvals
+    return fx, fpx
 
 
-def _loewner_matrix(reps, ids, fvals, fpvals) -> np.ndarray:
+def _loewner_matrix(reps, fvals, fpvals) -> np.ndarray:
     """Divided-difference kernel ``[..., n, n]`` from ``f``/``f'`` at the cluster
     representatives ``reps``, batched over any leading axes of ``fvals``/``fpvals``
-    (the f-divergence gradients use one). Same cluster -> f'; distinct clusters
-    -> first divided difference."""
-    same = ids[:, None] == ids[None, :]
+    (the f-divergence gradients use one). Equal representatives -> f', distinct
+    -> first divided difference; they are equal exactly within a cluster, as
+    clusters are split by more than the tolerance and a mean lies inside its run."""
+    same = reps[:, None] == reps[None, :]
     denom = np.where(same, 1.0, reps[:, None] - reps[None, :])
     kernel = (fvals[..., :, None] - fvals[..., None, :]) / denom
     return np.where(same, fpvals[..., :, None], kernel)
 
 
-def _frechet(reps, ids, v, fvals, fpvals, m: np.ndarray) -> np.ndarray:
+def _frechet(spectrum, pair: ScalarFunctionPair, m: np.ndarray, at_zero: float | None = None) -> np.ndarray:
     """``V (K o V^H M V) V^H``, symmetrized: the Frechet derivative along ``m``
-    of the spectral function with values ``fvals``/``fpvals`` at the cluster
-    representatives ``reps`` of a clustered eigensystem, K its Loewner kernel."""
-    kernel = _loewner_matrix(reps, ids, fvals, fpvals)
+    of the matrix function of ``pair`` at the clustered eigensystem
+    ``spectrum = (reps, V)``, K its Loewner kernel from :func:`_pair_values`
+    (``at_zero`` as there)."""
+    reps, v = spectrum
+    kernel = _loewner_matrix(reps, *_pair_values(reps, pair, at_zero))
     return _symmetrized(v @ (kernel * (v.conj().T @ m @ v)) @ v.conj().T)
 
 
@@ -277,8 +290,8 @@ def frechet_derivative(A, M, fp: ScalarFunctionPair,
     a, m = as_matrix(A), as_matrix(M)
     if a.shape != m.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {m.shape}")
-    reps, ids, v = clustered_eigensystem(A, cluster_tol)
-    return hermitize(_frechet(reps, ids, v, *_pair_values(reps, fp), m))
+    # (reps, vectors): equal representatives mark a cluster, so its ids are not read.
+    return hermitize(_frechet(clustered_eigensystem(A, cluster_tol)[::2], fp, m))
 
 
 def finite_difference_frechet(A, M, f, h: float = 1e-5) -> HermitianOperator:

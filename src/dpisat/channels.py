@@ -42,6 +42,7 @@ import numpy as np
 from .linalg import (
     HermitianOperator,
     SchemaError,
+    _builder_dim,
     _eigh,
     _fields,
     _number,
@@ -526,8 +527,8 @@ def _builder_from_json(obj: dict, path: str) -> KrausChannel:
     def fields(*required, optional=()) -> dict:
         return _fields(obj, path, required, ("builder",) + optional)
 
-    def dim(key: str = "dim") -> int:
-        return _positive_int(obj[key], f"{path}.{key}")
+    def dim(key: str = "dim", factor: int = 1) -> int:
+        return _builder_dim(obj[key], f"{path}.{key}", factor)
 
     if name == "identity":
         fields("dim")
@@ -550,7 +551,8 @@ def _builder_from_json(obj: dict, path: str) -> KrausChannel:
         return dephasing_pinching(basis, _number(obj.get("p", 1.0), f"{path}.p"))
     if name == "partial_trace":
         fields("dim_a", "dim_b", "keep")
-        return partial_trace(dim("dim_a"), dim("dim_b"), obj["keep"])
+        dim_a = dim("dim_a")
+        return partial_trace(dim_a, dim("dim_b", dim_a), obj["keep"])
     if name == "measure_prepare":
         fields("povm", "states")
         povm_json, states_json = obj["povm"], obj["states"]

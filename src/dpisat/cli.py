@@ -72,6 +72,7 @@ from .linalg import (
     PositiveOperator,
     PsdOperator,
     SchemaError,
+    _builder_dim,
     _fields,
     _number,
     _positive_int,
@@ -98,6 +99,14 @@ from .saturation import (
 
 # The most points a sweep grid may have.
 _MAX_GRID_POINTS = 10 ** 5
+
+# ``petz`` passes when each Petz recovery error is at most this factor times
+# the Frobenius norm of its state, a rule that scaling both states keeps.
+_PETZ_SIGMA_REL_TOL = 1e-9
+_PETZ_RHO_REL_TOL = 1e-7
+
+# The longest report file name, in bytes, that common file systems take.
+_MAX_REPORT_NAME_BYTES = 255
 
 
 @dataclass
@@ -141,7 +150,7 @@ def _state_from_json(obj, path: str, seed_override: int | None):
         return np.diag(np.asarray(values, dtype=np.complex128)), None
     if name == "random_pos":
         _fields(obj, path, ("builder", "dim", "seed"))
-        dim = _positive_int(obj["dim"], f"{path}.dim")
+        dim = _builder_dim(obj["dim"], f"{path}.dim")
         seed = _positive_int(obj["seed"], f"{path}.seed", "a non-negative integer seed", least=0)
         if seed_override is not None:
             seed = seed_override
@@ -245,6 +254,10 @@ def _load_scenarios(file_path: str, args) -> list:
     for i, obj in enumerate(items):
         sc = _build_scenario(obj, f"scenario[{i}]", args, seed_override)
         fname = _report_filename(sc.name)
+        size = len(fname.encode())
+        if size > _MAX_REPORT_NAME_BYTES:
+            raise SchemaError(f"scenario[{i}].name",
+                              f"the report file name has {size} bytes, more than {_MAX_REPORT_NAME_BYTES}")
         if fname in by_file:
             raise SchemaError(f"scenario[{i}].name", f"scenarios {by_file[fname].name!r} and {sc.name!r} "
                               f"share the report file {fname!r}; report file names must be unique")
@@ -305,7 +318,8 @@ def _petz_check(ctx):
     judged = m._row.recovers(m)
     if not judged:
         detail["judged"] = False
-    return err_sigma <= 1e-9 and not (judged and ctx.saturated_here and err_rho > 1e-7), detail
+    rho_lost = judged and ctx.saturated_here and err_rho > _PETZ_RHO_REL_TOL * frobenius(ctx.sc.rho)
+    return err_sigma <= _PETZ_SIGMA_REL_TOL * frobenius(ctx.sc.sigma) and not rho_lost, detail
 
 
 def _boundary_check(ctx):

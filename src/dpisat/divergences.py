@@ -27,6 +27,11 @@ either argument, is closed form; the f-divergence ones use the Petz form
 Beny, Rev. Math. Phys. 23, 2011). At a rank-deficient first state, every
 family with a value on the boundary has its first gradient in closed form on
 the tangent space of the PSD cone.
+
+A state pair clusters the spectra of rho and sigma once, in
+``_Pair.spectrum``; the f-divergence table and every closed-form gradient
+read them, the Frechet ones through ``calculus._frechet(spectrum, pair,
+direction)``.
 """
 
 from __future__ import annotations
@@ -59,7 +64,6 @@ from .linalg import (
     _logm,
     _number,
     _powm,
-    _scalar_values,
     _schema_at,
     _spectral_map,
     _spectrum,
@@ -193,7 +197,7 @@ class _Pair:
 
     def __init__(self, rho, sigma):
         self.rho, self.sigma = rho, sigma
-        self._cores, self._fdiv = {}, {}
+        self._cores, self._fdiv, self._spectra = {}, {}, {}
 
     def core(self, gamma: float, p: float):
         """``(s^gamma, X)``, ``X = s^gamma r^p s^gamma``: the alpha-z core at
@@ -227,13 +231,11 @@ class _Pair:
         and shared by the f-divergence value and both gradients; at a
         vanishing ``p_a`` the continuous extension ``f(0+)`` and 0 stand in."""
         if pair not in self._fdiv:
-            p, _, _, mu, _, _, _ = self.overlap
-            pos = p > 0.0
-            if not pos.all() and pair.value_at_zero is None:
+            p, mu = self.spectrum("rho")[0], self.spectrum("sigma")[0]
+            if pair.value_at_zero is None and not p.all():
                 raise ValueError(f"f-divergence {pair.name!r} has no continuous extension at 0")
             x = p[None, :] / mu[:, None]
-            fx, fpx = _on_support(pair.f, x, pos, pair.value_at_zero), _on_support(pair.f_prime, x, pos, 0.0)
-            self._fdiv[pair] = x, fx, fpx
+            self._fdiv[pair] = (x, *_pair_values(x, pair, pair.value_at_zero))
         return self._fdiv[pair]
 
     @cached_property
@@ -257,13 +259,17 @@ class _Pair:
         """The logarithm of sigma."""
         return _logm(self.sigma)
 
+    def spectrum(self, state: str):
+        """``(reps, V)`` of ``state``, "rho" or "sigma": the only clustering in
+        this module. Equal representatives mark a cluster; the ids are dropped."""
+        if state not in self._spectra:
+            self._spectra[state] = clustered_eigensystem(getattr(self, state))[::2]
+        return self._spectra[state]
+
     @cached_property
-    def overlap(self):
-        """Clustered eigensystems ``(p, ids, V_r)``, ``(mu, ids, V_s)`` of rho
-        and sigma and their overlap ``W = V_s^H V_r``."""
-        p, rid, vr = clustered_eigensystem(self.rho)
-        mu, sid, vs = clustered_eigensystem(self.sigma)
-        return p, rid, vr, mu, sid, vs, vs.conj().T @ vr
+    def overlap(self) -> np.ndarray:
+        """``W = V_s^H V_r``, the overlap of the eigenvectors of sigma and rho."""
+        return self.spectrum("sigma")[1].conj().T @ self.spectrum("rho")[1]
 
 
 # ---------------------------------------------------------------------------
@@ -271,22 +277,12 @@ class _Pair:
 # ---------------------------------------------------------------------------
 
 
-def _on_support(func, x: np.ndarray, pos: np.ndarray, at_zero: float) -> np.ndarray:
-    """``func`` at the columns of ``x`` that ``pos`` marks, ``at_zero`` at the
-    others (those of a vanishing eigenvalue of rho)."""
-    if pos.all():
-        return _scalar_values(func, x)
-    out = np.full(x.shape, float(at_zero))
-    out[..., pos] = _scalar_values(func, x[..., pos])
-    return out
-
-
 def _fdiv_value(pair: ScalarFunctionPair, pt: _Pair) -> float:
     """``sum_{k,a} mu_k f(p_a/mu_k) |W_ka|^2`` with ``W = V_s^H V_r``; ``f(0+)``
     stands in at vanishing ``p_a``."""
-    _, _, _, mu, _, _, w = pt.overlap
+    mu = pt.spectrum("sigma")[0]
     fx = pt.fdiv_table(pair)[1]
-    return float(np.sum(mu[:, None] * fx * np.abs(w) ** 2))
+    return float(np.sum(mu[:, None] * fx * np.abs(pt.overlap) ** 2))
 
 
 # A pair's alpha-z core X, the value from ``Q = tr X^z`` and ``c = z dvalue/dQ``.
@@ -353,14 +349,15 @@ def _fdiv_grad(pair: ScalarFunctionPair, pt: _Pair, slot: int) -> np.ndarray:
     entries are ``(h_k(p_a) - h_k(0)) / p_a``, and ``f'`` is 0 on the
     kernel-kernel block, which the tangent space of the PSD cone drops.
     """
-    p, rid, vr, mu, sid, vs, w = pt.overlap
+    (p, vr), (mu, vs) = pt.spectrum("rho"), pt.spectrum("sigma")
     x, fx, fpx = pt.fdiv_table(pair)
+    w = pt.overlap
     vals = mu[:, None] * fx
     if slot == 1:
-        g = np.einsum("ka,kb,kab->ab", w.conj(), w, _loewner_matrix(p, rid, vals, fpx))
+        g = np.einsum("ka,kb,kab->ab", w.conj(), w, _loewner_matrix(p, vals, fpx))
         v = vr
     else:
-        kernel = _loewner_matrix(mu, sid, vals.T, (fx - x * fpx).T)
+        kernel = _loewner_matrix(mu, vals.T, (fx - x * fpx).T)
         g = np.einsum("ka,la,akl->kl", w, w.conj(), kernel)
         v = vs
     return _symmetrized(v @ g @ v.conj().T)
@@ -386,10 +383,7 @@ def _quasi_grad1(m: MeasureSpec, pt: _Pair) -> np.ndarray:
     if alpha / z == 1.0:  # r -> r is linear: its Frechet derivative is the identity
         return _on_tangent(pt, _symmetrized(c * w))
     # The Frechet derivative of r^{a/z} along w, with 0^{a/z} = 0.
-    p, rid, vr = clustered_eigensystem(pt.rho)
-    pos, pw = p > 0.0, power(alpha / z)
-    values = _on_support(pw.f, p, pos, 0.0), _on_support(pw.f_prime, p, pos, 0.0)
-    return _on_tangent(pt, c * _frechet(p, rid, vr, *values, _symmetrized(w)))
+    return _on_tangent(pt, c * _frechet(pt.spectrum("rho"), power(alpha / z), _symmetrized(w), at_zero=0.0))
 
 
 def _grad1(m: MeasureSpec, pt: _Pair) -> np.ndarray:
@@ -408,17 +402,15 @@ def _grad1(m: MeasureSpec, pt: _Pair) -> np.ndarray:
 
 
 def _relent_grad2(m: MeasureSpec, pt: _Pair) -> np.ndarray:
-    reps, ids, v = clustered_eigensystem(pt.sigma)
-    return -_frechet(reps, ids, v, *_pair_values(reps, LOG), pt.rho.matrix)
+    return -_frechet(pt.spectrum("sigma"), LOG, pt.rho.matrix)
 
 
 def _renyi_grad2(m: MeasureSpec, pt: _Pair) -> np.ndarray:
-    reps, ids, v = clustered_eigensystem(pt.sigma)
     _, z, gamma, x, _, c = _quasi_entropy(m, pt)
     x_z = _powm(x, z)
     s_neg_g = _powm(pt.sigma, -gamma)
     anti = _symmetrized(x_z @ s_neg_g + s_neg_g @ x_z)
-    return c * _frechet(reps, ids, v, *_pair_values(reps, power(gamma)), anti)
+    return c * _frechet(pt.spectrum("sigma"), power(gamma), anti)
 
 
 def _grad2(m: MeasureSpec, pt: _Pair) -> np.ndarray:

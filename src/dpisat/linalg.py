@@ -71,7 +71,8 @@ class PositivityError(ValueError):
 
 
 class MatrixFunctionDomainError(ValueError):
-    """A scalar function is undefined at one of the operator's eigenvalues."""
+    """A scalar function is undefined at one of the operator's eigenvalues, or
+    at an eigenvalue ratio ``p_a/mu_k`` of an f-divergence."""
 
     def __init__(self, eigenvalue: float, message: str):
         self.eigenvalue = float(eigenvalue)
@@ -497,6 +498,19 @@ def _positive_int(val, path: str, what: str = "a positive integer", least: int |
     if not isinstance(val, int) or isinstance(val, bool) or (least is not None and val < least):
         raise SchemaError(path, f"expected {what}, got {val!r}")
     return val
+
+
+# The largest dimension a JSON builder makes, counting a product of factor
+# dimensions: a larger one is refused before anything is allocated.
+_MAX_BUILDER_DIM = 1024
+
+
+def _builder_dim(val, path: str, factor: int = 1) -> int:
+    """A positive JSON integer ``n`` with ``factor * n`` at most ``_MAX_BUILDER_DIM``."""
+    n = _positive_int(val, path)
+    if factor * n > _MAX_BUILDER_DIM:
+        raise SchemaError(path, f"expected a dimension of at most {_MAX_BUILDER_DIM}, got {factor * n}")
+    return n
 
 
 def _fields(obj, path: str, required=(), optional=(), what: str = "an object") -> dict:

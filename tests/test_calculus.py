@@ -150,11 +150,10 @@ class TestFrechetDerivative:
 
 class TestLoewnerMatrix:
     REPS = np.array([0.5, 0.5, 1.5, 2.0])
-    IDS = np.array([0, 0, 1, 2])
 
     def test_entries(self):
         fv, fpv = np.log(self.REPS), 1.0 / self.REPS
-        k = _loewner_matrix(self.REPS, self.IDS, fv, fpv)
+        k = _loewner_matrix(self.REPS, fv, fpv)
         assert k[0, 1] == k[1, 0] == k[0, 0] == 2.0
         assert k[2, 3] == (np.log(1.5) - np.log(2.0)) / (1.5 - 2.0)
         assert k[3, 1] == (np.log(2.0) - np.log(0.5)) / (2.0 - 0.5)
@@ -163,11 +162,11 @@ class TestLoewnerMatrix:
         pairs = (LOG, EXP, power(1.7), IDENTITY)
         fv = np.array([[p.f(x) for x in self.REPS] for p in pairs]).reshape(2, 2, 4)
         fpv = np.array([[p.f_prime(x) for x in self.REPS] for p in pairs]).reshape(2, 2, 4)
-        batched = _loewner_matrix(self.REPS, self.IDS, fv, fpv)
+        batched = _loewner_matrix(self.REPS, fv, fpv)
         assert batched.shape == (2, 2, 4, 4)
         for i in range(2):
             for j in range(2):
-                single = _loewner_matrix(self.REPS, self.IDS, fv[i, j], fpv[i, j])
+                single = _loewner_matrix(self.REPS, fv[i, j], fpv[i, j])
                 assert np.array_equal(batched[i, j], single)
 
 

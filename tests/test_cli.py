@@ -1246,3 +1246,173 @@ class TestSaturationWithoutRecovery:
     ])
     def test_recovery_flag(self, m, judged):
         assert m._row.recovers(m) is judged
+
+
+class TestClusteringOncePerPair:
+    """Each state pair clusters its spectra once, and every check of a run
+    reads that clustering: the boundary check's second first gradient too."""
+
+    def test_each_operator_is_clustered_once(self, tmp_path, monkeypatch):
+        import dpisat.divergences as div
+
+        counts = {}
+        clustered = div.clustered_eigensystem
+
+        def counting(op, *args):
+            key = op.matrix.tobytes()
+            counts[key] = counts.get(key, 0) + 1
+            return clustered(op, *args)
+
+        monkeypatch.setattr(div, "clustered_eigensystem", counting)
+        rho, sigma = random_positive_state(4, 1), random_positive_state(4, 2)
+        scen = tmp_path / "scen.json"
+        write_scenarios(scen, [{
+            "name": "alpha-z", "measure": {"family": "alpha_z", "alpha": 0.7, "z": 0.9},
+            "channel": {"builder": "depolarizing", "dim": 4, "p": 0.3},
+            "rho": matrix_to_json(rho), "sigma": matrix_to_json(sigma),
+            "checks": ["gap", "residual1", "residual2", "boundary", "alpha_z_crosscheck"],
+        }])
+        assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 0
+        ch = depolarizing(4, 0.3)
+        ops = [HermitianOperator(x) for x in (rho, sigma)]
+        ops += [sat.apply(ch, op) for op in ops]
+        assert sorted(counts) == sorted(op.matrix.tobytes() for op in ops)
+        assert list(counts.values()) == [1, 1, 1, 1]
+
+
+def _scaled_petz_scenario(rho, sigma, channel, k):
+    return {
+        "name": "scaled-petz", "measure": {"family": "relative_entropy"}, "channel": channel,
+        "rho": matrix_to_json(k * rho), "sigma": matrix_to_json(k * sigma), "checks": ["petz"],
+        "tolerances": {"gap_tol": k * 1e-10},
+    }
+
+
+class TestPetzIsRelative:
+    """``petz`` judges each recovery error against the norm of its state, so
+    scaling both states, which the measures need not be normalized for,
+    keeps its verdict."""
+
+    def test_scaled_diagonal_pair_passes(self, tmp_path):
+        scen = tmp_path / "scen.json"
+        write_scenarios(scen, [{
+            "name": "scaled-petz", "measure": {"family": "relative_entropy"},
+            "channel": {"builder": "depolarizing", "dim": 2, "p": 0.4},
+            "rho": {"builder": "diag", "values": [6e7, 4e7]},
+            "sigma": {"builder": "diag", "values": [3e7, 7e7]}, "checks": ["petz"],
+        }])
+        assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 0
+        # The absolute rule this replaces failed here: sigma's error is above 1e-9.
+        assert load_report(tmp_path / "out", "scaled-petz")["checks"]["petz"]["recovery_error_sigma"] > 1e-9
+
+    @pytest.mark.parametrize("channel", [
+        {"builder": "depolarizing", "dim": 4, "p": 0.3},
+        {"builder": "unitary", "matrix": matrix_to_json(np.linalg.qr(
+            np.random.default_rng(3).normal(size=(4, 4)) + 1j * np.random.default_rng(4).normal(size=(4, 4))
+        )[0])},
+    ], ids=["depolarizing", "unitary"])
+    def test_verdict_is_scale_free(self, tmp_path, channel):
+        rho, sigma = random_positive_state(4, 1), random_positive_state(4, 2)
+        verdicts = []
+        for k in (1e-3, 1.0, 1e6, 1e8):
+            scen, out = tmp_path / f"scen{k}.json", tmp_path / f"out{k}"
+            write_scenarios(scen, [_scaled_petz_scenario(rho, sigma, channel, k)])
+            code = main(["run", str(scen), "--out", str(out)])
+            petz = load_report(out, "scaled-petz")["checks"]["petz"]
+            verdicts.append((code, petz["passed"], "judged" in petz))
+        assert verdicts == [(0, True, False)] * 4
+
+
+class TestBuilderDimensionBound:
+    """Every dimension a JSON builder makes is at most ``_MAX_BUILDER_DIM``;
+    a larger one is a schema error at its field before anything is built."""
+
+    BOUND = 1024
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The builders record their sizes and build nothing."""
+        import dpisat.channels as channels
+
+        calls = []
+        for name in ("identity", "depolarizing", "dephasing_pinching", "partial_trace"):
+            monkeypatch.setattr(channels, name, lambda *args, name=name: calls.append((name, args[:2])))
+        monkeypatch.setattr(cli, "random_positive_state", lambda *args: calls.append(("random_pos", args)))
+        return calls
+
+    CHANNELS = [
+        ({"builder": "identity", "dim": BOUND + 1}, "dim", BOUND + 1),
+        ({"builder": "depolarizing", "dim": BOUND + 1, "p": 0.5}, "dim", BOUND + 1),
+        ({"builder": "dephasing_pinching", "dim": BOUND + 1}, "dim", BOUND + 1),
+        ({"builder": "partial_trace", "dim_a": BOUND + 1, "dim_b": 1, "keep": "a"}, "dim_a", BOUND + 1),
+        ({"builder": "partial_trace", "dim_a": 32, "dim_b": 33, "keep": "a"}, "dim_b", 32 * 33),
+    ]
+
+    @pytest.mark.parametrize("channel,field,size", CHANNELS)
+    def test_channel_builders(self, built, channel, field, size):
+        with pytest.raises(cli.SchemaError) as err:
+            cli.channel_from_json(channel)
+        assert (err.value.path, err.value.reason) == (
+            f"channel.{field}", f"expected a dimension of at most {self.BOUND}, got {size}")
+        assert built == []
+
+    def test_random_state_builder(self, built):
+        with pytest.raises(cli.SchemaError, match="at most 1024, got 1025"):
+            cli._state_from_json({"builder": "random_pos", "dim": self.BOUND + 1, "seed": 1}, "rho", None)
+        assert built == []
+
+    def test_the_bound_itself_is_built(self, built):
+        cli.channel_from_json({"builder": "depolarizing", "dim": self.BOUND, "p": 0.5})
+        cli.channel_from_json({"builder": "partial_trace", "dim_a": 32, "dim_b": 32, "keep": "b"})
+        cli._state_from_json({"builder": "random_pos", "dim": self.BOUND, "seed": 1}, "rho", None)
+        assert built == [("depolarizing", (self.BOUND, 0.5)), ("partial_trace", (32, 32)),
+                         ("random_pos", (self.BOUND, 1))]
+
+    def test_run_and_validate(self, tmp_path, capsys):
+        scen, out = tmp_path / "scen.json", tmp_path / "out"
+        channel = {"builder": "depolarizing", "dim": 10 ** 9, "p": 0.5}
+        write_scenarios(scen, [dict(DEPOLARIZING_SCENARIO, channel=channel)])
+        for command in (["validate", str(scen)], ["run", str(scen), "--out", str(out)]):
+            assert main(command) == 2
+            assert capsys.readouterr().err == (
+                "schema error at scenario[0].channel.dim: expected a dimension of at most 1024, "
+                "got 1000000000\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("operand,value", [
+        ("--channel", {"builder": "identity", "dim": 10 ** 12}),
+        ("--rho", {"builder": "random_pos", "dim": 10 ** 9, "seed": 5}),
+    ])
+    def test_sweep_operands(self, tmp_path, capsys, operand, value):
+        args = {"--channel": {"builder": "depolarizing", "dim": 2, "p": 0.4},
+                "--rho": {"builder": "random_pos", "dim": 2, "seed": 5},
+                "--sigma": {"builder": "random_pos", "dim": 2, "seed": 6}}
+        args[operand] = value
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--measure", "sandwiched_renyi", "--grid", "alpha=1.5:2:0.5", "--out", str(out)]
+        assert main(argv + [x for key, val in args.items() for x in (key, json.dumps(val))]) == 2
+        field = "channel.dim" if operand == "--channel" else "rho.dim"
+        assert capsys.readouterr().err.startswith(f"schema error at {field}: expected a dimension of at most")
+        assert not out.exists()
+
+
+class TestReportNameLength:
+    """A report file name longer than 255 bytes is a schema error at the
+    scenario's name, raised before any report is written."""
+
+    def test_long_name(self, tmp_path, capsys):
+        scen, out = tmp_path / "scen.json", tmp_path / "out"
+        write_scenarios(scen, [PINCHING_SCENARIO, dict(PINCHING_SCENARIO, name="x" * 300)])
+        for command in (["validate", str(scen)], ["run", str(scen), "--out", str(out)]):
+            assert main(command) == 2
+            assert capsys.readouterr().err == (
+                "schema error at scenario[1].name: the report file name has 305 bytes, more than 255\n")
+        assert not out.exists()
+
+    def test_longest_name(self, tmp_path):
+        # 250 characters and ".json" make 255 bytes; a non-ASCII character
+        # counts once, since the file name replaces it with "_".
+        scen, out = tmp_path / "scen.json", tmp_path / "out"
+        write_scenarios(scen, [dict(PINCHING_SCENARIO, name="é" + "x" * 249)])
+        assert main(["run", str(scen), "--out", str(out)]) == 0
+        assert os.listdir(out) == ["_" + "x" * 249 + ".json"]

@@ -19,6 +19,7 @@ from dpisat.divergences import (
 )
 from dpisat.linalg import (
     HermitianOperator,
+    MatrixFunctionDomainError,
     PositiveOperator,
     PsdOperator,
     SchemaError,
@@ -450,6 +451,20 @@ class TestFdivClosedForm:
             evaluate_psd(MeasureSpec.f_divergence("neg_log"), rho, sigma)
         assert type(info.value) is ValueError
         assert str(info.value) == "f-divergence 'neg_log' has no continuous extension at 0"
+
+    def test_caller_asserted_pair_outside_its_domain(self):
+        # x log x declared on (0, 2) only: the ratio p_a/mu_k = 0.9/0.3 lies
+        # outside, and every path that reads the table names it.
+        pair = calculus.ScalarFunctionPair(
+            "x_log_x_below_2", lambda x: x * np.log(x), lambda x: np.log(x) + 1.0, domain=(0.0, 2.0)
+        )
+        m = MeasureSpec.f_divergence(pair, caller_asserted=True)
+        rho, sigma = diag_positive([0.9, 0.1]), diag_positive([0.3, 0.7])
+        for call in (evaluate, grad1, grad2):
+            with pytest.raises(MatrixFunctionDomainError) as info:
+                call(m, rho, sigma)
+            assert info.value.eigenvalue == pytest.approx(3.0)
+            assert str(info.value) == f"x_log_x_below_2 is undefined at {info.value.eigenvalue!r}"
 
     def test_scalar_only_custom_f(self):
         # Built on math.log, so f and f' accept Python floats only.
