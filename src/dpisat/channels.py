@@ -178,21 +178,29 @@ class CptpReport:
     choi_min_eig: float
 
 
+def _matrices(mats, what: str, square: bool = False) -> np.ndarray:
+    """``mats`` as one array of matrices of one shape, each square when
+    ``square``; the first that breaks the rule is named as ``what`` and its
+    index. No matrices give an empty 1-D array."""
+    arrs = [np.asarray(as_matrix(x)) for x in mats]
+    for i, a in enumerate(arrs):
+        if a.ndim != 2 or (square and a.shape[0] != a.shape[1]):
+            raise ValueError(f"{what} {i} is not a {'square ' * square}matrix: shape {a.shape}")
+        if a.shape != arrs[0].shape:
+            raise ValueError(f"all {what}s must share one shape: {what} {i} has shape {a.shape}, "
+                             f"{what} 0 has shape {arrs[0].shape}")
+    return np.array(arrs)
+
+
 def _as_stack(kraus) -> np.ndarray:
     """Kraus operators as one C-contiguous ``(r, m, n)`` array, float64 when
     every imaginary part is exactly zero and complex128 otherwise."""
     if isinstance(kraus, np.ndarray) and kraus.ndim == 3:
         stack = kraus
     else:
-        ops = [np.asarray(as_matrix(k)) for k in kraus]
-        for i, k in enumerate(ops):
-            if k.ndim != 2:
-                raise ValueError(f"Kraus operator {i} is not a matrix")
-        if any(k.shape != ops[0].shape for k in ops):
-            raise ValueError("all Kraus operators must share one shape")
-        if not ops:
+        stack = _matrices(kraus, "Kraus operator")
+        if stack.ndim != 3:
             raise ValueError("a channel needs at least one Kraus operator")
-        stack = np.array(ops)
     if np.iscomplexobj(stack) and stack.imag.any():
         return np.ascontiguousarray(stack, dtype=np.complex128)
     return np.ascontiguousarray(stack.real, dtype=np.float64)
@@ -372,9 +380,7 @@ def identity(n: int) -> KrausChannel:
 
 def unitary(u: np.ndarray) -> KrausChannel:
     """Conjugation by a unitary, ``A -> U A U^H``."""
-    arr = np.asarray(as_matrix(u), dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("unitary builder needs a square matrix")
+    arr = _matrices([u], "unitary", square=True)[0].astype(np.complex128)
     dev = float(np.linalg.norm(arr.conj().T @ arr - np.eye(arr.shape[0])))
     if dev > 1e-10:
         raise ValueError(f"matrix is not unitary: ||U^H U - I||_F = {dev:.3e}")
@@ -418,7 +424,7 @@ def dephasing_pinching(basis, p: float = 1.0) -> KrausChannel:
     if isinstance(basis, (int, np.integer)):
         d = np.arange(basis)
         return _identity_and_units(int(basis), p, d, d, np.sqrt(p))
-    vecs = np.asarray(as_matrix(basis), dtype=np.complex128)
+    vecs = _matrices([basis], "pinching basis", square=True)[0].astype(np.complex128)
     dev = float(np.linalg.norm(vecs.conj().T @ vecs - np.eye(vecs.shape[0])))
     if dev > 1e-10:
         raise ValueError(f"pinching basis is not orthonormal (deviation {dev:.3e})")
@@ -469,8 +475,8 @@ def measure_prepare(povm, states) -> KrausChannel:
         raise ValueError("need at least one POVM element")
     if len(povm) != len(states):
         raise ValueError("need one prepared state per POVM element")
-    effects = [np.asarray(as_matrix(e), dtype=np.complex128) for e in povm]
-    taus = np.array([np.asarray(as_matrix(t), dtype=np.complex128) for t in states])
+    effects = _matrices(povm, "POVM element", square=True).astype(np.complex128)
+    taus = _matrices(states, "prepared state", square=True).astype(np.complex128)
     n = effects[0].shape[0]
     total = sum(effects)
     if float(np.linalg.norm(total - np.eye(n))) > 1e-10:

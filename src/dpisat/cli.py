@@ -68,7 +68,8 @@ from .divergences import (
     measure_to_json,
 )
 from .linalg import (
-    HermitianOperator,
+    DEFAULT_HERM_TOL,
+    DEFAULT_ZERO_TOL,
     PositiveOperator,
     PsdOperator,
     SchemaError,
@@ -78,6 +79,7 @@ from .linalg import (
     _positive_int,
     _schema_at,
     frobenius,
+    hermitize,
     matrix_from_json,
 )
 from .saturation import (
@@ -158,6 +160,18 @@ def _state_from_json(obj, path: str, seed_override: int | None):
     raise SchemaError(f"{path}.builder", f"unknown state builder {name!r}")
 
 
+def _admit_state(arr: np.ndarray, path: str, psd: bool = False):
+    """A scenario state, strictly positive or, with ``psd``, PSD, judged by the
+    scale rule of the Hermiticity guard and the clusters: skew within
+    ``1e-10 max(1, max|A|)``, and eigenvalues within ``1e-10 max(1, tr A)`` of
+    zero snapped to 0. A state it refuses is a schema error at ``path``."""
+    with _schema_at(path):
+        op = hermitize(arr, DEFAULT_HERM_TOL)
+        if not psd:
+            return PositiveOperator(op)
+        return PsdOperator(op, DEFAULT_ZERO_TOL * max(1.0, float(np.trace(op.matrix).real)))
+
+
 def _tolerances_from_json(obj, path: str):
     tols = {"gap_tol": DEFAULT_GAP_TOL, "residual_tol": DEFAULT_RESIDUAL_TOL}
     for key, val in _fields(obj, path, optional=tols).items():
@@ -175,11 +189,14 @@ def _tolerance_arg(text: str) -> float:
 
 def _validate_checks(sc: Scenario, path: str):
     """Every requested check must apply to the (measure, state-rank) combo,
-    as its row of ``_CHECKS`` says."""
+    as its row of ``_CHECKS`` says, and be requested once: the report keeps
+    one entry per check."""
     for i, name in enumerate(sc.checks):
         cpath, check = f"{path}.checks[{i}]", _CHECKS.get(name)
         if check is None:
             raise SchemaError(cpath, f"unknown check {name!r}")
+        if name in sc.checks[:i]:
+            raise SchemaError(cpath, f"check {name!r} is requested more than once")
         if check.full_rank and sc.rho.rank < sc.rho.dim:
             raise SchemaError(cpath, f"{name!r} needs a strictly positive rho")
         if check.family and not getattr(sc.measure._row, check.family[0]):
@@ -209,11 +226,8 @@ def _build_scenario(obj, path: str, args, seed_override: int | None) -> Scenario
         if seed is not None:
             seeds[key] = seed
 
-    with _schema_at(f"{path}.rho"):
-        rho_psd = PsdOperator(HermitianOperator(states["rho"]))
-    with _schema_at(f"{path}.sigma"):
-        sigma = PositiveOperator(HermitianOperator(states["sigma"]))
-
+    rho_psd = _admit_state(states["rho"], f"{path}.rho", psd=True)
+    sigma = _admit_state(states["sigma"], f"{path}.sigma")
     _check_dims(channel, rho_psd, sigma, f"{path}.")
 
     checks = obj["checks"]
@@ -519,9 +533,7 @@ def _cmd_sweep(args) -> int:
     channel = _operand_from_arg(args.channel, channel_from_json, "channel")
 
     def state(obj, path):
-        arr = _state_from_json(obj, path, seed_override)[0]
-        with _schema_at(path):
-            return PositiveOperator(arr)
+        return _admit_state(_state_from_json(obj, path, seed_override)[0], path)
 
     rho = _operand_from_arg(args.rho, state, "rho")
     sigma = _operand_from_arg(args.sigma, state, "sigma")

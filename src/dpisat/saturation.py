@@ -109,13 +109,13 @@ def _pairs(ch: KrausChannel, rho, sigma, boundary: bool = False):
     """The pairs ``(rho, sigma)`` and ``(L(rho), L(sigma))`` for every quantity
     derived from them. sigma and its image are strictly positive; so are rho
     and its image, or, on the ``boundary`` of the PSD cone, both are
-    :class:`PsdOperator`."""
-    def state(x, what):
-        return _as_psd(x) if boundary else _as_positive(x, what, _boundary_case)
-
-    rho = state(rho, "rho")
+    :class:`PsdOperator`, the image snapped at rho's own zero threshold: a
+    trace-preserving L keeps ``tr L(rho) = tr rho``."""
+    rho = _as_psd(rho) if boundary else _as_positive(rho, "rho", _boundary_case)
     sigma = _as_positive(sigma, "sigma", _boundary_case)
-    rho_out = state(apply(ch, rho.op), "channel image of rho")
+    rho_out = apply(ch, rho.op)
+    rho_out = (PsdOperator(rho_out, rho.zero_tol) if boundary
+               else _as_positive(rho_out, "channel image of rho", _boundary_case))
     sigma_out = _as_positive(apply(ch, sigma.op), "channel image of sigma", _boundary_case)
     return _Pair(rho, sigma), _Pair(rho_out, sigma_out)
 

@@ -41,6 +41,10 @@ from _fixtures import (
 )
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+# Builder operands of three shapes: 2x2, 3x3 and 2x3.
+_EFFECT_2 = matrix_to_json(np.eye(2))
+_DIAG_3 = matrix_to_json(np.diag([1.0, 0.0, 0.0]))
+_WIDE = matrix_to_json(np.eye(2, 3))
 
 
 class TestApply:
@@ -354,6 +358,29 @@ class TestChannelJson:
         c = channel_from_json({"builder": "depolarizing", "dim": 2, "p": 0.5})
         out = apply(c, HermitianOperator(np.diag([0.9, 0.1]).astype(complex)))
         np.testing.assert_allclose(out.matrix, np.diag([0.7, 0.3]), atol=1e-12)
+
+    @pytest.mark.parametrize("obj,reason", [
+        ({"builder": "measure_prepare", "povm": [_EFFECT_2, _DIAG_3], "states": [_EFFECT_2, _EFFECT_2]},
+         "all POVM elements must share one shape: POVM element 1 has shape (3, 3), "
+         "POVM element 0 has shape (2, 2)"),
+        ({"builder": "measure_prepare", "povm": [_WIDE], "states": [_EFFECT_2]},
+         "POVM element 0 is not a square matrix: shape (2, 3)"),
+        ({"builder": "measure_prepare", "povm": [_EFFECT_2, _EFFECT_2], "states": [_DIAG_3, _EFFECT_2]},
+         "all prepared states must share one shape: prepared state 1 has shape (2, 2), "
+         "prepared state 0 has shape (3, 3)"),
+        ({"builder": "measure_prepare", "povm": [_EFFECT_2], "states": [_WIDE]},
+         "prepared state 0 is not a square matrix: shape (2, 3)"),
+        ({"builder": "dephasing_pinching", "basis": _WIDE}, "pinching basis 0 is not a square matrix: shape (2, 3)"),
+        ({"builder": "unitary", "matrix": _WIDE}, "unitary 0 is not a square matrix: shape (2, 3)"),
+        ({"kraus": [_EFFECT_2, _DIAG_3]},
+         "all Kraus operators must share one shape: Kraus operator 1 has shape (3, 3), "
+         "Kraus operator 0 has shape (2, 2)"),
+    ], ids=["povm-sizes", "povm-wide", "state-sizes", "state-wide", "basis-wide", "unitary-wide", "kraus-sizes"])
+    def test_operand_shapes_are_named(self, obj, reason):
+        # Each operand is checked before numpy combines it with another.
+        with pytest.raises(SchemaError) as err:
+            channel_from_json(obj, "channel")
+        assert (err.value.path, err.value.reason) == ("channel", reason)
 
     def test_empty_povm_is_a_schema_error(self):
         with pytest.raises(SchemaError) as err:

@@ -1091,7 +1091,9 @@ class TestCheckTable:
     def test_inapplicable_check_is_a_schema_error(self, tmp_path, capsys, name):
         def validate(scenario):
             scen = tmp_path / "scen.json"
-            write_scenarios(scen, [dict(scenario, checks=["gap", name])])
+            # A check requested twice is an error of its own, so gap follows tangent.
+            first = "tangent" if name == "gap" else "gap"
+            write_scenarios(scen, [dict(scenario, checks=[first, name])])
             return main(["validate", str(scen)]), capsys.readouterr().err
 
         at = "schema error at scenario[0].checks[1]: "
@@ -1122,6 +1124,17 @@ class TestCheckTable:
             assert main(["run", str(scen), "--out", str(out)]) == (1 if name in GAP_CHECKS else 0)
             detail = load_report(out, BOUNDARY_SCENARIO["name"])["checks"][name]
             assert ("reason" in detail) == (name in GAP_CHECKS) == (not detail["passed"])
+
+    def test_repeated_check(self, tmp_path, capsys):
+        # The report keeps one entry per check, so a repeat would be merged.
+        scen, out = tmp_path / "scen.json", tmp_path / "out"
+        write_scenarios(scen, [PINCHING_SCENARIO, dict(PINCHING_SCENARIO, name="twice",
+                                                       checks=["gap", "gap", "residual1"])])
+        for command in (["validate", str(scen)], ["run", str(scen), "--out", str(out)]):
+            assert main(command) == 2
+            assert capsys.readouterr().err == (
+                "schema error at scenario[1].checks[1]: check 'gap' is requested more than once\n")
+        assert not out.exists()
 
     def test_unknown_check(self, tmp_path, capsys):
         scen = tmp_path / "scen.json"
@@ -1280,6 +1293,15 @@ class TestClusteringOncePerPair:
         assert list(counts.values()) == [1, 1, 1, 1]
 
 
+# A channel that does not saturate and one that does, for the scaled pairs.
+SCALE_CHANNELS = [
+    {"builder": "depolarizing", "dim": 4, "p": 0.3},
+    {"builder": "unitary", "matrix": matrix_to_json(np.linalg.qr(
+        np.random.default_rng(3).normal(size=(4, 4)) + 1j * np.random.default_rng(4).normal(size=(4, 4))
+    )[0])},
+]
+
+
 def _scaled_petz_scenario(rho, sigma, channel, k):
     return {
         "name": "scaled-petz", "measure": {"family": "relative_entropy"}, "channel": channel,
@@ -1305,12 +1327,7 @@ class TestPetzIsRelative:
         # The absolute rule this replaces failed here: sigma's error is above 1e-9.
         assert load_report(tmp_path / "out", "scaled-petz")["checks"]["petz"]["recovery_error_sigma"] > 1e-9
 
-    @pytest.mark.parametrize("channel", [
-        {"builder": "depolarizing", "dim": 4, "p": 0.3},
-        {"builder": "unitary", "matrix": matrix_to_json(np.linalg.qr(
-            np.random.default_rng(3).normal(size=(4, 4)) + 1j * np.random.default_rng(4).normal(size=(4, 4))
-        )[0])},
-    ], ids=["depolarizing", "unitary"])
+    @pytest.mark.parametrize("channel", SCALE_CHANNELS, ids=["depolarizing", "unitary"])
     def test_verdict_is_scale_free(self, tmp_path, channel):
         rho, sigma = random_positive_state(4, 1), random_positive_state(4, 2)
         verdicts = []
@@ -1321,6 +1338,80 @@ class TestPetzIsRelative:
             petz = load_report(out, "scaled-petz")["checks"]["petz"]
             verdicts.append((code, petz["passed"], "judged" in petz))
         assert verdicts == [(0, True, False)] * 4
+
+
+def _rotated(values, seed=7):
+    """``U diag(values) U^H`` for a seeded random unitary U."""
+    g = np.random.default_rng(seed)
+    u = np.linalg.qr(g.normal(size=(4, 4)) + 1j * g.normal(size=(4, 4)))[0]
+    return u @ np.diag(values) @ u.conj().T
+
+
+SCALED_RHO = _rotated([0.4, 0.3, 0.2, 0.1])
+SCALED_RANK3_RHO = _rotated([0.5, 0.3, 0.2, 0.0])
+SCALED_SIGMA = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
+
+
+class TestScaledStates:
+    """States need not be normalized. A scenario state is judged by the rule
+    of the fused Hermiticity guard and the eigenvalue clusters, relative to
+    max(1, scale), so scaling rho and sigma by k keeps every verdict."""
+
+    KS = (1.0, 1e4, 1e6, 1e7, 1e8, 1e10)
+
+    @staticmethod
+    def _scenarios(channel, k):
+        # gap_tol scales with the values; these gradients do not, so
+        # residual_tol stays. The rank-3 rho is made exactly Hermitian, so
+        # only the rule for its support is at stake.
+        def scenario(name, measure, rho, checks):
+            return {"name": name, "measure": measure, "channel": channel, "rho": matrix_to_json(rho),
+                    "sigma": matrix_to_json(k * SCALED_SIGMA), "checks": checks,
+                    "tolerances": {"gap_tol": k * 1e-8, "residual_tol": 1e-8}}
+
+        full = ["gap", "residual1", "residual2", "petz"]
+        rank3 = k * SCALED_RANK3_RHO
+        return [
+            scenario("relent", {"family": "relative_entropy"}, k * SCALED_RHO, full),
+            scenario("fidelity", {"family": "fidelity"}, k * SCALED_RHO, full),
+            scenario("xlogx", {"family": "f_divergence", "f": "x_log_x"}, k * SCALED_RHO, full),
+            scenario("rank3", {"family": "relative_entropy"}, (rank3 + rank3.conj().T) / 2,
+                     ["gap", "boundary", "tangent"]),
+        ]
+
+    @pytest.mark.parametrize("channel", SCALE_CHANNELS, ids=["depolarizing", "unitary"])
+    def test_verdicts_are_scale_free(self, tmp_path, capsys, channel):
+        verdicts = []
+        for k in self.KS:
+            scen, out = tmp_path / f"scen{k}.json", tmp_path / f"out{k}"
+            scenarios = self._scenarios(channel, k)
+            write_scenarios(scen, scenarios)
+            assert main(["validate", str(scen)]) == 0
+            code = main(["run", str(scen), "--out", str(out)])
+            reports = [load_report(out, sc["name"]) for sc in scenarios]
+            verdicts.append((code, [(r["saturated"], {c: v["passed"] for c, v in r["checks"].items()})
+                                    for r in reports]))
+            tangent = reports[-1]["checks"]["tangent"]
+            assert (tangent["measured"], tangent["expected"]) == (15, 15), k
+        capsys.readouterr()
+        assert verdicts == [verdicts[0]] * len(self.KS)
+        assert verdicts[0][0] == 0
+
+    def test_sweep_admits_a_scaled_pair(self, tmp_path):
+        def gaps(k):
+            out = tmp_path / f"sweep{k}.csv"
+            assert main([
+                "sweep", "--measure", "sandwiched_renyi", "--grid", "alpha=0.5:2.5:0.5",
+                "--channel", json.dumps(SCALE_CHANNELS[0]),
+                "--rho", json.dumps(matrix_to_json(k * SCALED_RHO)),
+                "--sigma", json.dumps(matrix_to_json(k * SCALED_SIGMA)), "--out", str(out),
+            ]) == 0
+            with open(out, newline="", encoding="utf-8") as fh:
+                return np.array([float(row["gap"]) for row in csv.DictReader(fh)])
+
+        unit, scaled = gaps(1.0), gaps(1e7)
+        assert unit.size == 4 and (unit > 0).all()
+        np.testing.assert_allclose(scaled, unit, rtol=1e-12, atol=0)
 
 
 class TestBuilderDimensionBound:

@@ -87,6 +87,15 @@ class TestDpiGap:
         gap = boundary_gap(MeasureSpec.relative_entropy(), dephasing_pinching(3), rho, sigma)
         assert gap == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("tail", [-1e-8, 1e-8])
+    def test_image_keeps_the_zero_threshold_of_rho(self, tail):
+        # A trace-preserving channel keeps tr L(rho) = tr rho, so L(rho) is
+        # snapped at rho's own threshold; the identity's image is rho itself.
+        rho = PsdOperator(HermitianOperator(np.diag([5e7, 5e7, tail]).astype(complex)), zero_tol=1e-2)
+        sigma = diag_positive([3e7, 5e7, 2e7])
+        assert rho.rank == 2
+        assert boundary_gap(MeasureSpec.relative_entropy(), identity(3), rho, sigma) == 0.0
+
     def test_unitary_boundary_gap_vanishes_for_spectral_families(self):
         # A unitary saturates exactly. The kernel of rho must stay an exact
         # zero of each core: roundoff there, raised to a power below 1,
