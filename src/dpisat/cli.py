@@ -27,10 +27,13 @@ checks apply and what ``petz`` and ``boundary`` judge.
   |gap| <= gap_tol; ``converse``: a vanishing residual1 forces a vanishing gap;
 * ``petz``: sigma is recovered, and so is rho at saturation when saturation
   implies recovery for the family (otherwise ``"judged": false``);
-* ``boundary``: the tangent-space residual vanishes at saturation and equals
-  residual1 at full rank, and so do the family's support-logarithm residuals;
+* ``boundary``: the tangent-space residual, the report's residual1, vanishes
+  at saturation, and so do the family's support-logarithm residuals;
 * ``alpha_z_crosscheck``: three published conditions agree at saturation;
 * ``tangent``: the tangent space at rho has dimension n^2 - k^2.
+
+Every check but ``tangent`` reads the report of ``build_report``, at any rank
+of rho; when it cannot be made, each fails alone with the reason.
 
 State builders: a matrix object, ``{"builder": "diag", "values": [...]}``,
 or ``{"builder": "random_pos", "dim": n, "seed": s}``. Random states are
@@ -87,12 +90,9 @@ from .saturation import (
     DEFAULT_RESIDUAL_TOL,
     ConverseViolationError,
     _alpha_z_crosscheck,
-    _boundary_residual_general,
     _boundary_residual_relent,
     _converse_verdict,
-    _gap,
     _hiai_residual,
-    _pairs,
     _require_scaling_law,
     build_report,
     report_to_json,
@@ -188,17 +188,15 @@ def _tolerance_arg(text: str) -> float:
 
 
 def _validate_checks(sc: Scenario, path: str):
-    """Every requested check must apply to the (measure, state-rank) combo,
-    as its row of ``_CHECKS`` says, and be requested once: the report keeps
-    one entry per check."""
+    """Every requested check must apply to the measure, as its row of
+    ``_CHECKS`` says, and be requested once: the report keeps one entry per
+    check."""
     for i, name in enumerate(sc.checks):
         cpath, check = f"{path}.checks[{i}]", _CHECKS.get(name)
         if check is None:
             raise SchemaError(cpath, f"unknown check {name!r}")
         if name in sc.checks[:i]:
             raise SchemaError(cpath, f"check {name!r} is requested more than once")
-        if check.full_rank and sc.rho.rank < sc.rho.dim:
-            raise SchemaError(cpath, f"{name!r} needs a strictly positive rho")
         if check.family and not getattr(sc.measure._row, check.family[0]):
             raise SchemaError(cpath, f"{name!r} needs {check.family[1]}, not {sc.measure.family!r}")
 
@@ -295,14 +293,13 @@ def _report_header(sc: Scenario, **fields) -> dict:
     }
 
 
-# What a check's verdict reads: the scenario, its report dict, the gap,
-# whether |gap| <= gap_tol, the SaturationReport (None on the boundary) and
-# the pairs (rho, sigma), (L rho, L sigma).
-_Context = namedtuple("_Context", "sc report gap saturated_here core pairs")
+# What a check's verdict reads: the scenario, its report dict, the
+# SaturationReport (None when it could not be made) and |gap| <= gap_tol.
+_Context = namedtuple("_Context", "sc report core saturated_here")
 
 
 def _gap_check(ctx):
-    return ctx.gap >= -ctx.sc.gap_tol, {"value": ctx.gap}
+    return ctx.core.gap >= -ctx.sc.gap_tol, {"value": ctx.core.gap}
 
 
 def _residual_check(side: str, ctx):
@@ -337,28 +334,19 @@ def _petz_check(ctx):
 
 
 def _boundary_check(ctx):
-    """Boundary residuals on the pairs ``(rho, sigma)``, ``(L rho, L sigma)``
-    already taken: the report's, or the boundary pairs of its gap.
+    """Boundary residuals on the report's pairs.
 
-    The tangent-space gradient residual (``general_norm``) applies to every
-    family. The support-logarithm residuals (``zeros_log_norm``,
-    ``hiai_norm``) are recoverability conditions of the relative entropy;
-    saturating another family, the fidelity say, does not imply
-    recoverability, so only a family whose row owns them reports them."""
-    sc, pairs = ctx.sc, ctx.pairs
-    res_general = _boundary_residual_general(sc.measure, sc.channel, *pairs)
-    detail: dict = {"general_norm": frobenius(res_general)}
+    The tangent-space gradient residual (``general_norm``) is the report's
+    residual1 and applies to every family. The support-logarithm residuals
+    (``zeros_log_norm``, ``hiai_norm``) are recoverability conditions of the
+    relative entropy; saturating another family, the fidelity say, does not
+    imply recoverability, so only a family whose row owns them reports them."""
+    sc, pairs = ctx.sc, ctx.core.pairs
+    detail: dict = {"general_norm": ctx.core.residual1_frobenius}
     if sc.measure._row.support_log:
         detail["zeros_log_norm"] = frobenius(_boundary_residual_relent(sc.channel, *pairs))
         detail["hiai_norm"] = float(np.linalg.norm(_hiai_residual(sc.channel, *pairs)))
-    passed = True
-    if ctx.core is not None:
-        reduction = float(np.linalg.norm(res_general - ctx.core.residual1.matrix))
-        detail["full_rank_reduction_error"] = reduction
-        passed = reduction <= 1e-9
-    if ctx.saturated_here:
-        passed = passed and all(v <= sc.residual_tol for k, v in detail.items() if k.endswith("_norm"))
-    return passed, detail
+    return not ctx.saturated_here or all(v <= sc.residual_tol for v in detail.values()), detail
 
 
 def _alpha_z_check(ctx):
@@ -375,20 +363,20 @@ def _tangent_check(ctx):
 
 
 # One check of ``run``: its verdict ``run(ctx) -> (passed, detail)`` and what
-# it needs: a strictly positive rho (``full_rank``), the gap (``on_gap``: it
-# fails alone, with a reason, when the gap cannot be evaluated), the Petz
-# errors (``petz``), a family-row column and the phrase naming it (``family``).
-_Check = namedtuple("_Check", "run full_rank on_gap petz family", defaults=(False, False, False, ()))
+# it needs: the report (``on_report``: it fails alone, with a reason, when the
+# report cannot be made), the Petz errors (``petz``), a family-row column and
+# the phrase naming it (``family``).
+_Check = namedtuple("_Check", "run on_report petz family", defaults=(True, False, ()))
 
 _CHECKS = {
-    "gap": _Check(_gap_check, on_gap=True),
-    "residual1": _Check(functools.partial(_residual_check, "residual1"), full_rank=True),
-    "residual2": _Check(functools.partial(_residual_check, "residual2"), full_rank=True),
-    "converse": _Check(_converse_check, full_rank=True, family=("scaling", "a scaling-law family")),
-    "boundary": _Check(_boundary_check, on_gap=True),
-    "petz": _Check(_petz_check, full_rank=True, petz=True),
-    "alpha_z_crosscheck": _Check(_alpha_z_check, full_rank=True, family=("renyi", "a Renyi family")),
-    "tangent": _Check(_tangent_check),
+    "gap": _Check(_gap_check),
+    "residual1": _Check(functools.partial(_residual_check, "residual1")),
+    "residual2": _Check(functools.partial(_residual_check, "residual2")),
+    "converse": _Check(_converse_check, family=("scaling", "a scaling-law family")),
+    "boundary": _Check(_boundary_check),
+    "petz": _Check(_petz_check, petz=True),
+    "alpha_z_crosscheck": _Check(_alpha_z_check, family=("renyi", "a Renyi family")),
+    "tangent": _Check(_tangent_check, on_report=False),
 }
 
 
@@ -396,31 +384,27 @@ def _execute_scenario(sc: Scenario, dump_matrices: bool) -> dict:
     report = _report_header(sc, tolerances={"gap_tol": sc.gap_tol, "residual_tol": sc.residual_tol},
                             seeds=sc.seeds, grad2_method=grad2_method(sc.measure))
 
-    gap = gap_error = core = pairs = None
-    if sc.rho.rank == sc.rho.dim:
+    core = error = None
+    try:
         # The Petz errors cost two adjoints and (L sigma)^{-1/2}, and their
         # trace-preservation check raises once cond(L sigma) is large; only
         # evaluate them when a requested check reads them.
         core = build_report(
-            sc.measure, sc.channel, PositiveOperator(sc.rho), sc.sigma,
+            sc.measure, sc.channel, sc.rho, sc.sigma,
             gap_tol=sc.gap_tol, residual_tol=sc.residual_tol,
             with_petz=any(_CHECKS[name].petz for name in sc.checks),
         )
-        gap, pairs = core.gap, core.pairs
-        report.update(report_to_json(core, include_matrices=dump_matrices))
+    except (ValueError, RuntimeError) as exc:
+        error = f"report could not be made: {exc}"
+        report.update(gap=None, residual1_frobenius=None, residual2_frobenius=None, saturated=None)
     else:
-        try:
-            pairs = _pairs(sc.channel, sc.rho, sc.sigma, boundary=True)
-            gap = _gap(sc.measure, *pairs)
-        except (ValueError, RuntimeError) as exc:
-            gap_error = f"gap could not be evaluated: {exc}"
-        report.update(gap=gap, residual1_frobenius=None, residual2_frobenius=None, saturated=None)
+        report.update(report_to_json(core, include_matrices=dump_matrices))
 
-    ctx = _Context(sc, report, gap, gap is not None and abs(gap) <= sc.gap_tol, core, pairs)
+    ctx = _Context(sc, report, core, core is not None and abs(core.gap) <= sc.gap_tol)
     checks_out = {}
     for name in sc.checks:
         check = _CHECKS[name]
-        passed, detail = (False, {"reason": gap_error}) if gap_error and check.on_gap else check.run(ctx)
+        passed, detail = (False, {"reason": error}) if error and check.on_report else check.run(ctx)
         checks_out[name] = {"passed": bool(passed), **detail}
 
     report["checks"] = checks_out
@@ -532,10 +516,10 @@ def _cmd_sweep(args) -> int:
         raise SchemaError("grid", f"{args.measure} sweep needs axes {list(row.fields)}, got {axis_names}")
     channel = _operand_from_arg(args.channel, channel_from_json, "channel")
 
-    def state(obj, path):
-        return _admit_state(_state_from_json(obj, path, seed_override)[0], path)
+    def state(obj, path, psd=False):
+        return _admit_state(_state_from_json(obj, path, seed_override)[0], path, psd)
 
-    rho = _operand_from_arg(args.rho, state, "rho")
+    rho = _operand_from_arg(args.rho, functools.partial(state, psd=True), "rho")
     sigma = _operand_from_arg(args.sigma, state, "sigma")
     _check_dims(channel, rho, sigma)
 

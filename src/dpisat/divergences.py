@@ -18,7 +18,9 @@ Fidelity and sandwiched Renyi are the points ``(1/2, 1/2)`` and ``(a, a)`` of
 the alpha-z quasi-entropy ``Q = tr X^z``, ``X = s^g r^{a/z} s^g`` (``F = Q``),
 and share its core, value and gradient path. For ``z < 1`` the first gradient
 reads ``X^{z-1}``, so it raises :class:`PositivityError` unless X is positive
-on the support of r.
+on the support of r. The fidelity's second gradient is its first at the
+swapped pair; at a rank-deficient r its core ``r^{1/2} s r^{1/2}`` is singular,
+and ``X^{-1/2}`` is the pseudo-inverse power on the support of r.
 
 Parameter combinations outside the known data-processing regions are
 rejected at construction unless explicitly overridden. Every gradient, in
@@ -205,8 +207,8 @@ class _Pair:
 
         X is positive semidefinite by construction, so its eigensystem is
         seeded once with roundoff below zero clamped to zero and the
-        ``kernel`` eigenvalues on the kernel of rho set to exactly zero:
-        no roundoff there reaches a power below 1."""
+        ``core_kernel`` eigenvalues on the kernels of rho and sigma set to
+        exactly zero: no roundoff there reaches a power below 1."""
         key = (gamma, p)
         if key not in self._cores:
             s_g = _powm(self.sigma, gamma)
@@ -214,7 +216,7 @@ class _Pair:
             x = HermitianOperator._exact(_symmetrized(s_g @ r @ s_g))
             wx, vx = x.eigensystem
             wx = np.maximum(wx, 0.0)
-            wx[:self.kernel] = 0.0
+            wx[:self.core_kernel] = 0.0
             wx.setflags(write=False)
             vars(x)["eigensystem"] = wx, vx  # seeds the cached eigensystem
             self._cores[key] = s_g, x
@@ -243,6 +245,12 @@ class _Pair:
         """The dimension of the kernel of rho: nonzero only for a
         rank-deficient :class:`PsdOperator`, on the boundary of the cone."""
         return int(np.count_nonzero(_spectrum(self.rho)[0] == 0.0))
+
+    @cached_property
+    def core_kernel(self) -> int:
+        """The exact zeros of each core: the kernels of rho and of sigma (PSD
+        only in the swapped pair of the fidelity's second gradient)."""
+        return self.kernel + int(np.count_nonzero(_spectrum(self.sigma)[0] == 0.0))
 
     @cached_property
     def tangent(self) -> _TangentProjection:
@@ -377,8 +385,8 @@ def _relent_grad1(m: MeasureSpec, pt: _Pair) -> np.ndarray:
 
 def _quasi_grad1(m: MeasureSpec, pt: _Pair) -> np.ndarray:
     alpha, z, gamma, x, _, c = _quasi_entropy(m, pt)
-    if z < 1.0 and (x.eigensystem[0][pt.kernel:] <= 0.0).any():
-        raise PositivityError("a gradient with z < 1 needs s^g r^{a/z} s^g > 0 on the support of r")
+    if z < 1.0 and (x.eigensystem[0][pt.core_kernel:] <= 0.0).any():
+        raise PositivityError("a gradient with z < 1 needs s^g r^{a/z} s^g > 0 off the kernels of r and s")
     w = pt.core_power(gamma, alpha / z, gamma, z - 1.0)
     if alpha / z == 1.0:  # r -> r is linear: its Frechet derivative is the identity
         return _on_tangent(pt, _symmetrized(c * w))
@@ -450,10 +458,10 @@ class ScalingCheck:
 def _scaling_law(m: MeasureSpec, pt: _Pair, k: float, k_prime: float) -> ScalingCheck:
     """``B(k r, k' s)`` against its value by the family's scalar-multiplication
     law from ``B(r, s)``, which is read from the pair ``pt``."""
-    scaled = _checked_pair(
-        PositiveOperator(HermitianOperator._exact(k * pt.rho.matrix)),
-        PositiveOperator(HermitianOperator._exact(k_prime * pt.sigma.matrix)),
-    )
+    rho = HermitianOperator._exact(k * pt.rho.matrix)
+    # A rank-deficient rho keeps its kernel: its zero threshold scales with it.
+    rho = PsdOperator(rho, k * pt.rho.zero_tol) if isinstance(pt.rho, PsdOperator) else PositiveOperator(rho)
+    scaled = _checked_pair(rho, PositiveOperator(HermitianOperator._exact(k_prime * pt.sigma.matrix)))
     lhs, base = _value(m, scaled), _value(m, pt)
     return ScalingCheck(lhs=lhs, rhs=m._row.scaling(m, pt, base, k, k_prime))
 

@@ -16,7 +16,8 @@ alternative published saturation conditions for the alpha-z family.
 
 Every quantity is derived from two state pairs, ``(r, s)`` and
 ``(L r, L s)``, each taken once. A rank-deficient r, on the boundary of the
-PSD cone, takes the same pairs with r and L(r) as PSD operators.
+PSD cone, takes the same pairs with r and L(r) as PSD operators, and
+:func:`build_report` judges it as it judges a strictly positive one.
 """
 
 from __future__ import annotations
@@ -126,10 +127,11 @@ def _gap(m: MeasureSpec, pt: _Pair, pt_out: _Pair) -> float:
 
 def _residual(ch: KrausChannel, side, pt: _Pair, pt_out: _Pair, tangent: bool = False) -> np.ndarray:
     """``X(r, s) - L*(X(L r, L s))`` for the condition operator ``X = side``.
-    ``L*`` acts between two symmetrizations, then, with ``tangent``, the
-    projection onto the tangent space at r; ``side(pt)`` is taken as it is."""
+    ``L*`` acts between two symmetrizations, then, with ``tangent`` and a
+    rank-deficient r, the projection onto the tangent space at r; ``side(pt)``
+    is taken as it is."""
     back = _symmetrized(_act_adjoint(ch, _symmetrized(side(pt_out))))
-    return side(pt) - (pt.tangent(back) if tangent else back)
+    return side(pt) - (pt.tangent(back) if tangent and pt.kernel else back)
 
 
 def dpi_gap(m: MeasureSpec, ch: KrausChannel, rho, sigma) -> float:
@@ -318,13 +320,11 @@ def boundary_residual_general(m: MeasureSpec, ch: KrausChannel, rho, sigma) -> H
     space of the PSD cone (the ordinary first gradient at full rank) and P
     the support projector of r. It vanishes at saturation for every family
     with a value on the boundary; ``neg_log`` has none and raises
-    ``ValueError``. Reduces to :func:`residual1` when rho has full rank.
+    ``ValueError``. It is the ``residual1`` of :func:`build_report` at a
+    rank-deficient rho, and at full rank, where P = 1, :func:`residual1`.
     """
-    return hermitize(_boundary_residual_general(m, ch, *_pairs(ch, rho, sigma, boundary=True)))
-
-
-def _boundary_residual_general(m: MeasureSpec, ch: KrausChannel, pt: _Pair, pt_out: _Pair) -> np.ndarray:
-    return _symmetrized(_residual(ch, partial(_grad1, m), pt, pt_out, tangent=True))
+    pt, pt_out = _pairs(ch, rho, sigma, boundary=True)
+    return hermitize(_residual(ch, partial(_grad1, m), pt, pt_out, tangent=True))
 
 
 def hiai_residual(ch: KrausChannel, rho, sigma) -> np.ndarray:
@@ -479,7 +479,7 @@ class SaturationReport:
     pairs: tuple | None = field(default=None, repr=False)
 
     @property
-    def rho_out(self) -> PositiveOperator | None:
+    def rho_out(self) -> PositiveOperator | PsdOperator | None:
         return self.pairs[1].rho if self.pairs else None
 
     @property
@@ -498,18 +498,22 @@ def build_report(
 ) -> SaturationReport:
     """Evaluate gap, both residuals, and Petz recovery errors in one pass.
 
-    The channel images of rho and sigma are computed once; each residual
-    takes one adjoint, and each Petz recovery error one more (two channel
-    applies and four adjoints per report). ``with_petz=False`` leaves the
-    recovery errors unset and skips their two adjoints, ``(Ls)^{-1/2}`` and
-    the recovery map's trace-preservation check, which raises ValueError
-    once cond(Ls) is large. Each of the four operators and each
-    spectral core of the two pairs is eigensolved once (at most 8 per
-    report); the report keeps both pairs for further checks.
+    A rank-deficient :class:`PsdOperator` rho takes the boundary pairs, and
+    its ``residual1`` is :func:`boundary_residual_general`; ``residual2`` and
+    the Petz errors are not projected, since sigma is interior. The channel
+    images are computed once; each residual takes one adjoint, and each Petz
+    recovery error one more (two channel applies and four adjoints per
+    report). ``with_petz=False`` leaves the recovery errors unset and skips
+    their two adjoints, ``(Ls)^{-1/2}`` and the recovery map's
+    trace-preservation check, which raises ValueError once cond(Ls) is
+    large. Each of the four operators and each spectral core of the two
+    pairs is eigensolved once (at most 8 per full-rank report); the report
+    keeps both pairs for further checks.
     """
-    pt, pt_out = _pairs(ch, rho, sigma)
+    boundary = isinstance(rho, PsdOperator) and rho.rank < rho.dim
+    pt, pt_out = _pairs(ch, rho, sigma, boundary=boundary)
     gap = _gap(m, pt, pt_out)
-    r1 = hermitize(_residual(ch, partial(_grad1, m), pt, pt_out))
+    r1 = hermitize(_residual(ch, partial(_grad1, m), pt, pt_out, tangent=True))
     r2 = hermitize(_residual(ch, partial(_grad2, m), pt, pt_out))
     n1, n2 = frobenius(r1), frobenius(r2)
     err_rho = err_sigma = None

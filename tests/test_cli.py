@@ -8,13 +8,21 @@ import pytest
 
 import dpisat.saturation as sat
 from dpisat import calculus
-from dpisat.channels import channel_to_json, depolarizing
+from dpisat.channels import KrausChannel, channel_to_json, depolarizing
 import dpisat.cli as cli
 from dpisat.cli import main, random_positive_state
 from dpisat.divergences import FAMILIES, MeasureSpec, measure_to_json, scaling_check
 from dpisat.linalg import HermitianOperator, PositiveOperator, frobenius, matrix_to_json
 
-from _fixtures import classical_kl, fuchs_caves, measure_suite
+from _fixtures import (
+    boundary_saturating_fixtures,
+    classical_kl,
+    fuchs_caves,
+    gen,
+    measure_suite,
+    random_positive,
+    random_psd_rank,
+)
 
 PINCHING_SCENARIO = {
     "name": "pinching-relent",
@@ -119,7 +127,7 @@ class TestRun:
         rep = load_report(out, "neg-log")
         assert "error" not in rep
         assert rep["gap"] is None
-        reason = "gap could not be evaluated: f-divergence 'neg_log' has no continuous extension at 0"
+        reason = "report could not be made: f-divergence 'neg_log' has no continuous extension at 0"
         for check in ("gap", "boundary"):
             assert rep["checks"][check] == {"passed": False, "reason": reason}
         assert rep["checks"]["tangent"] == {"passed": True, "measured": 8, "expected": 8}
@@ -225,6 +233,123 @@ class TestRun:
         assert rep["residual2"]["dim"] == 2
 
 
+def applicable_checks(m: MeasureSpec) -> list:
+    """Every check that applies to the measure ``m``, by its family's row."""
+    checks = ["gap", "residual1", "residual2", "boundary", "petz", "tangent"]
+    if m._row.scaling is not None:
+        checks.append("converse")
+    if m._row.renyi:
+        checks.append("alpha_z_crosscheck")
+    return checks
+
+
+def run_specs(tmp_path, c, rho, sigma, specs=None):
+    """``dpisat run`` on one scenario per spec with every applicable check:
+    the exit code and the reports, in spec order."""
+    specs = measure_suite() if specs is None else specs
+    scenarios = [
+        {"name": f"spec{i}", "measure": measure_to_json(m), "channel": channel_to_json(c),
+         "rho": matrix_to_json(rho), "sigma": matrix_to_json(sigma), "checks": applicable_checks(m)}
+        for i, m in enumerate(specs)
+    ]
+    scen, out = tmp_path / "scen.json", tmp_path / "out"
+    write_scenarios(scen, scenarios)
+    code = main(["run", str(scen), "--out", str(out)])
+    return code, [load_report(out, sc["name"]) for sc in scenarios]
+
+
+class TestOneReportPath:
+    """A rank-deficient rho gets the report, its residuals, Petz errors and
+    every check from the one ``build_report`` call a full-rank rho gets."""
+
+    @pytest.mark.parametrize("fixture", boundary_saturating_fixtures(), ids=lambda f: f[0])
+    def test_boundary_matrix(self, tmp_path, capsys, fixture):
+        _, c, rho, sigma = fixture
+        code, reports = run_specs(tmp_path, c, rho, sigma)
+        capsys.readouterr()
+        assert code == 1  # neg_log alone fails
+        tangent = rho.dim ** 2 - (rho.dim - rho.rank) ** 2
+        for m, rep in zip(measure_suite(), reports):
+            checks = rep["checks"]
+            assert set(checks) == set(applicable_checks(m))
+            if m.f_name == "neg_log":
+                # No value at a rank-deficient rho: each check that reads the
+                # report fails alone with the reason; tangent is judged.
+                reason = "report could not be made: f-divergence 'neg_log' has no continuous extension at 0"
+                assert {name: detail for name, detail in checks.items() if name != "tangent"} == {
+                    name: {"passed": False, "reason": reason} for name in checks if name != "tangent"}
+                assert checks["tangent"] == {"passed": True, "measured": tangent, "expected": tangent}
+                assert (rep["gap"], rep["saturated"], rep["passed"]) == (None, None, False)
+                continue
+            assert rep["passed"] is True and rep["saturated"] is True, m
+            assert abs(rep["gap"]) <= 1e-13, m
+            assert rep["residual1_frobenius"] <= 1e-13, m
+            # residual2 is never projected: sigma is interior. Projecting it
+            # too leaves a residual of order 1 on saturating fixtures.
+            assert rep["residual2_frobenius"] <= 2e-12, m
+            assert rep["petz_recovery_error_rho"] <= 1e-14 * frobenius(rho), m
+            assert rep["petz_recovery_error_sigma"] <= 1e-14 * frobenius(sigma), m
+            assert checks["boundary"]["general_norm"] == rep["residual1_frobenius"]
+            assert checks["tangent"] == {"passed": True, "measured": tangent, "expected": tangent}
+            if m._row.renyi:
+                cross = checks["alpha_z_crosscheck"]
+                assert cross["gradient_residual"] == rep["residual1_frobenius"]
+                assert max(cross["chehade_residual"], cross["zhang_residual"]) <= 1e-12, m
+
+    def test_depolarizing_boundary_does_not_saturate(self, tmp_path, capsys):
+        g = gen(5)
+        rho, sigma = random_psd_rank(g, 3, 2), random_positive(g, 3)
+        specs = [m for m in measure_suite() if m.f_name != "neg_log"]
+        code, reports = run_specs(tmp_path, depolarizing(3, 0.3), rho, sigma, specs)
+        capsys.readouterr()
+        assert code == 0
+        for m, rep in zip(specs, reports):
+            assert rep["saturated"] is False, m
+            assert rep["gap"] > 0.1 and rep["residual1_frobenius"] > 0.1, m
+            assert rep["petz_recovery_error_rho"] > 0.1, m
+
+    def test_isometric_embedding_fails_per_check(self, tmp_path, capsys):
+        # V maps C^2 into C^4, so L(rho) and L(sigma) are singular: the report
+        # cannot be made, and only the checks that read it fail.
+        v = np.zeros((4, 2), dtype=complex)
+        v[1, 0] = v[3, 1] = 1.0
+        scenario = dict(PINCHING_SCENARIO, name="isometry", channel=channel_to_json(KrausChannel([v])),
+                        checks=["gap", "residual1", "tangent"])
+        scen, out = tmp_path / "scen.json", tmp_path / "out"
+        write_scenarios(scen, [scenario])
+        assert main(["run", str(scen), "--out", str(out)]) == 1
+        assert capsys.readouterr().out == "isometry: FAIL (gap, residual1)\n"
+        rep = load_report(out, "isometry")
+        assert "error" not in rep
+        for name in ("gap", "residual1"):
+            assert rep["checks"][name]["passed"] is False
+            assert rep["checks"][name]["reason"].startswith(
+                "report could not be made: channel image of rho is not strictly positive")
+        assert rep["checks"]["tangent"] == {"passed": True, "measured": 4, "expected": 4}
+
+    @pytest.mark.parametrize("measure,grid", [
+        ("sandwiched_renyi", "alpha=0.5:3.0:0.25"),
+        ("alpha_z", "alpha=0.5:2.5:0.5;z=0.5:2.5:0.5"),
+    ])
+    def test_sweep_admits_a_rank_deficient_rho(self, tmp_path, capsys, measure, grid):
+        out = tmp_path / "sweep.csv"
+        assert main([
+            "sweep", "--measure", measure, "--grid", grid,
+            "--channel", json.dumps({"builder": "dephasing_pinching", "dim": 3}),
+            "--rho", json.dumps({"builder": "diag", "values": [0.6, 0.4, 0.0]}),
+            "--sigma", json.dumps({"builder": "diag", "values": [0.3, 0.5, 0.2]}),
+            "--out", str(out),
+        ]) == 0
+        capsys.readouterr()
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) >= 10
+        for row in rows:
+            assert abs(float(row["gap"])) <= 1e-12, row
+            assert float(row["residual1_norm"]) <= 1e-12, row
+            assert float(row["residual2_norm"]) <= 1e-12, row
+
+
 def count_channel_calls(monkeypatch) -> dict:
     """Count the channel applies and adjoints made through saturation."""
     calls = {"apply": 0, "_act_adjoint": 0}
@@ -287,34 +412,35 @@ class TestReportReuse:
 
     @pytest.mark.parametrize("full_rank", [True, False], ids=["full_rank", "rank_deficient"])
     def test_boundary_check_takes_no_further_images(self, tmp_path, monkeypatch, full_rank):
+        # The boundary check reads the report's pairs, and its general_norm is
+        # the report's residual1: the tangent residual, residual1 at full rank.
         from dpisat.linalg import PsdOperator
 
         values = [0.6, 0.3, 0.1] if full_rank else [0.7, 0.3, 0.0]
-        checks = ["gap", "residual1", "residual2", "converse", "petz", "boundary"]
         scenario = dict(
             BOUNDARY_SCENARIO, name="bnd",
             channel={"builder": "depolarizing", "dim": 3, "p": 0.4},
             rho={"builder": "diag", "values": values},
-            checks=checks if full_rank else ["gap", "boundary", "tangent"],
+            checks=["gap", "residual1", "residual2", "converse", "petz", "boundary", "tangent"],
         )
         scen = tmp_path / "scen.json"
         write_scenarios(scen, [scenario])
         calls = count_channel_calls(monkeypatch)
         main(["run", str(scen), "--out", str(tmp_path / "out")])
         assert calls["apply"] == 2
-        detail = load_report(tmp_path / "out", "bnd")["checks"]["boundary"]
+        report = load_report(tmp_path / "out", "bnd")
+        detail = report["checks"]["boundary"]
 
         c = depolarizing(3, 0.4)
         rho = PsdOperator(HermitianOperator(np.diag(values).astype(complex)))
         sigma = PositiveOperator(HermitianOperator(np.diag([0.5, 0.3, 0.2]).astype(complex)))
         m = MeasureSpec.relative_entropy()
-        general = sat.boundary_residual_general(m, c, rho, sigma)
         assert detail["zeros_log_norm"] == frobenius(sat.boundary_residual_relent(c, rho, sigma))
-        assert detail["general_norm"] == frobenius(general)
+        assert detail["general_norm"] == frobenius(sat.boundary_residual_general(m, c, rho, sigma))
+        assert detail["general_norm"] == report["residual1_frobenius"]
         assert detail["hiai_norm"] == float(np.linalg.norm(sat.hiai_residual(c, rho, sigma)))
         if full_rank:
-            r1 = sat.residual1(m, c, PositiveOperator(rho.op), sigma)
-            assert detail["full_rank_reduction_error"] == float(np.linalg.norm(general.matrix - r1.matrix))
+            assert detail["general_norm"] == frobenius(sat.residual1(m, c, PositiveOperator(rho.op), sigma))
 
     @pytest.mark.parametrize("measure,spec,eigensolves", [
         ({"family": "relative_entropy"}, MeasureSpec.relative_entropy(), 4),
@@ -450,14 +576,6 @@ class TestSchemaErrors:
         write_scenarios(scen, [bad])
         assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 2
         assert "checks[1]" in capsys.readouterr().err
-
-    def test_inapplicable_check_for_rank(self, tmp_path, capsys):
-        scen = tmp_path / "scen.json"
-        bad = dict(BOUNDARY_SCENARIO)
-        bad["checks"] = ["residual1"]
-        write_scenarios(scen, [bad])
-        assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == 2
-        assert "positive" in capsys.readouterr().err
 
     def test_out_of_region_measure(self, tmp_path, capsys):
         scen = tmp_path / "scen.json"
@@ -653,11 +771,13 @@ class TestFieldSchema:
             err = capsys.readouterr().err
             assert err.startswith("error: cannot write output: ") and "schema" not in err
 
-    @pytest.mark.parametrize("operand", ["rho", "sigma"])
-    def test_sweep_names_the_non_positive_state(self, tmp_path, capsys, operand):
+    # rho may be rank deficient but not indefinite; sigma must be strictly positive.
+    @pytest.mark.parametrize("operand,values", [("rho", [1.0, -0.5]), ("sigma", [1.0, 0.0])],
+                             ids=["rho", "sigma"])
+    def test_sweep_names_the_non_positive_state(self, tmp_path, capsys, operand, values):
         states = {"rho": {"builder": "diag", "values": [0.6, 0.4]},
                   "sigma": {"builder": "diag", "values": [0.3, 0.7]}}
-        states[operand] = {"builder": "diag", "values": [1.0, 0.0]}
+        states[operand] = {"builder": "diag", "values": values}
         argv = [
             "sweep", "--measure", "sandwiched_renyi", "--grid", "alpha=2:2:1",
             "--channel", json.dumps(UNITARY_CHANNEL_JSON),
@@ -1074,8 +1194,7 @@ class TestParserOncePerProcess:
 
 
 # What each check needs, named here independently of the check table.
-FULL_RANK_CHECKS = {"residual1", "residual2", "converse", "petz", "alpha_z_crosscheck"}
-GAP_CHECKS = {"gap", "boundary"}
+REPORT_CHECKS = {"gap", "residual1", "residual2", "converse", "boundary", "petz", "alpha_z_crosscheck"}
 FAMILY_CHECKS = {"converse": "a scaling-law family", "alpha_z_crosscheck": "a Renyi family"}
 
 
@@ -1097,11 +1216,9 @@ class TestCheckTable:
             return main(["validate", str(scen)]), capsys.readouterr().err
 
         at = "schema error at scenario[0].checks[1]: "
-        rank_deficient = validate(BOUNDARY_SCENARIO)
-        if name in FULL_RANK_CHECKS:
-            assert rank_deficient == (2, f"{at}{name!r} needs a strictly positive rho\n")
-        else:
-            assert rank_deficient == (0, "")
+        # Every check applies to a Renyi family at a rank-deficient rho.
+        renyi = {"family": "sandwiched_renyi", "alpha": 2.0}
+        assert validate(dict(BOUNDARY_SCENARIO, measure=renyi)) == (0, "")
         no_column = validate(dict(RANDOM_SCENARIO, measure={"family": "f_divergence", "f": "x_log_x"}))
         if name in FAMILY_CHECKS:
             assert no_column == (2, f"{at}{name!r} needs {FAMILY_CHECKS[name]}, not 'f_divergence'\n")
@@ -1116,14 +1233,14 @@ class TestCheckTable:
         rep = load_report(out, RANDOM_SCENARIO["name"])
         # Only a check that reads the Petz errors has the report evaluate them.
         assert (rep["petz_recovery_error_sigma"] is not None) == (name == "petz")
-        if name not in FULL_RANK_CHECKS:
-            # neg_log has no value at a rank-deficient rho: a check judged
-            # against the gap fails alone with the reason, any other passes.
+        if name not in FAMILY_CHECKS:
+            # neg_log has no value at a rank-deficient rho: a check that reads
+            # the report fails alone with the reason, any other passes.
             measure = {"family": "f_divergence", "f": "neg_log"}
             write_scenarios(scen, [dict(BOUNDARY_SCENARIO, measure=measure, checks=[name])])
-            assert main(["run", str(scen), "--out", str(out)]) == (1 if name in GAP_CHECKS else 0)
+            assert main(["run", str(scen), "--out", str(out)]) == (1 if name in REPORT_CHECKS else 0)
             detail = load_report(out, BOUNDARY_SCENARIO["name"])["checks"][name]
-            assert ("reason" in detail) == (name in GAP_CHECKS) == (not detail["passed"])
+            assert ("reason" in detail) == (name in REPORT_CHECKS) == (not detail["passed"])
 
     def test_repeated_check(self, tmp_path, capsys):
         # The report keeps one entry per check, so a repeat would be merged.

@@ -571,6 +571,59 @@ class TestBoundaryEvaluation:
             evaluate_psd(MeasureSpec.f_divergence("neg_log"), rho, sigma)
 
 
+RANKS = [(n, k) for n in range(3, 7) for k in range(1, n)]
+
+
+class TestFidelityBoundaryGrad2:
+    """At a rank-deficient rho the fidelity's second gradient is
+    ``1/2 r^{1/2} (r^{1/2} s r^{1/2})^{+,-1/2} r^{1/2}``, with ``+`` the
+    pseudo-inverse power on the support of rho: its swapped core is singular
+    exactly where rho is."""
+
+    @staticmethod
+    def grad2_at(rho, sigma):
+        from dpisat.divergences import _grad2, _Pair
+
+        return _grad2(MeasureSpec.fidelity(), _Pair(rho, sigma))
+
+    @pytest.mark.parametrize("n,rank", RANKS)
+    def test_closed_form(self, n, rank):
+        g = gen(600 + 10 * n + rank)
+        rho, sigma = random_psd_rank(g, n, rank), random_positive(g, n)
+        w, v = np.linalg.eigh(rho.matrix)
+        w[:n - rank] = 0.0
+        r_half = (v * np.sqrt(w)) @ v.conj().T
+        wx, vx = np.linalg.eigh(r_half @ sigma.matrix @ r_half)
+        inv_half = np.zeros(n)
+        inv_half[n - rank:] = wx[n - rank:] ** -0.5
+        expected = 0.5 * r_half @ ((vx * inv_half) @ vx.conj().T) @ r_half
+        got = self.grad2_at(rho, sigma)
+        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("n,rank", RANKS)
+    def test_central_differences_along_sigma(self, n, rank):
+        m, g = MeasureSpec.fidelity(), gen(700 + 10 * n + rank)
+        rho, sigma = random_psd_rank(g, n, rank), random_positive(g, n)
+        oracle = calculus.numeric_gradient(lambda s: evaluate_psd(m, rho, PositiveOperator(s)), sigma.op)
+        got = self.grad2_at(rho, sigma)
+        assert np.linalg.norm(got - oracle.matrix) <= 1e-7 * np.linalg.norm(got)
+
+    def test_full_rank_clamps_nothing(self):
+        # At full rank no core eigenvalue is set to 0, so grad2 is the
+        # ordinary first gradient at the swapped pair, bit for bit.
+        from dpisat.divergences import _Pair
+
+        g = gen(640)
+        rho, sigma = random_positive(g, 4), random_positive(g, 4)
+        swapped = _Pair(sigma, rho)
+        assert swapped.core_kernel == 0
+        x = swapped.core(0.5, 1.0)[1]
+        raw = np.linalg.eigh(x.matrix)[0]
+        np.testing.assert_array_equal(x.eigensystem[0], np.maximum(raw, 0.0))
+        np.testing.assert_array_equal(grad2(MeasureSpec.fidelity(), rho, sigma).matrix,
+                                      grad1(MeasureSpec.fidelity(), sigma, rho).matrix)
+
+
 class TestMeasureJson:
     @pytest.mark.parametrize("m", measure_suite(), ids=str)
     def test_roundtrip(self, m):

@@ -984,12 +984,10 @@ class TestBoundarySpectralProducts:
         return relent, general, side(pt) - _act_adjoint(c, side(pt_out))
 
     def test_two_of_each_per_check_and_same_bits(self, monkeypatch):
-        from dpisat.saturation import (
-            _boundary_residual_general,
-            _boundary_residual_relent,
-            _hiai_residual,
-            _pairs,
-        )
+        from functools import partial
+
+        from dpisat.divergences import _grad1
+        from dpisat.saturation import _boundary_residual_relent, _hiai_residual, _pairs, _residual
 
         m = MeasureSpec.relative_entropy()
         for label, c, rho, sigma in boundary_saturating_fixtures():
@@ -999,7 +997,8 @@ class TestBoundarySpectralProducts:
                 pt, pt_out = _pairs(c, rho, sigma, boundary=True)
                 got = (
                     _boundary_residual_relent(c, pt, pt_out),
-                    _boundary_residual_general(m, c, pt, pt_out),
+                    # The tangent residual, the residual1 of a boundary report.
+                    hermitize(_residual(c, partial(_grad1, m), pt, pt_out, tangent=True)),
                     _hiai_residual(c, pt, pt_out),
                 )
             assert calls == {"_spectral_map": 2, "_logm(rho)": 2, "_logm(sigma)": 2}, label
