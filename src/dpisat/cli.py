@@ -33,7 +33,7 @@ checks apply and what ``petz`` and ``boundary`` judge.
 * ``tangent``: the tangent space at rho has dimension n^2 - k^2.
 
 Every check but ``tangent`` reads the report of ``build_report``, at any rank
-of rho; when it cannot be made, each fails alone with the reason.
+of rho. A check that cannot be evaluated fails alone, with the reason.
 
 State builders: a matrix object, ``{"builder": "diag", "values": [...]}``,
 or ``{"builder": "random_pos", "dim": n, "seed": s}``. Random states are
@@ -93,6 +93,8 @@ from .saturation import (
     _boundary_residual_relent,
     _converse_verdict,
     _hiai_residual,
+    _petz_recovery_errors,
+    _report_fields,
     _require_scaling_law,
     build_report,
     report_to_json,
@@ -282,20 +284,19 @@ def _load_scenarios(file_path: str, args) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _report_header(sc: Scenario, **fields) -> dict:
-    """The fields every report of ``sc`` starts with, then ``fields``."""
-    return {
-        "schema_version": "v1",
-        "name": sc.name,
-        "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "measure": measure_to_json(sc.measure),
-        **fields,
-    }
+class _Context(namedtuple("_Context", "sc report made")):
+    """What a check's verdict reads; ``core`` is the SaturationReport, and
+    raises ValueError with the reason (``made``) when it could not be made."""
 
+    @property
+    def core(self):
+        if isinstance(self.made, str):
+            raise ValueError(self.made)
+        return self.made
 
-# What a check's verdict reads: the scenario, its report dict, the
-# SaturationReport (None when it could not be made) and |gap| <= gap_tol.
-_Context = namedtuple("_Context", "sc report core saturated_here")
+    @property
+    def saturated_here(self) -> bool:
+        return abs(self.core.gap) <= self.sc.gap_tol
 
 
 def _gap_check(ctx):
@@ -303,7 +304,7 @@ def _gap_check(ctx):
 
 
 def _residual_check(side: str, ctx):
-    norm = ctx.report[f"{side}_frobenius"]
+    norm = getattr(ctx.core, f"{side}_frobenius")
     return not ctx.saturated_here or norm <= ctx.sc.residual_tol, {"norm": norm}
 
 
@@ -322,9 +323,11 @@ def _converse_check(ctx):
 
 def _petz_check(ctx):
     """sigma is recovered, and so is rho at saturation when the family's row
-    says saturation implies recovery (otherwise ``"judged": false``)."""
-    m, report = ctx.sc.measure, ctx.report
-    err_rho, err_sigma = report["petz_recovery_error_rho"], report["petz_recovery_error_sigma"]
+    says saturation implies recovery (otherwise ``"judged": false``); the
+    errors, from the report's pairs, go to its v1 fields."""
+    m = ctx.sc.measure
+    err_rho, err_sigma = _petz_recovery_errors(ctx.sc.channel, *ctx.core.pairs)
+    ctx.report.update(petz_recovery_error_rho=err_rho, petz_recovery_error_sigma=err_sigma)
     detail = {"recovery_error_rho": err_rho, "recovery_error_sigma": err_sigma}
     judged = m._row.recovers(m)
     if not judged:
@@ -362,11 +365,11 @@ def _tangent_check(ctx):
     return rank == expected, {"measured": rank, "expected": expected}
 
 
-# One check of ``run``: its verdict ``run(ctx) -> (passed, detail)`` and what
-# it needs: the report (``on_report``: it fails alone, with a reason, when the
-# report cannot be made), the Petz errors (``petz``), a family-row column and
-# the phrase naming it (``family``).
-_Check = namedtuple("_Check", "run on_report petz family", defaults=(True, False, ()))
+# One check of ``run``: its verdict ``run(ctx) -> (passed, detail)``, and the
+# family-row column it needs with the phrase naming it (``family``). A verdict
+# that raises ValueError or RuntimeError fails its check alone, with the
+# reason; reading ``ctx.core`` raises when the report could not be made.
+_Check = namedtuple("_Check", "run family", defaults=((),))
 
 _CHECKS = {
     "gap": _Check(_gap_check),
@@ -374,37 +377,39 @@ _CHECKS = {
     "residual2": _Check(functools.partial(_residual_check, "residual2")),
     "converse": _Check(_converse_check, family=("scaling", "a scaling-law family")),
     "boundary": _Check(_boundary_check),
-    "petz": _Check(_petz_check, petz=True),
+    "petz": _Check(_petz_check),
     "alpha_z_crosscheck": _Check(_alpha_z_check, family=("renyi", "a Renyi family")),
-    "tangent": _Check(_tangent_check, on_report=False),
+    "tangent": _Check(_tangent_check),
 }
 
 
 def _execute_scenario(sc: Scenario, dump_matrices: bool) -> dict:
-    report = _report_header(sc, tolerances={"gap_tol": sc.gap_tol, "residual_tol": sc.residual_tol},
-                            seeds=sc.seeds, grad2_method=grad2_method(sc.measure))
-
-    core = error = None
+    report = {
+        "schema_version": "v1",
+        "name": sc.name,
+        "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "measure": measure_to_json(sc.measure),
+        "tolerances": {"gap_tol": sc.gap_tol, "residual_tol": sc.residual_tol},
+        "seeds": sc.seeds,
+        "grad2_method": grad2_method(sc.measure),
+        # Made or not, a report has every v1 field, null where no number is known.
+        **dict.fromkeys(_report_fields(dump_matrices)),
+    }
     try:
-        # The Petz errors cost two adjoints and (L sigma)^{-1/2}, and their
-        # trace-preservation check raises once cond(L sigma) is large; only
-        # evaluate them when a requested check reads them.
-        core = build_report(
-            sc.measure, sc.channel, sc.rho, sc.sigma,
-            gap_tol=sc.gap_tol, residual_tol=sc.residual_tol,
-            with_petz=any(_CHECKS[name].petz for name in sc.checks),
-        )
+        made = build_report(sc.measure, sc.channel, sc.rho, sc.sigma,
+                            gap_tol=sc.gap_tol, residual_tol=sc.residual_tol, with_petz=False)
     except (ValueError, RuntimeError) as exc:
-        error = f"report could not be made: {exc}"
-        report.update(gap=None, residual1_frobenius=None, residual2_frobenius=None, saturated=None)
+        made = f"report could not be made: {exc}"
     else:
-        report.update(report_to_json(core, include_matrices=dump_matrices))
+        report.update(report_to_json(made, include_matrices=dump_matrices))
 
-    ctx = _Context(sc, report, core, core is not None and abs(core.gap) <= sc.gap_tol)
+    ctx = _Context(sc, report, made)
     checks_out = {}
     for name in sc.checks:
-        check = _CHECKS[name]
-        passed, detail = (False, {"reason": error}) if error and check.on_report else check.run(ctx)
+        try:
+            passed, detail = _CHECKS[name].run(ctx)
+        except (ValueError, RuntimeError) as exc:
+            passed, detail = False, {"reason": str(exc)}
         checks_out[name] = {"passed": bool(passed), **detail}
 
     report["checks"] = checks_out
@@ -453,15 +458,11 @@ def _cmd_run(args) -> int:
     scenarios = _load_scenarios(args.file, args)
     all_passed = True
     for sc in scenarios:
-        try:
-            report = _execute_scenario(sc, dump_matrices=args.dump_matrices)
-        except (ValueError, RuntimeError) as exc:
-            report = _report_header(sc, error=str(exc), passed=False, checks={})
+        report = _execute_scenario(sc, dump_matrices=args.dump_matrices)
         out_path = os.path.join(args.out, _report_filename(sc.name))
         _write_atomic(out_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
         failed = ", ".join(name for name, c in report["checks"].items() if not c["passed"])
-        why = f"error: {report['error']}" if "error" in report else failed
-        print(f"{sc.name}: {'PASS' if report['passed'] else 'FAIL'}" + (f" ({why})" if why else ""))
+        print(f"{sc.name}: {'PASS' if report['passed'] else 'FAIL'}" + (f" ({failed})" if failed else ""))
         all_passed = all_passed and report["passed"]
     return 0 if all_passed else 1
 

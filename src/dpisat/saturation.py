@@ -44,6 +44,7 @@ from .divergences import (
     _scaling_law,
     _TangentProjection,
     _value,
+    measure_to_json,
 )
 from .linalg import (
     HermitianOperator,
@@ -100,10 +101,9 @@ class ConverseViolationError(AssertionError):
 
 
 def _boundary_case(what: str, exc: PositivityError) -> BoundaryCaseError:
-    return BoundaryCaseError(
-        f"{what} is not strictly positive ({exc}); "
-        "use the boundary_residual operations for rank-deficient states"
-    )
+    # The boundary operations take a PSD rho, but not a singular sigma or image.
+    advice = "; use the boundary_residual operations for rank-deficient states" if what == "rho" else ""
+    return BoundaryCaseError(f"{what} is not strictly positive ({exc}){advice}")
 
 
 def _pairs(ch: KrausChannel, rho, sigma, boundary: bool = False):
@@ -111,13 +111,16 @@ def _pairs(ch: KrausChannel, rho, sigma, boundary: bool = False):
     derived from them. sigma and its image are strictly positive; so are rho
     and its image, or, on the ``boundary`` of the PSD cone, both are
     :class:`PsdOperator`, the image snapped at rho's own zero threshold: a
-    trace-preserving L keeps ``tr L(rho) = tr rho``."""
+    trace-preserving L keeps ``tr L(rho) = tr rho``.
+
+    L(sigma) is judged first: a strictly positive rho is ``>= c sigma``, c > 0,
+    so a singular L(rho) comes with a singular L(sigma)."""
     rho = _as_psd(rho) if boundary else _as_positive(rho, "rho", _boundary_case)
     sigma = _as_positive(sigma, "sigma", _boundary_case)
+    sigma_out = _as_positive(apply(ch, sigma.op), "channel image of sigma", _boundary_case)
     rho_out = apply(ch, rho.op)
     rho_out = (PsdOperator(rho_out, rho.zero_tol) if boundary
                else _as_positive(rho_out, "channel image of rho", _boundary_case))
-    sigma_out = _as_positive(apply(ch, sigma.op), "channel image of sigma", _boundary_case)
     return _Pair(rho, sigma), _Pair(rho_out, sigma_out)
 
 
@@ -538,23 +541,18 @@ def build_report(
     )
 
 
-def report_to_json(report: SaturationReport, include_matrices: bool = False) -> dict:
-    from .divergences import measure_to_json
+def _report_fields(include_matrices: bool = False) -> tuple:
+    """The v1 fields :func:`report_to_json` reads from a report: numbers and
+    verdict, then with ``include_matrices`` the residual operators."""
+    fields = ("gap", "residual1_frobenius", "residual2_frobenius", "residual1_spectral",
+              "residual2_spectral", "saturated", "petz_recovery_error_rho", "petz_recovery_error_sigma")
+    return fields + (("residual1", "residual2") if include_matrices else ())
 
-    out = {
-        "schema_version": "v1",
-        "measure": measure_to_json(report.measure),
-        "gap": report.gap,
-        "residual1_frobenius": report.residual1_frobenius,
-        "residual2_frobenius": report.residual2_frobenius,
-        "residual1_spectral": report.residual1_spectral,
-        "residual2_spectral": report.residual2_spectral,
-        "saturated": report.saturated,
-        "petz_recovery_error_rho": report.petz_recovery_error_rho,
-        "petz_recovery_error_sigma": report.petz_recovery_error_sigma,
-        "tolerances": {"gap_tol": report.gap_tol, "residual_tol": report.residual_tol},
-    }
-    if include_matrices:
-        out["residual1"] = matrix_to_json(report.residual1)
-        out["residual2"] = matrix_to_json(report.residual2)
+
+def report_to_json(report: SaturationReport, include_matrices: bool = False) -> dict:
+    out = {"schema_version": "v1", "measure": measure_to_json(report.measure)}
+    for name in _report_fields(include_matrices):
+        value = getattr(report, name)
+        out[name] = matrix_to_json(value) if isinstance(value, HermitianOperator) else value
+    out["tolerances"] = {"gap_tol": report.gap_tol, "residual_tol": report.residual_tol}
     return out

@@ -194,6 +194,30 @@ def boundary_saturating_fixtures(seed: int = 11) -> list:
     return fixtures
 
 
+def isometric_embedding() -> ch.KrausChannel:
+    """V maps C^2 into C^4, so the images of full-rank states are singular."""
+    v = np.zeros((4, 2), dtype=complex)
+    v[1, 0] = v[3, 1] = 1.0
+    return ch.KrausChannel([v])
+
+
+def ill_conditioned_partial_trace(s: float, seed: int = 1):
+    """``(channel, rho, sigma)``: ``rho (x) tau`` and ``sigma (x) tau`` under the
+    partial trace over tau, an exactly saturating pair, with
+    ``sigma = U diag(s, 5s, 1) U^H`` for a small s."""
+    g = gen(seed)
+    u = random_unitary(g, 3)
+    sigma_a = (u * np.array([s, 5.0 * s, 1.0])) @ u.conj().T
+    rho_a, tau = random_positive(g, 3).matrix, random_positive(g, 2).matrix
+    tau = tau / float(np.real(np.trace(tau)))
+
+    def state(a):
+        x = np.kron(a, tau)
+        return PositiveOperator(HermitianOperator(0.5 * (x + x.conj().T)))
+
+    return ch.partial_trace(3, 2, "a"), state(rho_a), state(sigma_a)
+
+
 def depolarizing_fixture():
     """The canonical non-saturating instance with a classical arithmetic gap."""
     return (

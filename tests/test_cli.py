@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 
 import dpisat.saturation as sat
 from dpisat import calculus
-from dpisat.channels import KrausChannel, channel_to_json, depolarizing
+from dpisat.channels import channel_to_json, depolarizing
 import dpisat.cli as cli
 from dpisat.cli import main, random_positive_state
 from dpisat.divergences import FAMILIES, MeasureSpec, measure_to_json, scaling_check
@@ -19,6 +20,8 @@ from _fixtures import (
     classical_kl,
     fuchs_caves,
     gen,
+    ill_conditioned_partial_trace,
+    isometric_embedding,
     measure_suite,
     random_positive,
     random_psd_rank,
@@ -309,11 +312,10 @@ class TestOneReportPath:
             assert rep["petz_recovery_error_rho"] > 0.1, m
 
     def test_isometric_embedding_fails_per_check(self, tmp_path, capsys):
-        # V maps C^2 into C^4, so L(rho) and L(sigma) are singular: the report
-        # cannot be made, and only the checks that read it fail.
-        v = np.zeros((4, 2), dtype=complex)
-        v[1, 0] = v[3, 1] = 1.0
-        scenario = dict(PINCHING_SCENARIO, name="isometry", channel=channel_to_json(KrausChannel([v])),
+        # L(rho) and L(sigma) are singular: the report cannot be made, and
+        # only the checks that read it fail. L(sigma) is named, and no
+        # boundary operation is advised: none takes it.
+        scenario = dict(PINCHING_SCENARIO, name="isometry", channel=channel_to_json(isometric_embedding()),
                         checks=["gap", "residual1", "tangent"])
         scen, out = tmp_path / "scen.json", tmp_path / "out"
         write_scenarios(scen, [scenario])
@@ -322,9 +324,10 @@ class TestOneReportPath:
         rep = load_report(out, "isometry")
         assert "error" not in rep
         for name in ("gap", "residual1"):
+            reason = rep["checks"][name]["reason"]
             assert rep["checks"][name]["passed"] is False
-            assert rep["checks"][name]["reason"].startswith(
-                "report could not be made: channel image of rho is not strictly positive")
+            assert reason.startswith("report could not be made: channel image of sigma is not strictly positive")
+            assert "boundary_residual" not in reason
         assert rep["checks"]["tangent"] == {"passed": True, "measured": 4, "expected": 4}
 
     @pytest.mark.parametrize("measure,grid", [
@@ -348,6 +351,76 @@ class TestOneReportPath:
             assert abs(float(row["gap"])) <= 1e-12, row
             assert float(row["residual1_norm"]) <= 1e-12, row
             assert float(row["residual2_norm"]) <= 1e-12, row
+
+
+# The v1 report fields beyond the header, named here independently of the
+# library: the numbers and the verdict, and with --dump-matrices the residuals.
+REPORT_NUMBERS = ("gap", "residual1_frobenius", "residual2_frobenius", "residual1_spectral",
+                  "residual2_spectral", "saturated", "petz_recovery_error_rho", "petz_recovery_error_sigma")
+REPORT_MATRICES = ("residual1", "residual2")
+
+
+class TestPerCheckIsolation:
+    """A check that cannot be evaluated fails alone, with the reason, and the
+    others are judged on their numbers."""
+
+    @pytest.mark.parametrize("s", [1e-9, 1e-12])
+    def test_ill_conditioned_sigma_fails_petz_alone(self, tmp_path, capsys, s):
+        # cond(L sigma) ~ 1/s puts the Petz map's trace-preservation defect
+        # above its bound. The verdicts of the other checks are not pinned:
+        # eigenvalue clustering merges s and 5s (the gap and residual2 are
+        # off by far more than roundoff); only that each is judged is.
+        code, reports = run_specs(tmp_path, *ill_conditioned_partial_trace(s))
+        capsys.readouterr()
+        assert code == 1
+        for m, rep in zip(measure_suite(), reports):
+            checks = rep["checks"]
+            assert set(checks) == set(applicable_checks(m))
+            petz = checks.pop("petz")
+            assert petz["passed"] is False, m
+            assert petz["reason"].startswith("Petz recovery map is not trace preserving"), m
+            assert not [name for name, detail in checks.items() if "reason" in detail], m
+            assert isinstance(checks["gap"]["value"], float), m
+            for key in REPORT_NUMBERS[:5]:  # the gap and the four residual norms
+                assert isinstance(rep[key], float) and math.isfinite(rep[key]), (m, key)
+            assert isinstance(rep["saturated"], bool), m
+            assert (rep["petz_recovery_error_rho"], rep["petz_recovery_error_sigma"]) == (None, None), m
+
+
+class TestOneReportShape:
+    """A report that could not be made has the fields of one that was, each
+    null where there is no number."""
+
+    @pytest.mark.parametrize("dump", [False, True], ids=["plain", "dump_matrices"])
+    def test_same_fields_made_or_not(self, tmp_path, capsys, dump):
+        checks = ["gap", "residual1", "tangent"]
+        neg_log = {"family": "f_divergence", "f": "neg_log"}
+        scenarios = [
+            dict(PINCHING_SCENARIO, name="made", checks=checks + ["petz"]),
+            dict(PINCHING_SCENARIO, name="isometry", channel=channel_to_json(isometric_embedding()),
+                 checks=checks),
+            dict(BOUNDARY_SCENARIO, name="made-boundary"),
+            dict(BOUNDARY_SCENARIO, name="neg-log", measure=neg_log, checks=["gap", "petz", "tangent"]),
+        ]
+        scen, out = tmp_path / "scen.json", tmp_path / "out"
+        write_scenarios(scen, scenarios)
+        assert main(["run", str(scen), "--out", str(out)] + (["--dump-matrices"] if dump else [])) == 1
+        assert capsys.readouterr().out == (
+            "made: PASS\nisometry: FAIL (gap, residual1)\nmade-boundary: PASS\nneg-log: FAIL (gap, petz)\n")
+        reports = {sc["name"]: load_report(out, sc["name"]) for sc in scenarios}
+        fields = REPORT_NUMBERS + (REPORT_MATRICES if dump else ())
+        made = reports["made"]
+        assert set(fields) <= set(made)
+        assert all(made[key] is not None for key in fields)
+        for name in ("isometry", "made-boundary", "neg-log"):
+            assert set(reports[name]) == set(made), name
+        for name in ("isometry", "neg-log"):
+            rep = reports[name]
+            assert {key: rep[key] for key in fields} == dict.fromkeys(fields), name
+            tangent = rep["checks"].pop("tangent")
+            assert tangent["passed"] is True and "reason" not in tangent, name
+            assert all(not c["passed"] and c["reason"].startswith("report could not be made: ")
+                       for c in rep["checks"].values()), name
 
 
 def count_channel_calls(monkeypatch) -> dict:
@@ -1049,7 +1122,7 @@ class TestSweep:
     )
     def test_point_that_raises_exits_1_without_csv(self, tmp_path, capsys, measure, grid, where):
         # Replacement by |0><0|: every image is rank one, so a report cannot
-        # take the channel image of rho as strictly positive.
+        # take the channel image of sigma as strictly positive.
         def unit(i, j):
             entries = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
             entries[i][j] = [1, 0]
@@ -1059,7 +1132,7 @@ class TestSweep:
         code, wrote = self._sweep_exit(tmp_path, measure, grid, replacement)
         assert (code, wrote) == (1, False)
         err = capsys.readouterr().err
-        assert err.startswith(f"error at {where}: channel image of rho is not strictly positive")
+        assert err.startswith(f"error at {where}: channel image of sigma is not strictly positive")
         assert "Traceback" not in err
 
 

@@ -50,6 +50,7 @@ from _fixtures import (
     diag_psd,
     fd_tangent_gradient,
     gen,
+    isometric_embedding,
     measure_suite,
     random_cptp,
     random_hermitian,
@@ -80,6 +81,20 @@ class TestDpiGap:
         sigma = diag_positive([0.5, 0.3, 0.2])
         with pytest.raises(BoundaryCaseError):
             dpi_gap(MeasureSpec.relative_entropy(), dephasing_pinching(3), rho, sigma)
+
+    def test_boundary_advice_only_for_a_singular_rho(self):
+        # The boundary operations take a PSD rho, but need sigma and L(sigma)
+        # strictly positive. A full-rank rho has L(rho) >= c L(sigma), so a
+        # singular L(sigma) is named first.
+        m, sigma = MeasureSpec.relative_entropy(), diag_positive([0.5, 0.3, 0.2])
+        with pytest.raises(BoundaryCaseError, match=r"^rho is not strictly positive .*; use the boundary_residual"):
+            dpi_gap(m, dephasing_pinching(3), diag_psd([0.7, 0.3, 0.0]), sigma)
+        embed = isometric_embedding()
+        for rho, sig, what in ((diag_positive([0.6, 0.4]), diag_positive([0.3, 0.7]), "channel image of sigma"),
+                               (diag_positive([0.6, 0.4]), diag_psd([1.0, 0.0]), "sigma")):
+            with pytest.raises(BoundaryCaseError, match=rf"^{what} is not strictly positive") as info:
+                dpi_gap(m, embed, rho, sig)
+            assert "boundary_residual" not in str(info.value)
 
     def test_boundary_gap_extension(self):
         rho = diag_psd([0.7, 0.3, 0.0])
