@@ -24,7 +24,8 @@ verdict function and what it needs; the measure's family row says which
 checks apply and what ``petz`` and ``boundary`` judge.
 
 * ``gap`` >= -gap_tol; ``residual1`` and ``residual2`` vanish when
-  |gap| <= gap_tol; ``converse``: a vanishing residual1 forces a vanishing gap;
+  |gap| <= gap_tol; ``converse``: once the scaling law verifies (else a
+  reason), a vanishing residual1 forces a vanishing gap;
 * ``petz``: sigma is recovered, and so is rho at saturation when saturation
   implies recovery for the family (otherwise ``"judged": false``);
 * ``boundary``: the tangent-space residual, the report's residual1, vanishes
@@ -88,7 +89,6 @@ from .linalg import (
 from .saturation import (
     DEFAULT_GAP_TOL,
     DEFAULT_RESIDUAL_TOL,
-    ConverseViolationError,
     _alpha_z_crosscheck,
     _boundary_residual_relent,
     _converse_verdict,
@@ -309,16 +309,13 @@ def _residual_check(side: str, ctx):
 
 
 def _converse_check(ctx):
-    """The family's scaling law verifies on the report's pair, and a vanishing
-    residual1 comes with a vanishing gap."""
+    """The family's scaling law verifies on the report's pair (a ValueError
+    when not), and a vanishing residual1 comes with a vanishing gap."""
     sc, core = ctx.sc, ctx.core
-    try:
-        _require_scaling_law(sc.measure, core.pairs[0])
-        cert = _converse_verdict(core.residual1_frobenius, core.gap, sc.residual_tol, sc.gap_tol)
-    except ConverseViolationError as exc:
-        return False, {"error": str(exc)}
-    return True, {"residual1_norm": cert.residual1_norm, "gap": cert.gap,
-                  "implied_gap_zero": cert.implied_gap_zero}
+    _require_scaling_law(sc.measure, core.pairs[0])
+    cert, holds = _converse_verdict(core.residual1_frobenius, core.gap, sc.residual_tol, sc.gap_tol)
+    return holds, {"residual1_norm": cert.residual1_norm, "gap": cert.gap,
+                   "implied_gap_zero": cert.implied_gap_zero}
 
 
 def _petz_check(ctx):
@@ -528,9 +525,6 @@ def _cmd_sweep(args) -> int:
     writer = csv.writer(buf)
     writer.writerow(axis_names + ["gap", "residual1_norm", "residual2_norm"])
     for point in itertools.product(*(values for _, values in axes)):
-        if abs(point[0] - 1.0) < 1e-12:
-            print(f"warning: skipping alpha=1 pole at {point}", file=sys.stderr)
-            continue
         try:
             m = MeasureSpec(args.measure, **dict(zip(axis_names, point)), allow_non_dpi=args.allow_non_dpi)
         except ValueError as exc:

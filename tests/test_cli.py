@@ -387,6 +387,60 @@ class TestPerCheckIsolation:
             assert (rep["petz_recovery_error_rho"], rep["petz_recovery_error_sigma"]) == (None, None), m
 
 
+class TestConverseVerdict:
+    """``converse`` fails under the one failure rule: a scaling law that does
+    not verify is a reason, and a violation is a verdict whose detail has the
+    keys of a pass."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("s", [1e-9, 1e-12])
+    def test_ill_conditioned_sigma_passes_converse(self, tmp_path, capsys, s, seed):
+        # The pair saturates exactly; the scale draws are powers of 4, so the
+        # scaled pair shares the base pair's roundoff of about eps cond(sigma).
+        specs = [m for m in measure_suite() if m._row.scaling is not None]
+        assert len(specs) == 8
+        _, reports = run_specs(tmp_path, *ill_conditioned_partial_trace(s, seed), specs)
+        capsys.readouterr()
+        for m, rep in zip(specs, reports):
+            conv = rep["checks"]["converse"]
+            assert conv["passed"] is True, (m, conv)
+            assert set(conv) == {"passed", "residual1_norm", "gap", "implied_gap_zero"}, m
+
+    def test_wrong_scaling_law_fails_converse_alone(self, tmp_path, capsys, monkeypatch):
+        from dpisat.divergences import _FAMILY_TABLE
+
+        row = _FAMILY_TABLE["relative_entropy"]
+        monkeypatch.setitem(_FAMILY_TABLE, "relative_entropy", row._replace(
+            scaling=lambda *args: (1.0 + 1e-6) * row.scaling(*args)))
+        scen, out = tmp_path / "scen.json", tmp_path / "out"
+        write_scenarios(scen, [PINCHING_SCENARIO])
+        assert main(["run", str(scen), "--out", str(out)]) == 1
+        assert capsys.readouterr().out == "pinching-relent: FAIL (converse)\n"
+        checks = load_report(out, "pinching-relent")["checks"]
+        assert checks.pop("converse") == {
+            "passed": False,
+            "reason": "scaling law failed to verify numerically for family 'relative_entropy'",
+        }
+        assert set(checks) == {"gap", "residual1", "residual2", "petz"}
+        assert all(c["passed"] and "reason" not in c for c in checks.values()), checks
+
+    def test_violation_is_a_failed_verdict(self, tmp_path, capsys):
+        # residual_tol = 10 calls a residual of 1.39 vanishing, but the gap
+        # under depolarizing noise is 0.286: the converse is violated.
+        scen, out = tmp_path / "scen.json", tmp_path / "out"
+        write_scenarios(scen, [dict(DEPOLARIZING_SCENARIO, checks=["gap", "converse"])])
+        assert main(["run", str(scen), "--out", str(out), "--tol-residual", "10"]) == 1
+        assert capsys.readouterr().out == "depolarizing-gap: FAIL (converse)\n"
+        rep = load_report(out, "depolarizing-gap")
+        assert rep["checks"]["converse"] == {
+            "passed": False, "residual1_norm": rep["residual1_frobenius"], "gap": rep["gap"],
+            "implied_gap_zero": True,
+        }
+        assert rep["residual1_frobenius"] == pytest.approx(1.39, abs=5e-3)
+        assert rep["gap"] == pytest.approx(0.2858, abs=5e-5)
+        assert rep["checks"]["gap"] == {"passed": True, "value": rep["gap"]}
+
+
 class TestOneReportShape:
     """A report that could not be made has the fields of one that was, each
     null where there is no number."""
@@ -1024,6 +1078,15 @@ class TestSweep:
         assert "skipping" in err
         zs = [float(r["z"]) for r in rows]
         assert min(zs) >= 0.75 - 1e-12 and max(zs) <= 1.5 + 1e-12
+
+    def test_alpha_one_pole_skipped_with_one_warning(self, tmp_path, capsys):
+        # MeasureSpec rejects the pole; the sweep warns with its reason.
+        rows = self._sweep(tmp_path, "sandwiched_renyi", "alpha=0.5:1.5:0.5",
+                           {"builder": "depolarizing", "dim": 2, "p": 0.4})
+        assert [float(r["alpha"]) for r in rows] == [0.5, 1.5]
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(warnings) == 1
+        assert warnings[0].startswith("warning: skipping (1.0,): alpha = 1 is a pole")
 
     def test_allow_non_dpi_computes_everything(self, tmp_path):
         rows = self._sweep(

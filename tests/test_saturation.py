@@ -22,6 +22,7 @@ from dpisat.linalg import (
 )
 from dpisat.saturation import (
     BoundaryCaseError,
+    ConverseViolationError,
     alpha2_petz_residual,
     alpha_z_crosscheck,
     boundary_gap,
@@ -248,6 +249,45 @@ class TestConverse:
         c, rho, sigma = depolarizing_fixture()
         with pytest.raises(ValueError, match="scaling law"):
             converse_certificate(MeasureSpec.f_divergence("x_log_x"), c, rho, sigma)
+
+    def test_violation_raises(self):
+        # residual_tol = 10 calls the residual of 1.39 vanishing; the gap is 0.286.
+        c, rho, sigma = depolarizing_fixture()
+        message = r"residual norm 1\.39\de\+00 <= 1\.0e\+01 but \|gap\| = 2\.858e-01"
+        with pytest.raises(ConverseViolationError, match=message):
+            converse_certificate(MeasureSpec.relative_entropy(), c, rho, sigma, residual_tol=10.0)
+
+    def test_law_that_does_not_verify_is_a_value_error(self, monkeypatch):
+        from dpisat.divergences import _FAMILY_TABLE
+
+        row = _FAMILY_TABLE["fidelity"]
+        monkeypatch.setitem(_FAMILY_TABLE, "fidelity", row._replace(
+            scaling=lambda *args: (1.0 + 1e-6) * row.scaling(*args)))
+        c, rho, sigma = depolarizing_fixture()
+        with pytest.raises(ValueError, match="scaling law failed to verify numerically for family 'fidelity'"):
+            converse_certificate(MeasureSpec.fidelity(), c, rho, sigma)
+
+    # Laws that agree with the family's own on the line k k' = 1 only: a wrong
+    # split between log k and log k', or a dropped sqrt(k k') factor.
+    WRONG_ON_K_OR_K_PRIME = [
+        (MeasureSpec.fidelity(), lambda m, pt, base, k, kp: base),
+        (MeasureSpec.relative_entropy(), lambda m, pt, base, k, kp: (
+            k * base + 2.0 * k * float(np.real(np.trace(pt.rho.matrix))) * math.log(k))),
+        (MeasureSpec.sandwiched_renyi(1.3), lambda m, pt, base, k, kp: (
+            base + (m.alpha / (m.alpha - 1.0) + 1.0) * math.log(k))),
+    ]
+
+    @pytest.mark.parametrize("m,wrong", WRONG_ON_K_OR_K_PRIME, ids=[m.family for m, _ in WRONG_ON_K_OR_K_PRIME])
+    def test_law_wrong_off_the_line_k_k_prime_one_is_a_value_error(self, monkeypatch, m, wrong):
+        from dpisat.divergences import _FAMILY_TABLE, _Pair
+
+        c, rho, sigma = depolarizing_fixture()
+        row = _FAMILY_TABLE[m.family]
+        pt, base = _Pair(rho, sigma), evaluate(m, rho, sigma)
+        assert wrong(m, pt, base, 4.0, 0.25) == pytest.approx(row.scaling(m, pt, base, 4.0, 0.25), rel=1e-12)
+        monkeypatch.setitem(_FAMILY_TABLE, m.family, row._replace(scaling=wrong))
+        with pytest.raises(ValueError, match="scaling law failed to verify numerically"):
+            converse_certificate(m, c, rho, sigma)
 
 
 class TestTangentSpace:
