@@ -457,13 +457,10 @@ class ScalingCheck:
 
 def _scaling_law(m: MeasureSpec, pt: _Pair, k: float, k_prime: float) -> ScalingCheck:
     """``B(k r, k' s)`` against its value by the family's scalar-multiplication
-    law from ``B(r, s)``, which is read from the pair ``pt``."""
-    rho = HermitianOperator._exact(k * pt.rho.matrix)
-    # A rank-deficient rho keeps its kernel: its zero threshold scales with it.
-    rho = PsdOperator(rho, k * pt.rho.zero_tol) if isinstance(pt.rho, PsdOperator) else PositiveOperator(rho)
-    scaled = _checked_pair(rho, PositiveOperator(HermitianOperator._exact(k_prime * pt.sigma.matrix)))
-    lhs, base = _value(m, scaled), _value(m, pt)
-    return ScalingCheck(lhs=lhs, rhs=m._row.scaling(m, pt, base, k, k_prime))
+    law from ``B(r, s)``, both at the strictly positive pair ``pt``."""
+    scaled = _checked_pair(PositiveOperator(HermitianOperator._exact(k * pt.rho.matrix)),
+                           PositiveOperator(HermitianOperator._exact(k_prime * pt.sigma.matrix)))
+    return ScalingCheck(lhs=_value(m, scaled), rhs=m._row.scaling(m, pt, _value(m, pt), k, k_prime))
 
 
 def scaling_check(m: MeasureSpec, rho, sigma, k: float, k_prime: float) -> ScalingCheck:

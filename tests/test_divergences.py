@@ -7,7 +7,10 @@ import pytest
 
 from dpisat import calculus
 from dpisat.divergences import (
+    _FAMILY_TABLE,
     MeasureSpec,
+    _Pair,
+    _value,
     evaluate,
     evaluate_psd,
     grad1,
@@ -28,12 +31,14 @@ from dpisat.linalg import (
 )
 
 from _fixtures import (
+    boundary_saturating_fixtures,
     classical_bhattacharyya,
     classical_fdiv,
     classical_kl,
     classical_renyi,
     diag_positive,
     gen,
+    ill_conditioned_partial_trace,
     measure_suite,
     random_cptp,
     random_positive,
@@ -541,6 +546,81 @@ class TestScalingCheck:
         rho, sigma = random_positive(g, 2), random_positive(g, 2)
         with pytest.raises(ValueError, match="Renyi"):
             scaling_check(MeasureSpec.relative_entropy(), rho, sigma, 2.0, 1.0)
+
+
+# (k, k') of B(k r, k' s), one factor at a time, so that a law is judged in
+# log k and log k' apart: draws on the line k k' = 1 would pass a fidelity law
+# without its sqrt(k k'). A binary float scales exactly by powers of 4, and so
+# do their square roots: the scaled pair keeps the base pair's eigenvectors, so
+# the law is judged, not a fresh roundoff of about eps cond(sigma).
+SCALE_DRAWS = ((4.0, 1.0), (1.0, 4.0))
+
+SCALING_SPECS = [m for m in measure_suite() if m._row.scaling is not None]
+
+
+def _scaled(x, k: float):
+    """k x, exactly; a rank-deficient x keeps its kernel, its zero threshold scaled with it."""
+    op = HermitianOperator._exact(k * x.matrix)
+    return PsdOperator(op, k * x.zero_tol) if isinstance(x, PsdOperator) else PositiveOperator(op)
+
+
+def scaling_law_states() -> list:
+    """``(label, rho, sigma)``: random full-rank pairs at n = 2..6, the
+    rank-deficient rho of the boundary fixtures, and sigma with eigenvalues
+    {s, 5s, 1} under a partial trace."""
+    g = gen(440)
+    states = [(f"random_n{n}", random_positive(g, n), random_positive(g, n)) for n in range(2, 7)]
+    states += [(label, rho, sigma) for label, _, rho, sigma in boundary_saturating_fixtures()]
+    states += [(f"ill_conditioned_s{s:g}_seed{seed}", *ill_conditioned_partial_trace(s, seed)[1:])
+               for s in (1e-9, 1e-12) for seed in (1, 2, 3)]
+    return states
+
+
+def scaling_law_misses(m: MeasureSpec, law) -> list:
+    """Where ``B(k r, k' s)`` misses ``law(m, pt, B(r, s), k, k')`` by more than
+    1e-10 relative, over :func:`scaling_law_states` and :data:`SCALE_DRAWS`."""
+    misses = []
+    for label, rho, sigma in scaling_law_states():
+        pt = _Pair(rho, sigma)
+        base = _value(m, pt)
+        for k, k_prime in SCALE_DRAWS:
+            lhs = _value(m, _Pair(_scaled(rho, k), _scaled(sigma, k_prime)))
+            rhs = law(m, pt, base, k, k_prime)
+            if abs(lhs - rhs) > 1e-10 * max(1.0, abs(lhs), abs(rhs)):
+                misses.append((label, k, k_prime, lhs, rhs))
+    return misses
+
+
+class TestScalingLaws:
+    """Every scaling law of the family table, verified once here: ``converse``
+    judges a report on the strength of these laws without re-evaluating them."""
+
+    def test_every_law_is_covered(self):
+        assert len(SCALING_SPECS) == 8
+        assert {m.family for m in SCALING_SPECS} == {
+            family for family, row in _FAMILY_TABLE.items() if row.scaling is not None}
+
+    @pytest.mark.parametrize("m", SCALING_SPECS, ids=str)
+    def test_law_holds(self, m):
+        assert scaling_law_misses(m, m._row.scaling) == []
+
+    # Wrong laws: off by 1 + 1e-6, or right on the line k k' = 1 only (a
+    # dropped sqrt(k k') factor, a wrong split between log k and log k').
+    WRONG_LAWS = {
+        "relative_entropy_off_by_1e-6": (MeasureSpec.relative_entropy(), lambda m, *args: (
+            (1.0 + 1e-6) * m._row.scaling(m, *args))),
+        "fidelity_off_by_1e-6": (MeasureSpec.fidelity(), lambda m, *args: (1.0 + 1e-6) * m._row.scaling(m, *args)),
+        "fidelity_without_sqrt_k_k_prime": (MeasureSpec.fidelity(), lambda m, pt, base, k, kp: base),
+        "relative_entropy_log_split": (MeasureSpec.relative_entropy(), lambda m, pt, base, k, kp: (
+            k * base + 2.0 * k * float(np.real(np.trace(pt.rho.matrix))) * math.log(k))),
+        "sandwiched_1.3_log_split": (MeasureSpec.sandwiched_renyi(1.3), lambda m, pt, base, k, kp: (
+            base + (m.alpha / (m.alpha - 1.0) + 1.0) * math.log(k))),
+    }
+
+    @pytest.mark.parametrize("name", WRONG_LAWS)
+    def test_wrong_law_is_caught(self, name):
+        m, wrong = self.WRONG_LAWS[name]
+        assert scaling_law_misses(m, wrong)
 
 
 class TestBoundaryEvaluation:

@@ -1,13 +1,22 @@
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpisat.channels import adjoint_apply, apply, dephasing_pinching, depolarizing, identity, unitary
-from dpisat.divergences import MeasureSpec, evaluate
+from dpisat.channels import (
+    adjoint_apply,
+    apply,
+    dephasing_pinching,
+    depolarizing,
+    identity,
+    partial_trace,
+    unitary,
+)
+from dpisat.divergences import MeasureSpec, _grad1, _grad2, _value, evaluate
 from dpisat.linalg import (
     HermitianOperator,
     PositiveOperator,
@@ -23,6 +32,7 @@ from dpisat.linalg import (
 from dpisat.saturation import (
     BoundaryCaseError,
     ConverseViolationError,
+    _residual,
     alpha2_petz_residual,
     alpha_z_crosscheck,
     boundary_gap,
@@ -224,8 +234,6 @@ class TestConverse:
     def test_partial_trace_product_additivity(self):
         # D(rho_A x tau || sigma_A x tau) equals D(rho_A || sigma_A), so the
         # traced-out factor saturates; both values computed independently.
-        from dpisat.channels import partial_trace
-
         g = gen(510)
         rho_a, sigma_a = random_positive(g, 2), random_positive(g, 2)
         tau = random_positive(g, 2)
@@ -257,37 +265,74 @@ class TestConverse:
         with pytest.raises(ConverseViolationError, match=message):
             converse_certificate(MeasureSpec.relative_entropy(), c, rho, sigma, residual_tol=10.0)
 
-    def test_law_that_does_not_verify_is_a_value_error(self, monkeypatch):
-        from dpisat.divergences import _FAMILY_TABLE
+    def test_no_law_is_refused_before_any_eigensolve(self, monkeypatch):
+        # Arrays, not operators: reading a state would eigensolve it.
+        rho, sigma = np.diag([0.9, 0.1]).astype(complex), np.diag([0.5, 0.5]).astype(complex)
+        calls = count_eigh(monkeypatch)
+        with pytest.raises(ValueError, match="family 'f_divergence' has no verified scaling law"):
+            converse_certificate(MeasureSpec.f_divergence("chi_square"), depolarizing(2, 0.5), rho, sigma)
+        assert calls == []
 
-        row = _FAMILY_TABLE["fidelity"]
-        monkeypatch.setitem(_FAMILY_TABLE, "fidelity", row._replace(
-            scaling=lambda *args: (1.0 + 1e-6) * row.scaling(*args)))
-        c, rho, sigma = depolarizing_fixture()
-        with pytest.raises(ValueError, match="scaling law failed to verify numerically for family 'fidelity'"):
-            converse_certificate(MeasureSpec.fidelity(), c, rho, sigma)
 
-    # Laws that agree with the family's own on the line k k' = 1 only: a wrong
-    # split between log k and log k', or a dropped sqrt(k k') factor.
-    WRONG_ON_K_OR_K_PRIME = [
-        (MeasureSpec.fidelity(), lambda m, pt, base, k, kp: base),
-        (MeasureSpec.relative_entropy(), lambda m, pt, base, k, kp: (
-            k * base + 2.0 * k * float(np.real(np.trace(pt.rho.matrix))) * math.log(k))),
-        (MeasureSpec.sandwiched_renyi(1.3), lambda m, pt, base, k, kp: (
-            base + (m.alpha / (m.alpha - 1.0) + 1.0) * math.log(k))),
+class TestEulerIdentity:
+    """An oracle for both gradients of every family, from Euler's theorem.
+
+    A jointly 1-homogeneous B (relative entropy, fidelity, the f-divergences)
+    has ``B(r, s) = <r, grad1 B> + <s, grad2 B>``; with ``<r, L*G> = <L r, G>``
+    the report's residuals give ``sign gap = <r, R1> + <s, R2>`` exactly. A
+    Renyi D = log Q / (a - 1) has ``<r, grad1 D> + <s, grad2 D> = 1/(a - 1)`` on
+    both pairs, so its residuals pair to 0 whatever the gradients; the
+    quasi-entropy Q is 1-homogeneous, and its gradients ``(a - 1) Q grad D``
+    give ``Q - Q' = <r, R1^Q> + <s, R2^Q>``. No finite difference is taken.
+
+    The identity sees each gradient through its pairing with its own state
+    only: a change that pairs to the same number on both pairs passes, such
+    as a multiple of the identity added to the relative entropy's grad2,
+    whose pairing with s is tr s on both sides of a trace-preserving L."""
+
+    CHANNELS = [
+        (depolarizing(4, 0.3), 4),
+        (depolarizing(5, 0.6), 5),
+        (partial_trace(2, 3, "a"), 6),
+        (partial_trace(3, 2, "b"), 6),
     ]
 
-    @pytest.mark.parametrize("m,wrong", WRONG_ON_K_OR_K_PRIME, ids=[m.family for m, _ in WRONG_ON_K_OR_K_PRIME])
-    def test_law_wrong_off_the_line_k_k_prime_one_is_a_value_error(self, monkeypatch, m, wrong):
-        from dpisat.divergences import _FAMILY_TABLE, _Pair
+    @staticmethod
+    def euler_sides(m, c, rho, sigma):
+        """Both sides of the identity for the report of ``(m, c, rho, sigma)``."""
+        rep = build_report(m, c, rho, sigma, with_petz=False)
+        if not m._row.renyi:
+            return m.sign * rep.gap, hs_inner(rho, rep.residual1) + hs_inner(sigma, rep.residual2)
+        a = m._row.point(m)[0]
 
-        c, rho, sigma = depolarizing_fixture()
-        row = _FAMILY_TABLE[m.family]
-        pt, base = _Pair(rho, sigma), evaluate(m, rho, sigma)
-        assert wrong(m, pt, base, 4.0, 0.25) == pytest.approx(row.scaling(m, pt, base, 4.0, 0.25), rel=1e-12)
-        monkeypatch.setitem(_FAMILY_TABLE, m.family, row._replace(scaling=wrong))
-        with pytest.raises(ValueError, match="scaling law failed to verify numerically"):
-            converse_certificate(m, c, rho, sigma)
+        def quasi(p):
+            return math.exp((a - 1.0) * _value(m, p))
+
+        def side(grad, p):
+            return (a - 1.0) * quasi(p) * grad(m, p)
+
+        pt, pt_out = rep.pairs
+        r1, r2 = (hermitize(_residual(c, partial(side, grad), pt, pt_out)) for grad in (_grad1, _grad2))
+        return quasi(pt) - quasi(pt_out), hs_inner(rho, r1) + hs_inner(sigma, r2)
+
+    @pytest.mark.parametrize("m", measure_suite(), ids=str)
+    def test_full_rank(self, m):
+        g = gen(450)
+        for c, n in self.CHANNELS:
+            lhs, rhs = self.euler_sides(m, c, random_positive(g, n), random_positive(g, n))
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs)), (c.dim_in, lhs, rhs)
+
+    @pytest.mark.parametrize("m", [m for m in measure_suite() if not m._row.renyi and m.f_name != "neg_log"],
+                             ids=str)
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_rank_deficient_rho(self, m, rank):
+        # residual1 is the tangent residual; <r, .> does not see the
+        # kernel-kernel block that the tangent projection drops.
+        g = gen(451)
+        for c, n in self.CHANNELS:
+            rho = random_psd_rank(g, n, rank)
+            lhs, rhs = self.euler_sides(m, c, rho, random_positive(g, n))
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs)), (c.dim_in, lhs, rhs)
 
 
 class TestTangentSpace:
@@ -378,8 +423,6 @@ class TestBoundaryResiduals:
         # PSD operator L*(Q') on the kernel of rho, so the tangent projection
         # of L*(P') = 1 - L*(Q') is P and the two relative-entropy boundary
         # residuals agree to roundoff, saturating (identity) or not.
-        from dpisat.channels import partial_trace
-
         g = gen(531)
         sigma = random_positive(g, 3)
         rho = random_psd_rank(g, 3, 2)
