@@ -29,9 +29,11 @@ checks apply and what ``petz`` and ``boundary`` judge.
 * ``petz``: sigma is recovered, and so is rho at saturation when saturation
   implies recovery for the family (otherwise ``"judged": false``);
 * ``boundary``: the tangent-space residual, the report's residual1, vanishes
-  at saturation, and so do the family's support-logarithm residuals;
+  at saturation, and so do the family's support-logarithm residuals (the
+  zeros-log one is residual1 too, by the support lemma);
 * ``alpha_z_crosscheck``: three published conditions agree at saturation;
-* ``tangent``: the tangent space at rho has dimension n^2 - k^2.
+* ``tangent``: the tangent space at rho has dimension n^2 - k^2, read from
+  the spectrum of rho's kernel projector in O(n^3).
 
 Every check but ``tangent`` reads the report of ``build_report``, at any rank
 of rho. A check that cannot be evaluated fails alone, with the reason.
@@ -90,7 +92,6 @@ from .saturation import (
     DEFAULT_GAP_TOL,
     DEFAULT_RESIDUAL_TOL,
     _alpha_z_crosscheck,
-    _boundary_residual_relent,
     _converse_verdict,
     _hiai_residual,
     _petz_recovery_errors,
@@ -338,12 +339,13 @@ def _boundary_check(ctx):
     residual1 and applies to every family. The support-logarithm residuals
     (``zeros_log_norm``, ``hiai_norm``) are recoverability conditions of the
     relative entropy; saturating another family, the fidelity say, does not
-    imply recoverability, so only a family whose row owns them reports them."""
-    sc, pairs = ctx.sc, ctx.core.pairs
-    detail: dict = {"general_norm": ctx.core.residual1_frobenius}
+    imply recoverability, so only a family whose row owns them reports them.
+    The zeros-log one is residual1, by the support lemma."""
+    sc, core = ctx.sc, ctx.core
+    detail: dict = {"general_norm": core.residual1_frobenius}
     if sc.measure._row.support_log:
-        detail["zeros_log_norm"] = frobenius(_boundary_residual_relent(sc.channel, *pairs))
-        detail["hiai_norm"] = float(np.linalg.norm(_hiai_residual(sc.channel, *pairs)))
+        detail["zeros_log_norm"] = core.residual1_frobenius
+        detail["hiai_norm"] = float(np.linalg.norm(_hiai_residual(sc.channel, *core.pairs)))
     return not ctx.saturated_here or all(v <= sc.residual_tol for v in detail.values()), detail
 
 

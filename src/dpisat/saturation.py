@@ -29,7 +29,6 @@ from operator import methodcaller
 
 import numpy as np
 
-from .calculus import hermitian_basis
 from .channels import (
     KrausChannel,
     _act_adjoint,
@@ -236,13 +235,18 @@ def converse_certificate(
 # ---------------------------------------------------------------------------
 
 
+def _tangent_operand(rho, M):
+    """rho as a :class:`PsdOperator` and M as an array of its shape."""
+    rho, m = _as_psd(rho), as_matrix(M)
+    if m.shape != rho.matrix.shape:
+        raise ValueError(f"dimension mismatch: {m.shape} vs {rho.matrix.shape}")
+    return rho, m
+
+
 def tangent_project(rho: PsdOperator, M) -> HermitianOperator:
     """Project onto the tangent space at a PSD operator:
     ``M - (1 - P) M (1 - P)`` with P the support projector."""
-    rho = _as_psd(rho)
-    m = as_matrix(M)
-    if m.shape != rho.matrix.shape:
-        raise ValueError(f"dimension mismatch: {m.shape} vs {rho.matrix.shape}")
+    rho, m = _tangent_operand(rho, M)
     return hermitize(_TangentProjection(rho)(m))
 
 
@@ -254,26 +258,26 @@ def tangent_membership(rho: PsdOperator, M, tol: float = 1e-10) -> bool:
     operators are read from the kernel block ``B = V_k^H M V_k``: ``B_aa``,
     ``sqrt(2) Re B_ab`` and ``sqrt(2) Im B_ab`` for ``a < b``.
     """
-    rho = _as_psd(rho)
+    rho, m = _tangent_operand(rho, M)
     vecs = rho.eigenvectors[:, rho.eigenvalues == 0.0]
-    b = vecs.conj().T @ as_matrix(M) @ vecs
+    b = vecs.conj().T @ m @ vecs
     upper = b[np.triu_indices(b.shape[0], 1)]
     coords = np.concatenate((b.diagonal().real, math.sqrt(2.0) * upper.real, math.sqrt(2.0) * upper.imag))
     return not (np.abs(coords) > tol).any()
 
 
 def tangent_space_rank(rho: PsdOperator, tol: float = 1e-8) -> int:
-    """Numerical dimension of the tangent space at rho.
+    """Numerical dimension of the tangent space at rho: the count of singular
+    values of ``M -> M - Q M Q`` on Hermitian matrices above ``tol`` times the
+    largest, Q the kernel projector of rho.
 
-    Equals ``n**2 - k**2`` for an n-dimensional operator with a
-    k-dimensional kernel.
+    In Q's eigenbasis the map scales ``|u_i><u_j|`` by ``1 - q_i q_j``, so its
+    n**2 singular values are ``|1 - q_i q_j|``, read from Q's spectrum in
+    O(n**3): ``n**2 - k**2`` ones for a k-dimensional kernel.
     """
-    rho = _as_psd(rho)
-    n = rho.dim
-    basis = np.array([b.matrix for b in hermitian_basis(n)])
-    proj = _TangentProjection(rho)(basis).reshape(n * n, n * n)
-    svals = np.linalg.svd(np.concatenate([proj.real, proj.imag], axis=1), compute_uv=False)
-    return int(np.count_nonzero(svals > tol * svals[0]))
+    q = np.linalg.eigvalsh(_TangentProjection(_as_psd(rho)).q)
+    svals = np.abs(1.0 - np.outer(q, q))
+    return int(np.count_nonzero(svals > tol * svals.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -289,19 +293,12 @@ def boundary_residual_relent(ch: KrausChannel, rho, sigma) -> HermitianOperator:
     where ``logx`` is the support logarithm and ``|_rest`` removes the block
     on the corresponding kernel. Requires s and L(s) strictly positive.
 
-    For trace-preserving L it equals :func:`boundary_residual_general` of the
+    For trace-preserving L it is :func:`boundary_residual_general` of the
     relative entropy, saturating or not: ``tr(r L*(Q')) = tr(L(r) Q') = 0``
     with ``Q' = 1 - P'`` puts ``L*(Q') >= 0`` on the kernel of r, so the
     tangent projection of ``L*(P')`` is P, the P of the tangent gradient.
     """
-    return hermitize(_boundary_residual_relent(ch, *_pairs(ch, rho, sigma, boundary=True)))
-
-
-def _boundary_residual_relent(ch: KrausChannel, pt: _Pair, pt_out: _Pair) -> np.ndarray:
-    def side(p: _Pair) -> np.ndarray:
-        return p.log_support - p.tangent(p.log_sigma)
-
-    return _symmetrized(_residual(ch, side, pt, pt_out, tangent=True))
+    return boundary_residual_general(MeasureSpec.relative_entropy(), ch, rho, sigma)
 
 
 def boundary_residual_general(m: MeasureSpec, ch: KrausChannel, rho, sigma) -> HermitianOperator:

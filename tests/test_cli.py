@@ -520,8 +520,9 @@ class TestReportReuse:
 
     @pytest.mark.parametrize("full_rank", [True, False], ids=["full_rank", "rank_deficient"])
     def test_boundary_check_takes_no_further_images(self, tmp_path, monkeypatch, full_rank):
-        # The boundary check reads the report's pairs, and its general_norm is
-        # the report's residual1: the tangent residual, residual1 at full rank.
+        # The boundary check reads the report's pairs, and its general_norm and
+        # zeros_log_norm are the report's residual1: the tangent residual,
+        # residual1 at full rank. Only Hiai's residual takes an adjoint more.
         from dpisat.linalg import PsdOperator
 
         values = [0.6, 0.3, 0.1] if full_rank else [0.7, 0.3, 0.0]
@@ -545,10 +546,17 @@ class TestReportReuse:
         m = MeasureSpec.relative_entropy()
         assert detail["zeros_log_norm"] == frobenius(sat.boundary_residual_relent(c, rho, sigma))
         assert detail["general_norm"] == frobenius(sat.boundary_residual_general(m, c, rho, sigma))
-        assert detail["general_norm"] == report["residual1_frobenius"]
+        assert detail["zeros_log_norm"] == detail["general_norm"] == report["residual1_frobenius"]
         assert detail["hiai_norm"] == float(np.linalg.norm(sat.hiai_residual(c, rho, sigma)))
         if full_rank:
             assert detail["general_norm"] == frobenius(sat.residual1(m, c, PositiveOperator(rho.op), sigma))
+
+        # gap and boundary alone: the report's two residual adjoints and Hiai's.
+        write_scenarios(scen, [dict(scenario, name="bnd-only", checks=["gap", "boundary"])])
+        calls.update(dict.fromkeys(calls, 0))
+        main(["run", str(scen), "--out", str(tmp_path / "out")])
+        assert calls == {"apply": 2, "_act_adjoint": 3}
+        assert load_report(tmp_path / "out", "bnd-only")["checks"]["boundary"] == detail
 
     @pytest.mark.parametrize("measure,spec", [
         ({"family": "relative_entropy"}, MeasureSpec.relative_entropy()),

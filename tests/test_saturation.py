@@ -370,6 +370,13 @@ class TestTangentSpace:
         rho = PsdOperator(random_positive(g, 3).op)
         assert tangent_membership(rho, random_hermitian(g, 3))
 
+    def test_shape_mismatch_is_named_alike(self):
+        g = gen(525)
+        rho, m = random_psd_rank(g, 4, 2), random_hermitian(g, 3)
+        for check in (tangent_project, tangent_membership):
+            with pytest.raises(ValueError, match=r"^dimension mismatch: \(3, 3\) vs \(4, 4\)$"):
+                check(rho, m)
+
     def test_membership_kernel_projector_fails(self):
         g = gen(523)
         rho = random_psd_rank(g, 3, 2)
@@ -395,15 +402,37 @@ class TestTangentSpace:
                 assert tangent_space_rank(rho) == n * n - k * k
 
 
-class TestBoundaryResiduals:
-    def test_full_rank_matches_residual1_up_to_unitality(self):
-        g = gen(530)
-        c = depolarizing(3, 0.4)
-        rho, sigma = random_positive(g, 3), random_positive(g, 3)
-        res_boundary = boundary_residual_relent(c, PsdOperator(rho.op), sigma)
-        res_interior = residual1(MeasureSpec.relative_entropy(), c, rho, sigma)
-        assert np.linalg.norm(res_boundary.matrix - res_interior.matrix) <= 1e-10
+def _boundary_residuals_by_hand(c, pt, pt_out):
+    """The relative entropy's three boundary residuals on the pairs
+    ``(pt, pt_out)``, each a separate product per call: the zeros-log
+    residual ``logx(r) - log(s)|_rest - L*(...)|_rest``, the tangent-space
+    gradient residual and Hiai's asymmetric one."""
+    from dpisat.channels import _act_adjoint
+    from dpisat.linalg import _logm
 
+    def tangent(rho, m):
+        q = np.eye(rho.dim) - zeroth_power(rho).matrix
+        return m - q @ m @ q
+
+    def extended(p):
+        q = np.eye(p.rho.dim) - zeroth_power(p.rho).matrix
+        log_sigma = _logm(p.sigma)
+        return hermitize(log_cross(p.rho).matrix - log_sigma + q @ log_sigma @ q
+                         + zeroth_power(p.rho).matrix)
+
+    lhs = log_cross(pt.rho).matrix - tangent(pt.rho, _logm(pt.sigma))
+    inner = log_cross(pt_out.rho).matrix - tangent(pt_out.rho, _logm(pt_out.sigma))
+    relent = hermitize(lhs - tangent(pt.rho, adjoint_apply(c, hermitize(inner)).matrix))
+    back = adjoint_apply(c, extended(pt_out)).matrix
+    general = hermitize(extended(pt).matrix - tangent(pt.rho, back))
+
+    def side(p):
+        return log_cross(p.rho).matrix - _logm(p.sigma) @ zeroth_power(p.rho).matrix
+
+    return relent, general, side(pt) - _act_adjoint(c, side(pt_out))
+
+
+class TestBoundaryResiduals:
     def test_saturating_rank_deficient_fixtures_vanish(self):
         for label, c, rho, sigma in boundary_saturating_fixtures():
             assert frobenius(boundary_residual_relent(c, rho, sigma)) <= 1e-8, label
@@ -418,22 +447,36 @@ class TestBoundaryResiduals:
         assert frobenius(boundary_residual_relent(c, rho, sigma)) > 1e-2
         assert boundary_gap(MeasureSpec.relative_entropy(), c, rho, sigma) > 1e-3
 
-    def test_general_equals_zeros_log_via_support_lemma(self):
+    def test_zeros_log_residual_is_the_tangent_residual_via_support_lemma(self):
         # For trace-preserving L, <rho, L*(Q')> = tr(L(rho) Q') = 0 puts the
         # PSD operator L*(Q') on the kernel of rho, so the tangent projection
-        # of L*(P') = 1 - L*(Q') is P and the two relative-entropy boundary
-        # residuals agree to roundoff, saturating (identity) or not.
+        # of L*(P') = 1 - L*(Q') is P: the zeros-log residual, built here by
+        # hand, is the relative entropy's tangent-space gradient residual,
+        # which boundary_residual_general (and so boundary_residual_relent)
+        # returns.
+        from dpisat.saturation import _pairs
+
+        def error_and_norm(c, rho, sigma):
+            expected = _boundary_residuals_by_hand(c, *_pairs(c, rho, sigma, boundary=True))[0].matrix
+            res = boundary_residual_general(MeasureSpec.relative_entropy(), c, rho, sigma)
+            return frobenius(res.matrix - expected), frobenius(expected)
+
         g = gen(531)
-        sigma = random_positive(g, 3)
-        rho = random_psd_rank(g, 3, 2)
-        cases = [(c, rho, sigma) for c in (depolarizing(3, 0.4), dephasing_pinching(3), identity(3))]
+        # Non-saturating draws: depolarizing at n = 2..6 and random 3-Kraus
+        # channels at n = 4, over ranks 1..n-1.
+        draws = [(depolarizing(n, g.uniform(0.1, 0.9)), n, 1 + i % (n - 1)) for n in range(2, 7) for i in range(12)]
+        draws += [(random_cptp(g, 4, 4), 4, 1 + i % 3) for i in range(40)]
+        for c, n, rank in draws:
+            error, norm = error_and_norm(c, random_psd_rank(g, n, rank), random_positive(g, n))
+            assert norm > 1e-3 and error <= 1e-13 * norm, (c.dim_in, rank)
+        # Saturating (identity) or not, on the channels of the fixtures.
         g = gen(534)
+        cases = [(c, random_psd_rank(g, 3, 2), random_positive(g, 3))
+                 for c in (depolarizing(3, 0.4), dephasing_pinching(3), identity(3))]
         for c in (dephasing_pinching(4), partial_trace(2, 2, "a"), depolarizing(4, 0.3)):
             cases += [(c, random_psd_rank(g, 4, 2), random_positive(g, 4)) for _ in range(3)]
         for c, rho, sigma in cases:
-            a = boundary_residual_general(MeasureSpec.relative_entropy(), c, rho, sigma)
-            b = boundary_residual_relent(c, rho, sigma)
-            assert np.linalg.norm(a.matrix - b.matrix) <= 1e-13, c
+            assert error_and_norm(c, rho, sigma)[0] <= 1e-13, c
 
     def test_support_lemma_directly(self):
         # rho^0 L*(L(rho)^0) rho^0 recovers rho^0 for CPTP maps.
@@ -787,8 +830,9 @@ class TestNormalizedSandwichedEigensolves:
 
 
 class TestTangentRankBatched:
-    """tangent_space_rank projects the whole Hermitian basis at once; the rank
-    equals the one measured from tangent_project, one basis element at a time."""
+    """tangent_space_rank reads the rank from the kernel projector's spectrum;
+    it equals the one measured by SVD from tangent_project, one Hermitian
+    basis element at a time."""
 
     @staticmethod
     def _reference_rank(rho, tol=1e-8):
@@ -804,11 +848,29 @@ class TestTangentRankBatched:
     def test_matches_per_element_projection(self):
         g = gen(580)
         cases = [rho for _, _, rho, _ in boundary_saturating_fixtures()]
-        cases += [random_psd_rank(g, n, r) for n in range(1, 7) for r in range(1, n + 1)]
+        cases += [random_psd_rank(g, n, r) for n in range(1, 9) for r in range(1, n + 1)]
         cases.append(diag_psd([1.0, 1e-11, 0.5]))  # snapped below zero_tol
+        # Spectra spread over 1e-9..1, rotated, above a kernel of each size.
+        for n in (3, 5, 8):
+            for r in range(1, n + 1):
+                u = random_unitary(g, n)
+                values = np.concatenate([np.logspace(-9, 0, r), np.zeros(n - r)])
+                cases.append(PsdOperator(hermitize((u * values) @ u.conj().T)))
         for rho in cases:
             k = rho.dim - rho.rank
             assert tangent_space_rank(rho) == self._reference_rank(rho) == rho.dim ** 2 - k * k
+
+    @pytest.mark.parametrize("n", [16, 24, 32])
+    def test_large_n_takes_no_svd(self, monkeypatch, n):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("tangent_space_rank took an SVD")
+
+        g = gen(581 + n)
+        cases = [random_psd_rank(g, n, r) for r in (1, n // 2, n - 1, n)]
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        for rho in cases:
+            k = rho.dim - rho.rank
+            assert tangent_space_rank(rho) == n * n - k * k
 
 
 # Formulas of the measures before the shared spectral cores, each taking its
@@ -1054,48 +1116,21 @@ class TestBoundarySpectralProducts:
                     monkeypatch.setattr(mod, name, wrapper)
         return calls
 
-    @staticmethod
-    def _reference(c, pt, pt_out):
-        """The three boundary residuals as separate products, per call."""
-        from dpisat.channels import _act_adjoint
-        from dpisat.linalg import _logm
-
-        def tangent(rho, m):
-            q = np.eye(rho.dim) - zeroth_power(rho).matrix
-            return m - q @ m @ q
-
-        def extended(p):
-            q = np.eye(p.rho.dim) - zeroth_power(p.rho).matrix
-            log_sigma = _logm(p.sigma)
-            return hermitize(log_cross(p.rho).matrix - log_sigma + q @ log_sigma @ q
-                             + zeroth_power(p.rho).matrix)
-
-        lhs = log_cross(pt.rho).matrix - tangent(pt.rho, _logm(pt.sigma))
-        inner = log_cross(pt_out.rho).matrix - tangent(pt_out.rho, _logm(pt_out.sigma))
-        relent = hermitize(lhs - tangent(pt.rho, adjoint_apply(c, hermitize(inner)).matrix))
-        back = adjoint_apply(c, extended(pt_out)).matrix
-        general = hermitize(extended(pt).matrix - tangent(pt.rho, back))
-
-        def side(p):
-            return log_cross(p.rho).matrix - _logm(p.sigma) @ zeroth_power(p.rho).matrix
-
-        return relent, general, side(pt) - _act_adjoint(c, side(pt_out))
-
     def test_two_of_each_per_check_and_same_bits(self, monkeypatch):
         from functools import partial
 
         from dpisat.divergences import _grad1
-        from dpisat.saturation import _boundary_residual_relent, _hiai_residual, _pairs, _residual
+        from dpisat.saturation import _hiai_residual, _pairs, _residual
 
         m = MeasureSpec.relative_entropy()
         for label, c, rho, sigma in boundary_saturating_fixtures():
-            ref = self._reference(c, *_pairs(c, rho, sigma, boundary=True))
+            ref = _boundary_residuals_by_hand(c, *_pairs(c, rho, sigma, boundary=True))[1:]
             with monkeypatch.context() as mp:
                 calls = self._count(mp)
                 pt, pt_out = _pairs(c, rho, sigma, boundary=True)
                 got = (
-                    _boundary_residual_relent(c, pt, pt_out),
-                    # The tangent residual, the residual1 of a boundary report.
+                    # The tangent residual, the residual1 of a boundary report
+                    # and the zeros-log residual of the boundary check.
                     hermitize(_residual(c, partial(_grad1, m), pt, pt_out, tangent=True)),
                     _hiai_residual(c, pt, pt_out),
                 )
