@@ -19,18 +19,19 @@ chosen at construction from the nonzero entries alone:
   ``vec L(A) = T vec(A)`` and ``vec L*(B) = T^H vec(B)`` are each one scatter
   over those entries, O(P) work;
 * any other stack acts through one blocked kernel (:func:`_sandwich`) that
-  does two large GEMMs per block of operators instead of two small ones per
-  operator, ``r m n (m + n)`` multiply-adds; a real stack multiplies in real
-  arithmetic.
+  does two large complex GEMMs per block of operators instead of two small
+  ones per operator, ``r m n (m + n)`` multiply-adds.
 
 Under the rule the scatter does at most ``1/(m + n)`` of the kernel's work.
 :func:`apply`, :func:`adjoint_apply` and :func:`choi_matrix` act through the
-channel's own form, and so do the saturation checks; :func:`apply_raw` on a
-bare stack always takes the blocked kernel.
+channel's own form, and so do the saturation checks and the
+trace-preservation check at construction, ``||L*(I) - I||_F``;
+:func:`apply_raw` on a bare stack always takes the blocked kernel.
 
 Complete positivity is automatic from Kraus form; :func:`verify_cptp`
-nevertheless recomputes the Choi matrix from the channel action as an
-independent validator for hand-entered operator lists.
+nevertheless recomputes the Choi matrix from the channel action, and trace
+preservation from the Gram sum ``sum K^H K`` of the stack, as an independent
+validator for hand-entered operator lists.
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ __all__ = [
 
 DEFAULT_TP_TOL = 1e-10
 # Kraus operators per pair of GEMMs in :func:`_sandwich`; a block's products
-# stay in cache at the dimensions this library targets (n <= 32).
+# stay in cache at the dimensions this library targets (n <= 32), and the
+# kernel's temporaries stay bounded for the n^2 + 1 operators of a Petz map.
 _BLOCK = 32
 
 
@@ -85,14 +87,15 @@ class KrausChannel:
 
     ``kraus`` is taken as a sequence of matrices or as one array of shape
     ``(r, m, n)``, and is stored as one read-only ``(r, m, n)`` stack: float64
-    when every imaginary part is exactly zero, complex128 otherwise. A
-    read-only float64 or complex128 stack is kept without a copy; anything
-    else is copied. Trace preservation ``||sum_i K_i^H K_i - I||_F <= tp_tol``
-    is enforced at construction; pass a larger ``tp_tol`` deliberately to hold
-    a known-bad operator list for diagnostics. A channel keeps the nonzero
-    entries of a sparse stack and acts through their transfer form (see the
-    module docstring); a sparse builder's channel builds its stack only when
-    ``kraus`` is first read.
+    when every imaginary part is exactly zero, which halves its memory, and
+    complex128 otherwise. A read-only float64 or complex128 stack is kept
+    without a copy; anything else is copied. Trace preservation
+    ``||L*(I) - I||_F = ||sum_i K_i^H K_i - I||_F <= tp_tol`` is enforced at
+    construction, through the channel's own action; pass a larger ``tp_tol``
+    deliberately to hold a known-bad operator list for diagnostics. A channel
+    keeps the nonzero entries of a sparse stack and acts through their
+    transfer form (see the module docstring); a sparse builder's channel
+    builds its stack only when ``kraus`` is first read.
     """
 
     tp_tol: float
@@ -135,11 +138,9 @@ class KrausChannel:
             tp_tol=tp_tol, dim_in=shape[2], dim_out=shape[1], _shape=shape,
             _entries=entries, _transfer=transfer, _kraus=stack,
         )
-        if transfer is None:
-            tp = tp_error(self.kraus)
-        else:  # ||L*(I) - I||_F, the same quantity in O(P)
-            tp = float(np.linalg.norm(_act_adjoint(self, np.eye(self.dim_out)) - np.eye(self.dim_in)))
-        _require_trace_preserving(tp, tp_tol)
+        tp = float(np.linalg.norm(_act_adjoint(self, np.eye(self.dim_out)) - np.eye(self.dim_in)))
+        if tp > tp_tol:
+            raise ValueError(f"channel is not trace preserving: ||sum K^H K - I||_F = {tp:.3e}")
 
     @property
     def kraus(self) -> np.ndarray:
@@ -265,23 +266,6 @@ def tp_error(kraus) -> float:
     return float(np.linalg.norm(flat.conj().T @ flat - np.eye(flat.shape[1])))
 
 
-def _require_trace_preserving(tp: float, tol: float) -> None:
-    """Raise unless a trace-preservation error ``||sum K^H K - I||_F`` is
-    within ``tol``."""
-    if tp > tol:
-        raise ValueError(
-            f"channel is not trace preserving: ||sum K^H K - I||_F = {tp:.3e}"
-        )
-
-
-def _real_aware_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x @ y`` for a complex C-contiguous ``y``; a float64 ``x`` multiplies
-    the float64 view of ``y``, a real GEMM with half the flops and no copy."""
-    if x.dtype == np.float64:
-        return (x @ y.view(np.float64)).view(np.complex128)
-    return x @ y
-
-
 def _sandwich(stack: np.ndarray, a) -> np.ndarray:
     """``sum_k S_k A S_k^H`` for a stack ``S`` of shape ``(r, p, q)`` and any
     square ``A``, Hermitian or not.
@@ -298,10 +282,10 @@ def _sandwich(stack: np.ndarray, a) -> np.ndarray:
     for start in range(0, r, _BLOCK):
         blk = stack[start:start + _BLOCK]
         b = blk.shape[0]
-        prod = _real_aware_matmul(blk.reshape(b * p, q), a).reshape(b, p, q)
+        prod = (blk.reshape(b * p, q) @ a).reshape(b, p, q)
         prod_h = np.ascontiguousarray(prod.transpose(0, 2, 1)).reshape(b * q, p)
         np.conjugate(prod_h, out=prod_h)
-        acc += _real_aware_matmul(blk.transpose(1, 0, 2).reshape(p, b * q), prod_h)
+        acc += blk.transpose(1, 0, 2).reshape(p, b * q) @ prod_h
     return acc.conj().T
 
 

@@ -164,7 +164,7 @@ def _state_from_json(obj, path: str, seed_override: int | None):
 
 def _admit_state(arr: np.ndarray, path: str, psd: bool = False):
     """A scenario state, strictly positive or, with ``psd``, PSD, judged by the
-    scale rule of the Hermiticity guard and the clusters: skew within
+    scale rule of :func:`hermitize` and the clusters: skew within
     ``1e-10 max(1, max|A|)``, and eigenvalues within ``1e-10 max(1, tr A)`` of
     zero snapped to 0. A state it refuses is a schema error at ``path``."""
     with _schema_at(path):

@@ -62,6 +62,7 @@ from .linalg import (
     SchemaError,
     _as_positive,
     _as_psd,
+    _eigh,
     _fields,
     _logm,
     _number,
@@ -192,6 +193,11 @@ def _checked_pair(rho, sigma) -> "_Pair":
     return _Pair(rho, sigma)
 
 
+# A Renyi core: its symmetrized array and clamped ``(w, v)``, the shape that
+# ``_spectrum`` and ``_powm`` read.
+_Core = namedtuple("_Core", "matrix eigensystem")
+
+
 class _Pair:
     """A state pair (rho positive, or PSD on the boundary; sigma positive)
     whose spectral cores are each formed and eigensolved once, then shared by
@@ -205,21 +211,19 @@ class _Pair:
         """``(s^gamma, X)``, ``X = s^gamma r^p s^gamma``: the alpha-z core at
         ``p = a/z``; ``p = 1`` takes r itself, since ``r^1 = r``.
 
-        X is positive semidefinite by construction, so its eigensystem is
-        seeded once with roundoff below zero clamped to zero and the
+        X is a :class:`_Core`: positive semidefinite by construction, so it
+        is eigensolved once, with roundoff below zero clamped to zero and the
         ``core_kernel`` eigenvalues on the kernels of rho and sigma set to
         exactly zero: no roundoff there reaches a power below 1."""
         key = (gamma, p)
         if key not in self._cores:
             s_g = _powm(self.sigma, gamma)
             r = self.rho.matrix if p == 1.0 else _powm(self.rho, p)
-            x = HermitianOperator._exact(_symmetrized(s_g @ r @ s_g))
-            wx, vx = x.eigensystem
+            x = _symmetrized(s_g @ r @ s_g)
+            wx, vx = _eigh(x)
             wx = np.maximum(wx, 0.0)
             wx[:self.core_kernel] = 0.0
-            wx.setflags(write=False)
-            vars(x)["eigensystem"] = wx, vx  # seeds the cached eigensystem
-            self._cores[key] = s_g, x
+            self._cores[key] = s_g, _Core(x, (wx, vx))
         return self._cores[key]
 
     def core_power(self, gamma: float, p: float, outer: float, exponent: float) -> np.ndarray:
@@ -458,8 +462,8 @@ class ScalingCheck:
 def _scaling_law(m: MeasureSpec, pt: _Pair, k: float, k_prime: float) -> ScalingCheck:
     """``B(k r, k' s)`` against its value by the family's scalar-multiplication
     law from ``B(r, s)``, both at the strictly positive pair ``pt``."""
-    scaled = _checked_pair(PositiveOperator(HermitianOperator._exact(k * pt.rho.matrix)),
-                           PositiveOperator(HermitianOperator._exact(k_prime * pt.sigma.matrix)))
+    scaled = _checked_pair(PositiveOperator(HermitianOperator(k * pt.rho.matrix)),
+                           PositiveOperator(HermitianOperator(k_prime * pt.sigma.matrix)))
     return ScalingCheck(lhs=_value(m, scaled), rhs=m._row.scaling(m, pt, _value(m, pt), k, k_prime))
 
 

@@ -4,10 +4,11 @@ decompositions, and matrix functions of Hermitian operators.
 Matrices are dense ``complex128`` arrays stored as ``(A + A^H) / 2``.
 Inputs are validated where they enter: JSON decoding and the public
 constructors. Inside the library, private cores pass plain arrays made
-exactly Hermitian by :func:`_symmetrized` and check nothing. The fused
-roundoff check :func:`hermitize`, which hands what it rejects to the
-validating constructor, runs where a computed matrix becomes an operator:
-on a channel image and on the value a public function returns.
+exactly Hermitian by :func:`_symmetrized` and check nothing. Every operator
+is made by one constructor, whose one fused pass ``max|A - A^H|`` rejects
+non-finite entries and skew beyond its tolerance; :func:`hermitize` only
+scales that tolerance to the matrix, where a computed matrix becomes an
+operator: on a channel image and on the value a public function returns.
 Eigenvalues that agree up to a relative tolerance are merged
 into a single cluster before any divided-difference formula is evaluated,
 which prevents catastrophic cancellation for near-degenerate spectra.
@@ -114,10 +115,17 @@ def frobenius(x) -> float:
     return float(np.linalg.norm(as_matrix(x)))
 
 
-def _validated_square(arr: np.ndarray, what: str) -> np.ndarray:
+def _square(arr: np.ndarray, what: str) -> np.ndarray:
+    """``arr`` as a complex128 square matrix of positive size."""
     arr = np.asarray(arr, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise ValueError(f"{what} must be a square matrix, got shape {arr.shape}")
+    return arr
+
+
+def _validated_square(arr: np.ndarray, what: str) -> np.ndarray:
+    """:func:`_square`, with finite entries."""
+    arr = _square(arr, what)
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} has non-finite entries")
     return arr
@@ -128,16 +136,22 @@ class HermitianOperator:
     """A Hermitian matrix, stored as its symmetrized part ``(A + A^H)/2``.
 
     Construction fails with :class:`HermiticityError` if the max-entry
-    deviation ``||A - A^H||_max`` exceeds ``herm_tol``.
+    deviation ``||A - A^H||_max`` exceeds ``herm_tol``, and with ValueError
+    if an entry is not finite: a NaN or infinite entry makes its own
+    deviation NaN or infinite (``inf - inf`` on the diagonal, ``inf`` against
+    a finite mirror), so the one pass finds both.
     """
 
     matrix: np.ndarray
     herm_tol: float = DEFAULT_HERM_TOL
 
     def __post_init__(self):
-        arr = _validated_square(as_matrix(self.matrix), "HermitianOperator")
+        arr = _square(as_matrix(self.matrix), "HermitianOperator")
         adj = arr.conj().T
-        dev = float(np.max(np.abs(arr - adj)))
+        with np.errstate(invalid="ignore"):
+            dev = float(np.max(np.abs(arr - adj)))
+        if not math.isfinite(dev):
+            raise ValueError("HermitianOperator has non-finite entries")
         if dev > self.herm_tol:
             raise HermiticityError(
                 f"matrix deviates from Hermiticity by {dev:.3e} > tol {self.herm_tol:.3e}"
@@ -145,15 +159,6 @@ class HermitianOperator:
         sym = _symmetrized(arr, adj)
         sym.setflags(write=False)
         object.__setattr__(self, "matrix", sym)
-
-    @classmethod
-    def _exact(cls, sym: np.ndarray, herm_tol: float = DEFAULT_HERM_TOL) -> "HermitianOperator":
-        """Wrap an exactly Hermitian ``(A + A^H)/2`` without checking it again."""
-        op = object.__new__(cls)
-        sym.setflags(write=False)
-        object.__setattr__(op, "matrix", sym)
-        object.__setattr__(op, "herm_tol", herm_tol)
-        return op
 
     @property
     def dim(self) -> int:
@@ -189,20 +194,14 @@ def hermitize(matrix, rel_tol: float = 1e-8) -> HermitianOperator:
 
     The allowed deviation scales with the largest entry, so results of long
     floating-point pipelines are accepted while genuinely non-Hermitian
-    values still raise, from the validating constructor that gets every
-    matrix this fused check rejects. It runs on channel images and on the
-    values public functions return; private cores pass :func:`_symmetrized`
-    arrays instead, on which it would find no skew and change no bit.
+    values still raise, from the constructor's one check. It runs on channel
+    images and on the values public functions return; private cores pass
+    :func:`_symmetrized` arrays instead, on which it would find no skew and
+    change no bit.
     """
     arr = np.asarray(as_matrix(matrix), dtype=np.complex128)
     scale = float(np.max(np.abs(arr))) if arr.size else 1.0
-    herm_tol = rel_tol * max(1.0, scale)
-    # A finite largest entry rules out NaN and infinities.
-    if arr.ndim == 2 and arr.shape[0] == arr.shape[1] and arr.size and scale < math.inf:
-        adj = arr.conj().T
-        if float(np.max(np.abs(arr - adj))) <= herm_tol:
-            return HermitianOperator._exact(_symmetrized(arr, adj), herm_tol)
-    return HermitianOperator(arr, herm_tol=herm_tol)
+    return HermitianOperator(arr, herm_tol=rel_tol * max(1.0, scale))
 
 
 def _eigh(matrix: np.ndarray):

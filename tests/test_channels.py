@@ -178,6 +178,23 @@ class TestVerifyCptp:
             assert rep.choi_min_eig >= -1e-10
 
 
+    @pytest.mark.parametrize("form", ["dense", "transfer"])
+    def test_one_trace_preservation_formula_at_construction(self, form):
+        # Construction judges ||L*(I) - I||_F through the channel's own action,
+        # whatever its form; verify_cptp still reports the Gram sum of the
+        # stack, an independent check of a dense channel.
+        good = random_cptp(gen(321), 3, 2) if form == "dense" else depolarizing(3, 0.4)
+        stack = 1.1 * good.kraus
+        held = KrausChannel(stack, tp_tol=1.0)
+        assert (held._transfer is None) == (form == "dense")
+        tp = float(np.linalg.norm(_act_adjoint(held, np.eye(held.dim_out)) - np.eye(held.dim_in)))
+        with pytest.raises(ValueError) as err:
+            KrausChannel(stack)
+        assert str(err.value) == f"channel is not trace preserving: ||sum K^H K - I||_F = {tp:.3e}"
+        assert verify_cptp(held).tp_error == tp_error(held.kraus)
+        assert tp == pytest.approx(tp_error(held.kraus), rel=1e-12)
+
+
 class TestBuilders:
     def test_depolarizing_rejects_bad_p(self):
         with pytest.raises(ValueError):

@@ -559,8 +559,10 @@ SCALING_SPECS = [m for m in measure_suite() if m._row.scaling is not None]
 
 
 def _scaled(x, k: float):
-    """k x, exactly; a rank-deficient x keeps its kernel, its zero threshold scaled with it."""
-    op = HermitianOperator._exact(k * x.matrix)
+    """k x, exactly; a rank-deficient x keeps its kernel, its zero threshold scaled with it.
+    k times an exactly Hermitian matrix is exactly Hermitian, so the
+    constructor finds no skew and keeps every bit."""
+    op = HermitianOperator(k * x.matrix)
     return PsdOperator(op, k * x.zero_tol) if isinstance(x, PsdOperator) else PositiveOperator(op)
 
 

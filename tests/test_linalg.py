@@ -1,4 +1,6 @@
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpisat.linalg import (
+    DEFAULT_HERM_TOL,
     EigensolverError,
     HermitianOperator,
     HermiticityError,
@@ -32,6 +35,29 @@ from _fixtures import count_eigh, gen, random_hermitian, random_positive, random
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
+# Every non-finite entry makes its own deviation |a_ij - conj(a_ji)| NaN or
+# infinite, so the constructor's one pass finds it, with no RuntimeWarning
+# from an inf - inf.
+NON_FINITE = [
+    pytest.param(np.array([[np.nan, 0], [0, 1]], dtype=complex), id="nan_diagonal"),
+    pytest.param(np.array([[1, complex(0, np.nan)], [0, 1]], dtype=complex), id="nan_imaginary"),
+    pytest.param(np.array([[1, 0], [np.nan, 1]], dtype=complex), id="nan_lower"),
+    pytest.param(np.array([[np.nan, np.nan], [np.nan, np.nan]], dtype=complex), id="nan_everywhere"),
+    # A lone infinite entry off the diagonal: its deviation and the scale are
+    # both inf, so a tolerance test alone would pass it.
+    pytest.param(np.array([[1, np.inf], [0, 1]], dtype=complex), id="inf_finite_mirror"),
+    pytest.param(np.array([[1, 0], [-np.inf, 1]], dtype=complex), id="neg_inf_finite_mirror"),
+    pytest.param(np.array([[1, np.inf], [np.inf, 1]], dtype=complex), id="inf_symmetric"),
+    pytest.param(np.array([[1, -np.inf], [-np.inf, 1]], dtype=complex), id="neg_inf_symmetric"),
+    pytest.param(np.array([[1, np.inf], [-np.inf, 1]], dtype=complex), id="inf_antisymmetric"),
+    pytest.param(np.array([[1, complex(0, np.inf)], [complex(0, -np.inf), 1]], dtype=complex),
+                 id="imaginary_inf_hermitian_mirror"),
+    pytest.param(np.array([[np.inf, 0], [0, 1]], dtype=complex), id="inf_diagonal"),
+    pytest.param(np.array([[1, 0], [0, -np.inf]], dtype=complex), id="neg_inf_diagonal"),
+    pytest.param(np.array([[complex(0, np.inf), 0], [0, 1]], dtype=complex), id="imaginary_inf_diagonal"),
+    pytest.param(np.array([[1, complex(np.inf, np.nan)], [0, 1]], dtype=complex), id="inf_nan"),
+]
+
 
 class TestTypes:
     def test_hermitian_rejects_non_square(self):
@@ -41,6 +67,16 @@ class TestTypes:
     def test_hermitian_rejects_nan(self):
         with pytest.raises(ValueError, match="non-finite"):
             HermitianOperator(np.array([[np.nan, 0], [0, 1]], dtype=complex))
+
+    @pytest.mark.parametrize("arr", NON_FINITE)
+    @pytest.mark.parametrize("herm_tol", [DEFAULT_HERM_TOL, math.inf])
+    def test_hermitian_rejects_non_finite(self, arr, herm_tol):
+        # The constructor's one pass finds every non-finite entry, whatever
+        # its tolerance, and warns nothing.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^HermitianOperator has non-finite entries$"):
+                HermitianOperator(arr, herm_tol=herm_tol)
 
     def test_hermitian_symmetrizes_storage(self):
         a = np.array([[1.0, 0.5 + 1e-12j], [0.5, 2.0]], dtype=complex)
@@ -195,22 +231,12 @@ class TestHermitize:
         ):
             hermitize(big)
 
-    @pytest.mark.parametrize(
-        "arr",
-        [
-            np.array([[np.nan, 0], [0, 1]], dtype=complex),
-            np.array([[1, complex(0, np.nan)], [0, 1]], dtype=complex),
-            np.array([[np.inf, 0], [0, 1]], dtype=complex),
-            # A lone infinite entry off the diagonal: its deviation and the
-            # scale are both inf, so the tolerance test alone would pass it.
-            np.array([[1, np.inf], [0, 1]], dtype=complex),
-            np.array([[1, np.inf], [np.inf, 1]], dtype=complex),
-            np.array([[1, complex(np.inf, np.nan)], [0, 1]], dtype=complex),
-        ],
-    )
+    @pytest.mark.parametrize("arr", NON_FINITE)
     def test_non_finite_raises(self, arr):
-        with pytest.raises(ValueError, match=r"^HermitianOperator has non-finite entries$"):
-            hermitize(arr)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^HermitianOperator has non-finite entries$"):
+                hermitize(arr)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(1, 6), st.integers(-300, 300))

@@ -1049,43 +1049,41 @@ class TestSharedSpectralCores:
 
 
 class TestValidationAtBoundary:
-    """Inputs are validated where they enter the library; what a report
-    computes from validated operators is wrapped through the trusted path."""
+    """Every operator is made by one constructor, whose one Hermiticity check
+    runs where a matrix becomes an operator: on the inputs, the two channel
+    images and the two residuals of a report. The cores between pass
+    symmetrized arrays and run it nowhere."""
 
     @staticmethod
-    def _count_validations(monkeypatch) -> list:
-        """Record the ``what`` of every validating construction."""
-        import dpisat.linalg as la
+    def _count_checks(monkeypatch) -> list:
+        """Record the dimension of every run of the Hermiticity check."""
+        runs = []
+        check = HermitianOperator.__post_init__
 
-        whats = []
-        validated = la._validated_square
+        def counted(self):
+            check(self)
+            runs.append(self.dim)
 
-        def counted(arr, what):
-            whats.append(what)
-            return validated(arr, what)
+        monkeypatch.setattr(HermitianOperator, "__post_init__", counted)
+        return runs
 
-        monkeypatch.setattr(la, "_validated_square", counted)
-        return whats
-
-    def test_report_on_operators_validates_nothing(self, monkeypatch):
+    def test_report_on_operators_checks_images_and_residuals(self, monkeypatch):
         c = depolarizing(4, 0.3)
         g = gen(592)
         rho, sigma = random_positive(g, 4), random_positive(g, 4)
-        whats = self._count_validations(monkeypatch)
+        runs = self._count_checks(monkeypatch)
         for m in measure_suite():
+            del runs[:]
             build_report(m, c, rho, sigma)
-        assert whats == []
-        # The count sees a validated construction, so zero is not vacuous.
-        HermitianOperator(rho.matrix)
-        assert whats == ["HermitianOperator"]
+            assert len(runs) == 4, m
 
-    def test_array_inputs_are_validated_once_each(self, monkeypatch):
+    def test_array_inputs_are_checked_once_each(self, monkeypatch):
         c = depolarizing(3, 0.4)
         g = gen(593)
         rho, sigma = random_positive(g, 3).matrix, random_positive(g, 3).matrix
-        whats = self._count_validations(monkeypatch)
+        runs = self._count_checks(monkeypatch)
         build_report(MeasureSpec.relative_entropy(), c, rho, sigma)
-        assert whats == ["HermitianOperator"] * 2
+        assert runs == [3] * 6
 
 
 class TestBoundarySpectralProducts:
