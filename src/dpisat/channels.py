@@ -8,13 +8,18 @@ adjoint is syntactically trivial. Channels may change dimension
 
 The operators form one ``(r, m, n)`` stack. The sparse builders write its
 nonzero entries in closed form and build the stack only when ``.kraus`` is
-read; any other stack is given whole. A channel acts in one of two ways,
-chosen at construction from the nonzero entries alone:
+read; any other stack is given whole. A channel acts in one of three ways:
 
-* a sparse stack, with ``P = sum_k nnz(K_k)**2 <= r m n`` (depolarizing,
-  partial traces, computational-basis pinching, measure-prepare in the
-  computational basis), acts through its transfer form
-  ``T = sum_k K_k (x) conj(K_k)`` (Watrous, *The Theory of Quantum
+* :func:`depolarizing` acts in closed form, ``L(A) = a A + b tr(A) I`` with
+  ``(a, b) = (1 - p, p/n)``, which is its own adjoint, O(n**2) work. It
+  commutes with every unitary conjugation, so every eigenbasis of A is one
+  of L(A): the image's eigensystem is ``(a w + b tr A, V)`` from A's
+  ``(w, V)``, with no eigensolve (:func:`_image_eigensystem`);
+* any other sparse stack, with ``P = sum_k nnz(K_k)**2 <= r m n`` (partial
+  traces, computational-basis pinching, measure-prepare in the
+  computational basis, an explicit depolarizing stack), chosen at
+  construction from its nonzero entries alone, acts through its transfer
+  form ``T = sum_k K_k (x) conj(K_k)`` (Watrous, *The Theory of Quantum
   Information*, 2018, section 2.2), kept as P coordinate entries:
   ``vec L(A) = T vec(A)`` and ``vec L*(B) = T^H vec(B)`` are each one scatter
   over those entries, O(P) work;
@@ -94,8 +99,9 @@ class KrausChannel:
     construction, through the channel's own action; pass a larger ``tp_tol``
     deliberately to hold a known-bad operator list for diagnostics. A channel
     keeps the nonzero entries of a sparse stack and acts through their
-    transfer form (see the module docstring); a sparse builder's channel
-    builds its stack only when ``kraus`` is first read.
+    transfer form, or through the closed form of :func:`depolarizing` (see
+    the module docstring); a sparse builder's channel builds its stack only
+    when ``kraus`` is first read.
     """
 
     tp_tol: float
@@ -103,11 +109,14 @@ class KrausChannel:
     dim_out: int
     # The nonzero entries ``(k, i, j, value)`` of the ``_shape`` stack,
     # k-major and row-major (None for a dense stack), their transfer form
-    # ``(row, col, w)`` (None when too dense), and the stack (None until read).
+    # ``(row, col, w)`` (None when too dense or in closed form), the stack
+    # (None until read), and the ``(a, b)`` of the closed form
+    # ``a A + b tr(A) I`` (None unless built by :func:`depolarizing`).
     _shape: tuple = field(repr=False)
     _entries: tuple | None = field(repr=False)
     _transfer: tuple | None = field(repr=False)
     _kraus: np.ndarray | None = field(repr=False)
+    _affine: tuple | None = field(repr=False)
 
     def __init__(self, kraus, tp_tol: float = DEFAULT_TP_TOL):
         stack = _as_stack(kraus)
@@ -131,12 +140,13 @@ class KrausChannel:
             entries = (k, i, j, stack[k, i, j])
         self.__post_init__(stack.shape, entries, stack, tp_tol)
 
-    def __post_init__(self, shape: tuple, entries, stack, tp_tol: float) -> None:
+    def __post_init__(self, shape: tuple, entries, stack, tp_tol: float, affine=None) -> None:
         # Every construction ends here, from a stack or from entries alone.
-        transfer = None if entries is None else _transfer_form(shape, *entries)
+        sparse = entries is not None and affine is None
+        transfer = _transfer_form(shape, *entries) if sparse else None
         self.__dict__.update(
             tp_tol=tp_tol, dim_in=shape[2], dim_out=shape[1], _shape=shape,
-            _entries=entries, _transfer=transfer, _kraus=stack,
+            _entries=entries, _transfer=transfer, _kraus=stack, _affine=affine,
         )
         tp = float(np.linalg.norm(_act_adjoint(self, np.eye(self.dim_out)) - np.eye(self.dim_in)))
         if tp > tp_tol:
@@ -154,14 +164,16 @@ class KrausChannel:
         return self._kraus
 
 
-def _from_entries(shape: tuple, k, i, j, vals) -> KrausChannel:
+def _from_entries(shape: tuple, k, i, j, vals, affine=None) -> KrausChannel:
     """A channel from the entries ``K_k[i, j] = vals`` of its stack, k-major
-    and row-major; zero values are dropped, as the stack would drop them."""
+    and row-major; zero values are dropped, as the stack would drop them.
+    With ``affine = (a, b)`` it acts as ``a A + b tr(A) I``, which the
+    entries must describe."""
     if shape[0] < 1 or min(shape) < 0:
         raise ValueError(f"no channel has a Kraus stack of shape {shape}")
     keep = vals != 0
     ch = object.__new__(KrausChannel)
-    ch.__post_init__(shape, (k[keep], i[keep], j[keep], vals[keep]), None, DEFAULT_TP_TOL)
+    ch.__post_init__(shape, (k[keep], i[keep], j[keep], vals[keep]), None, DEFAULT_TP_TOL, affine)
     return ch
 
 
@@ -240,9 +252,34 @@ def _scatter(to: np.ndarray, frm: np.ndarray, w: np.ndarray, x, size: int) -> np
     return out
 
 
+def _trace_term(ch: KrausChannel, a) -> complex:
+    """``b tr(A)``, the multiple of the identity that the closed form adds."""
+    return ch._affine[1] * np.trace(a)
+
+
+def _affine_act(ch: KrausChannel, a) -> np.ndarray:
+    """``a A + b tr(A) I`` for any square A, the closed form of a
+    depolarizing channel and of its adjoint."""
+    out = ch._affine[0] * np.asarray(a, dtype=np.complex128)
+    out.reshape(-1)[::out.shape[0] + 1] += _trace_term(ch, a)
+    return out
+
+
+def _image_eigensystem(ch: KrausChannel, op: HermitianOperator):
+    """The eigensystem of ``apply(ch, op)`` read from op's own, with no
+    eigensolve: ``(a w + b tr A, V)`` for a closed-form channel, whose
+    ``a >= 0`` keeps ``w`` ascending; None for any other channel."""
+    if ch._affine is None:
+        return None
+    w, v = op.eigensystem
+    return ch._affine[0] * w + _trace_term(ch, op.matrix).real, v
+
+
 def _act(ch: KrausChannel, a) -> np.ndarray:
-    """``L(A)`` for any square A, Hermitian or not, with no validation: a
-    scatter over the transfer form, else the blocked kernel."""
+    """``L(A)`` for any square A, Hermitian or not, with no validation: the
+    closed form, a scatter over the transfer form, else the blocked kernel."""
+    if ch._affine is not None:
+        return _affine_act(ch, a)
     if ch._transfer is None:
         return _sandwich(ch.kraus, a)
     row, col, w = ch._transfer
@@ -252,6 +289,8 @@ def _act(ch: KrausChannel, a) -> np.ndarray:
 
 def _act_adjoint(ch: KrausChannel, b) -> np.ndarray:
     """``L*(B)`` for any square B, Hermitian or not, with no validation."""
+    if ch._affine is not None:
+        return _affine_act(ch, b)
     if ch._transfer is None:
         return _adjoint_raw(ch.kraus, b)
     row, col, w = ch._transfer
@@ -371,16 +410,16 @@ def unitary(u: np.ndarray) -> KrausChannel:
     return KrausChannel((arr,))
 
 
-def _identity_and_units(n: int, p: float, i, j, value) -> KrausChannel:
+def _identity_and_units(n: int, p: float, i, j, value, affine=None) -> KrausChannel:
     """The channel of Kraus operators ``sqrt(1-p) I`` (when ``p < 1``) and,
-    when ``p > 0``, ``value |i_e><j_e|`` for each pair ``(i_e, j_e)`` in turn.
-    The entries of the absent block are zero, so :func:`_from_entries` drops
-    them."""
+    when ``p > 0``, ``value |i_e><j_e|`` for each pair ``(i_e, j_e)`` in turn,
+    acting in the closed form ``affine`` if given. The entries of the absent
+    block are zero, so :func:`_from_entries` drops them."""
     d = np.arange(n)
     k = np.concatenate((0 * d, int(p < 1.0) + np.arange(i.size)))
     vals = np.concatenate((np.full(n, np.sqrt(1.0 - p)), np.full(i.size, value)), dtype=float)
     r = int(p < 1.0) + (i.size if p > 0.0 else 0)
-    return _from_entries((r, n, n), k, np.concatenate((d, i)), np.concatenate((d, j)), vals)
+    return _from_entries((r, n, n), k, np.concatenate((d, i)), np.concatenate((d, j)), vals, affine)
 
 
 def depolarizing(n: int, p: float) -> KrausChannel:
@@ -388,11 +427,12 @@ def depolarizing(n: int, p: float) -> KrausChannel:
 
     Kraus operators ``sqrt(1-p) I`` (when ``p < 1``) and ``sqrt(p/n) |i><j|``
     (when ``p > 0``, row-major in ``(i, j)``): ``n + n^2`` nonzero entries.
+    The channel acts in that closed form, with ``(a, b) = (1 - p, p/n)``.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing strength p must be in [0, 1], got {p}")
     i, j = np.divmod(np.arange(n * n), n)
-    return _identity_and_units(n, p, i, j, np.sqrt(p / n))
+    return _identity_and_units(n, p, i, j, np.sqrt(p / n), affine=(1.0 - p, p / n))
 
 
 def dephasing_pinching(basis, p: float = 1.0) -> KrausChannel:

@@ -176,6 +176,17 @@ class HermitianOperator:
         return float(np.linalg.norm(self.matrix))
 
 
+def _set_eigensystem(op: HermitianOperator, w: np.ndarray, v: np.ndarray) -> None:
+    """Give ``op`` the eigensystem ``(w, v)`` of its own matrix, known without
+    an eigensolve, as read-only arrays. Only before its first read, so every
+    reader of ``op`` sees one eigensystem."""
+    if "eigensystem" in vars(op):
+        raise RuntimeError("the operator's eigensystem has already been read")
+    w.setflags(write=False)
+    v.setflags(write=False)
+    vars(op)["eigensystem"] = (w, v)
+
+
 def _symmetrized(arr: np.ndarray, adj: np.ndarray | None = None) -> np.ndarray:
     """``(arr + arr^H) / 2`` as complex128, given ``adj = arr^H`` if formed.
 
@@ -578,7 +589,7 @@ def _finite_pairs(entries: list, cols: int):
     if not all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, values))):
         return None
     try:
-        flat = np.array(list(map(float, values)), dtype=np.float64)
+        flat = np.array(values, dtype=np.float64)
     except OverflowError:  # an integer beyond the float range
         return None
     return flat if np.isfinite(flat).all() else None

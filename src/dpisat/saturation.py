@@ -33,6 +33,7 @@ from .channels import (
     KrausChannel,
     _act_adjoint,
     _from_stack,
+    _image_eigensystem,
     apply,
 )
 from .divergences import (
@@ -52,6 +53,7 @@ from .linalg import (
     _as_positive,
     _as_psd,
     _powm,
+    _set_eigensystem,
     _spectral_map,
     _symmetrized,
     as_matrix,
@@ -104,6 +106,16 @@ def _boundary_case(what: str, exc: PositivityError) -> BoundaryCaseError:
     return BoundaryCaseError(f"{what} is not strictly positive ({exc}){advice}")
 
 
+def _image(ch: KrausChannel, op: HermitianOperator) -> HermitianOperator:
+    """``L(op)``, with the eigensystem the channel reads from op's own when
+    it has one; otherwise the image eigensolves on first use."""
+    out = apply(ch, op)
+    eigensystem = _image_eigensystem(ch, op)
+    if eigensystem is not None:
+        _set_eigensystem(out, *eigensystem)
+    return out
+
+
 def _pairs(ch: KrausChannel, rho, sigma, boundary: bool = False):
     """The pairs ``(rho, sigma)`` and ``(L(rho), L(sigma))`` for every quantity
     derived from them. sigma and its image are strictly positive; so are rho
@@ -115,8 +127,8 @@ def _pairs(ch: KrausChannel, rho, sigma, boundary: bool = False):
     so a singular L(rho) comes with a singular L(sigma)."""
     rho = _as_psd(rho) if boundary else _as_positive(rho, "rho", _boundary_case)
     sigma = _as_positive(sigma, "sigma", _boundary_case)
-    sigma_out = _as_positive(apply(ch, sigma.op), "channel image of sigma", _boundary_case)
-    rho_out = apply(ch, rho.op)
+    sigma_out = _as_positive(_image(ch, sigma.op), "channel image of sigma", _boundary_case)
+    rho_out = _image(ch, rho.op)
     rho_out = (PsdOperator(rho_out, rho.zero_tol) if boundary
                else _as_positive(rho_out, "channel image of rho", _boundary_case))
     return _Pair(rho, sigma), _Pair(rho_out, sigma_out)
@@ -497,9 +509,11 @@ def build_report(
     their two adjoints, ``(Ls)^{-1/2}`` and the recovery map's
     trace-preservation check, which raises ValueError once cond(Ls) is
     large. Each of the four operators and each spectral core of the two
-    pairs is eigensolved once (at most 8 per full-rank report), and each
-    spectral norm is an eigenvalue-only solve of its Hermitian residual; the
-    report keeps both pairs for further checks.
+    pairs is eigensolved at most once (at most 8 per full-rank report); a
+    depolarizing channel's two images take their eigensystems from the
+    inputs' without one (at most 6). Each spectral norm is an
+    eigenvalue-only solve of its Hermitian residual; the report keeps both
+    pairs for further checks.
     """
     boundary = isinstance(rho, PsdOperator) and rho.rank < rho.dim
     pt, pt_out = _pairs(ch, rho, sigma, boundary=boundary)

@@ -12,6 +12,7 @@ from dpisat.channels import (
     _act,
     _act_adjoint,
     _adjoint_raw,
+    _image_eigensystem,
     adjoint_apply,
     apply,
     apply_raw,
@@ -28,8 +29,15 @@ from dpisat.channels import (
     verify_cptp,
 )
 from dpisat.divergences import MeasureSpec
-from dpisat.linalg import HermitianOperator, SchemaError, hs_inner, matrix_to_json
-from dpisat.saturation import build_report, petz_map
+from dpisat.linalg import (
+    HermitianOperator,
+    PositiveOperator,
+    SchemaError,
+    _set_eigensystem,
+    hs_inner,
+    matrix_to_json,
+)
+from dpisat.saturation import _pairs, _petz_factors, build_report, petz_map
 
 from _fixtures import (
     gen,
@@ -571,8 +579,9 @@ def _weyl_channel(d, probs):
 
 def _transfer_channels():
     probs = gen(400).dirichlet(np.ones(9)).reshape(3, 3)
-    cases = [(f"depolarizing_n{n}_p{p}", depolarizing(n, p)) for n in (2, 5, 32) for p in (0.0, 0.3, 1.0)]
-    cases += [
+    cases = [
+        # An explicit depolarizing stack keeps the transfer form.
+        ("depolarizing_stack", KrausChannel(depolarizing(5, 0.3).kraus)),
         ("ptrace_a", partial_trace(2, 3, "a")),
         ("ptrace_b", partial_trace(3, 2, "b")),
         ("pinching", dephasing_pinching(4)),
@@ -621,8 +630,8 @@ class TestTransferForm:
             np.testing.assert_array_equal(_act_adjoint(c, a), _adjoint_raw(c.kraus, a))
 
     def test_rule_counts_pairs_of_nonzeros(self):
-        # P = sum_k nnz(K_k)**2 against r m n: depolarizing(n) has P = 2 n**2.
-        c = depolarizing(4, 0.5)
+        # P = sum_k nnz(K_k)**2 against r m n: a depolarizing stack has P = 2 n**2.
+        c = KrausChannel(depolarizing(4, 0.5).kraus)
         assert c._transfer[0].size == 2 * 4 ** 2
         # One dense 2x2 operator: P = 16 > 4.
         assert KrausChannel((np.array([[0.6, 0.8], [-0.8, 0.6]]),))._transfer is None
@@ -662,7 +671,7 @@ class TestEntryBuilders:
     extracted from the stack those entries describe, bit for bit, and the
     stack itself is built only when ``kraus`` is read."""
 
-    @pytest.mark.parametrize("make", _entry_builders())
+    @pytest.mark.parametrize("make", [c for c in _entry_builders() if "depolarizing" not in c.id])
     def test_transfer_form_and_actions_match_the_stack_bit_for_bit(self, make):
         c = make()
         assert c._kraus is None
@@ -681,13 +690,27 @@ class TestEntryBuilders:
     def test_stack_readers_match_a_given_stack(self, make):
         ref = KrausChannel(np.array(make().kraus))
         sigma = random_positive(gen(471), ref.dim_in)
-        np.testing.assert_array_equal(petz_map(sigma, make()).kraus, petz_map(sigma, ref).kraus)
+        closed = make()._affine is not None
+        # The Petz map reads the stack between two factors of sigma and L(sigma);
+        # a closed-form L(sigma) may differ from the scatter's in the last bit,
+        # so the stack is read between the closed-form channel's own factors.
+        s_half, out_inv_half = _petz_factors(sigma, PositiveOperator(apply(make(), sigma.op)))
+        np.testing.assert_array_equal(petz_map(sigma, make()).kraus,
+                                      s_half @ ref.kraus.conj().transpose(0, 2, 1) @ out_inv_half)
+        if not closed:
+            np.testing.assert_array_equal(petz_map(sigma, make()).kraus, petz_map(sigma, ref).kraus)
         np.testing.assert_array_equal(compose(make(), identity(ref.dim_in)).kraus,
                                       compose(ref, identity(ref.dim_in)).kraus)
         assert channel_to_json(make()) == channel_to_json(ref)
         back = channel_from_json(json.loads(json.dumps(channel_to_json(make()))))
         np.testing.assert_array_equal(back.kraus, ref.kraus)
-        assert verify_cptp(make()) == verify_cptp(ref)
+        got, want = verify_cptp(make()), verify_cptp(ref)
+        if closed:
+            # The Choi matrix is taken through the closed form.
+            assert got.tp_error == want.tp_error
+            assert abs(got.choi_min_eig - want.choi_min_eig) <= 1e-13
+        else:
+            assert got == want
 
     def test_construction_allocates_no_stack(self):
         tracemalloc.start()
@@ -711,6 +734,81 @@ class TestEntryBuilders:
         np.testing.assert_array_equal(c.kraus, stack)
         assert c.kraus.dtype == np.float64 and not c.kraus.flags.writeable
         assert c.kraus is c.kraus
+
+
+def _closed_form_channels():
+    cases = [(f"n{n}_p{p}", n, p) for n in (1, 2, 5, 32) for p in (0.0, 0.3, 1.0)]
+    cases.append(("subnormal_p", 2, 5e-324))
+    return [pytest.param(n, p, id=label) for label, n, p in cases]
+
+
+def _psd_of_rank(g, n: int, k: int) -> HermitianOperator:
+    x = g.normal(size=(n, k)) + 1j * g.normal(size=(n, k))
+    return HermitianOperator(x @ x.conj().T / max(k, 1))
+
+
+def _image_inputs():
+    """Factories of random states at n = 2..8, 24 and 32, and of PSD
+    operators of every rank at n = 5."""
+    cases = [(f"random_n{n}", lambda n=n: random_positive(gen(481 + n), n).op)
+             for n in (2, 3, 4, 5, 6, 7, 8, 24, 32)]
+    cases += [(f"psd_rank{k}", lambda k=k: _psd_of_rank(gen(490 + k), 5, k)) for k in range(6)]
+    return [pytest.param(make, id=label) for label, make in cases]
+
+
+class TestDepolarizingClosedForm:
+    """depolarizing(n, p) acts as ``a A + b tr(A) I`` with
+    ``(a, b) = (1 - p, p/n)``, its own adjoint, and gives each image the
+    eigenbasis of its input."""
+
+    @pytest.mark.parametrize("n,p", _closed_form_channels())
+    def test_actions_match_loop_on_non_hermitian_input(self, n, p):
+        c = depolarizing(n, p)
+        assert c._transfer is None and c._affine == (1.0 - p, p / n)
+        g = gen(480 + n)
+        a, b = _random_matrix(g, n, n), _random_matrix(g, n, n)
+        fwd, ref_fwd = _act(c, a), _loop_apply(c.kraus, a)
+        adj, ref_adj = _act_adjoint(c, b), _loop_adjoint(c.kraus, b)
+        assert fwd.shape == adj.shape == (n, n)
+        assert np.linalg.norm(fwd - ref_fwd) <= 1e-13 * np.linalg.norm(ref_fwd)
+        assert np.linalg.norm(adj - ref_adj) <= 1e-13 * np.linalg.norm(ref_adj)
+        # tr[L*(B) A] = tr[B L(A)] for non-Hermitian A and B.
+        scale = np.linalg.norm(a) * np.linalg.norm(b)
+        assert abs(np.trace(adj @ a) - np.trace(b @ fwd)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("make", _image_inputs())
+    def test_image_eigensystem_reproduces_the_image(self, make, p):
+        a = make()
+        c = depolarizing(a.dim, p)
+        image = apply(c, a).matrix
+        w, v = _image_eigensystem(c, a)
+        assert v is a.eigensystem[1] and (np.diff(w) >= 0.0).all()
+        assert np.linalg.norm((v * w) @ v.conj().T - image) <= 1e-13 * np.linalg.norm(a.matrix)
+        spectral = np.linalg.norm(a.matrix, 2)
+        assert np.max(np.abs(w - np.linalg.eigvalsh(image))) <= 1e-13 * spectral
+
+    def test_report_images_take_the_input_eigensystem(self, monkeypatch):
+        from _fixtures import count_eigh
+
+        g = gen(482)
+        c = depolarizing(6, 0.4)
+        rho, sigma = random_positive(g, 6), random_positive(g, 6)
+        calls = count_eigh(monkeypatch)
+        pt, pt_out = _pairs(c, rho, sigma)
+        assert calls == []
+        for x, x_out in ((pt.rho, pt_out.rho), (pt.sigma, pt_out.sigma)):
+            w, v = x_out.eigensystem
+            assert v is x.eigensystem[1] and not w.flags.writeable
+            np.testing.assert_array_equal(w, _image_eigensystem(c, x.op)[0])
+        # Any other channel leaves its images to their own eigensolve.
+        assert _image_eigensystem(KrausChannel(c.kraus), rho.op) is None
+
+    def test_eigensystem_is_set_only_before_it_is_read(self):
+        op = HermitianOperator(np.diag([1.0, 2.0]).astype(complex))
+        op.eigensystem
+        with pytest.raises(RuntimeError, match="already been read"):
+            _set_eigensystem(op, np.array([1.0, 2.0]), np.eye(2, dtype=complex))
 
 
 def _reference_cptp(c):

@@ -134,18 +134,17 @@ class TestCachedEigensystem:
         assert pos.min_eigenvalue == op.eigensystem[0][0]
 
     def test_view_conversion_validates_and_solves_nothing(self, monkeypatch):
-        import dpisat.linalg as la
-
         pos = random_positive(gen(153), 4)
         psd = PsdOperator(pos.op)
         validated = []
-        original = la._validated_square
-        monkeypatch.setattr(la, "_validated_square", lambda arr, what: validated.append(what) or original(arr, what))
+        check = HermitianOperator.__post_init__
+        monkeypatch.setattr(HermitianOperator, "__post_init__", lambda op: validated.append(op) or check(op))
         calls = count_eigh(monkeypatch)
         as_psd, as_pos = PsdOperator(pos), PositiveOperator(psd)
-        zeroth_power(pos)
-        log_cross(pos)
         assert (validated, calls) == ([], [])
+        # Only the two results are validated, where they become operators.
+        projector, log = zeroth_power(pos), log_cross(pos)
+        assert validated == [projector, log] and calls == []
         assert as_psd.op is pos.op and as_pos.op is psd.op
         np.testing.assert_array_equal(as_psd.eigenvalues, psd.eigenvalues)
 
@@ -602,6 +601,11 @@ class TestMatrixJson:
                 _number(value, "measure.alpha", positive=positive)
             assert (err.value.path, err.value.reason) == ("measure.alpha", f"expected a finite number, got {got}")
         assert _number(3, "p") == 3.0 and type(_number(3, "p")) is float
+
+    @pytest.mark.parametrize("value", [2 ** 70], ids=["big-int"])
+    def test_finite_big_integer_entry_decodes_to_its_float(self, value):
+        got = matrix_from_json({"rows": 1, "cols": 2, "entries": [[[value, 0], [1.5, value]]]})
+        np.testing.assert_array_equal(got, [[float(value), 1.5 + 1j * float(value)]])
 
     def test_short_row_is_named(self):
         entries = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]

@@ -1031,16 +1031,24 @@ class TestSharedSpectralCores:
                     norms.append(float(np.linalg.norm(f_in - adjoint_apply(c, hermitize(f_out)).matrix)))
                 assert (res.chehade_residual, res.zhang_residual) == tuple(norms), (label, alpha, z)
 
-    def test_eigensolve_budget_per_report(self, monkeypatch):
-        # rho and sigma arrive as plain arrays, so all four operators of the
-        # report (rho, sigma and both images) are eigensolved inside it.
+    @pytest.mark.parametrize(
+        "c,expected",
+        [
+            # The depolarizing images take their eigensystems from rho and sigma.
+            (depolarizing(4, 0.3), {"relative_entropy": 2, "fidelity": 6, "sandwiched_renyi": 4,
+                                    "alpha_z": 4, "f_divergence": 2}),
+            (partial_trace(2, 2, "a"), {"relative_entropy": 4, "fidelity": 8, "sandwiched_renyi": 6,
+                                        "alpha_z": 6, "f_divergence": 4}),
+        ],
+        ids=["depolarizing", "partial_trace"],
+    )
+    def test_eigensolve_budget_per_report(self, monkeypatch, c, expected):
+        # rho and sigma arrive as plain arrays, so both inputs, and the images
+        # of any channel without a closed form, are eigensolved inside it.
         from _fixtures import count_eigh
 
-        c = depolarizing(4, 0.3)
         g = gen(591)
         rho, sigma = random_positive(g, 4).matrix, random_positive(g, 4).matrix
-        expected = {"relative_entropy": 4, "fidelity": 8, "sandwiched_renyi": 6, "alpha_z": 6,
-                    "f_divergence": 4}
         for m in measure_suite():
             calls = count_eigh(monkeypatch)
             build_report(m, c, rho, sigma)
