@@ -33,6 +33,7 @@ from .linalg import (
     DEFAULT_CLUSTER_TOL,
     HermitianOperator,
     MatrixFunctionDomainError,
+    _operator,
     _scalar_values,
     _symmetrized,
     as_matrix,
@@ -285,13 +286,14 @@ def frechet_derivative(A, M, fp: ScalarFunctionPair,
                        cluster_tol: float = DEFAULT_CLUSTER_TOL) -> HermitianOperator:
     """Directional derivative of the matrix function ``fp.f`` at A along M.
 
-    Linear in M and Hermitian for Hermitian M.
+    Linear in M. A and M must be Hermitian: an array is admitted as a
+    :class:`HermitianOperator`.
     """
-    a, m = as_matrix(A), as_matrix(M)
-    if a.shape != m.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {m.shape}")
+    a, m = _operator(A), _operator(M)
+    if a.dim != m.dim:
+        raise ValueError(f"dimension mismatch: {a.matrix.shape} vs {m.matrix.shape}")
     # (reps, vectors): equal representatives mark a cluster, so its ids are not read.
-    return hermitize(_frechet(clustered_eigensystem(A, cluster_tol)[::2], fp, m))
+    return hermitize(_frechet(clustered_eigensystem(a, cluster_tol)[::2], fp, m.matrix))
 
 
 def finite_difference_frechet(A, M, f, h: float = 1e-5) -> HermitianOperator:

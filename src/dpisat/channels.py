@@ -14,7 +14,8 @@ read; any other stack is given whole. A channel acts in one of three ways:
   ``(a, b) = (1 - p, p/n)``, which is its own adjoint, O(n**2) work. It
   commutes with every unitary conjugation, so every eigenbasis of A is one
   of L(A): the image's eigensystem is ``(a w + b tr A, V)`` from A's
-  ``(w, V)``, with no eigensolve (:func:`_image_eigensystem`);
+  ``(w, V)``, and :func:`apply` gives it to the image, with no eigensolve,
+  when A's has already been read (:func:`_image_eigensystem`);
 * any other sparse stack, with ``P = sum_k nnz(K_k)**2 <= r m n`` (partial
   traces, computational-basis pinching, measure-prepare in the
   computational basis, an explicit depolarizing stack), chosen at
@@ -53,7 +54,9 @@ from .linalg import (
     _fields,
     _number,
     _positive_int,
+    _read_eigensystem,
     _schema_at,
+    _set_eigensystem,
     as_matrix,
     hermitize,
     matrix_from_json,
@@ -265,14 +268,16 @@ def _affine_act(ch: KrausChannel, a) -> np.ndarray:
     return out
 
 
-def _image_eigensystem(ch: KrausChannel, op: HermitianOperator):
-    """The eigensystem of ``apply(ch, op)`` read from op's own, with no
+def _image_eigensystem(ch: KrausChannel, A):
+    """The eigensystem of ``apply(ch, A)`` read from A's own, with no
     eigensolve: ``(a w + b tr A, V)`` for a closed-form channel, whose
-    ``a >= 0`` keeps ``w`` ascending; None for any other channel."""
-    if ch._affine is None:
+    ``a >= 0`` keeps ``w`` ascending, once the eigensystem of A (an operator
+    or a view of one) has been read; None for any other channel or input."""
+    known = _read_eigensystem(A) if ch._affine is not None else None
+    if known is None:
         return None
-    w, v = op.eigensystem
-    return ch._affine[0] * w + _trace_term(ch, op.matrix).real, v
+    w, v = known
+    return ch._affine[0] * w + _trace_term(ch, as_matrix(A)).real, v
 
 
 def _act(ch: KrausChannel, a) -> np.ndarray:
@@ -341,13 +346,19 @@ def apply_raw(kraus, matrix: np.ndarray) -> np.ndarray:
 
 
 def apply(ch: KrausChannel, A) -> HermitianOperator:
-    """Apply the channel to a Hermitian operator."""
+    """Apply the channel to a Hermitian operator. A closed-form image takes
+    its eigensystem from A's once that has been read (:func:`_image_eigensystem`);
+    any other image eigensolves on first use."""
     arr = as_matrix(A)
     if arr.shape != (ch.dim_in, ch.dim_in):
         raise ValueError(
             f"dimension mismatch: channel expects {ch.dim_in}, got {arr.shape}"
         )
-    return hermitize(_act(ch, arr))
+    out = hermitize(_act(ch, arr))
+    eigensystem = _image_eigensystem(ch, A)
+    if eigensystem is not None:
+        _set_eigensystem(out, *eigensystem)
+    return out
 
 
 def adjoint_apply(ch: KrausChannel, A) -> HermitianOperator:

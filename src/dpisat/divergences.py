@@ -175,11 +175,11 @@ class MeasureSpec:
 
 class _TangentProjection:
     """``M -> M - Q M Q``, the orthogonal projection onto the tangent space of
-    the PSD cone at rho, with ``P`` the support projector of rho and
-    ``Q = 1 - P``; M may be a stack of matrices."""
+    the PSD cone at a :class:`PsdOperator` rho, with ``P`` the support
+    projector of rho and ``Q = 1 - P``; M may be a stack of matrices."""
 
-    def __init__(self, rho):
-        self.p = _symmetrized(_spectral_map(_as_psd(rho), np.ones_like))
+    def __init__(self, rho: PsdOperator):
+        self.p = _symmetrized(_spectral_map(rho, np.ones_like))
         self.q = np.eye(rho.dim) - self.p
 
     def __call__(self, m: np.ndarray) -> np.ndarray:
@@ -263,8 +263,9 @@ class _Pair:
 
     @cached_property
     def log_support(self) -> np.ndarray:
-        """The logarithm of rho on its support, zero on its kernel."""
-        return _symmetrized(_logm(_as_psd(self.rho)))
+        """The logarithm of a :class:`PsdOperator` rho on its support, zero
+        on its kernel."""
+        return _symmetrized(_logm(self.rho))
 
     @cached_property
     def log_sigma(self) -> np.ndarray:

@@ -3,15 +3,18 @@ decompositions, and matrix functions of Hermitian operators.
 
 Matrices are dense ``complex128`` arrays stored as ``(A + A^H) / 2``.
 Inputs are validated where they enter: JSON decoding and the public
-constructors. Inside the library, private cores pass plain arrays made
-exactly Hermitian by :func:`_symmetrized` and check nothing. Every operator
-is made by one constructor, whose one fused pass ``max|A - A^H|`` rejects
-non-finite entries and skew beyond its tolerance; :func:`hermitize` only
-scales that tolerance to the matrix, where a computed matrix becomes an
-operator: on a channel image and on the value a public function returns.
-Eigenvalues that agree up to a relative tolerance are merged
+constructors, through which every public function admits an array. Inside
+the library, private cores pass plain arrays made exactly Hermitian by
+:func:`_symmetrized` and check nothing. Every operator is made by one
+constructor, whose one fused pass ``max|A - A^H|`` rejects non-finite
+entries and skew beyond its tolerance; :func:`hermitize` only scales that
+tolerance to the matrix, where a computed matrix becomes an operator: on a
+channel image and on the value a public function returns. Adjacent
+eigenvalues ``a <= b`` with ``b - a <= tol * max(1, |a|, |b|)`` are merged
 into a single cluster before any divided-difference formula is evaluated,
-which prevents catastrophic cancellation for near-degenerate spectra.
+which prevents catastrophic cancellation for near-degenerate spectra. The
+rule is relative above 1 but absolute below it: eigenvalues below 1 that
+differ by at most ``tol`` merge whatever their ratio (ROADMAP open item 2).
 
 Each operator solves its eigensystem on first use, keeps it read-only and
 shares it with every spectral function of it, so it is eigensolved at most
@@ -115,22 +118,6 @@ def frobenius(x) -> float:
     return float(np.linalg.norm(as_matrix(x)))
 
 
-def _square(arr: np.ndarray, what: str) -> np.ndarray:
-    """``arr`` as a complex128 square matrix of positive size."""
-    arr = np.asarray(arr, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-        raise ValueError(f"{what} must be a square matrix, got shape {arr.shape}")
-    return arr
-
-
-def _validated_square(arr: np.ndarray, what: str) -> np.ndarray:
-    """:func:`_square`, with finite entries."""
-    arr = _square(arr, what)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{what} has non-finite entries")
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """A Hermitian matrix, stored as its symmetrized part ``(A + A^H)/2``.
@@ -146,7 +133,9 @@ class HermitianOperator:
     herm_tol: float = DEFAULT_HERM_TOL
 
     def __post_init__(self):
-        arr = _square(as_matrix(self.matrix), "HermitianOperator")
+        arr = np.asarray(as_matrix(self.matrix), dtype=np.complex128)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
+            raise ValueError(f"HermitianOperator must be a square matrix, got shape {arr.shape}")
         adj = arr.conj().T
         with np.errstate(invalid="ignore"):
             dev = float(np.max(np.abs(arr - adj)))
@@ -185,6 +174,13 @@ def _set_eigensystem(op: HermitianOperator, w: np.ndarray, v: np.ndarray) -> Non
     w.setflags(write=False)
     v.setflags(write=False)
     vars(op)["eigensystem"] = (w, v)
+
+
+def _read_eigensystem(x):
+    """The eigensystem of an operator, or of the one a view wraps, once read;
+    otherwise None."""
+    op = x.op if isinstance(x, _View) else x
+    return vars(op).get("eigensystem") if isinstance(op, HermitianOperator) else None
 
 
 def _symmetrized(arr: np.ndarray, adj: np.ndarray | None = None) -> np.ndarray:
@@ -232,10 +228,8 @@ class _View:
     def _hermitian_op(self) -> HermitianOperator:
         """``op`` as a :class:`HermitianOperator`: the one a view wraps, shared
         with its eigensystem, else validated here."""
-        if isinstance(self.op, _View):
-            object.__setattr__(self, "op", self.op.op)
-        elif not isinstance(self.op, HermitianOperator):
-            object.__setattr__(self, "op", HermitianOperator(self.op))
+        op = _operator(self.op)
+        object.__setattr__(self, "op", op.op if isinstance(op, _View) else op)
         return self.op
 
 
@@ -287,6 +281,12 @@ class PsdOperator(_View):
         object.__setattr__(self, "eigenvalues", w)
         object.__setattr__(self, "eigenvectors", v)
         object.__setattr__(self, "rank", int(np.count_nonzero(w > 0.0)))
+
+
+def _operator(x):
+    """``x`` itself when it is an operator or a view of one; any other input,
+    an array say, through the :class:`HermitianOperator` constructor."""
+    return x if isinstance(x, (HermitianOperator, _View)) else HermitianOperator(x)
 
 
 def _spectral(v: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -356,8 +356,9 @@ def _run_mean(w: np.ndarray, start: int, stop: int) -> float:
 
 
 def _cluster_groups(w: np.ndarray, tol: float):
-    """Group eigenvalues, sorted ascending, into clusters separated by a
-    relative gap.
+    """Group eigenvalues, sorted ascending, into clusters: adjacent values
+    ``a <= b`` join one when ``b - a <= tol * max(1, |a|, |b|)``, a gap
+    relative above 1 and absolute below it (ROADMAP open item 2).
 
     Clusters are contiguous runs of ``w``. Returns ``(starts, reps)``: the
     index where each cluster starts and its representative, the mean of its
@@ -380,12 +381,10 @@ def clustered_eigensystem(A, cluster_tol: float = DEFAULT_CLUSTER_TOL):
     ``cluster_ids[i]`` the cluster index (ascending order).
 
     For :class:`PsdOperator` inputs the snapped eigenvalues are used, so the
-    zero eigenspace is exact; other operators reuse their eigensystem.
+    zero eigenspace is exact; other operators reuse their eigensystem, and
+    any other input is admitted as a :class:`HermitianOperator` first.
     """
-    if isinstance(A, (HermitianOperator, _View)):
-        w, v = _spectrum(A)
-    else:
-        w, v = _eigh(_validated_square(as_matrix(A), "operator"))
+    w, v = _spectrum(_operator(A))
     starts, reps = _cluster_groups(np.asarray(w, dtype=float), cluster_tol)
     sizes = np.diff(np.append(starts, w.size))
     return np.repeat(reps, sizes), np.repeat(np.arange(starts.size), sizes), v

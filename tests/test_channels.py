@@ -780,9 +780,10 @@ class TestDepolarizingClosedForm:
     @pytest.mark.parametrize("make", _image_inputs())
     def test_image_eigensystem_reproduces_the_image(self, make, p):
         a = make()
+        a.eigensystem  # read first: only a known eigensystem passes to the image
         c = depolarizing(a.dim, p)
-        image = apply(c, a).matrix
-        w, v = _image_eigensystem(c, a)
+        out = apply(c, a)
+        image, (w, v) = out.matrix, out.eigensystem
         assert v is a.eigensystem[1] and (np.diff(w) >= 0.0).all()
         assert np.linalg.norm((v * w) @ v.conj().T - image) <= 1e-13 * np.linalg.norm(a.matrix)
         spectral = np.linalg.norm(a.matrix, 2)
@@ -803,6 +804,29 @@ class TestDepolarizingClosedForm:
             np.testing.assert_array_equal(w, _image_eigensystem(c, x.op)[0])
         # Any other channel leaves its images to their own eigensolve.
         assert _image_eigensystem(KrausChannel(c.kraus), rho.op) is None
+
+    def test_apply_passes_on_only_an_eigensystem_already_read(self, monkeypatch):
+        from _fixtures import count_eigh
+
+        g = gen(483)
+        c = depolarizing(4, 0.3)
+        explicit = KrausChannel(c.kraus)
+        sigma, fresh = random_positive(g, 4), random_hermitian(g, 4)
+        calls = count_eigh(monkeypatch)
+        # sigma's eigensystem was read when it was admitted; the view and its
+        # operator both pass it on.
+        for a in (sigma, sigma.op):
+            w, v = apply(c, a).eigensystem
+            assert calls == [] and v is sigma.eigensystem[1] and not w.flags.writeable
+        # A fresh operator, an array, and any channel but the closed form: the
+        # image eigensolves once, on its first read.
+        for channel, a in ((c, fresh), (c, fresh.matrix), (explicit, sigma), (explicit, sigma.op)):
+            out = apply(channel, a)
+            assert calls == []
+            out.eigensystem, out.eigensystem
+            assert len(calls) == 1
+            calls.clear()
+        assert "eigensystem" not in vars(fresh)
 
     def test_eigensystem_is_set_only_before_it_is_read(self):
         op = HermitianOperator(np.diag([1.0, 2.0]).astype(complex))

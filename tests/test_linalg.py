@@ -430,6 +430,52 @@ class TestMatrixFunction:
             assert np.linalg.norm(pa.matrix @ pb.matrix - pab.matrix) <= 1e-9
 
 
+def _spectral_readers():
+    """Each public function that reads the spectrum of an array argument, as
+    a map from that argument to the arrays it returns."""
+    from dpisat.calculus import LOG, frechet_derivative
+
+    direction = np.array([[0.5, 1.0 - 2.0j], [1.0 + 2.0j, -1.0]])
+    readers = {
+        "matrix_function": lambda a: [matrix_function(a, np.exp).matrix],
+        "spectral_decompose": lambda a: [p.matrix for p in spectral_decompose(a).projectors],
+        "clustered_eigensystem": lambda a: list(clustered_eigensystem(a)),
+        "frechet_derivative": lambda a: [frechet_derivative(a, direction, LOG).matrix],
+    }
+    return [pytest.param(f, id=name) for name, f in readers.items()]
+
+
+class TestArrayAdmission:
+    """An array reaching a spectral function passes the one Hermiticity check
+    of the :class:`HermitianOperator` constructor, as it does everywhere else;
+    none reads one triangle of a non-Hermitian array."""
+
+    @pytest.mark.parametrize("read", _spectral_readers())
+    def test_non_hermitian_array_raises(self, read):
+        with pytest.raises(HermiticityError):
+            read(np.array([[1.0, 5.0], [0.0, 2.0]]))
+
+    @pytest.mark.parametrize("read", _spectral_readers())
+    def test_non_finite_array_raises(self, read):
+        with pytest.raises(ValueError, match=r"^HermitianOperator has non-finite entries$"):
+            read(np.array([[1.0, np.nan], [np.nan, 2.0]]))
+
+    @pytest.mark.parametrize("read", _spectral_readers())
+    def test_hermitian_array_reads_as_its_operator(self, read):
+        a = random_positive(gen(131), 2).matrix.copy()
+        for got, want in zip(read(a), read(HermitianOperator(a)), strict=True):
+            assert got.tobytes() == want.tobytes()
+
+    def test_frechet_direction_must_be_hermitian(self):
+        from dpisat.calculus import LOG, finite_difference_frechet, frechet_derivative
+
+        a, m = np.diag([1.0, 2.0]), np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(HermiticityError):
+            frechet_derivative(a, m, LOG)
+        with pytest.raises(HermiticityError):
+            finite_difference_frechet(a, m, LOG)
+
+
 class TestSupportFunctions:
     def test_log_cross_keeps_zero(self):
         out = log_cross(PsdOperator(HermitianOperator(np.diag([1.0, 0.0]).astype(complex))))
