@@ -26,9 +26,9 @@ Parameter combinations outside the known data-processing regions are
 rejected at construction unless explicitly overridden. Every gradient, in
 either argument, is closed form; the f-divergence ones use the Petz form
 ``sum_j tr P_j g_j(s)``, ``g_j(mu) = mu f(p_j/mu)`` (Hiai, Mosonyi, Petz and
-Beny, Rev. Math. Phys. 23, 2011). At a rank-deficient first state, every
-family with a value on the boundary has its first gradient in closed form on
-the tangent space of the PSD cone.
+Beny, Rev. Math. Phys. 23, 2011). A rank-deficient :class:`PsdOperator`
+first state stays on the boundary of the PSD cone in every public function;
+there every family with a value has its first gradient on the tangent space.
 
 A state pair clusters the spectra of rho and sigma once, in
 ``_Pair.spectrum``; the f-divergence table and every closed-form gradient
@@ -56,7 +56,6 @@ from .calculus import (
 )
 from .linalg import (
     HermitianOperator,
-    PositiveOperator,
     PositivityError,
     PsdOperator,
     SchemaError,
@@ -186,8 +185,13 @@ class _TangentProjection:
         return m - self.q @ m @ self.q
 
 
-def _checked_pair(rho, sigma) -> "_Pair":
-    sigma = _as_positive(sigma, "sigma")
+def _checked_pair(rho, sigma, *error) -> "_Pair":
+    """The pair of every public function, and the one rule for where rho
+    lives: a rank-deficient :class:`PsdOperator` on the boundary, any other
+    rho strictly positive, as sigma is; ``error`` goes to :func:`_as_positive`."""
+    if not (isinstance(rho, PsdOperator) and rho.rank < rho.dim):
+        rho = _as_positive(rho, "rho", *error)
+    sigma = _as_positive(sigma, "sigma", *error)
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: rho is {rho.dim}, sigma is {sigma.dim}")
     return _Pair(rho, sigma)
@@ -328,8 +332,8 @@ def _value(m: MeasureSpec, pt: _Pair) -> float:
 
 
 def evaluate(m: MeasureSpec, rho, sigma) -> float:
-    """Value of the measure on two strictly positive operators."""
-    return _value(m, _checked_pair(_as_positive(rho, "rho"), sigma))
+    """Value of the measure; a rank-deficient :class:`PsdOperator` rho takes its continuous extension."""
+    return _value(m, _checked_pair(rho, sigma))
 
 
 def evaluate_psd(m: MeasureSpec, rho: PsdOperator, sigma) -> float:
@@ -338,9 +342,9 @@ def evaluate_psd(m: MeasureSpec, rho: PsdOperator, sigma) -> float:
     Each family is extended continuously onto the boundary: the relative
     entropy through the support-restricted logarithm, the Renyi families
     through zero-preserving powers, f-divergences through ``f(0+)`` where it
-    exists.
+    exists. It is :func:`evaluate` at ``rho`` as a :class:`PsdOperator`.
     """
-    return _value(m, _checked_pair(_as_psd(rho), sigma))
+    return evaluate(m, _as_psd(rho), sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +436,15 @@ def _grad2(m: MeasureSpec, pt: _Pair) -> np.ndarray:
 
 
 def grad1(m: MeasureSpec, rho, sigma) -> HermitianOperator:
-    """Matrix gradient of the measure with respect to its first argument."""
-    return hermitize(_grad1(m, _checked_pair(_as_positive(rho, "rho"), sigma)))
+    """Matrix gradient of the measure with respect to its first argument, on
+    the tangent space of the PSD cone at a rank-deficient :class:`PsdOperator`."""
+    return hermitize(_grad1(m, _checked_pair(rho, sigma)))
 
 
 def grad2(m: MeasureSpec, rho, sigma) -> HermitianOperator:
     """Matrix gradient with respect to the second argument, in closed form
     for every family."""
-    return hermitize(_grad2(m, _checked_pair(_as_positive(rho, "rho"), sigma)))
+    return hermitize(_grad2(m, _checked_pair(rho, sigma)))
 
 
 def grad2_method(m: MeasureSpec) -> str:
@@ -460,16 +465,9 @@ class ScalingCheck:
     rhs: float
 
 
-def _scaling_law(m: MeasureSpec, pt: _Pair, k: float, k_prime: float) -> ScalingCheck:
-    """``B(k r, k' s)`` against its value by the family's scalar-multiplication
-    law from ``B(r, s)``, both at the strictly positive pair ``pt``."""
-    scaled = _checked_pair(PositiveOperator(HermitianOperator(k * pt.rho.matrix)),
-                           PositiveOperator(HermitianOperator(k_prime * pt.sigma.matrix)))
-    return ScalingCheck(lhs=_value(m, scaled), rhs=m._row.scaling(m, pt, _value(m, pt), k, k_prime))
-
-
 def scaling_check(m: MeasureSpec, rho, sigma, k: float, k_prime: float) -> ScalingCheck:
-    """Evaluate ``D(k r, k' s)`` against ``D(r, s) + a/(a-1) ln k - ln k'``.
+    """Evaluate ``D(k r, k' s)`` against ``D(r, s) + a/(a-1) ln k - ln k'``,
+    both at strictly positive pairs: a rank-deficient rho is refused.
 
     Only the Renyi families transform by this additive law.
     """
@@ -477,7 +475,9 @@ def scaling_check(m: MeasureSpec, rho, sigma, k: float, k_prime: float) -> Scali
         raise ValueError("scaling_check applies to the Renyi families only")
     if not (k > 0.0 and k_prime > 0.0):
         raise ValueError("scale factors must be strictly positive")
-    return _scaling_law(m, _Pair(_as_positive(rho, "rho"), _as_positive(sigma, "sigma")), k, k_prime)
+    pt = _checked_pair(_as_positive(rho, "rho"), sigma)
+    scaled = _checked_pair(k * pt.rho.matrix, k_prime * pt.sigma.matrix)
+    return ScalingCheck(lhs=_value(m, scaled), rhs=m._row.scaling(m, pt, _value(m, pt), k, k_prime))
 
 
 # ---------------------------------------------------------------------------

@@ -238,13 +238,16 @@ class PositiveOperator(_View):
     """A strictly positive definite Hermitian operator.
 
     The minimum eigenvalue is read from the operator's eigensystem at
-    construction.
+    construction. A rank-deficient :class:`PsdOperator` declares a kernel,
+    and is refused whatever the sign of its raw kernel eigenvalues.
     """
 
     op: HermitianOperator
     min_eigenvalue: float = field(init=False)
 
     def __post_init__(self):
+        if isinstance(self.op, PsdOperator) and self.op.rank < self.op.dim:
+            raise PositivityError(f"operator has a declared kernel (rank {self.op.rank} < dim {self.op.dim})")
         w = self._hermitian_op().eigensystem[0]
         if w[0] <= 0.0:
             raise PositivityError(

@@ -15,9 +15,9 @@ with its exact-recovery checks, and numerical cross-checks against two
 alternative published saturation conditions for the alpha-z family.
 
 Every quantity is derived from two state pairs, ``(r, s)`` and
-``(L r, L s)``, each taken once. A rank-deficient r, on the boundary of the
-PSD cone, takes the same pairs with r and L(r) as PSD operators, and
-:func:`build_report` judges it as it judges a strictly positive one.
+``(L r, L s)``, each taken once. In every public function a rank-deficient
+:class:`PsdOperator` r keeps r and L(r) PSD and its first residual on the
+tangent space; the boundary-named functions take r as a :class:`PsdOperator`.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .divergences import (
     _grad2,
     _Pair,
     _TangentProjection,
+    _checked_pair,
     _value,
     measure_to_json,
 )
@@ -91,7 +92,7 @@ _PETZ_TP_TOL = 1e-9
 
 
 class BoundaryCaseError(ValueError):
-    """A state or channel image is rank deficient; use the boundary operations."""
+    """sigma, a channel image, or a rho not given as a PsdOperator is singular."""
 
 
 class ConverseViolationError(AssertionError):
@@ -99,27 +100,25 @@ class ConverseViolationError(AssertionError):
 
 
 def _boundary_case(what: str, exc: PositivityError) -> BoundaryCaseError:
-    # The boundary operations take a PSD rho, but not a singular sigma or image.
-    advice = "; use the boundary_residual operations for rank-deficient states" if what == "rho" else ""
+    advice = "; pass a rank-deficient rho as a PsdOperator" if what == "rho" else ""
     return BoundaryCaseError(f"{what} is not strictly positive ({exc}){advice}")
 
 
-def _pairs(ch: KrausChannel, rho, sigma, boundary: bool = False):
-    """The pairs ``(rho, sigma)`` and ``(L(rho), L(sigma))`` for every quantity
-    derived from them. sigma and its image are strictly positive; so are rho
-    and its image, or, on the ``boundary`` of the PSD cone, both are
-    :class:`PsdOperator`, the image snapped at rho's own zero threshold: a
+def _pairs(ch: KrausChannel, rho, sigma):
+    """The pairs ``(rho, sigma)``, by :func:`_checked_pair`'s rule, and
+    ``(L(rho), L(sigma))`` for every quantity derived from them. L(sigma) is
+    strictly positive, and so is L(rho), or, with rho on the boundary of the
+    PSD cone, a :class:`PsdOperator` snapped at rho's own zero threshold: a
     trace-preserving L keeps ``tr L(rho) = tr rho``.
 
     L(sigma) is judged first: a strictly positive rho is ``>= c sigma``, c > 0,
     so a singular L(rho) comes with a singular L(sigma)."""
-    rho = _as_psd(rho) if boundary else _as_positive(rho, "rho", _boundary_case)
-    sigma = _as_positive(sigma, "sigma", _boundary_case)
-    sigma_out = _as_positive(apply(ch, sigma.op), "channel image of sigma", _boundary_case)
-    rho_out = apply(ch, rho.op)
-    rho_out = (PsdOperator(rho_out, rho.zero_tol) if boundary
+    pt = _checked_pair(rho, sigma, _boundary_case)
+    sigma_out = _as_positive(apply(ch, pt.sigma.op), "channel image of sigma", _boundary_case)
+    rho_out = apply(ch, pt.rho.op)
+    rho_out = (PsdOperator(rho_out, pt.rho.zero_tol) if pt.kernel
                else _as_positive(rho_out, "channel image of rho", _boundary_case))
-    return _Pair(rho, sigma), _Pair(rho_out, sigma_out)
+    return pt, _Pair(rho_out, sigma_out)
 
 
 def _gap(m: MeasureSpec, pt: _Pair, pt_out: _Pair) -> float:
@@ -128,11 +127,11 @@ def _gap(m: MeasureSpec, pt: _Pair, pt_out: _Pair) -> float:
 
 def _residual(ch: KrausChannel, side, pt: _Pair, pt_out: _Pair, tangent: bool = False) -> np.ndarray:
     """``X(r, s) - L*(X(L r, L s))`` for the condition operator ``X = side``.
-    ``L*`` acts between two symmetrizations, then, with ``tangent`` and a
-    rank-deficient r, the projection onto the tangent space at r; ``side(pt)``
-    is taken as it is."""
+    ``L*`` acts between two symmetrizations; with ``tangent`` and a
+    rank-deficient r, the projection onto the tangent space at r follows, and
+    the residual is symmetrized. ``side(pt)`` is taken as it is."""
     back = _symmetrized(_act_adjoint(ch, _symmetrized(side(pt_out))))
-    return side(pt) - (pt.tangent(back) if tangent and pt.kernel else back)
+    return _symmetrized(side(pt) - pt.tangent(back)) if tangent and pt.kernel else side(pt) - back
 
 
 def dpi_gap(m: MeasureSpec, ch: KrausChannel, rho, sigma) -> float:
@@ -142,13 +141,14 @@ def dpi_gap(m: MeasureSpec, ch: KrausChannel, rho, sigma) -> float:
 
 
 def boundary_gap(m: MeasureSpec, ch: KrausChannel, rho: PsdOperator, sigma) -> float:
-    """Sign-adjusted gap with a PSD first argument (continuous extension)."""
-    return _gap(m, *_pairs(ch, rho, sigma, boundary=True))
+    """:func:`dpi_gap` at rho as a :class:`PsdOperator` (continuous extension)."""
+    return dpi_gap(m, ch, _as_psd(rho), sigma)
 
 
 def residual1(m: MeasureSpec, ch: KrausChannel, rho, sigma) -> HermitianOperator:
-    """First-argument gradient residual; zero whenever the gap vanishes."""
-    return hermitize(_residual(ch, partial(_grad1, m), *_pairs(ch, rho, sigma)))
+    """First-argument gradient residual; zero whenever the gap vanishes. At a
+    rank-deficient :class:`PsdOperator` rho it is taken on the tangent space."""
+    return hermitize(_residual(ch, partial(_grad1, m), *_pairs(ch, rho, sigma), tangent=True))
 
 
 def residual2(m: MeasureSpec, ch: KrausChannel, rho, sigma) -> HermitianOperator:
@@ -217,12 +217,13 @@ def converse_certificate(
     multiplication (the Renyi families, relative entropy, fidelity); any
     other family raises ValueError before a state is read. Each family's law
     is verified once, by the test suite, not on the given states. A small
-    residual with a large gap raises :class:`ConverseViolationError`.
+    residual with a large gap raises :class:`ConverseViolationError`. The
+    residual is that of :func:`residual1`.
     """
     if m._row.scaling is None:
         raise ValueError(f"family {m.family!r} has no verified scaling law; check the gap directly instead")
     pt, pt_out = _pairs(ch, rho, sigma)
-    r1 = frobenius(_residual(ch, partial(_grad1, m), pt, pt_out))
+    r1 = frobenius(_residual(ch, partial(_grad1, m), pt, pt_out, tangent=True))
     cert, holds = _converse_verdict(r1, _gap(m, pt, pt_out), residual_tol, gap_tol)
     if not holds:
         raise ConverseViolationError(
@@ -310,11 +311,9 @@ def boundary_residual_general(m: MeasureSpec, ch: KrausChannel, rho, sigma) -> H
     space of the PSD cone (the ordinary first gradient at full rank) and P
     the support projector of r. It vanishes at saturation for every family
     with a value on the boundary; ``neg_log`` has none and raises
-    ``ValueError``. It is the ``residual1`` of :func:`build_report` at a
-    rank-deficient rho, and at full rank, where P = 1, :func:`residual1`.
+    ``ValueError``. It is :func:`residual1` at rho as a :class:`PsdOperator`.
     """
-    pt, pt_out = _pairs(ch, rho, sigma, boundary=True)
-    return hermitize(_residual(ch, partial(_grad1, m), pt, pt_out, tangent=True))
+    return residual1(m, ch, _as_psd(rho), sigma)
 
 
 def hiai_residual(ch: KrausChannel, rho, sigma) -> np.ndarray:
@@ -325,7 +324,7 @@ def hiai_residual(ch: KrausChannel, rho, sigma) -> np.ndarray:
     with P, P' the support projectors of r and L(r). The two sides are not
     Hermitian in general, so a plain complex matrix is returned.
     """
-    return _hiai_residual(ch, *_pairs(ch, rho, sigma, boundary=True))
+    return _hiai_residual(ch, *_pairs(ch, _as_psd(rho), sigma))
 
 
 def _hiai_residual(ch: KrausChannel, pt: _Pair, pt_out: _Pair) -> np.ndarray:
@@ -419,7 +418,7 @@ def _alpha_z_crosscheck(
     share."""
     alpha, z = m._row.point(m)
     if gradient_residual is None:
-        gradient_residual = frobenius(_residual(ch, partial(_grad1, m), pt, pt_out))
+        gradient_residual = frobenius(_residual(ch, partial(_grad1, m), pt, pt_out, tangent=True))
     chehade, zhang = (
         frobenius(_residual(ch, methodcaller("core_power", m.gamma, alpha / z, *exps), pt, pt_out))
         for exps in (((1.0 - z) / (2.0 * z), z - 1.0), (m.gamma, alpha - 1.0))
@@ -485,23 +484,21 @@ def build_report(
 ) -> SaturationReport:
     """Evaluate gap, both residuals, and Petz recovery errors in one pass.
 
-    A rank-deficient :class:`PsdOperator` rho takes the boundary pairs, and
-    its ``residual1`` is :func:`boundary_residual_general`; ``residual2`` and
-    the Petz errors are not projected, since sigma is interior. The channel
-    images are computed once; each residual takes one adjoint, and each Petz
-    recovery error one more (two channel applies and four adjoints per
-    report). ``with_petz=False`` leaves the recovery errors unset and skips
-    their two adjoints, ``(Ls)^{-1/2}`` and the recovery map's
-    trace-preservation check, which raises ValueError once cond(Ls) is
-    large. Each of the four operators and each spectral core of the two
+    ``residual1`` is :func:`residual1`, on the tangent space at a
+    rank-deficient :class:`PsdOperator` rho; ``residual2`` and the Petz errors
+    are not projected, since sigma is interior. The channel images are
+    computed once; each residual takes one adjoint, and each Petz recovery
+    error one more (two channel applies and four adjoints per report).
+    ``with_petz=False`` leaves the recovery errors unset and skips their two
+    adjoints, ``(Ls)^{-1/2}`` and the recovery map's trace-preservation
+    check, which raises ValueError once cond(Ls) is large. Each of the four operators and each spectral core of the two
     pairs is eigensolved at most once (at most 8 per full-rank report); under
     a depolarizing channel :func:`apply` gives the two images their
     eigensystems from the inputs', without one (at most 6). Each spectral
     norm is an eigenvalue-only solve of its Hermitian residual; the report
     keeps both pairs for further checks.
     """
-    boundary = isinstance(rho, PsdOperator) and rho.rank < rho.dim
-    pt, pt_out = _pairs(ch, rho, sigma, boundary=boundary)
+    pt, pt_out = _pairs(ch, rho, sigma)
     gap = _gap(m, pt, pt_out)
     r1 = hermitize(_residual(ch, partial(_grad1, m), pt, pt_out, tangent=True))
     r2 = hermitize(_residual(ch, partial(_grad2, m), pt, pt_out))

@@ -96,6 +96,19 @@ class TestTypes:
         with pytest.raises(PositivityError):
             PositiveOperator(HermitianOperator(np.diag([0.0, 1.0]).astype(complex)))
 
+    @pytest.mark.parametrize("tail", [-1e-8, 1e-8])
+    def test_positive_refuses_a_declared_kernel_at_either_sign(self, tail):
+        # zero_tol = 1e-2 declares the tail a kernel; its raw sign is roundoff.
+        psd = PsdOperator(HermitianOperator(np.diag([5e7, 5e7, tail]).astype(complex)), zero_tol=1e-2)
+        assert psd.rank == 2
+        with pytest.raises(PositivityError, match=r"declared kernel \(rank 2 < dim 3\)"):
+            PositiveOperator(psd)
+
+    def test_positive_takes_a_full_rank_psd_and_its_eigensystem(self):
+        psd = PsdOperator(HermitianOperator(np.diag([1e-3, 1.0]).astype(complex)))
+        op = PositiveOperator(psd)
+        assert op.min_eigenvalue == 1e-3 and op.eigensystem is psd.eigensystem
+
     def test_psd_snaps_small_eigenvalues(self):
         op = PsdOperator(HermitianOperator(np.diag([1.0, -1e-11]).astype(complex)))
         assert op.rank == 1

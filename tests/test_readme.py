@@ -20,7 +20,11 @@ def test_quickstart_prints_its_stated_numbers():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(_quickstart(), str(README), "exec"), {"__name__": "quickstart"})
-    gap, residual_norm, recovery_error = (float(line) for line in out.getvalue().splitlines())
+    gap, residual_norm, recovery_error, boundary_gap, boundary_residual = (
+        float(line) for line in out.getvalue().splitlines())
     assert abs(gap - 0.28578) <= 1e-4
     assert residual_norm > 0.1
     assert recovery_error < 1e-12
+    # A rank-deficient PsdOperator rho saturating the pinching.
+    assert boundary_gap == 0.0
+    assert boundary_residual == 0.0

@@ -16,7 +16,7 @@ from dpisat.channels import (
     partial_trace,
     unitary,
 )
-from dpisat.divergences import MeasureSpec, _grad1, _grad2, _value, evaluate
+from dpisat.divergences import MeasureSpec, _grad1, _grad2, _value, evaluate, evaluate_psd, grad1, grad2
 from dpisat.linalg import (
     HermitianOperator,
     PositiveOperator,
@@ -32,6 +32,7 @@ from dpisat.linalg import (
 from dpisat.saturation import (
     BoundaryCaseError,
     ConverseViolationError,
+    _alpha_z_crosscheck,
     _residual,
     alpha2_petz_residual,
     alpha_z_crosscheck,
@@ -88,24 +89,32 @@ class TestDpiGap:
         assert gap == pytest.approx(0.2857813286634453, abs=1e-12)
 
     def test_rank_deficient_routes_to_boundary(self):
+        # A rank-deficient PsdOperator takes the boundary pairs in dpi_gap as
+        # in boundary_gap; the same state as an array must be positive.
         rho = diag_psd([0.7, 0.3, 0.0])
         sigma = diag_positive([0.5, 0.3, 0.2])
+        m, c = MeasureSpec.relative_entropy(), dephasing_pinching(3)
+        assert dpi_gap(m, c, rho, sigma) == boundary_gap(m, c, rho, sigma)
+        assert abs(dpi_gap(m, c, rho, sigma)) <= 1e-12
         with pytest.raises(BoundaryCaseError):
-            dpi_gap(MeasureSpec.relative_entropy(), dephasing_pinching(3), rho, sigma)
+            dpi_gap(m, c, rho.matrix, sigma)
 
     def test_boundary_advice_only_for_a_singular_rho(self):
-        # The boundary operations take a PSD rho, but need sigma and L(sigma)
-        # strictly positive. A full-rank rho has L(rho) >= c L(sigma), so a
-        # singular L(sigma) is named first.
+        # Every function takes a rank-deficient rho given as a PsdOperator,
+        # but needs sigma and L(sigma) strictly positive. A full-rank rho has
+        # L(rho) >= c L(sigma), so a singular L(sigma) is named first.
         m, sigma = MeasureSpec.relative_entropy(), diag_positive([0.5, 0.3, 0.2])
-        with pytest.raises(BoundaryCaseError, match=r"^rho is not strictly positive .*; use the boundary_residual"):
-            dpi_gap(m, dephasing_pinching(3), diag_psd([0.7, 0.3, 0.0]), sigma)
+        singular = np.diag([0.7, 0.3, 0.0]).astype(complex)
+        for rho in (singular, HermitianOperator(singular)):
+            with pytest.raises(BoundaryCaseError,
+                               match=r"^rho is not strictly positive .*; pass a rank-deficient rho as a PsdOperator$"):
+                dpi_gap(m, dephasing_pinching(3), rho, sigma)
         embed = isometric_embedding()
         for rho, sig, what in ((diag_positive([0.6, 0.4]), diag_positive([0.3, 0.7]), "channel image of sigma"),
                                (diag_positive([0.6, 0.4]), diag_psd([1.0, 0.0]), "sigma")):
             with pytest.raises(BoundaryCaseError, match=rf"^{what} is not strictly positive") as info:
                 dpi_gap(m, embed, rho, sig)
-            assert "boundary_residual" not in str(info.value)
+            assert "pass a rank-deficient rho" not in str(info.value)
 
     def test_boundary_gap_extension(self):
         rho = diag_psd([0.7, 0.3, 0.0])
@@ -457,7 +466,7 @@ class TestBoundaryResiduals:
         from dpisat.saturation import _pairs
 
         def error_and_norm(c, rho, sigma):
-            expected = _boundary_residuals_by_hand(c, *_pairs(c, rho, sigma, boundary=True))[0].matrix
+            expected = _boundary_residuals_by_hand(c, *_pairs(c, rho, sigma))[0].matrix
             res = boundary_residual_general(MeasureSpec.relative_entropy(), c, rho, sigma)
             return frobenius(res.matrix - expected), frobenius(expected)
 
@@ -1168,10 +1177,10 @@ class TestBoundarySpectralProducts:
 
         m = MeasureSpec.relative_entropy()
         for label, c, rho, sigma in boundary_saturating_fixtures():
-            ref = _boundary_residuals_by_hand(c, *_pairs(c, rho, sigma, boundary=True))[1:]
+            ref = _boundary_residuals_by_hand(c, *_pairs(c, rho, sigma))[1:]
             with monkeypatch.context() as mp:
                 calls = self._count(mp)
-                pt, pt_out = _pairs(c, rho, sigma, boundary=True)
+                pt, pt_out = _pairs(c, rho, sigma)
                 got = (
                     # The tangent residual, the residual1 of a boundary report
                     # and the zeros-log residual of the boundary check.
@@ -1400,3 +1409,96 @@ class TestOneResidualForm:
             calls.update(dict.fromkeys(calls, 0))
             run()
             assert calls == {"_residual": conditions, "adjoint_inside": conditions, "adjoint_outside": 0}, i
+
+
+class TestOneBoundaryRule:
+    """A rank-deficient PsdOperator rho takes the boundary pair in every
+    public function, whatever the sign of the roundoff on its kernel: each
+    reads the same numbers as build_report, the boundary-named functions and
+    the private gradients, bit for bit. Read as positive, such a rho sends a
+    residual through log(1e-17), about 36; read by its sign, it raises."""
+
+    MEASURES = (MeasureSpec.relative_entropy(), MeasureSpec.fidelity(), MeasureSpec.sandwiched_renyi(2.0),
+                MeasureSpec.alpha_z(1.5, 1.2), MeasureSpec.f_divergence("x_log_x"))
+
+    @staticmethod
+    def _rotated(seed: int, values) -> PsdOperator:
+        g = np.random.default_rng(seed)
+        n = len(values)
+        u = np.linalg.qr(g.normal(size=(n, n)) + 1j * g.normal(size=(n, n)))[0]
+        return PsdOperator(HermitianOperator(u @ np.diag(values) @ u.conj().T))
+
+    @classmethod
+    def _cases(cls):
+        """The rank-3 states at n = 4, whose kernel eigenvalue is +1e-17 to
+        +3e-17 at seeds 0..3 and about -4e-17 at seeds 4 and 5, then rotated
+        rank-2 states at n = 5 under a dense Kraus channel."""
+        sigma4 = diag_positive([0.1, 0.2, 0.3, 0.4])
+        cases = [(f"n4-seed{s}", depolarizing(4, 0.3), cls._rotated(s, [0.5, 0.3, 0.2, 0.0]), sigma4)
+                 for s in range(6)]
+        g = gen(3030)
+        cases += [(f"n5-seed{s}", random_cptp(g, 5, 5), cls._rotated(s, [0.6, 0.4, 0.0, 0.0, 0.0]),
+                   random_positive(g, 5)) for s in range(10, 14)]
+        return cases
+
+    def test_kernel_roundoff_takes_both_signs(self):
+        signs = {np.sign(rho.op.eigensystem[0][0]) for _, _, rho, _ in self._cases()[:6]}
+        assert signs == {-1.0, 1.0}
+
+    @pytest.mark.parametrize("m", MEASURES, ids=lambda m: f"{m.family}-{m.alpha}-{m.z}")
+    def test_every_function_reads_the_boundary_pair(self, m):
+        for label, c, rho, sigma in self._cases():
+            report = build_report(m, c, rho, sigma)
+            pt = report.pairs[0]
+            assert pt.kernel == rho.dim - rho.rank, label
+            assert dpi_gap(m, c, rho, sigma) == boundary_gap(m, c, rho, sigma) == report.gap, label
+            r1 = residual1(m, c, rho, sigma).matrix
+            np.testing.assert_array_equal(r1, report.residual1.matrix, err_msg=label)
+            np.testing.assert_array_equal(r1, boundary_residual_general(m, c, rho, sigma).matrix, err_msg=label)
+            np.testing.assert_array_equal(residual2(m, c, rho, sigma).matrix, report.residual2.matrix,
+                                          err_msg=label)
+            assert evaluate(m, rho, sigma) == evaluate_psd(m, rho, sigma) == _value(m, pt), label
+            np.testing.assert_array_equal(grad1(m, rho, sigma).matrix, hermitize(_grad1(m, pt)).matrix,
+                                          err_msg=label)
+            np.testing.assert_array_equal(grad2(m, rho, sigma).matrix, hermitize(_grad2(m, pt)).matrix,
+                                          err_msg=label)
+            if m._row.scaling is not None:
+                cert = converse_certificate(m, c, rho, sigma)
+                assert (cert.residual1_norm, cert.gap) == (report.residual1_frobenius, report.gap), label
+            if m.family == "alpha_z":
+                expected = _alpha_z_crosscheck(c, *report.pairs, m, report.residual1_frobenius)
+                assert alpha_z_crosscheck(c, rho, sigma, m.alpha, m.z) == expected, label
+
+    def test_neg_log_has_no_value_at_any_seed(self):
+        m = MeasureSpec.f_divergence("neg_log")
+        for label, c, rho, sigma in self._cases():
+            for run in (lambda: dpi_gap(m, c, rho, sigma), lambda: residual1(m, c, rho, sigma),
+                        lambda: evaluate(m, rho, sigma), lambda: grad1(m, rho, sigma)):
+                with pytest.raises(ValueError, match=r"^f-divergence 'neg_log' has no continuous extension at 0$"):
+                    run()
+
+    @pytest.mark.parametrize("tail", [-1e-8, 1e-8])
+    def test_a_declared_threshold_places_rho_at_either_sign(self, tail):
+        # zero_tol = 1e-2 declares the tail a kernel, so rho is on the boundary
+        # whatever its sign; as a positive state it would read log(1e-8).
+        rho = PsdOperator(HermitianOperator(np.diag([5e7, 5e7, tail]).astype(complex)), zero_tol=1e-2)
+        sigma, c, m = diag_positive([3e7, 5e7, 2e7]), depolarizing(3, 0.3), MeasureSpec.relative_entropy()
+        report = build_report(m, c, rho, sigma)
+        assert dpi_gap(m, c, rho, sigma) == boundary_gap(m, c, rho, sigma) == report.gap
+        np.testing.assert_array_equal(residual1(m, c, rho, sigma).matrix, report.residual1.matrix)
+        np.testing.assert_array_equal(grad1(m, rho, sigma).matrix, hermitize(_grad1(m, report.pairs[0])).matrix)
+        assert evaluate(m, rho, sigma) == evaluate_psd(m, rho, sigma)
+
+    @pytest.mark.parametrize("tail", [-1e-8, 1e-8])
+    def test_a_declared_singular_sigma_is_refused_at_either_sign(self, tail):
+        from dpisat.divergences import scaling_check
+
+        singular = PsdOperator(HermitianOperator(np.diag([5e7, 5e7, tail]).astype(complex)), zero_tol=1e-2)
+        rho, c = diag_positive([3e7, 5e7, 2e7]), depolarizing(3, 0.3)
+        m = MeasureSpec.sandwiched_renyi(2.0)
+        with pytest.raises(BoundaryCaseError, match=r"^sigma is not strictly positive .*declared kernel"):
+            dpi_gap(m, c, rho, singular)
+        with pytest.raises(BoundaryCaseError, match=r"^sigma is not strictly positive"):
+            petz_map(singular, c)
+        with pytest.raises(PositivityError, match="declared kernel"):
+            scaling_check(m, singular, rho, 2.0, 3.0)
