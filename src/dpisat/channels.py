@@ -14,8 +14,9 @@ read; any other stack is given whole. A channel acts in one of three ways:
   ``(a, b) = (1 - p, p/n)``, which is its own adjoint, O(n**2) work. It
   commutes with every unitary conjugation, so every eigenbasis of A is one
   of L(A): the image's eigensystem is ``(a w + b tr A, V)`` from A's
-  ``(w, V)``, and :func:`apply` gives it to the image, with no eigensolve,
-  when A's has already been read (:func:`_image_eigensystem`);
+  ``(w, V)``. :func:`apply` makes that the image's eigensystem whenever A is
+  an operator or a view of one, read from A's when the image's is first
+  read, so it never depends on which was read first;
 * any other sparse stack, with ``P = sum_k nnz(K_k)**2 <= r m n`` (partial
   traces, computational-basis pinching, measure-prepare in the
   computational basis, an explicit depolarizing stack), chosen at
@@ -49,14 +50,13 @@ import numpy as np
 from .linalg import (
     HermitianOperator,
     SchemaError,
+    _View,
     _builder_dim,
     _eigh,
     _fields,
     _number,
     _positive_int,
-    _read_eigensystem,
     _schema_at,
-    _set_eigensystem,
     as_matrix,
     hermitize,
     matrix_from_json,
@@ -268,18 +268,6 @@ def _affine_act(ch: KrausChannel, a) -> np.ndarray:
     return out
 
 
-def _image_eigensystem(ch: KrausChannel, A):
-    """The eigensystem of ``apply(ch, A)`` read from A's own, with no
-    eigensolve: ``(a w + b tr A, V)`` for a closed-form channel, whose
-    ``a >= 0`` keeps ``w`` ascending, once the eigensystem of A (an operator
-    or a view of one) has been read; None for any other channel or input."""
-    known = _read_eigensystem(A) if ch._affine is not None else None
-    if known is None:
-        return None
-    w, v = known
-    return ch._affine[0] * w + _trace_term(ch, as_matrix(A)).real, v
-
-
 def _act(ch: KrausChannel, a) -> np.ndarray:
     """``L(A)`` for any square A, Hermitian or not, with no validation: the
     closed form, a scatter over the transfer form, else the blocked kernel."""
@@ -346,18 +334,21 @@ def apply_raw(kraus, matrix: np.ndarray) -> np.ndarray:
 
 
 def apply(ch: KrausChannel, A) -> HermitianOperator:
-    """Apply the channel to a Hermitian operator. A closed-form image takes
-    its eigensystem from A's once that has been read (:func:`_image_eigensystem`);
-    any other image eigensolves on first use."""
+    """Apply the channel to a Hermitian operator. The closed-form image of an
+    operator, or of a view of one, reads its eigensystem on first use as
+    ``(a w + b tr A, V)`` from A's ``(w, V)``, whose ``a >= 0`` keeps it
+    ascending; any other image eigensolves on first use."""
     arr = as_matrix(A)
     if arr.shape != (ch.dim_in, ch.dim_in):
         raise ValueError(
             f"dimension mismatch: channel expects {ch.dim_in}, got {arr.shape}"
         )
     out = hermitize(_act(ch, arr))
-    eigensystem = _image_eigensystem(ch, A)
-    if eigensystem is not None:
-        _set_eigensystem(out, *eigensystem)
+    if ch._affine is not None and isinstance(A, (HermitianOperator, _View)):
+        def source():
+            w, v = A.eigensystem
+            return ch._affine[0] * w + _trace_term(ch, arr).real, v
+        object.__setattr__(out, "_source", source)
     return out
 
 

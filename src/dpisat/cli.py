@@ -166,7 +166,10 @@ def _admit_state(arr: np.ndarray, path: str, psd: bool = False):
     """A scenario state, strictly positive or, with ``psd``, PSD, judged by the
     scale rule of :func:`hermitize` and the clusters: skew within
     ``1e-10 max(1, max|A|)``, and eigenvalues within ``1e-10 max(1, tr A)`` of
-    zero snapped to 0. A state it refuses is a schema error at ``path``."""
+    zero snapped to 0. A strictly positive state's smallest eigenvalue must
+    exceed the eigensolver's floor ``n eps max|w|``, so a sigma with a kernel
+    is refused whatever sign roundoff gave it. A state it refuses is a schema
+    error at ``path``."""
     with _schema_at(path):
         op = hermitize(arr, DEFAULT_HERM_TOL)
         if not psd:

@@ -16,13 +16,17 @@ which prevents catastrophic cancellation for near-degenerate spectra. The
 rule is relative above 1 but absolute below it: eigenvalues below 1 that
 differ by at most ``tol`` merge whatever their ratio (ROADMAP open item 2).
 
-Each operator solves its eigensystem on first use, keeps it read-only and
-shares it with every spectral function of it, so it is eigensolved at most
-once. :func:`_spectrum` reads it (a :class:`PsdOperator` its snapped
+Each operator takes its eigensystem on first use, from an eigensolve or,
+for a closed-form channel image, from its input's (see ``channels.apply``),
+keeps it read-only and shares it with every spectral function of it, so it
+is eigensolved at most once and its eigensystem never depends on what was
+read before. :func:`_spectrum` reads it (a :class:`PsdOperator` its snapped
 eigenvalues), and every power, logarithm and support projector goes through
 :func:`_spectral_map`: f on the nonzero eigenvalues, exact zeros kept at 0.
-Containers are otherwise immutable and every operation is a pure function,
-so values can be shared freely between threads.
+A :class:`PositiveOperator`'s smallest eigenvalue must exceed the
+eigensolver's floor ``n eps max|w|``, not merely 0. Containers are otherwise
+immutable and every operation is a pure function, so values can be shared
+freely between threads.
 """
 
 from __future__ import annotations
@@ -131,6 +135,10 @@ class HermitianOperator:
 
     matrix: np.ndarray
     herm_tol: float = DEFAULT_HERM_TOL
+    # Where the eigensystem comes from on first read: None for an eigensolve,
+    # else a function that returns it in closed form (a depolarizing image
+    # reads its input's, see channels.apply).
+    _source: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         arr = np.asarray(as_matrix(self.matrix), dtype=np.complex128)
@@ -156,31 +164,13 @@ class HermitianOperator:
     @cached_property
     def eigensystem(self):
         """Read-only ``(w, v)``: ascending eigenvalues, orthonormal eigenvectors."""
-        w, v = _eigh(self.matrix)
+        w, v = self._source() if self._source is not None else _eigh(self.matrix)
         w.setflags(write=False)
         v.setflags(write=False)
         return w, v
 
     def frobenius(self) -> float:
         return float(np.linalg.norm(self.matrix))
-
-
-def _set_eigensystem(op: HermitianOperator, w: np.ndarray, v: np.ndarray) -> None:
-    """Give ``op`` the eigensystem ``(w, v)`` of its own matrix, known without
-    an eigensolve, as read-only arrays. Only before its first read, so every
-    reader of ``op`` sees one eigensystem."""
-    if "eigensystem" in vars(op):
-        raise RuntimeError("the operator's eigensystem has already been read")
-    w.setflags(write=False)
-    v.setflags(write=False)
-    vars(op)["eigensystem"] = (w, v)
-
-
-def _read_eigensystem(x):
-    """The eigensystem of an operator, or of the one a view wraps, once read;
-    otherwise None."""
-    op = x.op if isinstance(x, _View) else x
-    return vars(op).get("eigensystem") if isinstance(op, HermitianOperator) else None
 
 
 def _symmetrized(arr: np.ndarray, adj: np.ndarray | None = None) -> np.ndarray:
@@ -238,8 +228,12 @@ class PositiveOperator(_View):
     """A strictly positive definite Hermitian operator.
 
     The minimum eigenvalue is read from the operator's eigensystem at
-    construction. A rank-deficient :class:`PsdOperator` declares a kernel,
-    and is refused whatever the sign of its raw kernel eigenvalues.
+    construction and must exceed the eigensolver's floor
+    ``n eps max|w|``: a dense eigensolve fixes an eigenvalue only to about
+    that much (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2002), so a kernel eigenvalue at or below it is refused whatever the sign
+    roundoff gave it. A rank-deficient :class:`PsdOperator` declares a
+    kernel, and is refused whatever its raw kernel eigenvalues.
     """
 
     op: HermitianOperator
@@ -249,7 +243,8 @@ class PositiveOperator(_View):
         if isinstance(self.op, PsdOperator) and self.op.rank < self.op.dim:
             raise PositivityError(f"operator has a declared kernel (rank {self.op.rank} < dim {self.op.dim})")
         w = self._hermitian_op().eigensystem[0]
-        if w[0] <= 0.0:
+        # max|w| is w[-1] whenever w[0] > 0, and w[0] <= 0 is refused either way.
+        if w[0] <= w.size * np.finfo(float).eps * w[-1]:
             raise PositivityError(
                 f"operator is not strictly positive (min eigenvalue {w[0]:.3e})"
             )

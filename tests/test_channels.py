@@ -12,7 +12,6 @@ from dpisat.channels import (
     _act,
     _act_adjoint,
     _adjoint_raw,
-    _image_eigensystem,
     adjoint_apply,
     apply,
     apply_raw,
@@ -28,12 +27,12 @@ from dpisat.channels import (
     unitary,
     verify_cptp,
 )
-from dpisat.divergences import MeasureSpec
+from dpisat.divergences import MeasureSpec, evaluate
 from dpisat.linalg import (
     HermitianOperator,
     PositiveOperator,
+    PsdOperator,
     SchemaError,
-    _set_eigensystem,
     hs_inner,
     matrix_to_json,
 )
@@ -780,7 +779,6 @@ class TestDepolarizingClosedForm:
     @pytest.mark.parametrize("make", _image_inputs())
     def test_image_eigensystem_reproduces_the_image(self, make, p):
         a = make()
-        a.eigensystem  # read first: only a known eigensystem passes to the image
         c = depolarizing(a.dim, p)
         out = apply(c, a)
         image, (w, v) = out.matrix, out.eigensystem
@@ -801,38 +799,83 @@ class TestDepolarizingClosedForm:
         for x, x_out in ((pt.rho, pt_out.rho), (pt.sigma, pt_out.sigma)):
             w, v = x_out.eigensystem
             assert v is x.eigensystem[1] and not w.flags.writeable
-            np.testing.assert_array_equal(w, _image_eigensystem(c, x.op)[0])
+            np.testing.assert_array_equal(w, 0.6 * x.eigensystem[0] + (0.4 / 6 * np.trace(x.matrix)).real)
         # Any other channel leaves its images to their own eigensolve.
-        assert _image_eigensystem(KrausChannel(c.kraus), rho.op) is None
+        _pairs(KrausChannel(c.kraus), rho, sigma)
+        assert len(calls) == 2
 
-    def test_apply_passes_on_only_an_eigensystem_already_read(self, monkeypatch):
+    @staticmethod
+    def _seeded_pair():
+        g = np.random.default_rng(3)
+        ops = []
+        for _ in range(2):
+            x = g.normal(size=(6, 6)) + 1j * g.normal(size=(6, 6))
+            ops.append(HermitianOperator(x @ x.conj().T / 6 + 0.1 * np.eye(6)))
+        return ops
+
+    def test_image_eigensystem_is_independent_of_read_order(self):
+        # The image's eigensystem is a function of the input's value: reading
+        # the input's first or the image's first gives the same bits.
+        c, m = depolarizing(6, 0.3), MeasureSpec.relative_entropy()
+        results = []
+        for read_inputs_first in (False, True):
+            a, s = self._seeded_pair()
+            if read_inputs_first:
+                a.eigensystem, s.eigensystem
+            out_a, out_s = apply(c, a), apply(c, s)
+            results.append((out_a.eigensystem, out_s.eigensystem, evaluate(m, out_a, out_s)))
+        first, second = results
+        for (w0, v0), (w1, v1) in zip(first[:2], second[:2]):
+            np.testing.assert_array_equal(w0, w1)
+            np.testing.assert_array_equal(v0, v1)
+        assert first[2] == second[2]
+
+    def test_apply_passes_on_every_operator_eigensystem(self, monkeypatch):
         from _fixtures import count_eigh
 
         g = gen(483)
         c = depolarizing(4, 0.3)
         explicit = KrausChannel(c.kraus)
         sigma, fresh = random_positive(g, 4), random_hermitian(g, 4)
+        psd = PsdOperator(HermitianOperator(np.diag([0.5, 0.5, 1e-12, -1e-12]).astype(complex)))
         calls = count_eigh(monkeypatch)
-        # sigma's eigensystem was read when it was admitted; the view and its
-        # operator both pass it on.
-        for a in (sigma, sigma.op):
+        # sigma's eigensystem was read when it was admitted; the view, its
+        # operator and a PsdOperator (its unsnapped eigensystem) pass theirs on.
+        for a in (sigma, sigma.op, psd):
             w, v = apply(c, a).eigensystem
-            assert calls == [] and v is sigma.eigensystem[1] and not w.flags.writeable
-        # A fresh operator, an array, and any channel but the closed form: the
-        # image eigensolves once, on its first read.
-        for channel, a in ((c, fresh), (c, fresh.matrix), (explicit, sigma), (explicit, sigma.op)):
+            assert calls == [] and v is a.eigensystem[1] and not w.flags.writeable
+            np.testing.assert_array_equal(w, 0.7 * a.eigensystem[0] + (0.3 / 4 * np.trace(a.matrix)).real)
+        # A fresh operator's image reads the operator's one eigensolve,
+        # whichever of the two is read first.
+        out = apply(c, fresh)
+        out.eigensystem
+        assert len(calls) == 1 and out.eigensystem[1] is fresh.eigensystem[1]
+        calls.clear()
+        # An array, and any channel but the closed form: the image eigensolves
+        # once, on its first read.
+        for channel, a in ((c, fresh.matrix), (explicit, sigma), (explicit, sigma.op)):
             out = apply(channel, a)
             assert calls == []
             out.eigensystem, out.eigensystem
             assert len(calls) == 1
             calls.clear()
-        assert "eigensystem" not in vars(fresh)
 
-    def test_eigensystem_is_set_only_before_it_is_read(self):
-        op = HermitianOperator(np.diag([1.0, 2.0]).astype(complex))
-        op.eigensystem
-        with pytest.raises(RuntimeError, match="already been read"):
-            _set_eigensystem(op, np.array([1.0, 2.0]), np.eye(2, dtype=complex))
+    def test_chained_images_derive_their_eigensystem_through_both_channels(self, monkeypatch):
+        from _fixtures import count_eigh
+
+        a = random_hermitian(gen(484), 5)
+        first, second = depolarizing(5, 0.3), depolarizing(5, 0.6)
+        calls = count_eigh(monkeypatch)
+        out = apply(second, apply(first, a))
+        w, v = out.eigensystem
+        assert len(calls) == 1 and calls[0] is a.matrix  # a's own eigensolve, nothing more
+        assert v is a.eigensystem[1]
+        scale = np.linalg.norm(a.matrix, 2)
+        assert np.max(np.abs(w - np.linalg.eigvalsh(out.matrix))) <= 1e-13 * scale
+
+    def test_eigensystem_source_is_not_a_constructor_parameter(self):
+        with pytest.raises(TypeError):
+            HermitianOperator(np.eye(2, dtype=complex), _source=lambda: None)
 
 
 def _reference_cptp(c):

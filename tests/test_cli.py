@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -1748,3 +1749,36 @@ class TestReportNameLength:
         write_scenarios(scen, [dict(PINCHING_SCENARIO, name="é" + "x" * 249)])
         assert main(["run", str(scen), "--out", str(out)]) == 0
         assert os.listdir(out) == ["_" + "x" * 249 + ".json"]
+
+
+class TestRankDeficientSigma:
+    """sigma = U diag(0.5, 0.3, 0.2, 0) U^H as an explicit matrix: roundoff
+    puts its kernel eigenvalue near +-4e-17, under the eigensolver's floor, so
+    every command refuses it at every seed, as a schema error at sigma."""
+
+    @staticmethod
+    def _sigma(seed: int) -> dict:
+        g = np.random.default_rng(seed)
+        u = np.linalg.qr(g.normal(size=(4, 4)) + 1j * g.normal(size=(4, 4)))[0]
+        return matrix_to_json(u @ np.diag([0.5, 0.3, 0.2, 0.0]) @ u.conj().T)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_command_refuses_it(self, tmp_path, capsys, seed):
+        channel = {"builder": "depolarizing", "dim": 4, "p": 0.3}
+        rho = {"builder": "diag", "values": [0.1, 0.2, 0.3, 0.4]}
+        scen = tmp_path / "scen.json"
+        write_scenarios(scen, [{"name": "singular-sigma", "measure": {"family": "relative_entropy"},
+                                "channel": channel, "rho": rho, "sigma": self._sigma(seed), "checks": ["gap"]}])
+        runs = {
+            "validate": ["validate", str(scen)],
+            "run": ["run", str(scen), "--out", str(tmp_path / "out")],
+            "sweep": ["sweep", "--measure", "sandwiched_renyi", "--grid", "alpha=1.5:2.5:0.5",
+                      "--channel", json.dumps(channel), "--rho", json.dumps(rho),
+                      "--sigma", json.dumps(self._sigma(seed)), "--out", str(tmp_path / "sweep.csv")],
+        }
+        for command, argv in runs.items():
+            assert main(argv) == 2, command
+            path = "sigma" if command == "sweep" else r"scenario\[0\]\.sigma"
+            assert re.match(rf"^schema error at {path}: operator is not strictly positive",
+                            capsys.readouterr().err), command
+        assert not (tmp_path / "out").exists() and not (tmp_path / "sweep.csv").exists()

@@ -96,6 +96,26 @@ class TestTypes:
         with pytest.raises(PositivityError):
             PositiveOperator(HermitianOperator(np.diag([0.0, 1.0]).astype(complex)))
 
+    def test_positive_refuses_at_the_eigensolver_floor(self):
+        # The floor is n eps max|w|: exactly at it is refused, just above it passes.
+        eps = np.finfo(float).eps
+        with pytest.raises(PositivityError, match=r"^operator is not strictly positive"):
+            PositiveOperator(HermitianOperator(np.diag([3 * eps * 2.0, 2.0, 1.0]).astype(complex)))
+        op = PositiveOperator(HermitianOperator(np.diag([3 * eps * 2.5, 2.0, 1.0]).astype(complex)))
+        assert op.min_eigenvalue == 3 * eps * 2.5
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 16, 24, 32])
+    def test_positive_refuses_rank_deficient_arrays_at_every_seed(self, n):
+        # Rotated unit-trace states of rank below n: whatever sign roundoff
+        # gives the kernel, its eigenvalue stays below the floor.
+        for seed in range(40):
+            g = np.random.default_rng([n, seed])
+            w = np.concatenate((g.uniform(0.1, 1.0, g.integers(1, n)), np.zeros(n)))[:n]
+            u = np.linalg.qr(g.normal(size=(n, n)) + 1j * g.normal(size=(n, n)))[0]
+            arr = hermitize((u * (w / w.sum())) @ u.conj().T).matrix
+            with pytest.raises(PositivityError, match=r"^operator is not strictly positive"):
+                PositiveOperator(arr)
+
     @pytest.mark.parametrize("tail", [-1e-8, 1e-8])
     def test_positive_refuses_a_declared_kernel_at_either_sign(self, tail):
         # zero_tol = 1e-2 declares the tail a kernel; its raw sign is roundoff.

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpisat.channels import (
+    KrausChannel,
     adjoint_apply,
     apply,
     dephasing_pinching,
@@ -1502,3 +1503,41 @@ class TestOneBoundaryRule:
             petz_map(singular, c)
         with pytest.raises(PositivityError, match="declared kernel"):
             scaling_check(m, singular, rho, 2.0, 3.0)
+
+
+class TestEigensolverFloor:
+    """A state given as an array is strictly positive only above the
+    eigensolver's floor ``n eps max|w|``: a kernel eigenvalue that roundoff put
+    at +1e-17 is refused as one at -4e-17 is, so a rank-deficient rho, sigma or
+    channel image raises at every seed instead of reading log(1e-17)."""
+
+    @staticmethod
+    def _rotated_rank3(seed: int) -> np.ndarray:
+        g = np.random.default_rng(seed)
+        u = np.linalg.qr(g.normal(size=(4, 4)) + 1j * g.normal(size=(4, 4)))[0]
+        return u @ np.diag([0.5, 0.3, 0.2, 0.0]) @ u.conj().T
+
+    def test_seeded_kernels_take_both_signs(self):
+        signs = {np.sign(HermitianOperator(self._rotated_rank3(s)).eigensystem[0][0]) for s in range(6)}
+        assert signs == {-1.0, 1.0}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rank_deficient_arrays_are_refused_at_either_sign(self, seed):
+        m, c = MeasureSpec.relative_entropy(), depolarizing(4, 0.3)
+        singular, positive = self._rotated_rank3(seed), np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
+        with pytest.raises(BoundaryCaseError,
+                           match=r"^rho is not strictly positive .*; pass a rank-deficient rho as a PsdOperator$"):
+            residual1(m, c, singular, positive)
+        with pytest.raises(BoundaryCaseError, match=r"^sigma is not strictly positive \(operator is not") as info:
+            dpi_gap(m, c, positive, singular)
+        assert "PsdOperator" not in str(info.value)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_isometric_embedding_images_are_refused(self, seed):
+        # V maps C^2 into C^4, so L(sigma) has a two-dimensional kernel whose
+        # roundoff sign is not read.
+        g = gen(3100 + seed)
+        v = random_unitary(g, 4)[:, :2]
+        rho, sigma = random_positive(g, 2), random_positive(g, 2)
+        with pytest.raises(BoundaryCaseError, match=r"^channel image of sigma is not strictly positive"):
+            build_report(MeasureSpec.relative_entropy(), KrausChannel([v]), rho, sigma)
