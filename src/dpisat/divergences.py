@@ -18,9 +18,9 @@ Fidelity and sandwiched Renyi are the points ``(1/2, 1/2)`` and ``(a, a)`` of
 the alpha-z quasi-entropy ``Q = tr X^z``, ``X = s^g r^{a/z} s^g`` (``F = Q``),
 and share its core, value and gradient path. For ``z < 1`` the first gradient
 reads ``X^{z-1}``, so it raises :class:`PositivityError` unless X is positive
-on the support of r. The fidelity's second gradient is its first at the
-swapped pair; at a rank-deficient r its core ``r^{1/2} s r^{1/2}`` is singular,
-and ``X^{-1/2}`` is the pseudo-inverse power on the support of r.
+on the support of r. The fidelity's second gradient is the closed form
+``(1/2) s^{-1/2} X^{1/2} s^{-1/2}`` on the same core ``X = s^{1/2} r s^{1/2}``,
+which needs no inverse power of X, so it holds at a rank-deficient r too.
 
 Parameter combinations outside the known data-processing regions are
 rejected at construction unless explicitly overridden. Every gradient, in
@@ -203,9 +203,10 @@ _Core = namedtuple("_Core", "matrix eigensystem")
 
 
 class _Pair:
-    """A state pair (rho positive, or PSD on the boundary; sigma positive)
-    whose spectral cores are each formed and eigensolved once, then shared by
-    the value, both gradients and the alpha-z cross-check operators."""
+    """A state pair (rho positive, or PSD on the boundary; sigma positive, so
+    a core's only kernel is rho's) whose spectral cores are each formed and
+    eigensolved once, then shared by the value, both gradients and the alpha-z
+    cross-check operators."""
 
     def __init__(self, rho, sigma):
         self.rho, self.sigma = rho, sigma
@@ -217,8 +218,8 @@ class _Pair:
 
         X is a :class:`_Core`: positive semidefinite by construction, so it
         is eigensolved once, with roundoff below zero clamped to zero and the
-        ``core_kernel`` eigenvalues on the kernels of rho and sigma set to
-        exactly zero: no roundoff there reaches a power below 1."""
+        ``kernel`` eigenvalues on the kernel of rho set to exactly zero: no
+        roundoff there reaches a power below 1."""
         key = (gamma, p)
         if key not in self._cores:
             s_g = _powm(self.sigma, gamma)
@@ -226,7 +227,7 @@ class _Pair:
             x = _symmetrized(s_g @ r @ s_g)
             wx, vx = _eigh(x)
             wx = np.maximum(wx, 0.0)
-            wx[:self.core_kernel] = 0.0
+            wx[:self.kernel] = 0.0
             self._cores[key] = s_g, _Core(x, (wx, vx))
         return self._cores[key]
 
@@ -253,12 +254,6 @@ class _Pair:
         """The dimension of the kernel of rho: nonzero only for a
         rank-deficient :class:`PsdOperator`, on the boundary of the cone."""
         return int(np.count_nonzero(_spectrum(self.rho)[0] == 0.0))
-
-    @cached_property
-    def core_kernel(self) -> int:
-        """The exact zeros of each core: the kernels of rho and of sigma (PSD
-        only in the swapped pair of the fidelity's second gradient)."""
-        return self.kernel + int(np.count_nonzero(_spectrum(self.sigma)[0] == 0.0))
 
     @cached_property
     def tangent(self) -> _TangentProjection:
@@ -394,8 +389,8 @@ def _relent_grad1(m: MeasureSpec, pt: _Pair) -> np.ndarray:
 
 def _quasi_grad1(m: MeasureSpec, pt: _Pair) -> np.ndarray:
     alpha, z, gamma, x, _, c = _quasi_entropy(m, pt)
-    if z < 1.0 and (x.eigensystem[0][pt.core_kernel:] <= 0.0).any():
-        raise PositivityError("a gradient with z < 1 needs s^g r^{a/z} s^g > 0 off the kernels of r and s")
+    if z < 1.0 and (x.eigensystem[0][pt.kernel:] <= 0.0).any():
+        raise PositivityError("a gradient with z < 1 needs s^g r^{a/z} s^g > 0 off the kernel of r")
     w = pt.core_power(gamma, alpha / z, gamma, z - 1.0)
     if alpha / z == 1.0:  # r -> r is linear: its Frechet derivative is the identity
         return _on_tangent(pt, _symmetrized(c * w))
@@ -575,9 +570,10 @@ _FAMILY_TABLE = {
     ),
     "fidelity": _Family(
         (), lambda m: None, lambda m: -1, _quasi_value, _quasi_grad1,
-        lambda m, pt: _grad1(m, _Pair(pt.sigma, pt.rho)),  # F is symmetric
-        # A measurement in the eigenbasis of s^-1/2 (s^1/2 r s^1/2)^1/2 s^-1/2 keeps
-        # F (Fuchs and Caves); its classical output gives back no non-commuting pair.
+        # grad2 is half of s^-1/2 (s^1/2 r s^1/2)^1/2 s^-1/2. A measurement in that
+        # operator's eigenbasis keeps F (Fuchs and Caves); its classical output
+        # gives back no non-commuting pair.
+        lambda m, pt: _symmetrized(0.5 * pt.core_power(0.5, 1.0, -0.5, 0.5)),
         lambda m: False, point=lambda m: (0.5, 0.5),
         scaling=lambda m, pt, base, k, k_prime: math.sqrt(k * k_prime) * base,
     ),

@@ -492,17 +492,18 @@ def build_report(
     ``with_petz=False`` leaves the recovery errors unset and skips their two
     adjoints, ``(Ls)^{-1/2}`` and the recovery map's trace-preservation
     check, which raises ValueError once cond(Ls) is large. Each of the four operators and each spectral core of the two
-    pairs is eigensolved at most once (at most 8 per full-rank report); under
+    pairs is eigensolved at most once (at most 6 per full-rank report); under
     a depolarizing channel :func:`apply` gives the two images their
-    eigensystems from the inputs', without one (at most 6). Each spectral
-    norm is an eigenvalue-only solve of its Hermitian residual; the report
-    keeps both pairs for further checks.
+    eigensystems from the inputs', without one (at most 4). Both spectral
+    norms come from one stacked eigenvalue-only solve of the two Hermitian
+    residuals; the report keeps both pairs for further checks.
     """
     pt, pt_out = _pairs(ch, rho, sigma)
     gap = _gap(m, pt, pt_out)
     r1 = hermitize(_residual(ch, partial(_grad1, m), pt, pt_out, tangent=True))
     r2 = hermitize(_residual(ch, partial(_grad2, m), pt, pt_out))
     n1, n2 = frobenius(r1), frobenius(r2)
+    s1, s2 = np.max(np.abs(np.linalg.eigvalsh(np.stack((r1.matrix, r2.matrix)))), axis=-1).tolist()
     err_rho = err_sigma = None
     if with_petz:
         err_rho, err_sigma = _petz_recovery_errors(ch, pt, pt_out)
@@ -514,8 +515,8 @@ def build_report(
         residual2=r2,
         residual1_frobenius=n1,
         residual2_frobenius=n2,
-        residual1_spectral=_spectral_norm(r1),
-        residual2_spectral=_spectral_norm(r2),
+        residual1_spectral=s1,
+        residual2_spectral=s2,
         saturated=saturated,
         petz_recovery_error_rho=err_rho,
         petz_recovery_error_sigma=err_sigma,
@@ -523,11 +524,6 @@ def build_report(
         residual_tol=residual_tol,
         pairs=(pt, pt_out),
     )
-
-
-def _spectral_norm(op: HermitianOperator) -> float:
-    """The spectral norm of a Hermitian operator: its largest |eigenvalue|."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(op.matrix))))
 
 
 def _report_fields(include_matrices: bool = False) -> tuple:

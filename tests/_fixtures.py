@@ -243,6 +243,18 @@ def classical_fdiv(f, p, q) -> float:
     return float(sum(qi * f(pi / qi) for pi, qi in zip(p, q)))
 
 
+def fidelity_grad2_closed_form(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """``1/2 s^{-1/2} (s^{1/2} r s^{1/2})^{1/2} s^{-1/2}``, the fidelity's second
+    gradient, from plain numpy eigensolves of the two arrays."""
+    ws, vs = np.linalg.eigh(sigma)
+    s_half = (vs * np.sqrt(ws)) @ vs.conj().T
+    s_neg_half = (vs / np.sqrt(ws)) @ vs.conj().T
+    core = s_half @ rho @ s_half
+    wx, vx = np.linalg.eigh(0.5 * (core + core.conj().T))
+    x_half = (vx * np.sqrt(np.maximum(wx, 0.0))) @ vx.conj().T
+    return 0.5 * s_neg_half @ x_half @ s_neg_half
+
+
 def fd_tangent_gradient(m: MeasureSpec, rho: PsdOperator, sigma, h: float) -> np.ndarray:
     """Finite-difference oracle for the gradient of ``B(., sigma)`` on the
     tangent space of the PSD cone at ``rho``.

@@ -37,6 +37,7 @@ from _fixtures import (
     classical_kl,
     classical_renyi,
     diag_positive,
+    fidelity_grad2_closed_form,
     gen,
     ill_conditioned_partial_trace,
     measure_suite,
@@ -246,11 +247,15 @@ class TestGradients:
         assert np.linalg.norm(out.matrix + np.eye(3)) <= 1e-10
 
     def test_grad2_fidelity_is_swapped_grad1(self):
+        # F is symmetric, so grad2(r, s) = grad1(s, r); grad2 is the closed
+        # form on the core of (r, s), grad1 at (s, r) reads another core.
         g = gen(413)
         rho, sigma = random_positive(g, 3), random_positive(g, 3)
-        lhs = grad2(MeasureSpec.fidelity(), rho, sigma)
-        rhs = grad1(MeasureSpec.fidelity(), sigma, rho)
-        assert np.linalg.norm(lhs.matrix - rhs.matrix) == 0.0
+        lhs = grad2(MeasureSpec.fidelity(), rho, sigma).matrix
+        rhs = grad1(MeasureSpec.fidelity(), sigma, rho).matrix
+        expected = fidelity_grad2_closed_form(rho.matrix, sigma.matrix)
+        assert np.linalg.norm(lhs - expected) <= 1e-13 * np.linalg.norm(expected)
+        assert np.linalg.norm(lhs - rhs) <= 1e-13 * np.linalg.norm(rhs)
 
     def test_sandwiched_equals_alpha_z_diagonal(self):
         # Sandwiched Renyi is the alpha-z quasi-entropy on the line z = alpha,
@@ -657,10 +662,10 @@ RANKS = [(n, k) for n in range(3, 7) for k in range(1, n)]
 
 
 class TestFidelityBoundaryGrad2:
-    """At a rank-deficient rho the fidelity's second gradient is
+    """The fidelity's second gradient is ``1/2 s^{-1/2} X^{1/2} s^{-1/2}`` on
+    the core ``X = s^{1/2} r s^{1/2}``; at a rank-deficient rho it equals
     ``1/2 r^{1/2} (r^{1/2} s r^{1/2})^{+,-1/2} r^{1/2}``, with ``+`` the
-    pseudo-inverse power on the support of rho: its swapped core is singular
-    exactly where rho is."""
+    pseudo-inverse power on the support of rho."""
 
     @staticmethod
     def grad2_at(rho, sigma):
@@ -692,18 +697,21 @@ class TestFidelityBoundaryGrad2:
 
     def test_full_rank_clamps_nothing(self):
         # At full rank no core eigenvalue is set to 0, so grad2 is the
-        # ordinary first gradient at the swapped pair, bit for bit.
+        # ordinary closed form, and grad1 at the swapped pair by symmetry.
         from dpisat.divergences import _Pair
 
         g = gen(640)
         rho, sigma = random_positive(g, 4), random_positive(g, 4)
-        swapped = _Pair(sigma, rho)
-        assert swapped.core_kernel == 0
-        x = swapped.core(0.5, 1.0)[1]
+        pt = _Pair(rho, sigma)
+        assert pt.kernel == 0
+        x = pt.core(0.5, 1.0)[1]
         raw = np.linalg.eigh(x.matrix)[0]
         np.testing.assert_array_equal(x.eigensystem[0], np.maximum(raw, 0.0))
-        np.testing.assert_array_equal(grad2(MeasureSpec.fidelity(), rho, sigma).matrix,
-                                      grad1(MeasureSpec.fidelity(), sigma, rho).matrix)
+        got = grad2(MeasureSpec.fidelity(), rho, sigma).matrix
+        expected = fidelity_grad2_closed_form(rho.matrix, sigma.matrix)
+        swapped = grad1(MeasureSpec.fidelity(), sigma, rho).matrix
+        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+        assert np.linalg.norm(got - swapped) <= 1e-13 * np.linalg.norm(swapped)
 
 
 class TestMeasureJson:
