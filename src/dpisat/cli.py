@@ -149,6 +149,7 @@ def _state_from_json(obj, path: str, seed_override: int | None):
         what = "a non-empty list of numbers"
         if not isinstance(values, list) or not values:
             raise SchemaError(f"{path}.values", f"expected {what}, got {values!r}")
+        _builder_dim(len(values), f"{path}.values")
         for v in values:
             _number(v, f"{path}.values", what)
         return np.diag(np.asarray(values, dtype=np.complex128)), None
@@ -257,7 +258,7 @@ def _json_from(source: str, path: str, inline: bool = False):
             return json.load(fh)
     except OSError as exc:
         raise SchemaError(path, f"cannot read file: {exc}") from exc
-    except ValueError as exc:  # malformed, or an integer of more digits than int() takes
+    except (ValueError, RecursionError) as exc:  # malformed, too many digits for int(), or too deep
         raise SchemaError(path, f"invalid JSON: {exc}") from exc
 
 
@@ -469,7 +470,7 @@ def _cmd_run(args) -> int:
 
 def _parse_grid(text: str):
     """Parse 'alpha=0.5:3.0:0.25;z=...' into an ordered (name, values) list;
-    point k of an axis is ``round(start + k*step, 12)``."""
+    point k of an axis is ``round(start + k*step, 12)``, ``k <= (stop - start)/step + 1e-9``."""
     axes, size = [], 1
     for part in text.split(";"):
         part = part.strip()
@@ -490,14 +491,20 @@ def _parse_grid(text: str):
             raise SchemaError("grid", f"non-finite grid bound in {part!r}")
         if step <= 0 or stop < start:
             raise SchemaError("grid", f"empty or descending grid in {part!r}")
-        count = math.floor(min((stop - start + 1e-9) / step, _MAX_GRID_POINTS)) + 1
+        count = math.floor(min((stop - start) / step + 1e-9, _MAX_GRID_POINTS)) + 1
         size *= count
         if size > _MAX_GRID_POINTS:
             raise SchemaError("grid", f"more than {_MAX_GRID_POINTS} grid points in {text!r}")
-        axes.append((name, start, step, count))
+        axes.append((name, start, step, count, part))
     if not axes:
         raise SchemaError("grid", "no axes given")
-    return [(name, [round(start + k * step, 12) for k in range(n)]) for name, start, step, n in axes]
+    grid = []  # formed once every axis has passed the point-count bound
+    for name, start, step, count, part in axes:
+        values = [round(start + k * step, 12) for k in range(count)]
+        if len(set(values)) < count:
+            raise SchemaError("grid", f"step too fine for points rounded to 12 digits in {part!r}")
+        grid.append((name, values))
+    return grid
 
 
 def _operand_from_arg(text: str, decoder, path: str):

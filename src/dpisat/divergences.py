@@ -28,7 +28,8 @@ either argument, is closed form; the f-divergence ones use the Petz form
 ``sum_j tr P_j g_j(s)``, ``g_j(mu) = mu f(p_j/mu)`` (Hiai, Mosonyi, Petz and
 Beny, Rev. Math. Phys. 23, 2011). A rank-deficient :class:`PsdOperator`
 first state stays on the boundary of the PSD cone in every public function;
-there every family with a value has its first gradient on the tangent space.
+there every family with a value has its first gradient on the tangent space:
+its row's closed form, projected once, in ``_grad1``.
 
 A state pair clusters the spectra of rho and sigma once, in
 ``_Pair.spectrum``; the f-divergence table and every closed-form gradient
@@ -262,9 +263,10 @@ class _Pair:
 
     @cached_property
     def log_support(self) -> np.ndarray:
-        """The logarithm of a :class:`PsdOperator` rho on its support, zero
-        on its kernel."""
-        return _symmetrized(_logm(self.rho))
+        """``log r`` on the support of rho, zero on its kernel: the one support
+        logarithm, read by the relative entropy's first gradient at every rank
+        and by the Hiai residual."""
+        return _logm(self.rho)
 
     @cached_property
     def log_sigma(self) -> np.ndarray:
@@ -375,16 +377,8 @@ def _fdiv_grad(pair: ScalarFunctionPair, pt: _Pair, slot: int) -> np.ndarray:
     return _symmetrized(v @ g @ v.conj().T)
 
 
-def _on_tangent(pt: _Pair, g: np.ndarray) -> np.ndarray:
-    """``g`` projected onto the tangent space at a rank-deficient rho."""
-    return _symmetrized(pt.tangent(g)) if pt.kernel else g
-
-
 def _relent_grad1(m: MeasureSpec, pt: _Pair) -> np.ndarray:
-    if pt.kernel:
-        tangent, log_sigma = pt.tangent, pt.log_sigma
-        return _symmetrized(pt.log_support - log_sigma + tangent.q @ log_sigma @ tangent.q + tangent.p)
-    return _symmetrized(_logm(pt.rho) - pt.log_sigma + np.eye(pt.rho.dim))
+    return _symmetrized(pt.log_support - pt.log_sigma + np.eye(pt.rho.dim))
 
 
 def _quasi_grad1(m: MeasureSpec, pt: _Pair) -> np.ndarray:
@@ -393,24 +387,22 @@ def _quasi_grad1(m: MeasureSpec, pt: _Pair) -> np.ndarray:
         raise PositivityError("a gradient with z < 1 needs s^g r^{a/z} s^g > 0 off the kernel of r")
     w = pt.core_power(gamma, alpha / z, gamma, z - 1.0)
     if alpha / z == 1.0:  # r -> r is linear: its Frechet derivative is the identity
-        return _on_tangent(pt, _symmetrized(c * w))
+        return _symmetrized(c * w)
     # The Frechet derivative of r^{a/z} along w, with 0^{a/z} = 0.
-    return _on_tangent(pt, c * _frechet(pt.spectrum("rho"), power(alpha / z), _symmetrized(w), at_zero=0.0))
+    return c * _frechet(pt.spectrum("rho"), power(alpha / z), _symmetrized(w), at_zero=0.0)
 
 
 def _grad1(m: MeasureSpec, pt: _Pair) -> np.ndarray:
-    """Gradient in the first argument, symmetrized.
-
-    At a rank-deficient :class:`PsdOperator` rho it is the gradient on the
-    tangent space of the PSD cone: the closed form with its kernel-kernel
-    block dropped, projected onto the tangent space. The quasi-entropies
-    need ``X > 0`` on the support of rho when ``z < 1``; ``r^{a/z}`` (unless
+    """Gradient in the first argument, symmetrized: the family row's closed
+    form, the same operations at every rank with 0 on the kernel of rho,
+    projected here, once, onto the tangent space of the PSD cone at a
+    rank-deficient :class:`PsdOperator` rho (``M - Q M Q`` with Q the kernel
+    projector, which drops the kernel-kernel block). The quasi-entropies need
+    ``X > 0`` on the support of rho when ``z < 1``; ``r^{a/z}`` (unless
     ``a = z``) and the f-divergences take divided differences with ``h(0)``
-    from the continuous extension. Relative entropy reads
-    ``logx(r) - log s + Q log s Q + P`` with ``logx`` the support logarithm,
-    P the support projector and ``Q = 1 - P``.
-    """
-    return m._row.grad1(m, pt)
+    from the continuous extension."""
+    g = m._row.grad1(m, pt)
+    return _symmetrized(pt.tangent(g)) if pt.kernel else g
 
 
 def _relent_grad2(m: MeasureSpec, pt: _Pair) -> np.ndarray:
@@ -593,7 +585,7 @@ _FAMILY_TABLE = {
         # x^a with 0 < a < 1 is operator concave: the reversed inequality.
         lambda m: -1 if m.f_name == "power" and m.alpha is not None and 0.0 < m.alpha < 1.0 else 1,
         lambda m, pt: _fdiv_value(m.f_pair, pt),
-        lambda m, pt: _on_tangent(pt, _fdiv_grad(m.f_pair, pt, 1)),
+        lambda m, pt: _fdiv_grad(m.f_pair, pt, 1),
         lambda m, pt: _fdiv_grad(m.f_pair, pt, 2), _f_recovers,
     ),
 }

@@ -973,6 +973,33 @@ class TestIntegerDigitLimit:
         assert not (tmp_path / "out").exists() and not (tmp_path / "sweep.csv").exists()
 
 
+class TestDeeplyNestedJson:
+    """A document nested deeper than the recursion limit is invalid JSON at
+    its source, not a traceback."""
+
+    DEEP = "[" * 100000 + "]" * 100000
+
+    def test_scenario_file(self, tmp_path, capsys):
+        scen = tmp_path / "deep.json"
+        scen.write_text(self.DEEP, encoding="utf-8")
+        for argv in (["validate", str(scen)], ["run", str(scen), "--out", str(tmp_path / "out")]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith(f"schema error at {scen}: invalid JSON: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_operand_inline_and_from_file(self, tmp_path, capsys):
+        rho_file = tmp_path / "rho.json"
+        rho_file.write_text(self.DEEP, encoding="utf-8")
+        out = tmp_path / "sweep.csv"
+        for operand, path in (("--channel", '{"kraus": ' + self.DEEP + "}"), ("--rho", str(rho_file))):
+            args = {"--channel": json.dumps(RANDOM_SCENARIO["channel"]), "--rho": json.dumps(RANDOM_SCENARIO["rho"]),
+                    "--sigma": json.dumps(RANDOM_SCENARIO["sigma"]), operand: path}
+            argv = ["sweep", "--measure", "sandwiched_renyi", "--grid", "alpha=1.5:2:0.5", "--out", str(out)]
+            assert main(argv + [x for item in args.items() for x in item]) == 2
+            assert capsys.readouterr().err.startswith(f"schema error at {operand[2:]}: invalid JSON: ")
+        assert not out.exists()
+
+
 class TestValidate:
     def test_valid_file(self, tmp_path):
         scen = tmp_path / "scen.json"
@@ -1166,6 +1193,25 @@ class TestSweep:
             name, bounds = axis.split("=")
             expected.append((name, accumulated(*map(float, bounds.split(":")))))
         assert _parse_grid(grid) == expected
+
+    # The slack that admits a stop reached up to roundoff is a fraction of a
+    # step: a step below it adds no point past the stop.
+    @pytest.mark.parametrize("grid,point", [("alpha=0.5:0.5:1e-12", 0.5), ("alpha=1.5:1.5:1e-13", 1.5)])
+    def test_grid_step_below_the_slack_gives_only_the_start(self, grid, point):
+        from dpisat.cli import _parse_grid
+
+        assert _parse_grid(grid) == [("alpha", [point])]
+
+    def test_grid_points_equal_after_rounding_are_a_schema_error(self, tmp_path, capsys):
+        grid = "alpha=1.5:1.5000000001:1e-13"
+        dep = {"builder": "depolarizing", "dim": 2, "p": 0.4}
+        assert self._sweep_exit(tmp_path, "sandwiched_renyi", grid, dep) == (2, False)
+        assert capsys.readouterr().err == (
+            f"schema error at grid: step too fine for points rounded to 12 digits in {grid!r}\n")
+        # The point-count bound is judged on the whole grid first.
+        grid += ";z=0.5:3:1e-300"
+        assert self._sweep_exit(tmp_path, "alpha_z", grid, dep) == (2, False)
+        assert capsys.readouterr().err == f"schema error at grid: more than 100000 grid points in {grid!r}\n"
 
     @pytest.mark.parametrize(
         "measure,grid,where",
@@ -1693,6 +1739,14 @@ class TestBuilderDimensionBound:
         with pytest.raises(cli.SchemaError, match="at most 1024, got 1025"):
             cli._state_from_json({"builder": "random_pos", "dim": self.BOUND + 1, "seed": 1}, "rho", None)
         assert built == []
+
+    def test_diag_state_builder(self, built):
+        with pytest.raises(cli.SchemaError) as err:
+            cli._state_from_json({"builder": "diag", "values": [0.5] * (self.BOUND + 1)}, "rho", None)
+        assert (err.value.path, err.value.reason) == (
+            "rho.values", f"expected a dimension of at most {self.BOUND}, got {self.BOUND + 1}")
+        state = cli._state_from_json({"builder": "diag", "values": [0.5] * self.BOUND}, "rho", None)[0]
+        assert state.shape == (self.BOUND, self.BOUND)
 
     def test_the_bound_itself_is_built(self, built):
         cli.channel_from_json({"builder": "depolarizing", "dim": self.BOUND, "p": 0.5})

@@ -1199,8 +1199,13 @@ class TestBoundarySpectralProducts:
                     _hiai_residual(c, pt, pt_out),
                 )
             assert calls == {"_spectral_map": 2, "_logm(rho)": 2, "_logm(sigma)": 2}, label
+            # The pairs project the relative entropy's closed-form gradient,
+            # the hand formula adds its projected terms: the same operator up
+            # to roundoff, on the scale of the gradient itself.
+            scale = frobenius(_grad1(m, pt))
             for res, expected in zip(got, ref):
-                np.testing.assert_array_equal(getattr(res, "matrix", res), getattr(expected, "matrix", expected))
+                error = frobenius(getattr(res, "matrix", res) - getattr(expected, "matrix", expected))
+                assert error <= 1e-13 * scale, label
 
 
 class TestIllConditionedRenyiCores:
