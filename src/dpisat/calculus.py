@@ -133,6 +133,8 @@ CHI_SQUARE = ScalarFunctionPair(
 def power(exponent: float) -> ScalarFunctionPair:
     """The power function ``x**exponent`` on the positive half line."""
     e = float(exponent)
+    if not math.isfinite(e):
+        raise ValueError(f"power requires a finite exponent, got {e!r}")
     if e == 0.0:
         return ScalarFunctionPair(
             "power[0]", lambda x: 1.0, lambda x: 0.0, domain=(0.0, math.inf),

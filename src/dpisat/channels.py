@@ -14,9 +14,8 @@ read; any other stack is given whole. A channel acts in one of three ways:
   ``(a, b) = (1 - p, p/n)``, which is its own adjoint, O(n**2) work. It
   commutes with every unitary conjugation, so every eigenbasis of A is one
   of L(A): the image's eigensystem is ``(a w + b tr A, V)`` from A's
-  ``(w, V)``. :func:`apply` makes that the image's eigensystem whenever A is
-  an operator or a view of one, read from A's when the image's is first
-  read, so it never depends on which was read first;
+  ``(w, V)``, read from A's when the image's is first read, so it never
+  depends on which was read first;
 * any other sparse stack, with ``P = sum_k nnz(K_k)**2 <= r m n`` (partial
   traces, computational-basis pinching, measure-prepare in the
   computational basis, an explicit depolarizing stack), chosen at
@@ -33,7 +32,9 @@ Under the rule the scatter does at most ``1/(m + n)`` of the kernel's work.
 :func:`apply`, :func:`adjoint_apply` and :func:`choi_matrix` act through the
 channel's own form, and so do the saturation checks and the
 trace-preservation check at construction, ``||L*(I) - I||_F``;
-:func:`apply_raw` on a bare stack always takes the blocked kernel.
+:func:`apply_raw` on a bare stack always takes the blocked kernel. Both
+:func:`apply` and :func:`adjoint_apply` take one image path, which admits
+every operand through the :class:`HermitianOperator` check.
 
 Complete positivity is automatic from Kraus form; :func:`verify_cptp`
 nevertheless recomputes the Choi matrix from the channel action, and trace
@@ -50,13 +51,14 @@ import numpy as np
 from .linalg import (
     HermitianOperator,
     SchemaError,
-    _View,
     _builder_dim,
     _eigh,
     _fields,
     _number,
+    _operator,
     _positive_int,
     _schema_at,
+    _tolerance,
     as_matrix,
     hermitize,
     matrix_from_json,
@@ -129,8 +131,6 @@ class KrausChannel:
             and np.may_share_memory(stack, kraus)
         ):
             stack = stack.copy()
-        if stack.shape[0] == 0:
-            raise ValueError("a channel needs at least one Kraus operator")
         finite = np.isfinite(stack).all(axis=(1, 2))
         if not finite.all():
             raise ValueError(f"Kraus operator {int(np.argmin(finite))} has non-finite entries")
@@ -145,6 +145,10 @@ class KrausChannel:
 
     def __post_init__(self, shape: tuple, entries, stack, tp_tol: float, affine=None) -> None:
         # Every construction ends here, from a stack or from entries alone.
+        if shape[0] < 1 or min(shape[1:]) < 1:
+            raise ValueError(f"a channel needs at least one Kraus operator and nonzero "
+                             f"dimensions, not a stack of shape {shape}")
+        _tolerance("tp_tol", tp_tol)
         sparse = entries is not None and affine is None
         transfer = _transfer_form(shape, *entries) if sparse else None
         self.__dict__.update(
@@ -172,8 +176,6 @@ def _from_entries(shape: tuple, k, i, j, vals, affine=None) -> KrausChannel:
     and row-major; zero values are dropped, as the stack would drop them.
     With ``affine = (a, b)`` it acts as ``a A + b tr(A) I``, which the
     entries must describe."""
-    if shape[0] < 1 or min(shape) < 0:
-        raise ValueError(f"no channel has a Kraus stack of shape {shape}")
     keep = vals != 0
     ch = object.__new__(KrausChannel)
     ch.__post_init__(shape, (k[keep], i[keep], j[keep], vals[keep]), None, DEFAULT_TP_TOL, affine)
@@ -333,33 +335,31 @@ def apply_raw(kraus, matrix: np.ndarray) -> np.ndarray:
     return _sandwich(_as_stack(kraus), matrix)
 
 
-def apply(ch: KrausChannel, A) -> HermitianOperator:
-    """Apply the channel to a Hermitian operator. The closed-form image of an
-    operator, or of a view of one, reads its eigensystem on first use as
+def _image(ch: KrausChannel, A, dim: int, what: str, act) -> HermitianOperator:
+    """``act(ch, A)`` for A admitted by :func:`_operator` at dimension ``dim``.
+    A closed-form image reads its eigensystem on first use as
     ``(a w + b tr A, V)`` from A's ``(w, V)``, whose ``a >= 0`` keeps it
     ascending; any other image eigensolves on first use."""
-    arr = as_matrix(A)
-    if arr.shape != (ch.dim_in, ch.dim_in):
-        raise ValueError(
-            f"dimension mismatch: channel expects {ch.dim_in}, got {arr.shape}"
-        )
-    out = hermitize(_act(ch, arr))
-    if ch._affine is not None and isinstance(A, (HermitianOperator, _View)):
+    op = _operator(A)
+    if op.dim != dim:
+        raise ValueError(f"dimension mismatch: {what} expects {dim}, got {op.matrix.shape}")
+    out = hermitize(act(ch, op.matrix))
+    if ch._affine is not None:
         def source():
-            w, v = A.eigensystem
-            return ch._affine[0] * w + _trace_term(ch, arr).real, v
+            w, v = op.eigensystem
+            return ch._affine[0] * w + _trace_term(ch, op.matrix).real, v
         object.__setattr__(out, "_source", source)
     return out
 
 
+def apply(ch: KrausChannel, A) -> HermitianOperator:
+    """``L(A)`` for a Hermitian operator A or an array that passes its check."""
+    return _image(ch, A, ch.dim_in, "channel", _act)
+
+
 def adjoint_apply(ch: KrausChannel, A) -> HermitianOperator:
-    """Apply the Hilbert-Schmidt adjoint ``sum K^H A K``."""
-    arr = as_matrix(A)
-    if arr.shape != (ch.dim_out, ch.dim_out):
-        raise ValueError(
-            f"dimension mismatch: adjoint expects {ch.dim_out}, got {arr.shape}"
-        )
-    return hermitize(_act_adjoint(ch, arr))
+    """``L*(A) = sum K^H A K``, admitted and imaged as by :func:`apply`."""
+    return _image(ch, A, ch.dim_out, "adjoint", _act_adjoint)
 
 
 def choi_matrix(ch: KrausChannel) -> np.ndarray:
@@ -433,8 +433,9 @@ def depolarizing(n: int, p: float) -> KrausChannel:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing strength p must be in [0, 1], got {p}")
+    b = p / max(n, 1)  # n < 1 is refused at construction
     i, j = np.divmod(np.arange(n * n), n)
-    return _identity_and_units(n, p, i, j, np.sqrt(p / n), affine=(1.0 - p, p / n))
+    return _identity_and_units(n, p, i, j, np.sqrt(b), affine=(1.0 - p, b))
 
 
 def dephasing_pinching(basis, p: float = 1.0) -> KrausChannel:
@@ -479,6 +480,18 @@ def partial_trace(n_a: int, n_b: int, keep: str) -> KrausChannel:
     return _from_entries((n_a, n_b, n_a * n_b), a, b, a * n_b + b, np.ones(e.size))
 
 
+def _hermitian_stack(mats, what: str) -> np.ndarray:
+    """``mats`` as one complex stack, each matrix unchanged once it passes the
+    :class:`HermitianOperator` check; the first that fails is named."""
+    stack = _matrices(mats, what, square=True).astype(np.complex128)
+    for i, a in enumerate(stack):
+        try:
+            HermitianOperator(a)
+        except ValueError as exc:
+            raise type(exc)(f"{what} {i}: {exc}") from exc
+    return stack
+
+
 def _psd_eigensystems(mats: list, what: str):
     """PSD matrices' eigensystems by one stacked eigensolve; names the most negative."""
     w, v = _eigh(np.asarray(mats))
@@ -501,8 +514,7 @@ def measure_prepare(povm, states) -> KrausChannel:
         raise ValueError("need at least one POVM element")
     if len(povm) != len(states):
         raise ValueError("need one prepared state per POVM element")
-    effects = _matrices(povm, "POVM element", square=True).astype(np.complex128)
-    taus = _matrices(states, "prepared state", square=True).astype(np.complex128)
+    effects, taus = _hermitian_stack(povm, "POVM element"), _hermitian_stack(states, "prepared state")
     n = effects[0].shape[0]
     total = sum(effects)
     if float(np.linalg.norm(total - np.eye(n))) > 1e-10:

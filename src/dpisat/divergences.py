@@ -121,6 +121,9 @@ class MeasureSpec:
         unused = [key for key, val in given.items() if val is not None and key not in fields]
         if unused:
             raise ValueError(f"{self.family} takes no {' or '.join(unused)} parameter")
+        for key in ("alpha", "z"):
+            if given[key] is not None and not math.isfinite(given[key]):
+                raise ValueError(f"{self.family} requires a finite {key}, got {given[key]!r}")
         self._row.check(self)
         sign = self._row.sign(self)
         if self.sign is None:

@@ -137,7 +137,7 @@ class HermitianOperator:
     herm_tol: float = DEFAULT_HERM_TOL
     # Where the eigensystem comes from on first read: None for an eigensolve,
     # else a function that returns it in closed form (a depolarizing image
-    # reads its input's, see channels.apply).
+    # reads its operand's, see channels._image).
     _source: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -149,6 +149,7 @@ class HermitianOperator:
             dev = float(np.max(np.abs(arr - adj)))
         if not math.isfinite(dev):
             raise ValueError("HermitianOperator has non-finite entries")
+        _tolerance("herm_tol", self.herm_tol)
         if dev > self.herm_tol:
             raise HermiticityError(
                 f"matrix deviates from Hermiticity by {dev:.3e} > tol {self.herm_tol:.3e}"
@@ -186,6 +187,13 @@ def _symmetrized(arr: np.ndarray, adj: np.ndarray | None = None) -> np.ndarray:
     return sym
 
 
+def _tolerance(name: str, tol) -> None:
+    """Refuse a NaN or negative tolerance: either would switch off, or
+    misreport, the check it bounds. An infinite one is allowed."""
+    if not tol >= 0:
+        raise ValueError(f"{name} must be a non-negative number, got {tol!r}")
+
+
 def hermitize(matrix, rel_tol: float = 1e-8) -> HermitianOperator:
     """Wrap a computed matrix as Hermitian, tolerating roundoff-size skew.
 
@@ -196,6 +204,7 @@ def hermitize(matrix, rel_tol: float = 1e-8) -> HermitianOperator:
     :func:`_symmetrized` arrays instead, on which it would find no skew and
     change no bit.
     """
+    _tolerance("rel_tol", rel_tol)
     arr = np.asarray(as_matrix(matrix), dtype=np.complex128)
     scale = float(np.max(np.abs(arr))) if arr.size else 1.0
     return HermitianOperator(arr, herm_tol=rel_tol * max(1.0, scale))
@@ -269,6 +278,7 @@ class PsdOperator(_View):
     eigenvectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        _tolerance("zero_tol", self.zero_tol)
         w, v = self._hermitian_op().eigensystem
         if w[0] < -self.zero_tol:
             raise PositivityError(
@@ -458,19 +468,12 @@ def zeroth_power(A) -> HermitianOperator:
 
 
 def hs_inner(A, B) -> float:
-    """Hilbert-Schmidt inner product ``tr(A B)`` of two Hermitian operators.
-
-    The imaginary part of the trace must be negligible (it is checked and
-    discarded); a large imaginary part indicates non-Hermitian inputs.
-    """
-    a, b = as_matrix(A), as_matrix(B)
+    """Hilbert-Schmidt inner product ``tr(A B)`` of two Hermitian operators,
+    each admitted as :func:`_operator` admits it; the trace is real."""
+    a, b = _operator(A).matrix, _operator(B).matrix
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    t = complex(np.trace(a @ b))
-    scale = max(1.0, float(np.linalg.norm(a)) * float(np.linalg.norm(b)))
-    if abs(t.imag) > 1e-12 * scale:
-        raise ValueError(f"tr(AB) has imaginary part {t.imag:.3e}; inputs not Hermitian?")
-    return float(t.real)
+    return float(np.trace(a @ b).real)
 
 
 # ---------------------------------------------------------------------------

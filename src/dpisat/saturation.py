@@ -52,10 +52,10 @@ from .linalg import (
     PsdOperator,
     _as_positive,
     _as_psd,
+    _operator,
     _powm,
     _spectral_map,
     _symmetrized,
-    as_matrix,
     frobenius,
     hermitize,
     matrix_to_json,
@@ -237,8 +237,9 @@ def converse_certificate(
 
 
 def _tangent_operand(rho, M):
-    """rho as a :class:`PsdOperator` and M as an array of its shape."""
-    rho, m = _as_psd(rho), as_matrix(M)
+    """rho as a :class:`PsdOperator` and M, admitted as :func:`_operator`
+    admits it, as an array of its shape."""
+    rho, m = _as_psd(rho), _operator(M).matrix
     if m.shape != rho.matrix.shape:
         raise ValueError(f"dimension mismatch: {m.shape} vs {rho.matrix.shape}")
     return rho, m

@@ -37,6 +37,11 @@ class TestScalarFunctionPair:
         for pair in (IDENTITY, LOG, EXP, power(0.37), power(2.0)):
             assert pair.f_prime(1.0) == pytest.approx(pair.f_prime(1.0))
 
+    @pytest.mark.parametrize("exponent", [math.nan, math.inf, -math.inf])
+    def test_power_refuses_a_non_finite_exponent(self, exponent):
+        with pytest.raises(ValueError, match=r"^power requires a finite exponent"):
+            power(exponent)
+
     def test_power_zero_exponent(self):
         assert power(0.0).f(3.0) == 1.0
         assert power(0.0).f_prime(3.0) == 0.0

@@ -30,6 +30,7 @@ from dpisat.channels import (
 from dpisat.divergences import MeasureSpec, evaluate
 from dpisat.linalg import (
     HermitianOperator,
+    HermiticityError,
     PositiveOperator,
     PsdOperator,
     SchemaError,
@@ -248,6 +249,21 @@ class TestBuilders:
         states = [2.0 * np.diag([1.0, 0.0]).astype(complex)]
         with pytest.raises(ValueError, match="trace"):
             measure_prepare(povm, states)
+
+    def test_measure_prepare_refuses_a_non_hermitian_povm_element(self):
+        # The pair sums to I, and the upper triangle alone would make a channel
+        # that gives diag(0.5, 0.5) on [[0.5, 0.3], [0.3, 0.5]], not
+        # sum tr(E_i A) tau_i = diag(0.77, 0.23).
+        e0 = np.array([[0.5, 0.9], [0.0, 0.5]])
+        states = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+        with pytest.raises(HermiticityError, match=r"^POVM element 0: matrix deviates from Hermiticity"):
+            measure_prepare([e0, np.eye(2) - e0], states)
+
+    def test_measure_prepare_refuses_a_non_finite_prepared_state(self):
+        # Its NaN eigenvalue would fail every threshold and leave |1><1|.
+        states = [np.diag([1.0, 0.0]), np.array([[np.nan, 0.0], [0.0, 1.0]])]
+        with pytest.raises(ValueError, match=r"^prepared state 1: HermitianOperator has non-finite entries$"):
+            measure_prepare([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], states)
 
     def test_measure_prepare_rejects_empty_povm(self):
         with pytest.raises(ValueError, match="need at least one POVM element"):
@@ -548,6 +564,27 @@ class TestKrausStack:
         np.testing.assert_array_equal(from_array.kraus, c.kraus)
         # A read-only stack is kept as it is.
         assert KrausChannel(c.kraus).kraus is c.kraus
+
+    @pytest.mark.parametrize("tp_tol", [np.nan, -1.0])
+    def test_tolerance_that_would_switch_off_the_check_is_refused(self, tp_tol):
+        with pytest.raises(ValueError, match=r"^tp_tol must be a non-negative number"):
+            KrausChannel((1.1 * np.eye(2),), tp_tol=tp_tol)
+        with pytest.raises(ValueError, match=r"^tp_tol must be a non-negative number"):
+            KrausChannel((np.eye(2),), tp_tol=tp_tol)
+
+    def test_infinite_tolerance_holds_a_known_bad_list(self):
+        c = KrausChannel((1.1 * np.eye(2),), tp_tol=np.inf)
+        assert np.trace(apply(c, np.eye(2) / 2).matrix).real == pytest.approx(1.21)
+
+    @pytest.mark.parametrize("build", [
+        lambda: identity(0), lambda: partial_trace(0, 2, "a"), lambda: partial_trace(2, 0, "b"),
+        lambda: unitary(np.zeros((0, 0))), lambda: KrausChannel(np.zeros((1, 0, 0))),
+        lambda: KrausChannel(np.zeros((1, 2, 0))), lambda: depolarizing(0, 0.5), lambda: depolarizing(0, 1.0),
+    ], ids=["identity", "partial_trace_a", "partial_trace_b", "unitary", "stack", "stack_dim_in",
+            "depolarizing", "depolarizing_full"])
+    def test_zero_dimension_is_refused(self, build):
+        with pytest.raises(ValueError, match=r"^a channel needs at least one Kraus operator and nonzero dimensions"):
+            build()
 
     def test_validation_messages(self):
         nan_op = np.eye(2, dtype=complex)
@@ -851,14 +888,24 @@ class TestDepolarizingClosedForm:
         out.eigensystem
         assert len(calls) == 1 and out.eigensystem[1] is fresh.eigensystem[1]
         calls.clear()
-        # An array, and any channel but the closed form: the image eigensolves
-        # once, on its first read.
+        # An array, admitted as a fresh operator, and any channel but the
+        # closed form: one eigensolve, on the image's first read.
         for channel, a in ((c, fresh.matrix), (explicit, sigma), (explicit, sigma.op)):
             out = apply(channel, a)
             assert calls == []
             out.eigensystem, out.eigensystem
             assert len(calls) == 1
             calls.clear()
+
+    def test_adjoint_image_reads_the_operand_eigensystem(self, monkeypatch):
+        from _fixtures import count_eigh
+
+        c, a = depolarizing(4, 0.3), random_hermitian(gen(485), 4)
+        w_in, v_in = a.eigensystem
+        calls = count_eigh(monkeypatch)
+        w, v = adjoint_apply(c, a).eigensystem
+        assert calls == [] and v is v_in
+        np.testing.assert_array_equal(w, 0.7 * w_in + (0.3 / 4 * np.trace(a.matrix)).real)
 
     def test_chained_images_derive_their_eigensystem_through_both_channels(self, monkeypatch):
         from _fixtures import count_eigh

@@ -766,6 +766,25 @@ class TestSchemaErrors:
                 "schema error at scenario[0].channel: need at least one POVM element\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("operand,matrices,message", [
+        ("povm", [[[0.5, 0.9], [0.0, 0.5]], [[0.5, -0.9], [0.0, 0.5]]],
+         "POVM element 0: matrix deviates from Hermiticity by 9.000e-01 > tol 1.000e-10"),
+        ("states", [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.3, 1.0]]],
+         "prepared state 1: matrix deviates from Hermiticity by 3.000e-01 > tol 1.000e-10"),
+    ], ids=["povm", "states"])
+    def test_non_hermitian_measure_prepare_operand(self, tmp_path, capsys, operand, matrices, message):
+        # Each list sums or traces as a valid one would: only the check of
+        # each operand stands between it and a channel built from one triangle.
+        diag = [matrix_to_json(np.diag([1.0, 0.0])), matrix_to_json(np.diag([0.0, 1.0]))]
+        channel = {"builder": "measure_prepare", "povm": diag, "states": diag}
+        channel[operand] = [matrix_to_json(np.array(m)) for m in matrices]
+        scen, out = tmp_path / "scen.json", tmp_path / "out"
+        write_scenarios(scen, [dict(PINCHING_SCENARIO, channel=channel)])
+        for command in (["validate", str(scen)], ["run", str(scen), "--out", str(out)]):
+            assert main(command) == 2
+            assert capsys.readouterr().err == f"schema error at scenario[0].channel: {message}\n"
+        assert not out.exists()
+
 
 SQUARE = {"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
 RECTANGULAR = {"rows": 2, "cols": 2, "entries": SQUARE["entries"]}
@@ -1212,6 +1231,31 @@ class TestSweep:
         grid += ";z=0.5:3:1e-300"
         assert self._sweep_exit(tmp_path, "alpha_z", grid, dep) == (2, False)
         assert capsys.readouterr().err == f"schema error at grid: more than 100000 grid points in {grid!r}\n"
+
+    # Every refusal of the measure, the grid or its axes comes before any
+    # operand is read or any point is formed.
+    @pytest.mark.parametrize("measure,grid,message", [
+        ("sandwiched_renyi", "alpha", "grid: expected name=start:stop:step, got 'alpha'"),
+        ("sandwiched_renyi", "alpha=0.5:3", "grid: expected start:stop:step in 'alpha=0.5:3'"),
+        ("sandwiched_renyi", "alpha=0.5:3:0.5:1", "grid: expected start:stop:step in 'alpha=0.5:3:0.5:1'"),
+        ("sandwiched_renyi", "alpha=0.5:x:0.5", "grid: non-numeric grid bound in 'alpha=0.5:x:0.5'"),
+        ("sandwiched_renyi", "alpha=0.5:3:0", "grid: empty or descending grid in 'alpha=0.5:3:0'"),
+        ("sandwiched_renyi", "alpha=0.5:3:-0.5", "grid: empty or descending grid in 'alpha=0.5:3:-0.5'"),
+        ("sandwiched_renyi", "alpha=3:0.5:0.5", "grid: empty or descending grid in 'alpha=3:0.5:0.5'"),
+        ("sandwiched_renyi", " ; ", "grid: no axes given"),
+        ("relative_entropy", "alpha=1.5:2.0:0.5", "measure: sweep supports sandwiched_renyi and alpha_z"),
+        ("fidelity", "alpha=1.5:2.0:0.5", "measure: sweep supports sandwiched_renyi and alpha_z"),
+        ("sandwiched_renyi", "alpha=1.5:2.0:0.5;z=1.5:1.5:1",
+         "grid: sandwiched_renyi sweep needs axes ['alpha'], got ['alpha', 'z']"),
+        ("alpha_z", "alpha=1.5:2.0:0.5", "grid: alpha_z sweep needs axes ['alpha', 'z'], got ['alpha']"),
+        ("alpha_z", "z=1.5:1.5:1;alpha=1.5:2.0:0.5",
+         "grid: alpha_z sweep needs axes ['alpha', 'z'], got ['z', 'alpha']"),
+    ])
+    def test_refusal_before_any_point_is_a_schema_error(self, tmp_path, capsys, measure, grid, message):
+        dep = {"builder": "depolarizing", "dim": 2, "p": 0.4}
+        assert self._sweep_exit(tmp_path, measure, grid, dep) == (2, False)
+        err = capsys.readouterr().err
+        assert err == f"schema error at {message}\n" and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "measure,grid,where",

@@ -59,6 +59,22 @@ class TestMeasureSpecValidation:
         with pytest.raises(ValueError, match="pole"):
             MeasureSpec.alpha_z(1.0, 1.0, allow_non_dpi=True)
 
+    @pytest.mark.parametrize("build", [
+        lambda: MeasureSpec.sandwiched_renyi(math.inf, allow_non_dpi=True),
+        lambda: MeasureSpec.sandwiched_renyi(math.nan, allow_non_dpi=True),
+        lambda: MeasureSpec.alpha_z(1.5, math.inf, allow_non_dpi=True),
+        lambda: MeasureSpec.alpha_z(math.nan, 1.5, allow_non_dpi=True),
+        lambda: MeasureSpec("f_divergence", alpha=math.inf, f_pair=calculus.power(1.5), f_name="power",
+                            f_asserted=True),
+    ], ids=["sandwiched_inf", "sandwiched_nan", "alpha_z_inf_z", "alpha_z_nan_alpha", "fdiv_asserted_inf"])
+    def test_non_finite_parameter_refused(self, build):
+        with pytest.raises(ValueError, match=r"requires a finite (alpha|z), got (inf|nan)$"):
+            build()
+
+    def test_non_finite_power_exponent_refused(self):
+        with pytest.raises(ValueError, match=r"^power requires a finite exponent, got nan$"):
+            MeasureSpec.f_divergence("power", alpha=math.nan, caller_asserted=True)
+
     def test_sandwiched_region(self):
         with pytest.raises(ValueError, match="allow_non_dpi"):
             MeasureSpec.sandwiched_renyi(0.3)

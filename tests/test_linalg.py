@@ -18,6 +18,7 @@ from dpisat.linalg import (
     PsdOperator,
     SchemaError,
     _number,
+    as_matrix,
     clustered_eigensystem,
     frobenius,
     hermitize,
@@ -77,6 +78,24 @@ class TestTypes:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"^HermitianOperator has non-finite entries$"):
                 HermitianOperator(arr, herm_tol=herm_tol)
+
+    # A NaN or negative tolerance would switch the constructor's own check
+    # off, or misreport it; an infinite one is kept.
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_tolerance_that_would_switch_off_the_check_is_refused(self, tol):
+        skewed = np.array([[1.0, 5.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=r"^herm_tol must be a non-negative number"):
+            HermitianOperator(skewed, herm_tol=tol)
+        with pytest.raises(ValueError, match=r"^rel_tol must be a non-negative number"):
+            hermitize(skewed, rel_tol=tol)
+        with pytest.raises(ValueError, match=r"^zero_tol must be a non-negative number"):
+            PsdOperator(HermitianOperator(np.diag([1.0, -5.0])), zero_tol=tol)
+        with pytest.raises(ValueError, match=r"^zero_tol must be a non-negative number"):
+            PsdOperator(HermitianOperator(np.diag([1.0, 0.0])), zero_tol=tol)
+
+    def test_infinite_tolerance_is_kept(self):
+        assert HermitianOperator(np.array([[1.0, 5.0], [0.0, 1.0]]), herm_tol=math.inf).matrix[0, 1] == 2.5
+        assert PsdOperator(HermitianOperator(np.diag([1.0, -5.0])), zero_tol=math.inf).rank == 0
 
     def test_hermitian_symmetrizes_storage(self):
         a = np.array([[1.0, 0.5 + 1e-12j], [0.5, 2.0]], dtype=complex)
@@ -478,6 +497,38 @@ def _spectral_readers():
     return [pytest.param(f, id=name) for name, f in readers.items()]
 
 
+def _hermitian_operand_readers():
+    """Each public function that admits a Hermitian operand without reading
+    its spectrum, as a map from that operand to the arrays it returns."""
+    from dpisat.channels import adjoint_apply, apply, depolarizing, measure_prepare
+    from dpisat.saturation import tangent_membership, tangent_project
+
+    from _fixtures import random_cptp
+
+    dep, dense = depolarizing(2, 0.3), random_cptp(gen(132), 2, 2)
+    other = random_hermitian(gen(133), 2)
+    rho = PsdOperator(HermitianOperator(np.diag([0.7, 0.0])))
+    tau = np.diag([1.0, 0.0])
+
+    def image(act, ch):
+        return lambda a: [act(ch, a).matrix, *act(ch, a).eigensystem]
+
+    readers = {
+        "apply-depolarizing": image(apply, dep),
+        "apply-dense": image(apply, dense),
+        "adjoint_apply-depolarizing": image(adjoint_apply, dep),
+        "adjoint_apply-dense": image(adjoint_apply, dense),
+        "hs_inner-first": lambda a: [np.float64(hs_inner(a, other))],
+        "hs_inner-second": lambda a: [np.float64(hs_inner(other, a))],
+        "tangent_project": lambda a: [tangent_project(rho, a).matrix],
+        "tangent_membership": lambda a: [np.bool_(tangent_membership(rho, a))],
+        # A state of eigenvalues in [0, 1] is an effect, with I - a beside it.
+        "measure_prepare-povm": lambda a: [measure_prepare([a, np.eye(2) - as_matrix(a)], [tau, tau]).kraus],
+        "measure_prepare-states": lambda a: [measure_prepare([np.eye(2)], [a]).kraus],
+    }
+    return [pytest.param(f, id=name) for name, f in readers.items()]
+
+
 class TestArrayAdmission:
     """An array reaching a spectral function passes the one Hermiticity check
     of the :class:`HermitianOperator` constructor, as it does everywhere else;
@@ -496,6 +547,23 @@ class TestArrayAdmission:
     @pytest.mark.parametrize("read", _spectral_readers())
     def test_hermitian_array_reads_as_its_operator(self, read):
         a = random_positive(gen(131), 2).matrix.copy()
+        for got, want in zip(read(a), read(HermitianOperator(a)), strict=True):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("read", _hermitian_operand_readers())
+    def test_non_hermitian_operand_raises(self, read):
+        with pytest.raises(HermiticityError):
+            read(np.array([[0.5, 5.0], [0.0, 0.5]]))
+
+    @pytest.mark.parametrize("read", _hermitian_operand_readers())
+    def test_non_finite_operand_raises(self, read):
+        with pytest.raises(ValueError, match=r"HermitianOperator has non-finite entries$"):
+            read(np.array([[0.5, np.nan], [np.nan, 0.5]]))
+
+    @pytest.mark.parametrize("read", _hermitian_operand_readers())
+    def test_hermitian_operand_reads_as_its_operator(self, read):
+        a = random_positive(gen(131), 2).matrix.copy()
+        a /= np.trace(a).real
         for got, want in zip(read(a), read(HermitianOperator(a)), strict=True):
             assert got.tobytes() == want.tobytes()
 
@@ -596,6 +664,11 @@ class TestHsInner:
         )
         assert hs_inner(a, b) == pytest.approx(direct.real, abs=1e-12)
         assert abs(direct.imag) <= 1e-12
+
+    def test_non_hermitian_pair_with_a_real_trace_raises(self):
+        # tr(AB) = 1 is real, so no reading of the trace alone could refuse it.
+        with pytest.raises(HermiticityError):
+            hs_inner(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

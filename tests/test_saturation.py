@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from functools import partial
@@ -20,6 +21,7 @@ from dpisat.channels import (
 from dpisat.divergences import MeasureSpec, _grad1, _grad2, _value, evaluate, evaluate_psd, grad1, grad2
 from dpisat.linalg import (
     HermitianOperator,
+    HermiticityError,
     PositiveOperator,
     PositivityError,
     PsdOperator,
@@ -373,6 +375,14 @@ class TestTangentSpace:
         out = tangent_project(rho, m)
         assert np.linalg.norm(out.matrix) <= 1e-14
 
+    def test_non_hermitian_operand_is_refused(self):
+        # Its kernel block [[0]] is zero, so the block alone would call it tangent.
+        m = np.array([[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(HermiticityError):
+            tangent_membership(diag_psd([1.0, 0.0]), m)
+        with pytest.raises(HermiticityError):
+            tangent_project(diag_psd([1.0, 0.0]), m)
+
     def test_idempotent_and_orthogonal(self):
         g = gen(521)
         rho = random_psd_rank(g, 4, 2)
@@ -684,6 +694,15 @@ class TestReport:
         assert out["schema_version"] == "v1"
         assert out["saturated"] is True
         assert "residual1" in out
+
+    def test_images_are_the_report_pair(self):
+        c, rho, sigma = depolarizing_fixture()
+        rep = build_report(MeasureSpec.relative_entropy(), c, rho, sigma)
+        assert rep.rho_out is rep.pairs[1].rho and rep.sigma_out is rep.pairs[1].sigma
+        for out, state in ((rep.rho_out, rho), (rep.sigma_out, sigma)):
+            np.testing.assert_array_equal(out.matrix, apply(c, state).matrix)
+        bare = dataclasses.replace(rep, pairs=None)
+        assert bare.rho_out is None and bare.sigma_out is None
 
     def test_non_saturating_report(self):
         c, rho, sigma = depolarizing_fixture()
