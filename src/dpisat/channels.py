@@ -10,11 +10,11 @@ The operators form one ``(r, m, n)`` stack. The sparse builders write its
 nonzero entries in closed form and build the stack only when ``.kraus`` is
 read; any other stack is given whole. A channel acts in one of three ways:
 
-* :func:`depolarizing` acts in closed form, ``L(A) = a A + b tr(A) I`` with
-  ``(a, b) = (1 - p, p/n)``, which is its own adjoint, O(n**2) work. It
-  commutes with every unitary conjugation, so every eigenbasis of A is one
-  of L(A): the image's eigensystem is ``(a w + b tr A, V)`` from A's
-  ``(w, V)``, read from A's when the image's is first read, so it never
+* :func:`depolarizing`, :func:`unitary` and :func:`identity` act through one
+  record ``(a, b, U)`` as ``L(A) = a U A U^H + b tr(A) I`` and ``L*(B) =
+  a U^H B U + b tr(B) I``: ``(1 - p, p/n, I)``, ``(1, 0, U)``, ``(1, 0, I)``.
+  The image's eigensystem is ``(a w + b tr A, U V)`` (``U^H V`` for L*) from
+  A's ``(w, V)``, read from A's when the image's is first read, so it never
   depends on which was read first;
 * any other sparse stack, with ``P = sum_k nnz(K_k)**2 <= r m n`` (partial
   traces, computational-basis pinching, measure-prepare in the
@@ -104,9 +104,9 @@ class KrausChannel:
     construction, through the channel's own action; pass a larger ``tp_tol``
     deliberately to hold a known-bad operator list for diagnostics. A channel
     keeps the nonzero entries of a sparse stack and acts through their
-    transfer form, or through the closed form of :func:`depolarizing` (see
-    the module docstring); a sparse builder's channel builds its stack only
-    when ``kraus`` is first read.
+    transfer form, or through a closed form (see the module docstring); a
+    sparse builder's channel builds its stack only when ``kraus`` is first
+    read.
     """
 
     tp_tol: float
@@ -115,13 +115,13 @@ class KrausChannel:
     # The nonzero entries ``(k, i, j, value)`` of the ``_shape`` stack,
     # k-major and row-major (None for a dense stack), their transfer form
     # ``(row, col, w)`` (None when too dense or in closed form), the stack
-    # (None until read), and the ``(a, b)`` of the closed form
-    # ``a A + b tr(A) I`` (None unless built by :func:`depolarizing`).
+    # (None until read), and the closed form's record ``(a, b, U)``, U None
+    # for I (None unless built by :func:`depolarizing` or :func:`unitary`).
     _shape: tuple = field(repr=False)
     _entries: tuple | None = field(repr=False)
     _transfer: tuple | None = field(repr=False)
     _kraus: np.ndarray | None = field(repr=False)
-    _affine: tuple | None = field(repr=False)
+    _closed: tuple | None = field(repr=False)
 
     def __init__(self, kraus, tp_tol: float = DEFAULT_TP_TOL):
         stack = _as_stack(kraus)
@@ -143,17 +143,17 @@ class KrausChannel:
             entries = (k, i, j, stack[k, i, j])
         self.__post_init__(stack.shape, entries, stack, tp_tol)
 
-    def __post_init__(self, shape: tuple, entries, stack, tp_tol: float, affine=None) -> None:
+    def __post_init__(self, shape: tuple, entries, stack, tp_tol: float, closed=None) -> None:
         # Every construction ends here, from a stack or from entries alone.
         if shape[0] < 1 or min(shape[1:]) < 1:
             raise ValueError(f"a channel needs at least one Kraus operator and nonzero "
                              f"dimensions, not a stack of shape {shape}")
         _tolerance("tp_tol", tp_tol)
-        sparse = entries is not None and affine is None
+        sparse = entries is not None and closed is None
         transfer = _transfer_form(shape, *entries) if sparse else None
         self.__dict__.update(
             tp_tol=tp_tol, dim_in=shape[2], dim_out=shape[1], _shape=shape,
-            _entries=entries, _transfer=transfer, _kraus=stack, _affine=affine,
+            _entries=entries, _transfer=transfer, _kraus=stack, _closed=closed,
         )
         tp = float(np.linalg.norm(_act_adjoint(self, np.eye(self.dim_out)) - np.eye(self.dim_in)))
         if tp > tp_tol:
@@ -171,14 +171,14 @@ class KrausChannel:
         return self._kraus
 
 
-def _from_entries(shape: tuple, k, i, j, vals, affine=None) -> KrausChannel:
+def _from_entries(shape: tuple, k, i, j, vals, closed=None) -> KrausChannel:
     """A channel from the entries ``K_k[i, j] = vals`` of its stack, k-major
     and row-major; zero values are dropped, as the stack would drop them.
-    With ``affine = (a, b)`` it acts as ``a A + b tr(A) I``, which the
-    entries must describe."""
+    With the record ``closed`` it acts in that closed form, which the entries
+    must describe."""
     keep = vals != 0
     ch = object.__new__(KrausChannel)
-    ch.__post_init__(shape, (k[keep], i[keep], j[keep], vals[keep]), None, DEFAULT_TP_TOL, affine)
+    ch.__post_init__(shape, (k[keep], i[keep], j[keep], vals[keep]), None, DEFAULT_TP_TOL, closed)
     return ch
 
 
@@ -257,24 +257,25 @@ def _scatter(to: np.ndarray, frm: np.ndarray, w: np.ndarray, x, size: int) -> np
     return out
 
 
-def _trace_term(ch: KrausChannel, a) -> complex:
-    """``b tr(A)``, the multiple of the identity that the closed form adds."""
-    return ch._affine[1] * np.trace(a)
+def _frame(ch: KrausChannel, adjoint: bool):
+    """W of the closed form ``a W A W^H + b tr(A) I``: U, U^H for L*, None for I."""
+    u = ch._closed[2]
+    return u.conj().T if adjoint and u is not None else u
 
 
-def _affine_act(ch: KrausChannel, a) -> np.ndarray:
-    """``a A + b tr(A) I`` for any square A, the closed form of a
-    depolarizing channel and of its adjoint."""
-    out = ch._affine[0] * np.asarray(a, dtype=np.complex128)
-    out.reshape(-1)[::out.shape[0] + 1] += _trace_term(ch, a)
+def _closed_act(ch: KrausChannel, x, adjoint: bool) -> np.ndarray:
+    """``a W X W^H + b tr(X) I`` for any square X, ``W X W^H`` by :func:`_sandwich`."""
+    w = _frame(ch, adjoint)
+    out = ch._closed[0] * (np.asarray(x, dtype=np.complex128) if w is None else _sandwich(w[None], x))
+    out.reshape(-1)[::out.shape[0] + 1] += ch._closed[1] * np.trace(x)
     return out
 
 
 def _act(ch: KrausChannel, a) -> np.ndarray:
     """``L(A)`` for any square A, Hermitian or not, with no validation: the
     closed form, a scatter over the transfer form, else the blocked kernel."""
-    if ch._affine is not None:
-        return _affine_act(ch, a)
+    if ch._closed is not None:
+        return _closed_act(ch, a, False)
     if ch._transfer is None:
         return _sandwich(ch.kraus, a)
     row, col, w = ch._transfer
@@ -284,8 +285,8 @@ def _act(ch: KrausChannel, a) -> np.ndarray:
 
 def _act_adjoint(ch: KrausChannel, b) -> np.ndarray:
     """``L*(B)`` for any square B, Hermitian or not, with no validation."""
-    if ch._affine is not None:
-        return _affine_act(ch, b)
+    if ch._closed is not None:
+        return _closed_act(ch, b, True)
     if ch._transfer is None:
         return _adjoint_raw(ch.kraus, b)
     row, col, w = ch._transfer
@@ -335,31 +336,32 @@ def apply_raw(kraus, matrix: np.ndarray) -> np.ndarray:
     return _sandwich(_as_stack(kraus), matrix)
 
 
-def _image(ch: KrausChannel, A, dim: int, what: str, act) -> HermitianOperator:
-    """``act(ch, A)`` for A admitted by :func:`_operator` at dimension ``dim``.
-    A closed-form image reads its eigensystem on first use as
-    ``(a w + b tr A, V)`` from A's ``(w, V)``, whose ``a >= 0`` keeps it
-    ascending; any other image eigensolves on first use."""
+def _image(ch: KrausChannel, A, adjoint: bool) -> HermitianOperator:
+    """``L(A)``, or ``L*(A)`` with ``adjoint``, for A admitted by
+    :func:`_operator`. A closed-form image reads its eigensystem on first use
+    as ``(a w + b tr A, W V)`` from A's ``(w, V)`` (W of :func:`_frame`),
+    ascending since ``a >= 0``; any other image eigensolves on first use."""
+    dim, what = (ch.dim_out, "adjoint") if adjoint else (ch.dim_in, "channel")
     op = _operator(A)
     if op.dim != dim:
         raise ValueError(f"dimension mismatch: {what} expects {dim}, got {op.matrix.shape}")
-    out = hermitize(act(ch, op.matrix))
-    if ch._affine is not None:
+    out = hermitize((_act_adjoint if adjoint else _act)(ch, op.matrix))
+    if ch._closed is not None:
         def source():
-            w, v = op.eigensystem
-            return ch._affine[0] * w + _trace_term(ch, op.matrix).real, v
+            (a, b, _), frame, (w, v) = ch._closed, _frame(ch, adjoint), op.eigensystem
+            return a * w + (b * np.trace(op.matrix)).real, v if frame is None else frame @ v
         object.__setattr__(out, "_source", source)
     return out
 
 
 def apply(ch: KrausChannel, A) -> HermitianOperator:
     """``L(A)`` for a Hermitian operator A or an array that passes its check."""
-    return _image(ch, A, ch.dim_in, "channel", _act)
+    return _image(ch, A, False)
 
 
 def adjoint_apply(ch: KrausChannel, A) -> HermitianOperator:
     """``L*(A) = sum K^H A K``, admitted and imaged as by :func:`apply`."""
-    return _image(ch, A, ch.dim_out, "adjoint", _act_adjoint)
+    return _image(ch, A, True)
 
 
 def choi_matrix(ch: KrausChannel) -> np.ndarray:
@@ -400,28 +402,36 @@ def compose(second: KrausChannel, first: KrausChannel) -> KrausChannel:
 
 
 def identity(n: int) -> KrausChannel:
-    return dephasing_pinching(n, 0.0)
+    """The identity channel, :func:`depolarizing` at ``p = 0``: the record ``(1, 0, I)``."""
+    return depolarizing(n, 0.0)
 
 
 def unitary(u: np.ndarray) -> KrausChannel:
-    """Conjugation by a unitary, ``A -> U A U^H``."""
+    """Conjugation by a unitary, ``A -> U A U^H``, one Kraus operator, acting
+    as the record ``(1, 0, U)``: images read ``(w, U V)`` from their input's."""
     arr = _matrices([u], "unitary", square=True)[0].astype(np.complex128)
-    dev = float(np.linalg.norm(arr.conj().T @ arr - np.eye(arr.shape[0])))
-    if dev > 1e-10:
+    with np.errstate(invalid="ignore"):  # a non-finite entry gives NaN or inf, refused below
+        dev = float(np.linalg.norm(arr.conj().T @ arr - np.eye(arr.shape[0])))
+    if not dev <= 1e-10:
         raise ValueError(f"matrix is not unitary: ||U^H U - I||_F = {dev:.3e}")
-    return KrausChannel((arr,))
+    stack = _as_stack(arr[None])
+    stack.setflags(write=False)
+    ch = object.__new__(KrausChannel)
+    ch.__post_init__(stack.shape, None, stack, DEFAULT_TP_TOL, (1.0, 0.0, stack[0]))
+    return ch
 
 
-def _identity_and_units(n: int, p: float, i, j, value, affine=None) -> KrausChannel:
+def _identity_and_units(n: int, p: float, i, j, value, closed=None) -> KrausChannel:
     """The channel of Kraus operators ``sqrt(1-p) I`` (when ``p < 1``) and,
     when ``p > 0``, ``value |i_e><j_e|`` for each pair ``(i_e, j_e)`` in turn,
-    acting in the closed form ``affine`` if given. The entries of the absent
-    block are zero, so :func:`_from_entries` drops them."""
+    acting in the closed form ``closed`` if given. The entries of the absent
+    block are zero, so :func:`_from_entries` drops them; n < 1 reaches the
+    constructor's dimension check."""
     d = np.arange(n)
     k = np.concatenate((0 * d, int(p < 1.0) + np.arange(i.size)))
-    vals = np.concatenate((np.full(n, np.sqrt(1.0 - p)), np.full(i.size, value)), dtype=float)
+    vals = np.concatenate((np.full(d.size, np.sqrt(1.0 - p)), np.full(i.size, value)), dtype=float)
     r = int(p < 1.0) + (i.size if p > 0.0 else 0)
-    return _from_entries((r, n, n), k, np.concatenate((d, i)), np.concatenate((d, j)), vals, affine)
+    return _from_entries((r, n, n), k, np.concatenate((d, i)), np.concatenate((d, j)), vals, closed)
 
 
 def depolarizing(n: int, p: float) -> KrausChannel:
@@ -429,13 +439,13 @@ def depolarizing(n: int, p: float) -> KrausChannel:
 
     Kraus operators ``sqrt(1-p) I`` (when ``p < 1``) and ``sqrt(p/n) |i><j|``
     (when ``p > 0``, row-major in ``(i, j)``): ``n + n^2`` nonzero entries.
-    The channel acts in that closed form, with ``(a, b) = (1 - p, p/n)``.
+    The channel acts in that closed form, the record ``(1 - p, p/n, I)``.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing strength p must be in [0, 1], got {p}")
     b = p / max(n, 1)  # n < 1 is refused at construction
-    i, j = np.divmod(np.arange(n * n), n)
-    return _identity_and_units(n, p, i, j, np.sqrt(b), affine=(1.0 - p, b))
+    i, j = np.divmod(np.arange(n * n if p > 0.0 else 0), n)
+    return _identity_and_units(n, p, i, j, np.sqrt(b), closed=(1.0 - p, b, None))
 
 
 def dephasing_pinching(basis, p: float = 1.0) -> KrausChannel:

@@ -580,7 +580,8 @@ _FAMILY_TABLE = {
     ),
     "alpha_z": _Family(
         ("alpha", "z"), _check_renyi, lambda m: 1, _quasi_value, _quasi_grad1, _renyi_grad2,
-        lambda m: m.z == m.alpha > 0.5,  # known on the sandwiched line only
+        # The sandwiched line, and z = 1, which has the power f-divergence's Q (_f_recovers).
+        lambda m: m.z == m.alpha > 0.5 or m.z == 1.0 and 0.0 < m.alpha < 2.0,
         point=lambda m: (m.alpha, m.z), scaling=_renyi_scaling, renyi=True,
     ),
     "f_divergence": _Family(

@@ -136,8 +136,8 @@ class HermitianOperator:
     matrix: np.ndarray
     herm_tol: float = DEFAULT_HERM_TOL
     # Where the eigensystem comes from on first read: None for an eigensolve,
-    # else a function that returns it in closed form (a depolarizing image
-    # reads its operand's, see channels._image).
+    # else a function that returns it in closed form (a closed-form channel
+    # image reads its operand's, see channels._image).
     _source: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):

@@ -420,11 +420,12 @@ def _alpha_z_crosscheck(
     alpha, z = m._row.point(m)
     if gradient_residual is None:
         gradient_residual = frobenius(_residual(ch, partial(_grad1, m), pt, pt_out, tangent=True))
-    chehade, zhang = (
-        frobenius(_residual(ch, methodcaller("core_power", m.gamma, alpha / z, *exps), pt, pt_out))
-        for exps in (((1.0 - z) / (2.0 * z), z - 1.0), (m.gamma, alpha - 1.0))
-    )
-    return AlphaZCrosscheck(gradient_residual, chehade, zhang)
+    # On the sandwiched line (a = z) both conditions have the same exponents,
+    # so one residual serves both.
+    exps = (((1.0 - z) / (2.0 * z), z - 1.0), (m.gamma, alpha - 1.0))
+    norms = {e: frobenius(_residual(ch, methodcaller("core_power", m.gamma, alpha / z, *e), pt, pt_out))
+             for e in set(exps)}
+    return AlphaZCrosscheck(gradient_residual, *(norms[e] for e in exps))
 
 
 def alpha_z_crosscheck(ch: KrausChannel, rho, sigma, alpha: float, z: float) -> AlphaZCrosscheck:
@@ -494,7 +495,7 @@ def build_report(
     adjoints, ``(Ls)^{-1/2}`` and the recovery map's trace-preservation
     check, which raises ValueError once cond(Ls) is large. Each of the four operators and each spectral core of the two
     pairs is eigensolved at most once (at most 6 per full-rank report); under
-    a depolarizing channel :func:`apply` gives the two images their
+    a depolarizing, unitary or identity channel :func:`apply` gives the two images their
     eigensystems from the inputs', without one (at most 4). Both spectral
     norms come from one stacked eigenvalue-only solve of the two Hermitian
     residuals; the report keeps both pairs for further checks.

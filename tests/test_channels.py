@@ -212,6 +212,13 @@ class TestBuilders:
         with pytest.raises(ValueError, match="unitary"):
             unitary(np.array([[1.0, 0.1], [0.0, 1.0]], dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_unitary_rejects_non_finite_entries(self, bad):
+        u = np.eye(2, dtype=complex)
+        u[0, 1] = bad
+        with pytest.raises(ValueError, match=r"^matrix is not unitary: \|\|U\^H U - I\|\|_F = (nan|inf)$"):
+            unitary(u)
+
     def test_pinching_custom_basis(self):
         g = gen(330)
         u = random_unitary(g, 3)
@@ -580,8 +587,12 @@ class TestKrausStack:
         lambda: identity(0), lambda: partial_trace(0, 2, "a"), lambda: partial_trace(2, 0, "b"),
         lambda: unitary(np.zeros((0, 0))), lambda: KrausChannel(np.zeros((1, 0, 0))),
         lambda: KrausChannel(np.zeros((1, 2, 0))), lambda: depolarizing(0, 0.5), lambda: depolarizing(0, 1.0),
+        # A negative dimension gets the same message, not numpy's own.
+        lambda: depolarizing(-1, 0.5), lambda: identity(-2), lambda: dephasing_pinching(-1, 0.5),
+        lambda: partial_trace(-1, 2, "a"),
     ], ids=["identity", "partial_trace_a", "partial_trace_b", "unitary", "stack", "stack_dim_in",
-            "depolarizing", "depolarizing_full"])
+            "depolarizing", "depolarizing_full", "depolarizing_negative", "identity_negative",
+            "pinching_negative", "partial_trace_negative"])
     def test_zero_dimension_is_refused(self, build):
         with pytest.raises(ValueError, match=r"^a channel needs at least one Kraus operator and nonzero dimensions"):
             build()
@@ -658,7 +669,7 @@ class TestTransferForm:
 
     def test_dense_stacks_keep_the_kernel(self):
         g = gen(403)
-        for c in (unitary(random_unitary(g, 4)), dephasing_pinching(random_unitary(g, 4)),
+        for c in (KrausChannel((random_unitary(g, 4),)), dephasing_pinching(random_unitary(g, 4)),
                   random_cptp(g, 3, 3, n_kraus=4)):
             assert c._transfer is None
             a = _random_matrix(g, c.dim_in, c.dim_in)
@@ -707,7 +718,7 @@ class TestEntryBuilders:
     extracted from the stack those entries describe, bit for bit, and the
     stack itself is built only when ``kraus`` is read."""
 
-    @pytest.mark.parametrize("make", [c for c in _entry_builders() if "depolarizing" not in c.id])
+    @pytest.mark.parametrize("make", [c for c in _entry_builders() if c.values[0]()._closed is None])
     def test_transfer_form_and_actions_match_the_stack_bit_for_bit(self, make):
         c = make()
         assert c._kraus is None
@@ -726,7 +737,7 @@ class TestEntryBuilders:
     def test_stack_readers_match_a_given_stack(self, make):
         ref = KrausChannel(np.array(make().kraus))
         sigma = random_positive(gen(471), ref.dim_in)
-        closed = make()._affine is not None
+        closed = make()._closed is not None
         # The Petz map reads the stack between two factors of sigma and L(sigma);
         # a closed-form L(sigma) may differ from the scatter's in the last bit,
         # so the stack is read between the closed-form channel's own factors.
@@ -800,7 +811,7 @@ class TestDepolarizingClosedForm:
     @pytest.mark.parametrize("n,p", _closed_form_channels())
     def test_actions_match_loop_on_non_hermitian_input(self, n, p):
         c = depolarizing(n, p)
-        assert c._transfer is None and c._affine == (1.0 - p, p / n)
+        assert c._transfer is None and c._closed == (1.0 - p, p / n, None)
         g = gen(480 + n)
         a, b = _random_matrix(g, n, n), _random_matrix(g, n, n)
         fwd, ref_fwd = _act(c, a), _loop_apply(c.kraus, a)
@@ -923,6 +934,88 @@ class TestDepolarizingClosedForm:
     def test_eigensystem_source_is_not_a_constructor_parameter(self):
         with pytest.raises(TypeError):
             HermitianOperator(np.eye(2, dtype=complex), _source=lambda: None)
+
+
+def _unitaries():
+    """Complex, real orthogonal and permutation unitaries at n = 2..5 and 32."""
+    g = gen(500)
+    cases = [(f"complex_n{n}", random_unitary(g, n)) for n in (2, 3, 4, 5, 32)]
+    cases.append(("real_n4", np.linalg.qr(g.normal(size=(4, 4)))[0]))
+    cases.append(("permutation_n5", np.roll(np.eye(5), 2, axis=0)))
+    return [pytest.param(u, id=label) for label, u in cases]
+
+
+class TestUnitaryAndIdentityRecord:
+    """unitary(U) acts through the closed-form record ``(1, 0, U)`` and
+    identity(n) through ``(1, 0, I)``: their images read the input's
+    eigensystem, turned by U (U^H for the adjoint), with no eigensolve."""
+
+    @pytest.mark.parametrize("u", _unitaries())
+    def test_record_keeps_the_stack_and_the_kernel_bits(self, u):
+        c, ref = unitary(u), KrausChannel((np.asarray(u, dtype=complex),))
+        assert c._closed[:2] == (1.0, 0.0) and np.shares_memory(c._closed[2], c.kraus)
+        np.testing.assert_array_equal(c._closed[2], u)
+        assert c._transfer is None and ref._closed is None
+        np.testing.assert_array_equal(c.kraus, ref.kraus)
+        assert c.kraus.dtype == ref.kraus.dtype and not c.kraus.flags.writeable
+        assert channel_to_json(c) == channel_to_json(ref)
+        # L(A) = U A U^H and L*(B) = U^H B U, bit for bit the kernel's on the stack.
+        g = gen(501)
+        a, b = _random_matrix(g, c.dim_in, c.dim_in), _random_matrix(g, c.dim_in, c.dim_in)
+        np.testing.assert_array_equal(_act(c, a), apply_raw(c.kraus, a))
+        np.testing.assert_array_equal(_act_adjoint(c, b), _adjoint_raw(c.kraus, b))
+        scale = np.linalg.norm(a)
+        assert np.linalg.norm(_act(c, a) - _loop_apply(c.kraus, a)) <= 1e-13 * scale
+        assert np.linalg.norm(_act_adjoint(c, b) - _loop_adjoint(c.kraus, b)) <= 1e-13 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("u", _unitaries())
+    def test_images_read_the_turned_eigensystem(self, u, monkeypatch):
+        from _fixtures import count_eigh
+
+        c = unitary(u)
+        u = c._closed[2]
+        a = random_hermitian(gen(502), c.dim_in)
+        w_in, v_in = a.eigensystem
+        calls = count_eigh(monkeypatch)
+        for image, turn in ((apply(c, a), u), (adjoint_apply(c, a), u.conj().T)):
+            w, v = image.eigensystem
+            np.testing.assert_array_equal(w, w_in)
+            np.testing.assert_array_equal(v, turn @ v_in)
+            assert not w.flags.writeable and not v.flags.writeable
+            scale = np.linalg.norm(a.matrix, 2)
+            assert np.linalg.norm((v * w) @ v.conj().T - image.matrix) <= 1e-13 * np.linalg.norm(a.matrix)
+            assert np.max(np.abs(w - np.linalg.eigvalsh(image.matrix))) <= 1e-13 * scale
+        assert calls == []
+
+    def test_identity_is_depolarizing_at_zero(self, monkeypatch):
+        from _fixtures import count_eigh
+
+        c = identity(4)
+        assert c._closed == (1.0, 0.0, None) and c._transfer is None
+        np.testing.assert_array_equal(c.kraus, np.eye(4)[None])
+        a = random_hermitian(gen(503), 4)
+        w_in, v_in = a.eigensystem
+        calls = count_eigh(monkeypatch)
+        for image in (apply(c, a), adjoint_apply(c, a)):
+            np.testing.assert_array_equal(image.matrix, a.matrix)
+            w, v = image.eigensystem
+            assert v is v_in
+            np.testing.assert_array_equal(w, w_in)
+        assert calls == []
+
+    def test_petz_map_takes_no_image_eigensolve(self, monkeypatch):
+        from _fixtures import count_eigh
+
+        g = gen(504)
+        u, sigma = random_unitary(g, 4), random_positive(g, 4)
+        calls = count_eigh(monkeypatch)
+        recovery = petz_map(sigma, unitary(u))
+        assert calls == []
+        # R is L* up to roundoff: sigma^{1/2} U^H (U sigma U^H)^{-1/2} = U^H.
+        assert np.linalg.norm(recovery.kraus[0] - u.conj().T) <= 1e-13
+        calls.clear()
+        petz_map(sigma, KrausChannel((u,)))
+        assert len(calls) == 1
 
 
 def _reference_cptp(c):

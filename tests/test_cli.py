@@ -487,8 +487,9 @@ class TestReportReuse:
         [
             ({"family": "alpha_z", "alpha": 1.5, "z": 1.2}, 6),
             # Sandwiched is alpha_z at z = alpha bit for bit, so its residual1
-            # is the crosscheck's gradient residual too.
-            ({"family": "sandwiched_renyi", "alpha": 1.5}, 6),
+            # is the crosscheck's gradient residual too, and its two condition
+            # operators share their exponents, so one adjoint serves both.
+            ({"family": "sandwiched_renyi", "alpha": 1.5}, 5),
         ],
     )
     def test_details_match_public_functions(self, tmp_path, monkeypatch, measure, adjoints):
@@ -1580,6 +1581,11 @@ class TestSaturationWithoutRecovery:
         (MeasureSpec.sandwiched_renyi(0.5), False),
         (MeasureSpec.alpha_z(1.5, 1.5), True),
         (MeasureSpec.alpha_z(1.5, 1.2), False),
+        # The Petz-Renyi line z = 1 has the power f-divergence's Q.
+        (MeasureSpec.alpha_z(0.3, 1.0), True),
+        (MeasureSpec.alpha_z(0.7, 1.0), True),
+        (MeasureSpec.alpha_z(1.5, 1.0), True),
+        (MeasureSpec.alpha_z(2.0, 1.0), False),
         (MeasureSpec.f_divergence("x_log_x"), True),
         (MeasureSpec.f_divergence("neg_log"), True),
         (MeasureSpec.f_divergence("power", alpha=0.5), True),

@@ -1028,16 +1028,69 @@ def _ref_condition_operator(rho, sigma, alpha, z, outer_exp, core_exp):
     return s_outer @ _ref_powm(wc, vc, core_exp) @ s_outer
 
 
+def _equivalent_specs():
+    """``(first, second, to_second)``: specs whose values are a monotone map
+    ``to_second`` of one quantity, so their DPI gaps vanish together."""
+    cases = [("fidelity/alpha_z(1/2,1/2)", MeasureSpec.fidelity(), MeasureSpec.alpha_z(0.5, 0.5),
+              lambda v: -2.0 * math.log(v))]
+    cases += [(f"sandwiched/alpha_z(a,a)/a{a}", MeasureSpec.sandwiched_renyi(a), MeasureSpec.alpha_z(a, a),
+               lambda v: v) for a in (0.7, 1.5)]
+    # The Petz-Renyi line: Q = tr r^a s^(1-a) is the power f-divergence.
+    cases += [(f"alpha_z(a,1)/power/a{a}", MeasureSpec.alpha_z(a, 1.0), MeasureSpec.f_divergence("power", alpha=a),
+               lambda v, a=a: math.exp((a - 1.0) * v)) for a in (0.3, 0.7, 1.5)]
+    cases.append(("relative_entropy/x_log_x", MeasureSpec.relative_entropy(), MeasureSpec.f_divergence("x_log_x"),
+                  lambda v: v))
+    return [pytest.param(first, second, to_second, id=label) for label, first, second, to_second in cases]
+
+
+class TestEquivalentSpecs:
+    """Two specs that are monotone functions of one quantity give the same
+    values through that map, the same ``recovers`` answer, and the same
+    ``saturated`` verdict on saturating fixtures and on the Fuchs-Caves
+    measurement, which saturates the fidelity without recovery."""
+
+    @staticmethod
+    def _cases():
+        from _fixtures import fuchs_caves, saturating_fixtures
+
+        cases = [(label, c, rho, sigma) for label, c, rho, sigma in saturating_fixtures()]
+        return cases + [(f"fuchs_caves_n{n}", *fuchs_caves(n)) for n in (2, 3, 4)]
+
+    @pytest.mark.parametrize("first,second,to_second", _equivalent_specs())
+    def test_values_match_through_the_map(self, first, second, to_second):
+        g = gen(620)
+        pairs = [(random_positive(g, n), random_positive(g, n)) for n in (2, 3, 4)]
+        pairs += [(rho, sigma) for _, _, rho, sigma in self._cases()]
+        for rho, sigma in pairs:
+            want = evaluate(second, rho, sigma)
+            assert abs(to_second(evaluate(first, rho, sigma)) - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("first,second,to_second", _equivalent_specs())
+    def test_recovers_and_saturated_agree(self, first, second, to_second):
+        assert first._row.recovers(first) is second._row.recovers(second)
+        verdicts = []
+        for label, c, rho, sigma in self._cases():
+            pair = [build_report(m, c, rho, sigma, with_petz=False).saturated for m in (first, second)]
+            assert pair[0] is pair[1], label
+            verdicts.append(pair[0])
+        # The fixtures saturate every spec; Fuchs-Caves saturates the fidelity only.
+        assert verdicts == [True] * 4 + [first.family == "fidelity"] * 3
+
+
+_CLOSED_FORM_BUDGET = {"relative_entropy": 2, "fidelity": 4, "sandwiched_renyi": 4, "alpha_z": 4, "f_divergence": 2}
+
+
 class TestSharedSpectralCores:
     """Each operator and each spectral core of a report is eigensolved once.
 
-    Under a channel whose images are eigensolved (the saturating fixtures
-    and a random channel) sharing leaves every number bit-identical to
-    separate eigensolves. A depolarizing image takes its eigensystem from
-    its input's in ``apply``, ``(a w + b tr A, V)``, which differs from an
-    eigensolve of the image by roundoff; so its numbers agree with separate
-    eigensolves to roundoff, not bit for bit, unless the states are diagonal
-    and every eigensolve is exact."""
+    Under a channel whose images are eigensolved (the saturating fixtures but
+    the unitary, and a random channel) sharing leaves every number
+    bit-identical to separate eigensolves. A closed-form image (depolarizing,
+    unitary) takes its eigensystem from its input's in ``apply``,
+    ``(a w + b tr A, U V)``, which differs from an eigensolve of the image by
+    roundoff; so its numbers agree with separate eigensolves to roundoff, not
+    bit for bit, unless the states are diagonal and every eigensolve is
+    exact."""
 
     SPECTRAL = ("relative_entropy", "fidelity", "sandwiched_renyi", "alpha_z")
 
@@ -1046,7 +1099,7 @@ class TestSharedSpectralCores:
         from _fixtures import saturating_fixtures
 
         g = gen(590)
-        cases = [(label, c, rho, sigma) for label, c, rho, sigma in saturating_fixtures()]
+        cases = [(label, c, rho, sigma) for label, c, rho, sigma in saturating_fixtures() if label != "unitary"]
         cases.append(("random_cptp", random_cptp(g, 4, 3), random_positive(g, 4), random_positive(g, 4)))
         return cases
 
@@ -1094,30 +1147,64 @@ class TestSharedSpectralCores:
                 expected = grad - adjoint_apply(c, ref(m, r_out, s_out)).matrix
                 assert np.linalg.norm(res.matrix - expected) <= 1e-13 * np.linalg.norm(grad), (n, m)
 
+    def test_unitary_report_within_roundoff_of_separate_eigensolves(self):
+        # The saturating unitary fixture, whose images read (w, U V): its gap
+        # is itself roundoff, so the gap is judged on the scale of the values
+        # it subtracts, with the same 1e-12.
+        from _fixtures import saturating_fixtures
+
+        label, c, rho, sigma = saturating_fixtures()[0]
+        assert label == "unitary"
+        r_out, s_out = apply(c, rho.op).matrix, apply(c, sigma.op).matrix
+        for m in measure_suite():
+            if m.family not in self.SPECTRAL:
+                continue
+            rep = build_report(m, c, rho, sigma, with_petz=False)
+            value = _ref_value(m, rho.matrix, sigma.matrix)
+            gap = m.sign * (value - _ref_value(m, r_out, s_out))
+            assert abs(rep.gap - gap) <= 1e-12 * abs(value), m
+            for ref, res in ((_ref_grad1, rep.residual1), (_ref_grad2, rep.residual2)):
+                grad = ref(m, rho.matrix, sigma.matrix).matrix
+                expected = grad - adjoint_apply(c, ref(m, r_out, s_out)).matrix
+                assert np.linalg.norm(res.matrix - expected) <= 1e-13 * np.linalg.norm(grad), m
+        for alpha, z, norms, scale in self._crosscheck_references(c, rho, sigma):
+            res = alpha_z_crosscheck(c, rho, sigma, alpha, z)
+            for got, want in zip((res.chehade_residual, res.zhang_residual), norms):
+                assert abs(got - want) <= 1e-13 * scale, (alpha, z)
+
+    @staticmethod
+    def _crosscheck_references(c, rho, sigma):
+        """``(alpha, z, norms, scale)``: the two condition residual norms from
+        separate eigensolves, and the norm of the larger condition operator."""
+        r_out, s_out = apply(c, rho.op).matrix, apply(c, sigma.op).matrix
+        for alpha, z in ((0.7, 0.9), (1.5, 1.2), (2.5, 2.0), (1.5, 1.5)):
+            norms, scale = [], 0.0
+            for outer_exp, core_exp in (
+                ((1.0 - z) / (2.0 * z), z - 1.0), ((1.0 - alpha) / (2.0 * z), alpha - 1.0),
+            ):
+                f_in = _ref_condition_operator(rho.matrix, sigma.matrix, alpha, z, outer_exp, core_exp)
+                f_out = _ref_condition_operator(r_out, s_out, alpha, z, outer_exp, core_exp)
+                norms.append(float(np.linalg.norm(f_in - adjoint_apply(c, hermitize(f_out)).matrix)))
+                scale = max(scale, float(np.linalg.norm(f_in)))
+            yield alpha, z, tuple(norms), scale
+
     def test_crosscheck_conditions_equal_separate_eigensolves(self):
         for label, c, rho, sigma in self._fixtures():
-            r_out, s_out = apply(c, rho.op).matrix, apply(c, sigma.op).matrix
-            for alpha, z in ((0.7, 0.9), (1.5, 1.2), (2.5, 2.0), (1.5, 1.5)):
+            for alpha, z, norms, _ in self._crosscheck_references(c, rho, sigma):
                 res = alpha_z_crosscheck(c, rho, sigma, alpha, z)
-                norms = []
-                for outer_exp, core_exp in (
-                    ((1.0 - z) / (2.0 * z), z - 1.0), ((1.0 - alpha) / (2.0 * z), alpha - 1.0),
-                ):
-                    f_in = _ref_condition_operator(rho.matrix, sigma.matrix, alpha, z, outer_exp, core_exp)
-                    f_out = _ref_condition_operator(r_out, s_out, alpha, z, outer_exp, core_exp)
-                    norms.append(float(np.linalg.norm(f_in - adjoint_apply(c, hermitize(f_out)).matrix)))
-                assert (res.chehade_residual, res.zhang_residual) == tuple(norms), (label, alpha, z)
+                assert (res.chehade_residual, res.zhang_residual) == norms, (label, alpha, z)
 
     @pytest.mark.parametrize(
         "c,expected",
         [
-            # The depolarizing images take their eigensystems from rho and sigma.
-            (depolarizing(4, 0.3), {"relative_entropy": 2, "fidelity": 4, "sandwiched_renyi": 4,
-                                    "alpha_z": 4, "f_divergence": 2}),
+            # The closed-form images take their eigensystems from rho and sigma.
+            (depolarizing(4, 0.3), _CLOSED_FORM_BUDGET),
+            (unitary(random_unitary(gen(594), 4)), _CLOSED_FORM_BUDGET),
+            (identity(4), _CLOSED_FORM_BUDGET),
             (partial_trace(2, 2, "a"), {"relative_entropy": 4, "fidelity": 6, "sandwiched_renyi": 6,
                                         "alpha_z": 6, "f_divergence": 4}),
         ],
-        ids=["depolarizing", "partial_trace"],
+        ids=["depolarizing", "unitary", "identity", "partial_trace"],
     )
     def test_eigensolve_budget_per_report(self, monkeypatch, c, expected):
         # rho and sigma arrive as plain arrays, so both inputs, and the images
