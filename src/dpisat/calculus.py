@@ -74,10 +74,10 @@ class NumericGradientError(RuntimeError):
 
 def _sample_points(domain) -> np.ndarray:
     lo, hi = domain
-    if lo == 0.0 and math.isinf(hi):
-        return np.logspace(-2, 2, 20)
     if math.isinf(lo) and math.isinf(hi):
         return np.linspace(-3.0, 3.0, 20)
+    if math.isinf(lo) or math.isinf(hi):  # 10^-2 .. 10^2 away from the finite end
+        return hi - np.logspace(-2, 2, 20) if math.isinf(lo) else lo + np.logspace(-2, 2, 20)
     span = hi - lo
     return np.linspace(lo + 0.05 * span, hi - 0.05 * span, 20)
 
@@ -87,8 +87,9 @@ class ScalarFunctionPair:
     """A scalar function together with its analytic derivative.
 
     At construction the pair is self-checked: on 20 sampled points of the
-    declared open ``domain``, a central difference of ``f`` must match
-    ``f_prime`` to relative 1e-6. This catches mismatched pairs early.
+    declared open ``domain``, a central difference of ``f`` with step
+    ``1e-6 |x|`` must match ``f_prime`` to relative 1e-6; a point where
+    either is not finite is skipped. This catches mismatched pairs early.
 
     ``value_at_zero`` records the continuous extension ``f(0+)`` where one
     exists; it is consulted when a function is applied to an operator with
@@ -103,10 +104,11 @@ class ScalarFunctionPair:
 
     def __post_init__(self):
         for x in _sample_points(self.domain):
-            h = 1e-6 * max(1.0, abs(x))
-            fd = (self.f(x + h) - self.f(x - h)) / (2.0 * h)
-            fp = self.f_prime(x)
-            if abs(fd - fp) > 1e-6 * max(1.0, abs(fp)):
+            h = 1e-6 * (abs(x) or 1.0)
+            with np.errstate(all="ignore"):  # an overflow gives inf, and its point is skipped
+                f_lo, f_hi, fp = self.f(x - h), self.f(x + h), self.f_prime(x)
+                fd = (f_hi - f_lo) / (2.0 * h)
+            if np.isfinite([f_lo, f_hi, fp]).all() and abs(fd - fp) > 1e-6 * max(1.0, abs(fp)):
                 raise ValueError(
                     f"function pair {self.name!r} failed its derivative self-check "
                     f"at x={x!r}: finite difference {fd!r} vs declared {fp!r}"

@@ -6,16 +6,17 @@ construction. The Kraus representation is primary precisely because the
 adjoint is syntactically trivial. Channels may change dimension
 (``dim_in -> dim_out``); Kraus operators are then rectangular.
 
-The operators form one ``(r, m, n)`` stack. The sparse builders write its
-nonzero entries in closed form and build the stack only when ``.kraus`` is
-read; any other stack is given whole. A channel acts in one of three ways:
+The operators form one ``(r, m, n)`` stack. A channel holds one description
+of it: the stack, its nonzero entries (written by the sparse builders), or a
+closed-form record; the last two build the stack when ``.kraus`` is read.
+A channel acts in one of three ways:
 
-* :func:`depolarizing`, :func:`unitary` and :func:`identity` act through one
-  record ``(a, b, U)`` as ``L(A) = a U A U^H + b tr(A) I`` and ``L*(B) =
-  a U^H B U + b tr(B) I``: ``(1 - p, p/n, I)``, ``(1, 0, U)``, ``(1, 0, I)``.
-  The image's eigensystem is ``(a w + b tr A, U V)`` (``U^H V`` for L*) from
-  A's ``(w, V)``, read from A's when the image's is first read, so it never
-  depends on which was read first;
+* :func:`depolarizing`, :func:`unitary`, :func:`identity` and their
+  compositions hold one record ``(a, b, U)`` and act as ``L(A) = a U A U^H +
+  b tr(A) I`` and ``L*(B) = a U^H B U + b tr(B) I``: ``(1 - p, p/n, I)``,
+  ``(1, 0, U)``, ``(1, 0, I)``. The image's eigensystem is ``(a w + b tr A,
+  U V)`` (``U^H V`` for L*) from A's ``(w, V)``, read from A's when the
+  image's is first read, so it never depends on which was read first;
 * any other sparse stack, with ``P = sum_k nnz(K_k)**2 <= r m n`` (partial
   traces, computational-basis pinching, measure-prepare in the
   computational basis, an explicit depolarizing stack), chosen at
@@ -102,21 +103,21 @@ class KrausChannel:
     without a copy; anything else is copied. Trace preservation
     ``||L*(I) - I||_F = ||sum_i K_i^H K_i - I||_F <= tp_tol`` is enforced at
     construction, through the channel's own action; pass a larger ``tp_tol``
-    deliberately to hold a known-bad operator list for diagnostics. A channel
-    keeps the nonzero entries of a sparse stack and acts through their
-    transfer form, or through a closed form (see the module docstring); a
-    sparse builder's channel builds its stack only when ``kraus`` is first
-    read.
+    deliberately to hold a known-bad operator list for diagnostics. A sparse
+    stack acts through the transfer form of its nonzero entries; a builder's
+    channel holds those entries or a closed-form record instead of a stack,
+    and builds the stack when ``kraus`` is first read (see the module
+    docstring).
     """
 
     tp_tol: float
     dim_in: int
     dim_out: int
-    # The nonzero entries ``(k, i, j, value)`` of the ``_shape`` stack,
-    # k-major and row-major (None for a dense stack), their transfer form
-    # ``(row, col, w)`` (None when too dense or in closed form), the stack
-    # (None until read), and the closed form's record ``(a, b, U)``, U None
-    # for I (None unless built by :func:`depolarizing` or :func:`unitary`).
+    # One description of the ``_shape`` stack, the others None: the stack,
+    # its nonzero entries ``(k, i, j, value)``, k-major and row-major, or the
+    # closed form's record ``(a, b, U)``, U None for I; the stack is built
+    # from either of the last two when first read. The transfer form
+    # ``(row, col, w)`` of the entries is None when too dense or absent.
     _shape: tuple = field(repr=False)
     _entries: tuple | None = field(repr=False)
     _transfer: tuple | None = field(repr=False)
@@ -144,18 +145,17 @@ class KrausChannel:
         self.__post_init__(stack.shape, entries, stack, tp_tol)
 
     def __post_init__(self, shape: tuple, entries, stack, tp_tol: float, closed=None) -> None:
-        # Every construction ends here, from a stack or from entries alone.
+        # Every construction ends here, from a stack, its entries or a record.
         if shape[0] < 1 or min(shape[1:]) < 1:
             raise ValueError(f"a channel needs at least one Kraus operator and nonzero "
                              f"dimensions, not a stack of shape {shape}")
         _tolerance("tp_tol", tp_tol)
-        sparse = entries is not None and closed is None
-        transfer = _transfer_form(shape, *entries) if sparse else None
+        transfer = None if entries is None else _transfer_form(shape, *entries)
         self.__dict__.update(
-            tp_tol=tp_tol, dim_in=shape[2], dim_out=shape[1], _shape=shape,
-            _entries=entries, _transfer=transfer, _kraus=stack, _closed=closed,
+            tp_tol=tp_tol, dim_in=shape[2], dim_out=shape[1], _shape=shape, _transfer=transfer,
+            _entries=None if stack is not None else entries, _kraus=stack, _closed=closed,
         )
-        tp = float(np.linalg.norm(_act_adjoint(self, np.eye(self.dim_out)) - np.eye(self.dim_in)))
+        tp = float(np.linalg.norm(_act(self, np.eye(self.dim_out), True) - np.eye(self.dim_in)))
         if tp > tp_tol:
             raise ValueError(f"channel is not trace preserving: ||sum K^H K - I||_F = {tp:.3e}")
 
@@ -163,22 +163,36 @@ class KrausChannel:
     def kraus(self) -> np.ndarray:
         """The read-only ``(r, m, n)`` stack of Kraus operators."""
         if self._kraus is None:
-            k, i, j, vals = self._entries
-            stack = np.zeros(self._shape, dtype=vals.dtype)
-            stack[k, i, j] = vals
+            if self._closed is None:
+                k, i, j, vals = self._entries
+                stack = np.zeros(self._shape, dtype=vals.dtype)
+                stack[k, i, j] = vals
+            else:  # sqrt(a) U (I for None) when a > 0, then sqrt(b) |i><j|, row-major
+                (a, b, u), n = self._closed, self.dim_in
+                stack = np.zeros(self._shape, dtype=np.float64 if u is None else u.dtype)
+                stack[:int(a > 0.0)] = np.eye(n) if u is None else u
+                stack[:int(0.0 < a < 1.0)] *= np.sqrt(a)  # a = 1 keeps U's bits, -0.0 too
+                stack[int(a > 0.0):].reshape(-1, n * n).flat[::n * n + 1] = np.sqrt(b)
             stack.setflags(write=False)
             self.__dict__["_kraus"] = stack
         return self._kraus
 
 
-def _from_entries(shape: tuple, k, i, j, vals, closed=None) -> KrausChannel:
+def _from_entries(shape: tuple, k, i, j, vals) -> KrausChannel:
     """A channel from the entries ``K_k[i, j] = vals`` of its stack, k-major
-    and row-major; zero values are dropped, as the stack would drop them.
-    With the record ``closed`` it acts in that closed form, which the entries
-    must describe."""
+    and row-major; zero values are dropped, as the stack would drop them."""
     keep = vals != 0
     ch = object.__new__(KrausChannel)
-    ch.__post_init__(shape, (k[keep], i[keep], j[keep], vals[keep]), None, DEFAULT_TP_TOL, closed)
+    ch.__post_init__(shape, (k[keep], i[keep], j[keep], vals[keep]), None, DEFAULT_TP_TOL)
+    return ch
+
+
+def _closed_channel(n: int, a: float, b: float, u: np.ndarray | None) -> KrausChannel:
+    """The channel ``A -> a U A U^H + b tr(A) I`` (U None for I) holding its
+    record alone; n < 1 reaches the constructor's dimension check."""
+    ch = object.__new__(KrausChannel)
+    ch.__post_init__((int(a > 0.0) + (n * n if b > 0.0 else 0), n, n), None, None,
+                     DEFAULT_TP_TOL, (a, b, u))
     return ch
 
 
@@ -263,35 +277,27 @@ def _frame(ch: KrausChannel, adjoint: bool):
     return u.conj().T if adjoint and u is not None else u
 
 
-def _closed_act(ch: KrausChannel, x, adjoint: bool) -> np.ndarray:
-    """``a W X W^H + b tr(X) I`` for any square X, ``W X W^H`` by :func:`_sandwich`."""
-    w = _frame(ch, adjoint)
-    out = ch._closed[0] * (np.asarray(x, dtype=np.complex128) if w is None else _sandwich(w[None], x))
-    out.reshape(-1)[::out.shape[0] + 1] += ch._closed[1] * np.trace(x)
-    return out
-
-
-def _act(ch: KrausChannel, a) -> np.ndarray:
-    """``L(A)`` for any square A, Hermitian or not, with no validation: the
-    closed form, a scatter over the transfer form, else the blocked kernel."""
+def _act(ch: KrausChannel, x, adjoint: bool = False) -> np.ndarray:
+    """``L(X)``, or ``L*(X)`` with ``adjoint``, for any square X, Hermitian or
+    not, with no validation: the closed form ``a W X W^H + b tr(X) I`` (W of
+    :func:`_frame`, ``W X W^H`` by :func:`_sandwich`), a scatter over the
+    transfer form, else the blocked kernel."""
     if ch._closed is not None:
-        return _closed_act(ch, a, False)
+        a, b, _ = ch._closed
+        w = _frame(ch, adjoint)
+        out = a * (np.asarray(x, dtype=np.complex128) if w is None else _sandwich(w[None], x))
+        out.flat[::out.shape[0] + 1] += b * np.trace(x)  # in place whatever out's layout
+        return out
     if ch._transfer is None:
-        return _sandwich(ch.kraus, a)
+        return _adjoint_raw(ch.kraus, x) if adjoint else _sandwich(ch.kraus, x)
     row, col, w = ch._transfer
-    m = ch.dim_out
-    return _scatter(row, col, w, a, m * m).reshape(m, m)
+    to, frm, w, dim = (col, row, w.conj(), ch.dim_in) if adjoint else (row, col, w, ch.dim_out)
+    return _scatter(to, frm, w, x, dim * dim).reshape(dim, dim)
 
 
 def _act_adjoint(ch: KrausChannel, b) -> np.ndarray:
-    """``L*(B)`` for any square B, Hermitian or not, with no validation."""
-    if ch._closed is not None:
-        return _closed_act(ch, b, True)
-    if ch._transfer is None:
-        return _adjoint_raw(ch.kraus, b)
-    row, col, w = ch._transfer
-    n = ch.dim_in
-    return _scatter(col, row, w.conj(), b, n * n).reshape(n, n)
+    """``L*(B)``: :func:`_act` in the adjoint direction."""
+    return _act(ch, b, True)
 
 
 def tp_error(kraus) -> float:
@@ -345,7 +351,7 @@ def _image(ch: KrausChannel, A, adjoint: bool) -> HermitianOperator:
     op = _operator(A)
     if op.dim != dim:
         raise ValueError(f"dimension mismatch: {what} expects {dim}, got {op.matrix.shape}")
-    out = hermitize((_act_adjoint if adjoint else _act)(ch, op.matrix))
+    out = hermitize(_act(ch, op.matrix, adjoint))
     if ch._closed is not None:
         def source():
             (a, b, _), frame, (w, v) = ch._closed, _frame(ch, adjoint), op.eigensystem
@@ -384,12 +390,17 @@ def verify_cptp(ch: KrausChannel) -> CptpReport:
 
 
 def compose(second: KrausChannel, first: KrausChannel) -> KrausChannel:
-    """The channel ``A -> second(first(A))`` with product Kraus operators."""
+    """The channel ``A -> second(first(A))``: the record ``(a2 a1, a2 b1 +
+    b2 (a1 + n b1), U2 U1)`` of two records, else product Kraus operators."""
     if first.dim_out != second.dim_in:
         raise ValueError(
             f"cannot compose: first outputs dim {first.dim_out}, "
             f"second expects dim {second.dim_in}"
         )
+    if first._closed is not None and second._closed is not None:
+        (a1, b1, u1), (a2, b2, u2), n = first._closed, second._closed, first.dim_in
+        u = u1 if u2 is None else u2 if u1 is None else u2 @ u1
+        return _closed_channel(n, a2 * a1, a2 * b1 + b2 * (a1 + n * b1), u)
     stack = second.kraus[:, None] @ first.kraus[None]
     return _from_stack(
         stack.reshape(-1, second.dim_out, first.dim_in), tp_tol=max(second.tp_tol, first.tp_tol)
@@ -407,45 +418,25 @@ def identity(n: int) -> KrausChannel:
 
 
 def unitary(u: np.ndarray) -> KrausChannel:
-    """Conjugation by a unitary, ``A -> U A U^H``, one Kraus operator, acting
-    as the record ``(1, 0, U)``: images read ``(w, U V)`` from their input's."""
+    """Conjugation by a unitary, ``A -> U A U^H``, held as the record
+    ``(1, 0, U)``: images read ``(w, U V)`` from their input's."""
     arr = _matrices([u], "unitary", square=True)[0].astype(np.complex128)
     with np.errstate(invalid="ignore"):  # a non-finite entry gives NaN or inf, refused below
         dev = float(np.linalg.norm(arr.conj().T @ arr - np.eye(arr.shape[0])))
     if not dev <= 1e-10:
         raise ValueError(f"matrix is not unitary: ||U^H U - I||_F = {dev:.3e}")
-    stack = _as_stack(arr[None])
-    stack.setflags(write=False)
-    ch = object.__new__(KrausChannel)
-    ch.__post_init__(stack.shape, None, stack, DEFAULT_TP_TOL, (1.0, 0.0, stack[0]))
-    return ch
-
-
-def _identity_and_units(n: int, p: float, i, j, value, closed=None) -> KrausChannel:
-    """The channel of Kraus operators ``sqrt(1-p) I`` (when ``p < 1``) and,
-    when ``p > 0``, ``value |i_e><j_e|`` for each pair ``(i_e, j_e)`` in turn,
-    acting in the closed form ``closed`` if given. The entries of the absent
-    block are zero, so :func:`_from_entries` drops them; n < 1 reaches the
-    constructor's dimension check."""
-    d = np.arange(n)
-    k = np.concatenate((0 * d, int(p < 1.0) + np.arange(i.size)))
-    vals = np.concatenate((np.full(d.size, np.sqrt(1.0 - p)), np.full(i.size, value)), dtype=float)
-    r = int(p < 1.0) + (i.size if p > 0.0 else 0)
-    return _from_entries((r, n, n), k, np.concatenate((d, i)), np.concatenate((d, j)), vals, closed)
+    return _closed_channel(arr.shape[0], 1.0, 0.0, _as_stack(arr[None])[0])
 
 
 def depolarizing(n: int, p: float) -> KrausChannel:
     """Mix with the maximally mixed state: ``A -> (1-p) A + p tr(A) I/n``.
 
-    Kraus operators ``sqrt(1-p) I`` (when ``p < 1``) and ``sqrt(p/n) |i><j|``
-    (when ``p > 0``, row-major in ``(i, j)``): ``n + n^2`` nonzero entries.
-    The channel acts in that closed form, the record ``(1 - p, p/n, I)``.
+    Held as the record ``(1 - p, p/n, I)``: Kraus operators ``sqrt(1-p) I``
+    (when ``p < 1``) and ``sqrt(p/n) |i><j|`` (when ``p/n > 0``, row-major).
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing strength p must be in [0, 1], got {p}")
-    b = p / max(n, 1)  # n < 1 is refused at construction
-    i, j = np.divmod(np.arange(n * n if p > 0.0 else 0), n)
-    return _identity_and_units(n, p, i, j, np.sqrt(b), closed=(1.0 - p, b, None))
+    return _closed_channel(n, 1.0 - p, p / max(n, 1), None)  # n < 1 is refused at construction
 
 
 def dephasing_pinching(basis, p: float = 1.0) -> KrausChannel:
@@ -459,8 +450,11 @@ def dephasing_pinching(basis, p: float = 1.0) -> KrausChannel:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"dephasing strength p must be in [0, 1], got {p}")
     if isinstance(basis, (int, np.integer)):
-        d = np.arange(basis)
-        return _identity_and_units(int(basis), p, d, d, np.sqrt(p))
+        # sqrt(1-p) I, then sqrt(p) |i><i|; a zero block's entries are dropped.
+        n, d = int(basis), np.arange(basis)
+        dd, vals = np.concatenate((d, d)), np.repeat([np.sqrt(1.0 - p), np.sqrt(p)], d.size)
+        r = int(p < 1.0) + (n if p > 0.0 else 0)
+        return _from_entries((r, n, n), np.concatenate((0 * d, int(p < 1.0) + d)), dd, dd, vals)
     vecs = _matrices([basis], "pinching basis", square=True)[0].astype(np.complex128)
     dev = float(np.linalg.norm(vecs.conj().T @ vecs - np.eye(vecs.shape[0])))
     if dev > 1e-10:
@@ -520,7 +514,7 @@ def measure_prepare(povm, states) -> KrausChannel:
     bridges ``sqrt(e t) |v><u|`` over the eigenpairs of ``E_i`` and
     ``tau_i`` with ``e, t > 1e-14``, ordered by ``i``, then ``u``, then ``v``.
     """
-    if not povm:
+    if len(povm) == 0:
         raise ValueError("need at least one POVM element")
     if len(povm) != len(states):
         raise ValueError("need one prepared state per POVM element")

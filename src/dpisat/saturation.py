@@ -493,12 +493,13 @@ def build_report(
     error one more (two channel applies and four adjoints per report).
     ``with_petz=False`` leaves the recovery errors unset and skips their two
     adjoints, ``(Ls)^{-1/2}`` and the recovery map's trace-preservation
-    check, which raises ValueError once cond(Ls) is large. Each of the four operators and each spectral core of the two
-    pairs is eigensolved at most once (at most 6 per full-rank report); under
-    a depolarizing, unitary or identity channel :func:`apply` gives the two images their
-    eigensystems from the inputs', without one (at most 4). Both spectral
-    norms come from one stacked eigenvalue-only solve of the two Hermitian
-    residuals; the report keeps both pairs for further checks.
+    check, which raises ValueError once cond(Ls) is large. Each of the four
+    operators and each spectral core of the two pairs is eigensolved at most
+    once (at most 6 per full-rank report); under a depolarizing, unitary or
+    identity channel, or a composition of them, :func:`apply` gives the two
+    images their eigensystems from the inputs', without one (at most 4). Both
+    spectral norms come from one stacked eigenvalue-only solve of the two
+    Hermitian residuals; the report keeps both pairs for further checks.
     """
     pt, pt_out = _pairs(ch, rho, sigma)
     gap = _gap(m, pt, pt_out)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,23 @@ class TestScalarFunctionPair:
     def test_mismatched_pair_rejected(self):
         with pytest.raises(ValueError, match="self-check"):
             ScalarFunctionPair("broken", lambda x: x ** 2, lambda x: 3.0 * x)
+
+    @pytest.mark.parametrize("domain", [(1.0, math.inf), (-math.inf, 0.0)])
+    def test_mismatched_pair_on_a_half_infinite_domain_rejected(self, domain):
+        with pytest.raises(ValueError, match="self-check"):
+            ScalarFunctionPair("bad", lambda x: x ** 2, lambda x: 0.0, domain=domain)
+
+    @pytest.mark.parametrize("exponent", [-49.5, -25.0, 100.0, 150.0])
+    def test_steep_powers_pass_their_self_check(self, exponent):
+        # The step is relative to |x|, so x = 0.01 is differenced at its own scale.
+        assert power(exponent).f(2.0) == 2.0 ** exponent
+
+    def test_non_finite_points_are_skipped(self):
+        # x**-200 overflows at x = 0.01; those points are skipped, with no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ScalarFunctionPair("steep", lambda x: x ** -200.0, lambda x: -200.0 * x ** -201.0,
+                               domain=(0.0, math.inf))
 
     def test_registered_pairs_exist(self):
         for pair in (IDENTITY, LOG, EXP, power(0.37), power(2.0)):

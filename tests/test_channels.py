@@ -17,6 +17,7 @@ from dpisat.channels import (
     apply_raw,
     channel_from_json,
     channel_to_json,
+    choi_matrix,
     compose,
     dephasing_pinching,
     depolarizing,
@@ -275,6 +276,17 @@ class TestBuilders:
     def test_measure_prepare_rejects_empty_povm(self):
         with pytest.raises(ValueError, match="need at least one POVM element"):
             measure_prepare([], [])
+        with pytest.raises(ValueError, match="^need at least one POVM element$"):
+            measure_prepare(np.zeros((0, 2, 2)), np.zeros((0, 2, 2)))
+
+    def test_measure_prepare_takes_arrays(self):
+        g = gen(332)
+        povm = random_povm(g, 3, 3)
+        states = [random_positive(g, 2).matrix for _ in povm]
+        states = [t / np.trace(t).real for t in states]
+        want = measure_prepare(povm, states).kraus
+        got = measure_prepare(np.array(povm), np.array(states)).kraus
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def random_povm(g, n: int, k: int) -> list:
@@ -699,12 +711,12 @@ class TestTransferForm:
 
 
 def _entry_builders():
-    """Factories of the builders that write their entries, not a stack."""
+    """Factories of the builders that write their entries or a record, not a stack."""
     cases = [(f"depolarizing_n{n}_p{p}", lambda n=n, p=p: depolarizing(n, p))
              for n in (1, 2, 5, 32) for p in (0.0, 0.3, 1.0)]
     cases += [(f"pinching_p{p}", lambda p=p: dephasing_pinching(4, p)) for p in (0.0, 0.4, 1.0)]
     cases += [
-        # sqrt(p/n) underflows to 0: the n**2 unit operators hold no entry.
+        # p/n underflows to 0: the record has no unit operators.
         ("depolarizing_subnormal_p", lambda: depolarizing(2, 5e-324)),
         ("ptrace_a", lambda: partial_trace(2, 3, "a")),
         ("ptrace_b", lambda: partial_trace(3, 2, "b")),
@@ -714,9 +726,9 @@ def _entry_builders():
 
 
 class TestEntryBuilders:
-    """The sparse builders write their nonzero entries; the channel is the one
-    extracted from the stack those entries describe, bit for bit, and the
-    stack itself is built only when ``kraus`` is read."""
+    """The sparse builders write their nonzero entries, or a record; the
+    channel is the one extracted from the stack those describe, bit for bit,
+    and the stack itself is built only when ``kraus`` is read."""
 
     @pytest.mark.parametrize("make", [c for c in _entry_builders() if c.values[0]()._closed is None])
     def test_transfer_form_and_actions_match_the_stack_bit_for_bit(self, make):
@@ -953,8 +965,10 @@ class TestUnitaryAndIdentityRecord:
     @pytest.mark.parametrize("u", _unitaries())
     def test_record_keeps_the_stack_and_the_kernel_bits(self, u):
         c, ref = unitary(u), KrausChannel((np.asarray(u, dtype=complex),))
-        assert c._closed[:2] == (1.0, 0.0) and np.shares_memory(c._closed[2], c.kraus)
+        assert c._closed[:2] == (1.0, 0.0) and c._entries is None and c._kraus is None
         np.testing.assert_array_equal(c._closed[2], u)
+        # The stack is built from the record: U itself, bit for bit.
+        assert c.kraus[0].tobytes() == c._closed[2].tobytes()
         assert c._transfer is None and ref._closed is None
         np.testing.assert_array_equal(c.kraus, ref.kraus)
         assert c.kraus.dtype == ref.kraus.dtype and not c.kraus.flags.writeable
@@ -1016,6 +1030,132 @@ class TestUnitaryAndIdentityRecord:
         calls.clear()
         petz_map(sigma, KrausChannel((u,)))
         assert len(calls) == 1
+
+
+def _records(n: int = 4):
+    """Factories of the three closed-form builders at dimension n."""
+    cases = [("depolarizing", lambda: depolarizing(n, 0.3)),
+             ("unitary", lambda: unitary(random_unitary(gen(510), n))),
+             ("identity", lambda: identity(n))]
+    return [pytest.param(make, id=label) for label, make in cases]
+
+
+def _layouts(x):
+    """x in C order, in Fortran order, and as the transpose of a C array."""
+    return np.ascontiguousarray(x), np.asfortranarray(x), np.ascontiguousarray(x.T).T
+
+
+class TestRecordLayout:
+    """A record adds ``b tr(X) I`` in place whatever the memory layout of
+    ``a W X W^H``, in both directions (compositions: see TestComposedRecord)."""
+
+    def test_depolarizing_on_every_layout(self):
+        x = np.arange(9.0).reshape(3, 3)
+        x = x + x.T
+        c = depolarizing(3, 0.5)
+        for act, loop in ((_act, _loop_apply), (_act_adjoint, _loop_adjoint)):
+            ref = loop(c.kraus, x)
+            for y in _layouts(x):
+                np.testing.assert_allclose(act(c, y), ref, rtol=0, atol=1e-13)
+
+
+class TestComposedRecord:
+    """compose of two records ``(a1, b1, U1)`` then ``(a2, b2, U2)`` is the
+    record ``(a2 a1, a2 b1 + b2 (a1 + n b1), U2 U1)``, holding nothing else;
+    any other pair keeps the stack of products."""
+
+    @pytest.mark.parametrize("second", _records())
+    @pytest.mark.parametrize("first", _records())
+    def test_record_follows_the_formula(self, first, second):
+        f, s = first(), second()
+        c = compose(s, f)
+        assert c._entries is None and c._kraus is None and c._transfer is None
+        (a1, b1, u1), (a2, b2, u2), (a, b, u) = f._closed, s._closed, c._closed
+        assert (a, b) == (a2 * a1, a2 * b1 + b2 * (a1 + 4 * b1))
+        eye = np.eye(4)
+        want = (eye if u2 is None else u2) @ (eye if u1 is None else u1)
+        if u is None:
+            assert u1 is None and u2 is None
+        else:
+            np.testing.assert_allclose(u, want, rtol=0, atol=1e-15)
+        assert c.kraus.shape == (int(a > 0) + (16 if b > 0 else 0), 4, 4)
+
+    @pytest.mark.parametrize("second", _records())
+    @pytest.mark.parametrize("first", _records())
+    def test_actions_match_sequential_application(self, first, second):
+        f, s = first(), second()
+        c = compose(s, f)
+        g = gen(512)
+        for x in _layouts(_random_matrix(g, 4, 4)):
+            fwd, adj = _act(c, x), _act_adjoint(c, x)
+            ref_fwd = _loop_apply(s.kraus, _loop_apply(f.kraus, x))
+            ref_adj = _loop_adjoint(f.kraus, _loop_adjoint(s.kraus, x))
+            assert np.linalg.norm(fwd - ref_fwd) <= 1e-13 * np.linalg.norm(ref_fwd)
+            assert np.linalg.norm(adj - ref_adj) <= 1e-13 * np.linalg.norm(ref_adj)
+
+    @pytest.mark.parametrize("second", _records())
+    @pytest.mark.parametrize("first", _records())
+    def test_choi_matches_the_product_stack(self, first, second):
+        f, s = first(), second()
+        products = KrausChannel((s.kraus[:, None] @ f.kraus[None]).reshape(-1, 4, 4))
+        assert np.max(np.abs(choi_matrix(compose(s, f)) - choi_matrix(products))) <= 1e-13
+
+    def test_other_pairs_keep_the_product_stack(self):
+        for s, f in ((partial_trace(2, 3, "a"), depolarizing(6, 0.3)),
+                     (depolarizing(4, 0.3), KrausChannel(unitary(random_unitary(gen(513), 4)).kraus)),
+                     (dephasing_pinching(4, 0.4), unitary(random_unitary(gen(514), 4)))):
+            c = compose(s, f)
+            want = (s.kraus[:, None] @ f.kraus[None]).reshape(-1, s.dim_out, f.dim_in)
+            assert c._closed is None and c.kraus.dtype == want.dtype
+            assert c.kraus.tobytes() == want.tobytes()
+
+    def test_composition_allocates_no_products(self):
+        tracemalloc.start()
+        try:
+            c = compose(depolarizing(12, 0.3), depolarizing(12, 0.2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # the 145 x 145 products would be 21025 x 12 x 12 float64, 24 MB
+        assert c._closed[2] is None and c.kraus.shape == (12 * 12 + 1, 12, 12)
+
+    def test_composed_images_read_the_turned_eigensystem(self, monkeypatch):
+        from _fixtures import count_eigh
+
+        g = gen(515)
+        u, a = random_unitary(g, 4), random_hermitian(g, 4)
+        c = compose(depolarizing(4, 0.3), unitary(u))
+        w_in, v_in = a.eigensystem
+        calls = count_eigh(monkeypatch)
+        out = apply(c, a)
+        w, v = out.eigensystem
+        assert calls == []
+        np.testing.assert_array_equal(v, c._closed[2] @ v_in)
+        assert np.linalg.norm((v * w) @ v.conj().T - out.matrix) <= 1e-13 * np.linalg.norm(a.matrix)
+
+
+class TestRecordStack:
+    """A record's stack is built on first read: ``sqrt(a) U`` (I for None),
+    then ``sqrt(b) |i><j|`` row-major."""
+
+    @pytest.mark.parametrize("u", [
+        np.array([[-0.0, 1.0], [1.0, -0.0]]),
+        # 1.0 * complex(-0.0, -1.0) would have real part +0.0.
+        np.array([[complex(-0.0, -1.0), 0.0], [-0.0, complex(0.6, -0.8)]]),
+        np.array([[-0.0, -1.0], [1.0, -0.0]], dtype=complex),
+    ], ids=["real", "complex", "complex_typed_real"])
+    def test_unitary_stack_is_u_bit_for_bit(self, u):
+        c = unitary(u)
+        want = u.real if not u.imag.any() else u
+        assert np.signbit(want.real).any()
+        assert c.kraus.shape == (1, 2, 2) and c.kraus.dtype == want.dtype
+        assert c.kraus.tobytes() == want.tobytes()
+
+    def test_underflowing_unit_weight_drops_the_units(self):
+        # p/n underflows to 0: the n^2 unit operators would all be zero.
+        c = depolarizing(2, 5e-324)
+        assert c._closed[1] == 0.0
+        np.testing.assert_array_equal(c.kraus, np.eye(2)[None])
 
 
 def _reference_cptp(c):

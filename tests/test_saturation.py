@@ -12,6 +12,7 @@ from dpisat.channels import (
     KrausChannel,
     adjoint_apply,
     apply,
+    compose,
     dephasing_pinching,
     depolarizing,
     identity,
@@ -1201,10 +1202,12 @@ class TestSharedSpectralCores:
             (depolarizing(4, 0.3), _CLOSED_FORM_BUDGET),
             (unitary(random_unitary(gen(594), 4)), _CLOSED_FORM_BUDGET),
             (identity(4), _CLOSED_FORM_BUDGET),
+            # A composition of two records is a record.
+            (compose(unitary(random_unitary(gen(595), 4)), depolarizing(4, 0.3)), _CLOSED_FORM_BUDGET),
             (partial_trace(2, 2, "a"), {"relative_entropy": 4, "fidelity": 6, "sandwiched_renyi": 6,
                                         "alpha_z": 6, "f_divergence": 4}),
         ],
-        ids=["depolarizing", "unitary", "identity", "partial_trace"],
+        ids=["depolarizing", "unitary", "identity", "composed_record", "partial_trace"],
     )
     def test_eigensolve_budget_per_report(self, monkeypatch, c, expected):
         # rho and sigma arrive as plain arrays, so both inputs, and the images
